@@ -15,7 +15,7 @@
 use std::sync::OnceLock;
 
 use gcomm_machine::{NetworkModel, SimStep};
-use gcomm_query::{fingerprint, mix, Computed, QueryEngine};
+use gcomm_query::{Computed, Fingerprinter, QueryEngine};
 
 use crate::algo::{lower, Algo, PatternShape, ALL_ALGOS};
 use crate::topo::Topology;
@@ -149,18 +149,9 @@ fn engine() -> &'static QueryEngine {
 }
 
 fn select_key(cfg: &CollConfig, shape: PatternShape, bytes: f64) -> u64 {
-    let mut h = fingerprint(cfg.topo.describe().as_bytes());
-    let (tag, v) = match shape {
-        PatternShape::Shift { dist } => (1u64, dist),
-        PatternShape::Tree { parts } => (2u64, parts),
-    };
-    h = mix(h, tag);
-    h = mix(h, v);
-    h = mix(h, bytes.to_bits());
-    h = mix(h, cfg.net.startup_us.to_bits());
-    h = mix(h, cfg.net.peak_bw_mb.to_bits());
-    h = mix(h, cfg.net.half_size.to_bits());
-    h
+    let net = &cfg.net;
+    let reals = [bytes, net.startup_us, net.peak_bw_mb, net.half_size].map(f64::to_bits);
+    Fingerprinter::of(&(&cfg.topo, shape, reals))
 }
 
 /// The `auto` selection: the cheapest applicable algorithm under the

@@ -16,7 +16,7 @@ use gcomm_sections::Mapping;
 
 use crate::ctx::AnalysisCtx;
 use crate::entry::CommKind;
-use crate::pipeline::Compiled;
+use crate::pipeline::CompiledRef;
 use crate::schedule::PlacedGroup;
 
 /// Concrete simulation configuration: processor grid and parameter values.
@@ -35,10 +35,11 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A configuration with every parameter bound to `n`.
-    pub fn uniform(compiled: &Compiled, grid: ProcGrid, n: i64) -> Self {
+    pub fn uniform<'a>(compiled: impl Into<CompiledRef<'a>>, grid: ProcGrid, n: i64) -> Self {
         SimConfig {
             grid,
             params: compiled
+                .into()
                 .prog
                 .params
                 .iter()
@@ -62,9 +63,11 @@ impl SimConfig {
     }
 }
 
-/// Lowers a compiled procedure to a concrete communication program.
-pub fn lower_to_sim(compiled: &Compiled, cfg: &SimConfig) -> CommProgram {
-    lower_to_sim_with(compiled, cfg, &AnalysisCtx::new(&compiled.prog))
+/// Lowers a compiled procedure — a `&Compiled`, or a [`CompiledRef`] over
+/// separately held parts — to a concrete communication program.
+pub fn lower_to_sim<'a>(compiled: impl Into<CompiledRef<'a>>, cfg: &SimConfig) -> CommProgram {
+    let compiled = compiled.into();
+    lower_to_sim_with(compiled, cfg, &AnalysisCtx::new(compiled.prog))
 }
 
 /// Like [`lower_to_sim`], but reuses a caller-provided analysis context
@@ -72,12 +75,13 @@ pub fn lower_to_sim(compiled: &Compiled, cfg: &SimConfig) -> CommProgram {
 /// scores thousands of schedules of one procedure — then share the
 /// context's section cache instead of rebuilding SSA, dominators, and
 /// every widened section per call.
-pub fn lower_to_sim_with(
-    compiled: &Compiled,
+pub fn lower_to_sim_with<'a>(
+    compiled: impl Into<CompiledRef<'a>>,
     cfg: &SimConfig,
     ctx: &AnalysisCtx<'_>,
 ) -> CommProgram {
-    let prog = &compiled.prog;
+    let compiled = compiled.into();
+    let prog = compiled.prog;
     let p_total = cfg.grid.nproc().max(1);
     let (mid, trips) = loop_bindings(compiled, cfg);
     let items = build_items(compiled, cfg, ctx, &mid, &trips, None, p_total);
@@ -92,10 +96,10 @@ pub fn lower_to_sim_with(
 /// between lowering and the branch-and-bound cost model so both evaluate
 /// sizes with bit-identical arithmetic.
 pub(crate) fn loop_bindings(
-    compiled: &Compiled,
+    compiled: CompiledRef<'_>,
     cfg: &SimConfig,
 ) -> (HashMap<LoopId, i64>, HashMap<LoopId, u64>) {
-    let prog = &compiled.prog;
+    let prog = compiled.prog;
     let mut mid: HashMap<LoopId, i64> = HashMap::new();
     let mut trips: HashMap<LoopId, u64> = HashMap::new();
     for (i, li) in prog.loops.iter().enumerate() {
@@ -118,7 +122,7 @@ pub(crate) fn loop_bindings(
 }
 
 fn build_items(
-    compiled: &Compiled,
+    compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &AnalysisCtx<'_>,
     mid: &HashMap<LoopId, i64>,
@@ -126,7 +130,7 @@ fn build_items(
     context: Option<LoopId>,
     p_total: u64,
 ) -> Vec<PhaseItem> {
-    let prog = &compiled.prog;
+    let prog = compiled.prog;
     let mut items = Vec::new();
 
     // Communication groups placed in this loop context.
@@ -192,7 +196,7 @@ fn build_items(
 
 /// Concrete element count of an access at the configured size.
 fn access_count(
-    compiled: &Compiled,
+    compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     mid: &HashMap<LoopId, i64>,
     acc: &AccessRef,
@@ -219,7 +223,7 @@ fn access_count(
 }
 
 fn bind_exact<'a>(
-    compiled: &'a Compiled,
+    compiled: CompiledRef<'a>,
     cfg: &'a SimConfig,
     mid: &'a HashMap<LoopId, i64>,
 ) -> impl Fn(Var) -> Option<i64> + 'a {
@@ -233,7 +237,7 @@ fn bind_exact<'a>(
 }
 
 fn group_msg(
-    compiled: &Compiled,
+    compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &AnalysisCtx<'_>,
     mid: &HashMap<LoopId, i64>,
@@ -319,7 +323,7 @@ fn shift_distance(offsets: &[i64], grid: &ProcGrid) -> u64 {
 /// group's byte count without re-walking sections.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn entry_msg_bytes(
-    compiled: &Compiled,
+    compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &AnalysisCtx<'_>,
     mid: &HashMap<LoopId, i64>,
@@ -329,7 +333,7 @@ pub(crate) fn entry_msg_bytes(
     pos: gcomm_ir::Pos,
     p_total: u64,
 ) -> f64 {
-    let prog = &compiled.prog;
+    let prog = compiled.prog;
     let level = pos.level(prog);
     let bind = bind_exact(compiled, cfg, mid);
     let e = compiled.schedule.entry(eid);
@@ -382,7 +386,7 @@ pub(crate) fn entry_msg_bytes(
 /// branch-and-bound cost model.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn group_pattern(
-    compiled: &Compiled,
+    compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &AnalysisCtx<'_>,
     mid: &HashMap<LoopId, i64>,
@@ -392,7 +396,7 @@ pub(crate) fn group_pattern(
     pos: gcomm_ir::Pos,
     p_total: u64,
 ) -> (u64, MsgKind, PatternShape) {
-    let prog = &compiled.prog;
+    let prog = compiled.prog;
     let level = pos.level(prog);
     let bind = bind_exact(compiled, cfg, mid);
     let log_p = (64 - (p_total.max(1) - 1).leading_zeros()) as u64;

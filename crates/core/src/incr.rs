@@ -7,7 +7,7 @@
 //! chain of pass-level queries memoized in a [`QueryEngine`]:
 //!
 //! ```text
-//!   chunk text ──fnv──▶ src_fp
+//!   chunk text ──fp───▶ src_fp
 //!   query.parse (src_fp)          → AST   + ast_fp  (or diagnostics)
 //!   query.lower (ast_fp)          → IR    + ir_fp   (or a lowering error)
 //!   query.place (ir_fp × strategy × budget) → Schedule + degraded flag
@@ -19,11 +19,13 @@
 //! whole chain hits, and **early cutoff** happens whenever a recomputed
 //! pass reproduces an output with an unchanged fingerprint — the
 //! downstream keys are then also unchanged and the recomputation stops.
-//! The fingerprints cover the `Debug` rendering of the artifacts
-//! (including source line numbers, which downstream diagnostics and
-//! reports embed); the one non-deterministically-ordered field,
-//! `IrProgram::branch_conds` (a `HashMap`), is serialized sorted by node
-//! id.
+//! The fingerprints are **structural**: the AST and IR are hashed through
+//! their `Hash` impls into the workspace's one [`Fingerprinter`] — every
+//! field, source line numbers included (downstream diagnostics and
+//! reports embed them). `#[derive(Hash)]` covers a new field on its own;
+//! the two fields it cannot cover have hand-written arms: `Expr::Num`
+//! hashes its bit pattern, and `IrProgram::branch_conds` (a `HashMap`)
+//! is hashed in node-id order.
 //!
 //! Placement results computed under an exhausted budget (**degraded**)
 //! are never cached — the same soundness rule as the subsumption memo in
@@ -47,7 +49,7 @@ use std::sync::Arc;
 use gcomm_guard::{Budget, BudgetSpec};
 use gcomm_ir::IrProgram;
 use gcomm_lang::Program;
-use gcomm_query::{fingerprint, mix, Computed, QueryEngine};
+use gcomm_query::{fingerprint, Computed, Fingerprinter, QueryEngine};
 
 use crate::greedy::CombinePolicy;
 use crate::pipeline::{compile_program_budgeted, CoreError};
@@ -70,45 +72,36 @@ pub struct RoutineChunk<'a> {
     /// The chunk's exact source text. Concatenating all chunks yields
     /// the original input byte for byte.
     pub src: &'a str,
-    /// FNV-1a fingerprint of [`Self::src`].
+    /// Fingerprint of [`Self::src`].
     pub fp: u64,
     /// Number of source lines before this chunk (add to chunk-relative
     /// diagnostic lines to get module-level lines).
     pub line_offset: u32,
 }
 
+/// Splits off a line's first word (alphanumerics and `_`, after leading
+/// blanks) from the rest of the line.
+fn leading_word(line: &str) -> (&str, &str) {
+    let trimmed = line.trim_start();
+    let is_word = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+    trimmed.split_at(trimmed.bytes().take_while(is_word).count())
+}
+
 /// True for a line whose first word is `end` — the terminator of one
 /// routine. `enddo`/`endif` are distinct words and do not match.
 fn is_end_line(line: &str) -> bool {
-    let trimmed = line.trim_start();
-    let word_len = trimmed
-        .bytes()
-        .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
-        .count();
-    trimmed[..word_len].eq_ignore_ascii_case("end")
+    leading_word(line).0.eq_ignore_ascii_case("end")
 }
 
 /// The word following `program` on the first `program` line, lowercased.
 fn program_name(chunk: &str) -> Option<String> {
-    for line in chunk.lines() {
-        let trimmed = line.trim_start();
-        let word_len = trimmed
-            .bytes()
-            .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
-            .count();
-        if !trimmed[..word_len].eq_ignore_ascii_case("program") {
-            continue;
-        }
-        let rest = trimmed[word_len..].trim_start();
-        let name_len = rest
-            .bytes()
-            .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
-            .count();
-        if name_len > 0 {
-            return Some(rest[..name_len].to_ascii_lowercase());
-        }
-    }
-    None
+    chunk
+        .lines()
+        .map(leading_word)
+        .filter(|(word, _)| word.eq_ignore_ascii_case("program"))
+        .map(|(_, rest)| leading_word(rest).0)
+        .find(|name| !name.is_empty())
+        .map(str::to_ascii_lowercase)
 }
 
 /// Splits source text into routine chunks at `end` lines. A source with
@@ -161,49 +154,34 @@ pub fn split_routines(src: &str) -> Vec<RoutineChunk<'_>> {
 // Stage functions (shared verbatim by the cold and incremental paths)
 // ---------------------------------------------------------------------------
 
-/// Parse-stage output: the AST plus the fingerprint of its `Debug`
-/// rendering (which includes statement line numbers — two sources that
-/// differ only in ways invisible to the AST *and* to diagnostics get the
-/// same `ast_fp`, and everything downstream cuts off).
+/// Parse-stage output: the AST plus its structural fingerprint (which
+/// covers statement line numbers — two sources that differ only in ways
+/// invisible to the AST *and* to diagnostics get the same `ast_fp`, and
+/// everything downstream cuts off).
 type ParseOut = Result<(Arc<Program>, u64), Arc<Vec<CoreError>>>;
 
 fn run_parse(src: &str) -> ParseOut {
     match gcomm_lang::parse_program_diagnostics(src) {
         Ok(ast) => {
-            let repr = format!("{ast:?}");
-            Ok((Arc::new(ast), fingerprint(repr.as_bytes())))
+            let fp = Fingerprinter::of(&ast);
+            Ok((Arc::new(ast), fp))
         }
         Err(errs) => Err(Arc::new(errs.into_iter().map(CoreError::from).collect())),
     }
 }
 
-/// Lower-stage output: the IR plus its canonical fingerprint.
+/// Lower-stage output: the IR plus its structural fingerprint (every field;
+/// `branch_conds` in node-id order — see `IrProgram`'s `Hash`).
 type LowerOut = Result<(Arc<IrProgram>, u64), Arc<Vec<CoreError>>>;
 
 fn run_lower(ast: &Program) -> LowerOut {
     match gcomm_ir::lower(ast) {
         Ok(prog) => {
-            let fp = ir_fingerprint(&prog);
+            let fp = Fingerprinter::of(&prog);
             Ok((Arc::new(prog), fp))
         }
         Err(e) => Err(Arc::new(vec![CoreError::from(e)])),
     }
-}
-
-/// Canonical content fingerprint of a lowered program. All fields of
-/// [`IrProgram`] are `Vec`-backed (deterministic `Debug`) except
-/// `branch_conds`, which is hashed in node-id order.
-pub fn ir_fingerprint(prog: &IrProgram) -> u64 {
-    let mut repr = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        prog.name, prog.params, prog.arrays, prog.loops, prog.stmts, prog.cfg
-    );
-    let mut conds: Vec<_> = prog.branch_conds.iter().collect();
-    conds.sort_by_key(|(node, _)| *node);
-    for (node, expr) in conds {
-        repr.push_str(&format!("|{node:?}={expr:?}"));
-    }
-    fingerprint(repr.as_bytes())
 }
 
 /// Place-stage output.
@@ -235,10 +213,6 @@ fn run_place(prog: &IrProgram, strategy: Strategy, spec: &BudgetSpec) -> PlaceOu
 /// stage (all `false` on the cold path).
 #[derive(Debug, Clone)]
 pub struct RoutineArtifacts {
-    /// Fingerprint of the parsed AST (the lower-stage key).
-    pub ast_fp: u64,
-    /// Canonical fingerprint of the lowered program.
-    pub ir_fp: u64,
     /// The place-stage memo key: `ir_fp` × strategy × budget spec.
     /// Downstream consumers (the serve render memo) extend this.
     pub place_key: u64,
@@ -310,18 +284,16 @@ fn outcome_of(
     chunk: &RoutineChunk,
     parse: ParseOut,
     lower: Option<LowerOut>,
-    place: Option<PlaceOut>,
+    place: Option<(PlaceOut, u64)>,
     hits: (bool, bool, bool),
 ) -> RoutineOutcome {
     let (name, result) = match (parse, lower, place) {
         (Err(errs), _, _) => (chunk.name.clone(), Err(errs)),
         (Ok(_), Some(Err(errs)), _) => (chunk.name.clone(), Err(errs)),
-        (Ok((_, ast_fp)), Some(Ok((prog, ir_fp))), Some(placed)) => (
+        (Ok(_), Some(Ok((prog, _))), Some((placed, place_key))) => (
             prog.name.clone(),
             Ok(RoutineArtifacts {
-                ast_fp,
-                ir_fp,
-                place_key: 0, // overwritten by callers that know the key
+                place_key,
                 prog,
                 schedule: placed.schedule,
                 degraded: placed.degraded,
@@ -339,8 +311,7 @@ fn outcome_of(
 
 /// The place-stage memo key for a given IR under a strategy and budget.
 pub fn place_key(ir_fp: u64, strategy: Strategy, spec: &BudgetSpec) -> u64 {
-    let k = mix(ir_fp, fingerprint(strategy.name().as_bytes()));
-    mix(k, fingerprint(format!("{spec}").as_bytes()))
+    Fingerprinter::of(&(ir_fp, strategy, spec))
 }
 
 // ---------------------------------------------------------------------------
@@ -360,14 +331,13 @@ pub fn compile_module_cold(src: &str, strategy: Strategy, spec: &BudgetSpec) -> 
                 Err(_) => None,
             };
             let place = match &lower {
-                Some(Ok((prog, _))) => Some(run_place(prog, strategy, spec)),
+                Some(Ok((prog, ir_fp))) => Some((
+                    run_place(prog, strategy, spec),
+                    place_key(*ir_fp, strategy, spec),
+                )),
                 _ => None,
             };
-            let mut out = outcome_of(chunk, parse, lower, place, (false, false, false));
-            if let Ok(a) = &mut out.result {
-                a.place_key = place_key(a.ir_fp, strategy, spec);
-            }
-            out
+            outcome_of(chunk, parse, lower, place, (false, false, false))
         })
         .collect();
     ModuleOutcome { routines }
@@ -488,20 +458,17 @@ impl IncrCompiler {
             self.engine.count_cutoff(1);
         }
 
-        let mut out = outcome_of(
+        let placed = PlaceOut {
+            schedule: placed.schedule.clone(),
+            degraded: placed.degraded,
+        };
+        outcome_of(
             chunk,
             (*parse).clone(),
             Some((*lower).clone()),
-            Some(PlaceOut {
-                schedule: placed.schedule.clone(),
-                degraded: placed.degraded,
-            }),
+            Some((placed, key)),
             (parse_hit, lower_hit, place_hit),
-        );
-        if let Ok(a) = &mut out.result {
-            a.place_key = key;
-        }
-        out
+        )
     }
 }
 

@@ -81,7 +81,7 @@ pub use optimal::{
 pub use pipeline::{
     compile, compile_budgeted, compile_budgeted_with_policy, compile_diagnostics,
     compile_diagnostics_budgeted, compile_program, compile_program_budgeted, compile_stats,
-    compile_with_policy, CompileStats, Compiled, CoreError, PassTimer,
+    compile_with_policy, CompileStats, Compiled, CompiledRef, CoreError, PassTimer,
 };
 pub use schedule::{PlacedGroup, Schedule};
 pub use strategy::Strategy;

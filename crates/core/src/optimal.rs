@@ -54,7 +54,7 @@ use crate::earliest::earliest_pos;
 use crate::entry::{CommEntry, EntryId};
 use crate::greedy::{compatible, CombinePolicy};
 use crate::latest::latest;
-use crate::pipeline::Compiled;
+use crate::pipeline::{Compiled, CompiledRef};
 use crate::redundancy::{self, Absorption};
 use crate::schedule::{PlacedGroup, Schedule, SearchOutcome};
 use crate::strategy::Strategy;
@@ -260,7 +260,8 @@ fn build_cost_model(
 ) -> CostModel {
     let prog = &base.prog;
     let p_total = cfg.grid.nproc().max(1);
-    let (mid, trips) = loop_bindings(base, cfg);
+    let view = CompiledRef::from(base);
+    let (mid, trips) = loop_bindings(view, cfg);
     let n = space.ids.len();
     let peak = net.peak_bw_mb.max(1e-9);
 
@@ -279,13 +280,13 @@ fn build_cost_model(
         let mut p_row = Vec::with_capacity(cands.len());
         let mut fmin = f64::INFINITY;
         for &pos in cands {
-            let b = entry_msg_bytes(base, cfg, ctx, &mid, id, &e.mapping, e.kind, pos, p_total);
+            let b = entry_msg_bytes(view, cfg, ctx, &mid, id, &e.mapping, e.kind, pos, p_total);
             let m = position_mult(prog, &trips, pos);
             fmin = fmin.min(m * (b / peak));
             b_row.push(b);
             m_row.push(m);
             r_row.push(group_pattern(
-                base, cfg, ctx, &mid, id, &e.mapping, e.kind, pos, p_total,
+                view, cfg, ctx, &mid, id, &e.mapping, e.kind, pos, p_total,
             ));
             l_row.push(pos.level(prog));
             p_row.push(pos_encode(pos));
@@ -495,7 +496,7 @@ impl<'a, 'p> Searcher<'a, 'p> {
         let scratch = self.scratch.as_mut().expect("scratch just set");
         scratch.schedule.groups =
             group_assignment(ctx, &space.entries, &space.ids, &assignment, policy);
-        let cost = simulate(&lower_to_sim_with(scratch, cfg, ctx), net).comm_us;
+        let cost = simulate(&lower_to_sim_with(&*scratch, cfg, ctx), net).comm_us;
         self.leaves += 1;
         if cost < self.bound {
             self.bound = cost;

@@ -29,7 +29,7 @@ pub struct PassTimer {
 
 impl PassTimer {
     /// Starts timing a pass.
-    pub fn start(name: &str) -> Self {
+    pub fn start(name: &'static str) -> Self {
         PassTimer {
             _span: gcomm_obs::span(name),
         }
@@ -111,6 +111,27 @@ pub struct Compiled {
     pub schedule: Schedule,
     /// Observability snapshot of this compile (empty when stats were off).
     pub stats: CompileStats,
+}
+
+/// A borrowed view of a compiled procedure: what lowering and simulation
+/// read. Callers that hold the program and the schedule separately (the
+/// serve path keeps them behind `Arc`s in the query engine) lower through
+/// this instead of cloning both into a [`Compiled`].
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledRef<'a> {
+    /// The lowered program.
+    pub prog: &'a IrProgram,
+    /// The placed communication schedule.
+    pub schedule: &'a Schedule,
+}
+
+impl<'a> From<&'a Compiled> for CompiledRef<'a> {
+    fn from(c: &'a Compiled) -> Self {
+        CompiledRef {
+            prog: &c.prog,
+            schedule: &c.schedule,
+        }
+    }
 }
 
 impl PartialEq for Compiled {

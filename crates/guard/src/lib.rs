@@ -54,7 +54,7 @@ const DEADLINE_CHECK_PERIOD: u64 = 64;
 /// ms=50                wall-clock deadline in milliseconds
 /// mem=4m               memory high-water estimate (k/m/g suffixes)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BudgetSpec {
     /// Maximum abstract analysis steps (`None` = unbounded).
     pub steps: Option<u64>,

@@ -27,7 +27,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The role of a CFG node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Procedure entry; carries the pseudo-definitions of every variable.
     Entry,
@@ -44,7 +44,7 @@ pub enum NodeKind {
 }
 
 /// A CFG node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Node {
     /// Role of the node.
     pub kind: NodeKind,
@@ -62,7 +62,7 @@ pub struct Node {
 }
 
 /// The augmented control-flow graph.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Hash, Default)]
 pub struct Cfg {
     /// All nodes; `NodeId` indexes this vector.
     pub nodes: Vec<Node>,

@@ -1,6 +1,8 @@
 //! Resolved program representation: arrays, loops, statements.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use gcomm_lang::Dist;
 
@@ -40,7 +42,7 @@ impl fmt::Display for LoopId {
 }
 
 /// A declared array (or scalar, when `dims` is empty) with resolved bounds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayInfo {
     /// Source name.
     pub name: String,
@@ -82,7 +84,7 @@ impl ArrayInfo {
 }
 
 /// A loop with resolved bounds and its place in the loop tree and CFG.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct LoopInfo {
     /// Source index-variable name.
     pub var: String,
@@ -105,7 +107,7 @@ pub struct LoopInfo {
 }
 
 /// One subscript position of an access.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum SubscriptIr {
     /// Single element at an affine index.
     Elem(Affine),
@@ -145,7 +147,7 @@ impl SubscriptIr {
 
 /// A resolved reference to an array with one subscript per dimension
 /// (scalars have none).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct AccessRef {
     /// Referenced array.
     pub array: ArrayId,
@@ -154,7 +156,7 @@ pub struct AccessRef {
 }
 
 /// A read of an array on the right-hand side of a statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Read {
     /// The access.
     pub access: AccessRef,
@@ -164,7 +166,7 @@ pub struct Read {
 }
 
 /// Statement payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum StmtKind {
     /// `lhs = f(reads...)`.
     Assign {
@@ -205,7 +207,7 @@ impl StmtKind {
 }
 
 /// A statement with its CFG location.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct StmtInfo {
     /// Payload.
     pub kind: StmtKind,
@@ -239,6 +241,26 @@ pub struct IrProgram {
     /// Branch conditions by branching node (every two-successor non-loop
     /// node has one; used by the reference interpreter).
     pub branch_conds: std::collections::HashMap<NodeId, gcomm_lang::Expr>,
+}
+
+/// Hand-written for one field: `branch_conds` is a `HashMap`, whose
+/// iteration order differs between runs, so it is hashed in `NodeId`
+/// order. The destructuring is exhaustive on purpose — a new field fails
+/// to compile here until it is hashed too.
+impl Hash for IrProgram {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let IrProgram {
+            name,
+            params,
+            arrays,
+            loops,
+            stmts,
+            cfg,
+            branch_conds,
+        } = self;
+        (name, params, arrays, loops, stmts, cfg).hash(state);
+        BTreeMap::from_iter(branch_conds).hash(state);
+    }
 }
 
 impl IrProgram {

@@ -2,11 +2,14 @@
 //!
 //! Names are kept as (lowercased) strings at this level; the IR crate
 //! resolves them to dense ids. All nodes implement `Debug`, `Clone`, and
-//! `PartialEq` so tests can compare trees structurally.
+//! `PartialEq` so tests can compare trees structurally, and `Hash` so the
+//! incremental engine can fingerprint a tree without rendering it.
+
+use std::hash::{Hash, Hasher};
 
 /// A complete program: size parameters, array declarations, and a statement
 /// body.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Hash, Default)]
 pub struct Program {
     /// Program name from the `program` header.
     pub name: String,
@@ -42,7 +45,7 @@ impl Program {
 
 /// Declaration of an array (or scalar when `dims` is empty), with its HPF
 /// distribution directive.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayDecl {
     /// Array name (lowercase).
     pub name: String,
@@ -70,7 +73,7 @@ impl ArrayDecl {
 
 /// Declared bounds of one array dimension: `lo : hi` (Fortran-style,
 /// inclusive). A bare extent `n` means `1 : n`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DeclDim {
     /// Inclusive lower bound.
     pub lo: Expr,
@@ -100,7 +103,7 @@ pub enum Dist {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// Array-section or scalar assignment.
     Assign(Assign),
@@ -112,7 +115,7 @@ pub enum Stmt {
 
 /// An assignment `lhs = rhs`. The left-hand side is an array reference
 /// (possibly with section subscripts) or a scalar (empty subscripts).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Assign {
     /// Destination reference.
     pub lhs: ArrayRef,
@@ -124,7 +127,7 @@ pub struct Assign {
 
 /// A counted loop `do var = lo, hi[, step] ... enddo`. `step` is a compile-
 /// time integer (the analyses need a known sign).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DoLoop {
     /// Loop index variable name.
     pub var: String,
@@ -139,7 +142,7 @@ pub struct DoLoop {
 }
 
 /// A conditional `if (cond) then ... [else ...] endif`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct IfStmt {
     /// Branch condition.
     pub cond: Expr,
@@ -150,7 +153,7 @@ pub struct IfStmt {
 }
 
 /// A reference to an array (or scalar) with subscripts.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayRef {
     /// Referenced array name.
     pub array: String,
@@ -171,7 +174,7 @@ impl ArrayRef {
 
 /// One subscript position: either a single index expression or an `lo:hi:step`
 /// section (triplet). `None` bounds mean "declared bound".
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Subscript {
     /// Single element index.
     Index(Expr),
@@ -238,6 +241,22 @@ pub enum Expr {
     Neg(Box<Expr>),
     /// `sum(section)` global reduction.
     Sum(ArrayRef),
+}
+
+/// Hand-written for one arm: `f64` has no `Hash`, so `Num` hashes its bit
+/// pattern — `0.0` and `-0.0` hash apart, as their `Debug` text differs.
+/// Everything else is what `#[derive(Hash)]` would emit.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Int(v) => v.hash(state),
+            Expr::Num(v) => v.to_bits().hash(state),
+            Expr::Ref(r) | Expr::Sum(r) => r.hash(state),
+            Expr::Bin(op, a, b) => (op, a, b).hash(state),
+            Expr::Neg(a) => a.hash(state),
+        }
+    }
 }
 
 impl Expr {

@@ -30,7 +30,7 @@
 //! Two soundness rules are inherited from the rest of the workspace:
 //! results computed under an exhausted budget (degraded) are **never
 //! cached** — same rule as the subsumption memo in
-//! `crates/sections/src/intern.rs` — and keys are 64-bit FNV-1a
+//! `crates/sections/src/intern.rs` — and keys are 64-bit [`Fingerprinter`]
 //! fingerprints of the complete input, so collisions alias. That risk
 //! (~2⁻⁶⁴ per key pair) is accepted deliberately, as the serve cache's
 //! documentation discusses; unlike the serve LRU there is no full-key
@@ -38,6 +38,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -45,30 +46,95 @@ use std::sync::{Arc, Mutex};
 // Fingerprinting
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// Multipliers of the folded multiply (wyhash's: odd, bit-balanced).
+const K0: u64 = 0xa076_1d64_78bd_642f;
+const K1: u64 = 0xe703_7ed1_a0b4_28db;
 
-/// FNV-1a over `bytes` — the same content-addressing primitive as the
-/// serve cache (`crates/serve/src/cache.rs`).
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    extend(FNV_OFFSET, bytes)
+/// 64×64→128-bit multiply, the high half folded onto the low half.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
 }
 
-/// Continues an FNV-1a hash over more bytes, so multi-part keys can be
-/// built without intermediate allocation.
-pub fn extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// The workspace's one content-addressing hasher: every fingerprint, memo
+/// key, cache index and ring position goes through it. Eight bytes per
+/// folded-multiply step (wyhash/rapidhash family), so a value hashed
+/// through `#[derive(Hash)]` costs a few steps instead of a byte loop over
+/// a rendered `String`. No per-process seed: fingerprints agree across
+/// runs and machines.
+///
+/// * Integer writes are one step each and `usize` hashes as `u64` (no
+///   pointer-width dependence). Integer *slices* reach [`Hasher::write`]
+///   as native-endian bytes; nothing persists a fingerprint.
+/// * A byte write ends with a step that folds in its length, and writes
+///   are **not** split-invariant (`write(b"ab"); write(b"c")` differs from
+///   `write(b"abc")`): hash the same parts in the same order.
+/// * [`Hasher::finish`] runs a finaliser, so short inputs avalanche too.
+#[derive(Debug, Clone, Copy)]
+pub struct Fingerprinter {
+    state: u64,
+}
+
+impl Fingerprinter {
+    /// The fingerprint of one `Hash` value.
+    pub fn of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = Fingerprinter::default();
+        value.hash(&mut h);
+        h.finish()
     }
-    hash
+
+    #[inline]
+    fn step(&mut self, word: u64) {
+        self.state = fold(self.state ^ word, K0);
+    }
 }
 
-/// Folds a 64-bit value (typically another fingerprint) into a hash.
-/// Length-prefixed framing is unnecessary: every `mix` operand is a
-/// fixed 8 bytes.
+impl Default for Fingerprinter {
+    fn default() -> Self {
+        Fingerprinter { state: K1 }
+    }
+}
+
+macro_rules! one_step_writes {
+    ($($name:ident: $int:ty),*) => {$(
+        #[inline]
+        fn $name(&mut self, v: $int) {
+            self.step(v as u64);
+        }
+    )*};
+}
+
+impl Hasher for Fingerprinter {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.step(u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        let len = bytes.len() as u64;
+        self.state = fold(self.state ^ u64::from_le_bytes(tail), K1 ^ len);
+    }
+
+    one_step_writes!(write_u8: u8, write_u16: u16, write_u32: u32, write_u64: u64, write_usize: usize);
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        fold(fold(self.state, K0) ^ K1, K0)
+    }
+}
+
+/// The fingerprint of a byte string.
+pub fn fingerprint(bytes: &[u8]) -> u64 {
+    Fingerprinter::of(bytes)
+}
+
+/// Folds a 64-bit value (typically another fingerprint) into a hash;
+/// order-sensitive.
 pub fn mix(hash: u64, value: u64) -> u64 {
-    extend(hash, &value.to_be_bytes())
+    Fingerprinter::of(&(hash, value))
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +265,7 @@ impl QueryEngine {
         let value = Arc::new(computed.value);
 
         if computed.cacheable {
-            let stored = self.insert(query, key, value.clone(), computed.bytes);
-            (stored, false)
+            (self.insert(query, key, value, computed.bytes), false)
         } else {
             (value, false)
         }
@@ -237,6 +302,12 @@ impl QueryEngine {
             if let Ok(existing) = Arc::clone(&slot.value).downcast::<T>() {
                 return existing;
             }
+            // The slot holds another type (one key used at two value
+            // types): replace it, and take its charge and its recency
+            // tick out with it.
+            let old = inner.slots.remove(&(query, key)).expect("probed above");
+            inner.used_bytes -= old.bytes;
+            inner.order.remove(&old.tick);
         }
         inner.tick += 1;
         let tick = inner.tick;
@@ -330,15 +401,6 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn fingerprint_matches_serve_fnv() {
-        // Same constants as crates/serve/src/cache.rs; spot-check a
-        // known vector (FNV-1a 64 of "a").
-        assert_eq!(fingerprint(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fingerprint(b""), FNV_OFFSET);
-        assert_ne!(fingerprint(b"ab"), fingerprint(b"ba"));
-    }
-
-    #[test]
     fn mix_is_order_sensitive() {
         let a = mix(mix(fingerprint(b"x"), 1), 2);
         let b = mix(mix(fingerprint(b"x"), 2), 1);
@@ -429,6 +491,27 @@ mod tests {
         assert!(eng.probe::<u64>("t.k", 2).is_none());
         assert!(eng.probe::<u64>("t.k", 3).is_some());
         assert!(eng.used_bytes() <= 2 * per);
+    }
+
+    #[test]
+    fn overwriting_a_slot_of_another_type_releases_its_charge() {
+        let eng = QueryEngine::new(1 << 20);
+        eng.memo("t.k", 1, || Computed {
+            value: 1u64,
+            bytes: 1000,
+            cacheable: true,
+        });
+        // Same (query, key) at another type: the probe's downcast fails,
+        // the compute runs, and the insert replaces the old slot.
+        let (v, hit) = eng.memo("t.k", 1, || Computed {
+            value: "x",
+            bytes: 50,
+            cacheable: true,
+        });
+        assert_eq!((*v, hit), ("x", false));
+        assert_eq!(eng.len(), 1);
+        assert_eq!(eng.used_bytes(), 50 + ENTRY_OVERHEAD, "old charge leaked");
+        assert_eq!(eng.inner.lock().unwrap().order.len(), 1, "stale tick");
     }
 
     #[test]

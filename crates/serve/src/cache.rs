@@ -1,5 +1,6 @@
-//! Content-addressed compile cache: FNV-1a keys, byte-capacity-bounded
-//! LRU eviction.
+//! Content-addressed compile cache: keys indexed by the workspace's one
+//! hasher (`gcomm_query::Fingerprinter`), byte-capacity-bounded LRU
+//! eviction.
 //!
 //! The cache maps a **canonical key string** — the exact bytes of
 //! `(protocol version, strategy, budget spec, sim spec, source)` joined
@@ -9,21 +10,34 @@
 //! construction; the property tests then prove the converse (a cold
 //! recompile reproduces the stored bytes).
 //!
-//! The 64-bit FNV-1a hash is only the index; the full key material is
+//! The 64-bit fingerprint is only the index; the full key material is
 //! kept in each entry and compared on lookup, so a hash collision
 //! degrades to a miss (and the colliding insert replaces the entry) —
 //! never to a wrong answer.
 
 use std::collections::{BTreeMap, HashMap};
 
-/// 64-bit FNV-1a, the content-address hash of the compile cache.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+use gcomm_query::fingerprint;
+
+/// Canonical key material together with its index hash, so a request that
+/// probes and then inserts hashes its (source-sized) key once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheKey {
+    material: String,
+    hash: u64,
+}
+
+impl CacheKey {
+    /// Hashes `material` (the full canonical key string).
+    pub fn new(material: String) -> CacheKey {
+        let hash = fingerprint(material.as_bytes());
+        CacheKey { material, hash }
     }
-    hash
+
+    /// The full canonical key string.
+    pub fn material(&self) -> &str {
+        &self.material
+    }
 }
 
 #[derive(Debug)]
@@ -64,12 +78,12 @@ impl LruCache {
         }
     }
 
-    /// Looks up `key` (full canonical material), refreshing its recency on
-    /// a hit. A hash collision with different key material is a miss.
-    pub fn get(&mut self, key: &str) -> Option<String> {
-        let hash = fnv1a(key.as_bytes());
+    /// Looks up `key`, refreshing its recency on a hit. A hash collision
+    /// with different key material is a miss.
+    pub fn get(&mut self, key: &CacheKey) -> Option<String> {
+        let hash = key.hash;
         let entry = self.map.get_mut(&hash)?;
-        if entry.key != key {
+        if entry.key != key.material {
             return None;
         }
         let old_tick = entry.tick;
@@ -86,12 +100,15 @@ impl LruCache {
     /// entries until the capacity bound holds again. Returns the number of
     /// entries evicted. An entry larger than the whole capacity is not
     /// stored (and evicts nothing).
-    pub fn insert(&mut self, key: String, value: String) -> u64 {
+    pub fn insert(&mut self, key: CacheKey, value: String) -> u64 {
+        let CacheKey {
+            material: key,
+            hash,
+        } = key;
         let entry_bytes = (key.len() + value.len()) as u64;
         if entry_bytes > self.cap_bytes {
             return 0;
         }
-        let hash = fnv1a(key.as_bytes());
         if let Some(old) = self.map.remove(&hash) {
             // Replacement (same key re-inserted, or a hash collision: the
             // newcomer wins — the old entry can no longer be trusted to be
@@ -155,21 +172,17 @@ impl LruCache {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fnv1a_known_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn k(material: &str) -> CacheKey {
+        CacheKey::new(material.to_string())
     }
 
     #[test]
     fn get_hits_after_insert_and_misses_cold() {
         let mut c = LruCache::new(1024);
-        assert_eq!(c.get("k1"), None);
-        c.insert("k1".into(), "v1".into());
-        assert_eq!(c.get("k1"), Some("v1".into()));
-        assert_eq!(c.get("k2"), None);
+        assert_eq!(c.get(&k("k1")), None);
+        c.insert(k("k1"), "v1".into());
+        assert_eq!(c.get(&k("k1")), Some("v1".into()));
+        assert_eq!(c.get(&k("k2")), None);
         assert_eq!(c.len(), 1);
         assert_eq!(c.used_bytes(), 4);
     }
@@ -178,41 +191,41 @@ mod tests {
     fn eviction_is_lru_order() {
         // Each entry is 4 bytes (2-byte key + 2-byte value); cap 12 holds 3.
         let mut c = LruCache::new(12);
-        c.insert("k1".into(), "v1".into());
-        c.insert("k2".into(), "v2".into());
-        c.insert("k3".into(), "v3".into());
+        c.insert(k("k1"), "v1".into());
+        c.insert(k("k2"), "v2".into());
+        c.insert(k("k3"), "v3".into());
         assert_eq!(c.keys_lru_first(), ["k1", "k2", "k3"]);
         // Touch k1 so k2 becomes the LRU victim.
-        assert!(c.get("k1").is_some());
-        assert_eq!(c.insert("k4".into(), "v4".into()), 1);
-        assert_eq!(c.get("k2"), None, "k2 was the least recently used");
-        assert!(c.get("k1").is_some());
-        assert!(c.get("k3").is_some());
-        assert!(c.get("k4").is_some());
+        assert!(c.get(&k("k1")).is_some());
+        assert_eq!(c.insert(k("k4"), "v4".into()), 1);
+        assert_eq!(c.get(&k("k2")), None, "k2 was the least recently used");
+        assert!(c.get(&k("k1")).is_some());
+        assert!(c.get(&k("k3")).is_some());
+        assert!(c.get(&k("k4")).is_some());
         // The gets above refreshed recency in k1, k3, k4 order.
         assert_eq!(c.keys_lru_first(), ["k1", "k3", "k4"]);
         // A 10-byte entry forces three evictions in LRU order.
-        assert_eq!(c.insert("kx".into(), "12345678".into()), 3);
+        assert_eq!(c.insert(k("kx"), "12345678".into()), 3);
         assert_eq!(c.keys_lru_first(), ["kx"]);
     }
 
     #[test]
     fn replacement_updates_bytes() {
         let mut c = LruCache::new(64);
-        c.insert("k".into(), "aa".into());
-        c.insert("k".into(), "bbbb".into());
+        c.insert(k("k"), "aa".into());
+        c.insert(k("k"), "bbbb".into());
         assert_eq!(c.len(), 1);
         assert_eq!(c.used_bytes(), 5);
-        assert_eq!(c.get("k"), Some("bbbb".into()));
+        assert_eq!(c.get(&k("k")), Some("bbbb".into()));
     }
 
     #[test]
     fn oversized_entry_is_not_stored() {
         let mut c = LruCache::new(8);
-        c.insert("key".into(), "valuevalue".into());
+        c.insert(k("key"), "valuevalue".into());
         assert!(c.is_empty());
         assert_eq!(c.used_bytes(), 0);
-        assert_eq!(c.get("key"), None);
+        assert_eq!(c.get(&k("key")), None);
     }
 
     #[test]
@@ -222,12 +235,12 @@ mod tests {
         for i in 0..500 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let vlen = (state % 40) as usize;
-            c.insert(format!("key{i}"), "x".repeat(vlen));
+            c.insert(CacheKey::new(format!("key{i}")), "x".repeat(vlen));
             assert!(c.used_bytes() <= c.cap_bytes(), "bound violated at {i}");
             let resident: u64 = c
                 .keys_lru_first()
                 .iter()
-                .map(|k| (k.len() + c.get(k).unwrap().len()) as u64)
+                .map(|name| (name.len() + c.get(&k(name)).unwrap().len()) as u64)
                 .sum();
             assert_eq!(resident, c.used_bytes(), "accounting drifted at {i}");
         }

@@ -5,7 +5,7 @@
 //! module shards the service: a **router** accepts the unchanged
 //! `gcomm-serve/v1` protocol and consistent-hashes each request's
 //! content-addressed cache key ([`crate::protocol::cache_key_material`],
-//! the same FNV-1a material the shard cache uses) onto N independent
+//! the same material, under the same hasher, as the shard cache) onto N independent
 //! shard processes, so every repeat of a source lands on the shard whose
 //! cache is warm for it.
 //!

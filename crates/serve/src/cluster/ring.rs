@@ -1,28 +1,18 @@
 //! The consistent-hash ring mapping content-addressed cache keys to
 //! shards.
 //!
-//! Each shard owns `vnodes` points on a 64-bit ring (FNV-1a of
-//! `"shard<i>#<v>"`); a key routes to the shard owning the first point at
-//! or after the key's own hash, wrapping at the top. Virtual nodes keep
+//! Each shard owns `vnodes` points on a 64-bit ring (the `gcomm-query`
+//! fingerprint of `(shard, vnode)`; it avalanches on its own, so no extra
+//! finaliser sits in front of the ring); a key routes to the shard owning
+//! the first point at or after the key's own hash, wrapping at the top.
+//! Virtual nodes keep
 //! the keyspace split roughly even for small shard counts, and the
 //! *successor* walk — the next **distinct** shards around the ring —
 //! defines the replica set: the replication rule is "replicate a hot key
 //! to the next shard on the ring", so a shard's death hands its keyspace
 //! (and its hot keys' warm cache) to exactly the shard that inherits it.
 
-use crate::cache::fnv1a;
-
-/// SplitMix64 finalizer: FNV-1a of short, similar strings (and of short
-/// sources) clusters in the upper bits, which would let one shard own far
-/// more than its share of the ring. Mixing every hash through a full
-/// avalanche before it touches the ring restores balance without changing
-/// the cache-key material itself.
-fn spread(h: u64) -> u64 {
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use gcomm_query::Fingerprinter;
 
 /// An immutable consistent-hash ring over `shards` shard indices.
 #[derive(Debug, Clone)]
@@ -41,7 +31,7 @@ impl Ring {
         let mut points = Vec::with_capacity(shards * vnodes);
         for s in 0..shards {
             for v in 0..vnodes {
-                points.push((spread(fnv1a(format!("shard{s}#{v}").as_bytes())), s));
+                points.push((Fingerprinter::of(&(s, v)), s));
             }
         }
         // Ties (two points hashing identically) resolve to the lower
@@ -58,8 +48,7 @@ impl Ring {
     /// The shard owning `key_hash`: the first ring point at or after it,
     /// wrapping around the top of the ring.
     pub fn primary(&self, key_hash: u64) -> usize {
-        let key = spread(key_hash);
-        let idx = self.points.partition_point(|&(p, _)| p < key);
+        let idx = self.points.partition_point(|&(p, _)| p < key_hash);
         self.points[idx % self.points.len()].1
     }
 
@@ -68,8 +57,7 @@ impl Ring {
     /// than the shard count.
     pub fn successors(&self, key_hash: u64, count: usize) -> Vec<usize> {
         let count = count.clamp(1, self.shards);
-        let key = spread(key_hash);
-        let start = self.points.partition_point(|&(p, _)| p < key);
+        let start = self.points.partition_point(|&(p, _)| p < key_hash);
         let mut order = Vec::with_capacity(count);
         for i in 0..self.points.len() {
             let shard = self.points[(start + i) % self.points.len()].1;
@@ -87,12 +75,13 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcomm_query::fingerprint;
 
     #[test]
     fn routing_is_deterministic_and_total() {
         let ring = Ring::new(4, 64);
         for i in 0..1000u64 {
-            let h = fnv1a(format!("key{i}").as_bytes());
+            let h = fingerprint(format!("key{i}").as_bytes());
             let p = ring.primary(h);
             assert!(p < 4);
             assert_eq!(p, ring.primary(h), "primary must be stable");
@@ -105,7 +94,7 @@ mod tests {
         let ring = Ring::new(4, 64);
         let mut counts = [0usize; 4];
         for i in 0..4000u64 {
-            counts[ring.primary(fnv1a(format!("key{i}").as_bytes()))] += 1;
+            counts[ring.primary(fingerprint(format!("key{i}").as_bytes()))] += 1;
         }
         for (s, &c) in counts.iter().enumerate() {
             // 4000 keys over 4 shards: each should land near 1000. A wide
@@ -118,7 +107,7 @@ mod tests {
     fn successors_are_distinct_and_start_at_primary() {
         let ring = Ring::new(3, 16);
         for i in 0..200u64 {
-            let h = fnv1a(format!("k{i}").as_bytes());
+            let h = fingerprint(format!("k{i}").as_bytes());
             let succ = ring.successors(h, 2);
             assert_eq!(succ.len(), 2);
             assert_eq!(succ[0], ring.primary(h));
@@ -145,7 +134,7 @@ mod tests {
         let three = Ring::new(3, 64);
         let mut moved_from_survivor = 0;
         for i in 0..2000u64 {
-            let h = fnv1a(format!("key{i}").as_bytes());
+            let h = fingerprint(format!("key{i}").as_bytes());
             let (a, b) = (four.primary(h), three.primary(h));
             if a < 3 && a != b {
                 moved_from_survivor += 1;

@@ -33,13 +33,13 @@ use gcomm_machine::fault::Rng64;
 use gcomm_obs::Registry;
 use gcomm_par::{Pool, PoolHandle, SubmitError};
 
-use crate::cache::fnv1a;
 use crate::frame::{read_frame, skip_payload, write_frame, FrameError};
 use crate::json::{escape, Json};
 use crate::protocol::{assemble, cache_key_material, error_response, Request, PROTOCOL};
 use crate::server::ShutdownFlag;
 use crate::service::stats_payload;
 use crate::VERSION;
+use gcomm_query::fingerprint;
 
 use super::health::Transition;
 use super::hotkey::HotKeys;
@@ -62,7 +62,7 @@ struct Core {
 }
 
 impl Core {
-    fn count(&self, name: &str, v: u64) {
+    fn count(&self, name: &'static str, v: u64) {
         self.lifetime.add(name, v);
     }
 
@@ -251,12 +251,12 @@ fn dispatch(
             // every repeat of a source lands on the shard whose LRU is
             // hot for it (ids are excluded by construction).
             let effective = c.budget.unwrap_or(core.cfg.default_budget);
-            let hash = fnv1a(cache_key_material(&c, &effective).as_bytes());
+            let hash = fingerprint(cache_key_material(&c, &effective).as_bytes());
             submit_route(core, pool, writer, hash, text.to_string(), c.id);
         }
         Request::Sleep { id, .. } => {
             // Load-testing aid: spread sleeps over the ring by raw text.
-            let hash = fnv1a(text.as_bytes());
+            let hash = fingerprint(text.as_bytes());
             submit_route(core, pool, writer, hash, text.to_string(), id);
         }
         Request::Stats { id, stable } => {

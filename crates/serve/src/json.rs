@@ -153,27 +153,8 @@ impl Json {
     }
 }
 
-/// Escapes a string as a JSON string literal (same convention as the
-/// `gcomm-obs` report emitter).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Escapes a string as a JSON string literal.
+pub use gcomm_obs::json_str as escape;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -11,7 +11,7 @@
 //!   frames on TCP ([`frame`]). The parser ([`json`]) is hand-rolled on
 //!   `std` only, depth- and size-limited, and never panics on garbage.
 //! * **Content-addressed caching** ([`cache`]): compile responses are
-//!   keyed by the FNV-1a hash of (source, strategy, budget, sim profile)
+//!   keyed by the fingerprint of (source, strategy, budget, sim profile)
 //!   with the full key stored against collisions, bounded by bytes with
 //!   LRU eviction. A cache hit is **bit-identical** to a cold compile —
 //!   the cache stores the rendered response payload itself.
@@ -47,7 +47,7 @@ pub mod protocol;
 pub mod server;
 pub mod service;
 
-pub use cache::{fnv1a, LruCache};
+pub use cache::{CacheKey, LruCache};
 pub use client::{compile_request, Client};
 pub use cluster::{spawn_router, ClusterConfig, Router, RouterHandle};
 pub use frame::DEFAULT_MAX_FRAME;

@@ -80,7 +80,7 @@ pub struct CompileReq {
 
 /// The simulation part of a compile request: which machine profile to
 /// score the schedule on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimSpec {
     /// Machine profile: `sp2` (P=25) or `now` (P=8), the paper's two
     /// platforms.

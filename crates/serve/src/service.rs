@@ -15,21 +15,22 @@
 //!   buffer), so a `stats` report taken after a set of requests completed
 //!   is identical whether the pool ran 1 worker or 8.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use gcomm_core::incr::{self, IncrCompiler, ModuleOutcome, RoutineArtifacts, RoutineOutcome};
-use gcomm_core::{lower_to_sim, Compiled, SimConfig, Strategy};
+use gcomm_core::incr::{self, IncrCompiler, RoutineArtifacts, RoutineOutcome};
+use gcomm_core::{lower_to_sim, CompiledRef, SimConfig};
 use gcomm_guard::BudgetSpec;
 use gcomm_machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
 use gcomm_obs::{Registry, StatsReport};
-use gcomm_query::{fingerprint, mix, Computed, QueryEngine};
+use gcomm_query::{fingerprint, mix, Computed, Fingerprinter, QueryEngine};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
-use crate::cache::LruCache;
+use crate::cache::{CacheKey, LruCache};
 use crate::frame::DEFAULT_MAX_FRAME;
 use crate::json::escape;
 use crate::protocol::{assemble, cache_key_material, CompileReq, SimSpec};
@@ -145,7 +146,7 @@ impl Service {
                     // non-UTF-8 record is foreign — quarantine it too.
                     match (String::from_utf8(key), String::from_utf8(value)) {
                         (Ok(k), Ok(v)) => {
-                            cache.insert(k, v);
+                            cache.insert(CacheKey::new(k), v);
                         }
                         _ => lifetime.add("store.quarantined", 1),
                     }
@@ -164,11 +165,6 @@ impl Service {
             absorber: Mutex::new(Absorber::default()),
             next_seq: AtomicU64::new(0),
         })
-    }
-
-    /// The incremental query engine, when enabled (for stats and tests).
-    pub fn query_engine(&self) -> Option<&QueryEngine> {
-        self.incr.as_ref().map(IncrCompiler::engine)
     }
 
     /// The configuration this service was built with.
@@ -204,11 +200,10 @@ impl Service {
     /// A one-off report carrying only the given counters — the completion
     /// shape for requests that never execute (rejections, parse errors).
     pub fn counter_report(&self, counters: &[(&str, u64)]) -> StatsReport {
-        let reg = Registry::new();
-        for &(name, v) in counters {
-            reg.add(name, v);
+        StatsReport {
+            counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+            ..StatsReport::default()
         }
-        reg.snapshot()
     }
 
     /// Snapshot of the lifetime registry (completed requests only — an
@@ -237,13 +232,13 @@ impl Service {
     /// not a pure function of the key.
     fn compile_payload(&self, req: &CompileReq) -> String {
         let effective = req.budget.unwrap_or(self.config.default_budget);
-        let cacheable = effective.ms.is_none();
-        if !cacheable {
+        if effective.ms.is_some() {
             gcomm_obs::count("cache.bypass", 1);
             gcomm_obs::count("serve.compiles", 1);
             return cold_compile_payload(req, &effective);
         }
-        let key = cache_key_material(req, &effective);
+        // Hashed once here; the probe and the insert below share it.
+        let key = CacheKey::new(cache_key_material(req, &effective));
         if let Some(hit) = self.cache.lock().unwrap().get(&key) {
             gcomm_obs::count("cache.hit", 1);
             return hit;
@@ -258,7 +253,7 @@ impl Service {
             Some(ic) => incremental_payload(ic, req, &effective),
             None => cold_compile_payload(req, &effective),
         };
-        self.persist_entry(&key, &payload);
+        self.persist_entry(key.material(), &payload);
         let evicted = self.cache.lock().unwrap().insert(key, payload.clone());
         if evicted > 0 {
             gcomm_obs::count("cache.evict", evicted);
@@ -302,7 +297,7 @@ impl Service {
         if effective.ms.is_some() {
             return None; // wall-clock budgets always compile (and bypass).
         }
-        let key = cache_key_material(req, &effective);
+        let key = CacheKey::new(cache_key_material(req, &effective));
         let payload = self.cache.lock().unwrap().get(&key)?;
         Some((
             assemble(req.id, &payload),
@@ -326,36 +321,42 @@ impl Service {
 /// byte for byte (tests/incremental_differential.rs).
 pub fn cold_compile_payload(req: &CompileReq, effective: &BudgetSpec) -> String {
     let outcome = incr::compile_module_cold(&req.source, req.strategy, effective);
-    render_outcome(&outcome, req, None)
+    let shape = RenderShape::of(outcome.routines.len());
+    let rendered: Vec<RoutineRender> = outcome
+        .routines
+        .iter()
+        .map(|routine| render_routine(routine, req, None, shape))
+        .collect();
+    frame_payload(&rendered, req)
 }
 
-/// Renders a compile outcome as a response payload, memoizing successful
-/// per-routine renders in the query engine when one is supplied. A
-/// single-routine source keeps the exact classic payload shape (PR 5);
-/// a multi-routine module gets `"module":true` with a per-routine array.
-fn render_outcome(
-    outcome: &ModuleOutcome,
-    req: &CompileReq,
-    engine: Option<&QueryEngine>,
-) -> String {
-    if !outcome.all_ok() {
+/// Joins rendered routines into a response payload and counts the
+/// request's `serve.errors` / `serve.degraded`. A single-routine source
+/// keeps the exact classic payload shape (PR 5); a multi-routine module
+/// gets `"module":true` with a per-routine array.
+fn frame_payload<R: Borrow<RoutineRender>>(rendered: &[R], req: &CompileReq) -> String {
+    let all_ok = rendered.iter().all(|r| r.borrow().ok);
+    let any_degraded = rendered.iter().any(|r| r.borrow().degraded);
+    if !all_ok {
         gcomm_obs::count("serve.errors", 1);
     }
-    if outcome.any_degraded() {
+    if any_degraded {
         gcomm_obs::count("serve.degraded", 1);
     }
-    if let [routine] = outcome.routines.as_slice() {
-        return match &routine.result {
-            Ok(a) => render_ok(a, req, engine, RenderShape::Single),
-            Err(_) => single_error_payload(&routine.module_errors()),
-        };
+    if let [r] = rendered {
+        return r.borrow().payload.clone();
     }
-    let mut p = module_header(outcome.all_ok(), req, outcome.any_degraded());
-    for (i, routine) in outcome.routines.iter().enumerate() {
+    let mut p = format!(
+        "\"ok\":{},\"module\":true,\"strategy\":{},\"degraded\":{},\"routines\":[",
+        all_ok,
+        escape(req.strategy.name()),
+        any_degraded
+    );
+    for (i, r) in rendered.iter().enumerate() {
         if i > 0 {
             p.push(',');
         }
-        p.push_str(&routine_fragment(routine, req, engine));
+        p.push_str(&r.borrow().payload);
     }
     p.push(']');
     p
@@ -367,37 +368,6 @@ fn single_error_payload(errs: &[gcomm_core::CoreError]) -> String {
         "\"ok\":false,\"error\":\"compile_error\",\"errors\":{}",
         errors_json(errs)
     )
-}
-
-/// The opening of a module payload, up to the `routines` array.
-fn module_header(all_ok: bool, req: &CompileReq, any_degraded: bool) -> String {
-    format!(
-        "\"ok\":{},\"module\":true,\"strategy\":{},\"degraded\":{},\"routines\":[",
-        all_ok,
-        escape(req.strategy.name()),
-        any_degraded
-    )
-}
-
-/// Fingerprint of a render frame shape (part of every render key).
-fn shape_tag(shape: RenderShape) -> u64 {
-    match shape {
-        RenderShape::Single => fingerprint(b"single"),
-        RenderShape::Fragment => fingerprint(b"frag"),
-    }
-}
-
-/// Fingerprint of the request's sim spec (part of every render key).
-/// Mirrors [`crate::protocol::cache_key_material`]'s sim component:
-/// machine and coll are part of the identity, so requests differing only
-/// in topology or algorithm never share a memoized render.
-fn sim_fp(req: &CompileReq) -> u64 {
-    match &req.sim {
-        None => fingerprint(b"-"),
-        Some(s) => {
-            fingerprint(format!("{}:{}:{}:{}", s.profile, s.n, s.machine, s.coll).as_bytes())
-        }
-    }
 }
 
 /// A fully rendered routine plus the flags the module frame needs — the
@@ -418,69 +388,60 @@ struct RoutineRender {
 fn incremental_payload(ic: &IncrCompiler, req: &CompileReq, effective: &BudgetSpec) -> String {
     let eng = ic.engine();
     let chunks = incr::split_routines(&req.source);
-    let shape = if chunks.len() == 1 {
-        RenderShape::Single
-    } else {
-        RenderShape::Fragment
-    };
-    let frame_fp = mix(
-        mix(shape_tag(shape), sim_fp(req)),
-        fingerprint(format!("{effective}").as_bytes()),
-    );
-    let strat_fp = fingerprint(req.strategy.name().as_bytes());
-    let rendered: Vec<std::sync::Arc<RoutineRender>> = chunks
+    let shape = RenderShape::of(chunks.len());
+    // Everything but the chunk that a routine's render depends on. Sim
+    // spec (machine and coll included) and budget are part of the identity,
+    // mirroring [`crate::protocol::cache_key_material`].
+    let frame_fp = Fingerprinter::of(&(shape, &req.sim, effective, req.strategy));
+    let rendered: Vec<Arc<RoutineRender>> = chunks
         .iter()
         .map(|chunk| {
             eng.note_input(fingerprint(chunk.name.as_bytes()), chunk.fp);
-            let key = mix(mix(chunk.fp, strat_fp), frame_fp);
+            let key = mix(chunk.fp, frame_fp);
             let (r, _) = eng.memo("query.routine", key, || {
                 let routine = ic.compile_routine(chunk, req.strategy, effective);
-                let (payload, ok, degraded) = match &routine.result {
-                    Ok(a) => (render_ok(a, req, Some(eng), shape), true, a.degraded),
-                    Err(_) => (render_error(&routine, shape), false, false),
-                };
+                let r = render_routine(&routine, req, Some(eng), shape);
                 Computed {
-                    bytes: payload.len() as u64 + 2,
+                    bytes: r.payload.len() as u64 + 2,
                     // Error payloads embed module-level line numbers (they
                     // depend on where the chunk sits, not just its bytes);
                     // degraded ones depend on budget progress. Neither is a
                     // pure function of this key.
-                    cacheable: ok && !degraded,
-                    value: RoutineRender {
-                        payload,
-                        ok,
-                        degraded,
-                    },
+                    cacheable: r.ok && !r.degraded,
+                    value: r,
                 }
             });
             r
         })
         .collect();
-    let all_ok = rendered.iter().all(|r| r.ok);
-    let any_degraded = rendered.iter().any(|r| r.degraded);
-    if !all_ok {
-        gcomm_obs::count("serve.errors", 1);
-    }
-    if any_degraded {
-        gcomm_obs::count("serve.degraded", 1);
-    }
-    if let [r] = rendered.as_slice() {
-        return r.payload.clone();
-    }
-    let mut p = module_header(all_ok, req, any_degraded);
-    for (i, r) in rendered.iter().enumerate() {
-        if i > 0 {
-            p.push(',');
-        }
-        p.push_str(&r.payload);
-    }
-    p.push(']');
-    p
+    frame_payload(&rendered, req)
 }
 
-/// Renders an error routine in the given frame shape (shared by the
-/// routine-level memo's compute path; the cold path goes through
-/// [`render_outcome`]'s equivalent branches).
+/// Renders one routine in the given frame shape, successes through the
+/// render memo when an engine is supplied. Error renders embed
+/// module-level line numbers, which depend on where the chunk sits — cheap
+/// to render, never memoized.
+fn render_routine(
+    routine: &RoutineOutcome,
+    req: &CompileReq,
+    engine: Option<&QueryEngine>,
+    shape: RenderShape,
+) -> RoutineRender {
+    match &routine.result {
+        Ok(a) => RoutineRender {
+            payload: render_ok(a, req, engine, shape),
+            ok: true,
+            degraded: a.degraded,
+        },
+        Err(_) => RoutineRender {
+            payload: render_error(routine, shape),
+            ok: false,
+            degraded: false,
+        },
+    }
+}
+
+/// Renders an error routine in the given frame shape.
 fn render_error(routine: &RoutineOutcome, shape: RenderShape) -> String {
     match shape {
         RenderShape::Single => single_error_payload(&routine.module_errors()),
@@ -494,27 +455,20 @@ fn render_error(routine: &RoutineOutcome, shape: RenderShape) -> String {
 
 /// How a successful routine render is framed: the classic single-routine
 /// payload, or one element of a module's `"routines"` array.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum RenderShape {
     Single,
     Fragment,
 }
 
-/// One element of a module payload's `"routines"` array.
-fn routine_fragment(
-    routine: &RoutineOutcome,
-    req: &CompileReq,
-    engine: Option<&QueryEngine>,
-) -> String {
-    match &routine.result {
-        Ok(a) => render_ok(a, req, engine, RenderShape::Fragment),
-        // Error fragments embed module-level line numbers, which depend
-        // on where the chunk sits — cheap to render, never memoized.
-        Err(_) => format!(
-            "{{\"name\":{},\"ok\":false,\"errors\":{}}}",
-            escape(&routine.name),
-            errors_json(&routine.module_errors())
-        ),
+impl RenderShape {
+    /// The shape of every routine of a source with `routines` chunks.
+    fn of(routines: usize) -> RenderShape {
+        if routines == 1 {
+            RenderShape::Single
+        } else {
+            RenderShape::Fragment
+        }
     }
 }
 
@@ -531,7 +485,7 @@ fn render_ok(
     let Some(eng) = engine else {
         return render_ok_fresh(a, req, shape);
     };
-    let key = mix(mix(a.place_key, sim_fp(req)), shape_tag(shape));
+    let key = Fingerprinter::of(&(a.place_key, &req.sim, shape));
     let (payload, _) = eng.memo("query.render", key, || {
         let p = render_ok_fresh(a, req, shape);
         Computed {
@@ -560,15 +514,12 @@ fn render_ok_fresh(a: &RoutineArtifacts, req: &CompileReq, shape: RenderShape) -
         ),
     };
     if let Some(sim) = &req.sim {
-        // The simulator wants a `Compiled`; only the sim path pays for
-        // the owned clones.
-        let compiled = Compiled {
-            prog: (*a.prog).clone(),
-            schedule: (*a.schedule).clone(),
-            stats: Default::default(),
+        let compiled = CompiledRef {
+            prog: &a.prog,
+            schedule: &a.schedule,
         };
         p.push_str(",\"sim\":");
-        p.push_str(&sim_json(&compiled, sim));
+        p.push_str(&sim_json(compiled, sim));
     }
     if shape == RenderShape::Fragment {
         p.push('}');
@@ -597,7 +548,7 @@ fn errors_json(errs: &[gcomm_core::CoreError]) -> String {
 /// Runs the machine simulation of a compiled schedule on the requested
 /// profile and renders it as a JSON object. Deterministic: the simulator
 /// is an analytical cost model, not a measurement.
-fn sim_json(compiled: &Compiled, sim: &SimSpec) -> String {
+fn sim_json(compiled: CompiledRef<'_>, sim: &SimSpec) -> String {
     let (p, net) = match sim.profile.as_str() {
         "sp2" => (25u32, NetworkModel::sp2()),
         _ => (8u32, NetworkModel::now_myrinet()),
@@ -673,20 +624,12 @@ pub fn stats_payload(report: &StatsReport, stable: bool) -> String {
     p
 }
 
-/// Parses an optional strategy name defaulting to the paper's combined
-/// placement.
-pub fn strategy_or_default(name: Option<&str>) -> Option<Strategy> {
-    match name {
-        None => Some(Strategy::Global),
-        Some(n) => Strategy::parse(n),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
     use crate::protocol::Request;
+    use gcomm_core::Strategy;
 
     const OK_SRC: &str = "program p\nparam n\nreal a(n,n), b(n,n) distribute (block, block)\nb(2:n, 1:n) = a(1:n-1, 1:n)\nend\n";
 

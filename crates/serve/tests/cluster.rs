@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 
 use gcomm_core::Strategy;
 use gcomm_machine::fault::RetryPolicy;
+use gcomm_query::fingerprint;
 use gcomm_serve::cluster::{spawn_router, ClusterConfig, HealthPolicy, Ring, RouterHandle};
 use gcomm_serve::protocol::{cache_key_material, CompileReq};
-use gcomm_serve::{compile_request, fnv1a, Client, ServerHandle, ServiceConfig};
+use gcomm_serve::{compile_request, Client, ServerHandle, ServiceConfig};
 
 fn shard_config() -> ServiceConfig {
     ServiceConfig {
@@ -62,7 +63,7 @@ fn primary_shard(src: &str, shards: usize, cfg: &ClusterConfig) -> usize {
         budget: None,
         sim: None,
     };
-    let hash = fnv1a(cache_key_material(&req, &cfg.default_budget).as_bytes());
+    let hash = fingerprint(cache_key_material(&req, &cfg.default_budget).as_bytes());
     Ring::new(shards, cfg.vnodes).primary(hash)
 }
 

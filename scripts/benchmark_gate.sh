@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# CI gate on the benchmark's layer ledger (ROADMAP item 1): the smoke test,
+# then 5 s traced `serve` and `kernels` runs, then **ratios** read from the
+# traces. A ratio of two layers measured in one run on one pinned CPU holds
+# on a shared runner where absolute microseconds do not. A 5 s run's ratios
+# still wander by a few percent on a busy host, so the gate passes when any
+# of three attempts meets every limit, and prints them all.
+#
+#   bash scripts/benchmark_gate.sh        (from the repository root)
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+bash benchmark/smoke.sh
+
+for attempt in 1 2 3; do
+  for workload in serve kernels; do
+    bash benchmark/run.sh --workload "$workload" --seed "$attempt" --seconds 5 --trace 1 >/dev/null
+  done
+  if python3 - "$attempt" <<'PY'
+import json, sys
+
+def metrics(workload):
+    return json.load(open(f"benchmark/out/trace-{workload}.json"))["metrics"]
+
+serve, kernels = metrics("serve"), metrics("kernels")
+gates = [
+    # What a served cold compile costs over the compile it wraps, before
+    # any cache or socket: fingerprints, render, sim. (2.2-2.7 before the
+    # structural fingerprints, 1.3-1.55 after.)
+    ("serve: cold_payload_us / compile_us",
+     serve["serve.cold_payload_us"] / serve["core.compile_us"], 1.9),
+    # What an installed gcomm-obs registry costs a compile. (serve 1.22,
+    # kernels 2.4-2.5 before the allocation-free ticks; 1.08, 1.57 after.)
+    ("serve: obs.on_over_off_ratio", serve["obs.on_over_off_ratio"], 1.15),
+    ("kernels: obs.on_over_off_ratio", kernels["obs.on_over_off_ratio"], 1.6),
+]
+ok = True
+for name, got, limit in gates:
+    ok &= got <= limit
+    print(f"attempt {sys.argv[1]}: {'ok  ' if got <= limit else 'OVER'} {name} = {got:.3f} (limit {limit})")
+raise SystemExit(0 if ok else 1)
+PY
+  then
+    exit 0
+  fi
+done
+echo "benchmark gate: three attempts over a limit" >&2
+exit 1

@@ -8,11 +8,12 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use gcomm::query::fingerprint;
 use gcomm::serve::cluster::{
     supervise, ClusterConfig, Ring, RouterHandle, ShardProc, SupervisePolicy,
 };
 use gcomm::serve::protocol::{cache_key_material, CompileReq};
-use gcomm::serve::{compile_request, fnv1a, Client};
+use gcomm::serve::{compile_request, Client};
 use gcomm::Strategy;
 
 const GCOMMC: &str = env!("CARGO_BIN_EXE_gcommc");
@@ -166,8 +167,9 @@ fn supervised_cluster_shard_respawns_and_answers_from_warmed_cache() {
             budget: None,
             sim: None,
         };
-        Ring::new(2, cfg.vnodes)
-            .primary(fnv1a(cache_key_material(&req, &default_budget).as_bytes()))
+        Ring::new(2, cfg.vnodes).primary(fingerprint(
+            cache_key_material(&req, &default_budget).as_bytes(),
+        ))
     };
     assert!(
         srcs.iter().any(|s| primary(s) == 0),
