@@ -341,7 +341,7 @@ pub(crate) fn entry_msg_bytes(
     let sect = match compiled.schedule.section_override(eid) {
         Some(s) => s,
         None => {
-            shared = ctx.asd_shared(e, level).0;
+            shared = ctx.asd_shared(e, level);
             &shared.section
         }
     };
@@ -413,7 +413,7 @@ pub(crate) fn group_pattern(
             // section: a row section of a (BLOCK, BLOCK) array lives on one
             // grid row, so the combine runs over that axis subset.
             let e = compiled.schedule.entry(head);
-            let asd = ctx.asd_shared(e, level).0;
+            let asd = ctx.asd_shared(e, level);
             let sect = &asd.section;
             let arr = prog.array(e.array);
             let mut owners: u64 = 1;

@@ -150,8 +150,6 @@ impl<'a> Generator<'a> {
         kind: CommKind,
         label: String,
     ) -> CommEntry {
-        let id = EntryId(self.out.len() as u32);
-        let _ = id;
         CommEntry {
             id: EntryId(u32::MAX), // assigned by the caller after collection
             stmt,
@@ -225,8 +223,15 @@ fn elem_offset(lhs: &SubscriptIr, read: &SubscriptIr) -> Option<i64> {
 }
 
 /// Assigns dense entry ids after generation (helper for the pipeline).
+///
+/// No entry carries [`Mapping::Local`] — local data needs no message —
+/// and the redundancy scans rely on it: `Local ⊆ everything` is the one
+/// case where [`Mapping::subset_of`] is not equality, so without `Local`
+/// entries subsumption never crosses an `(array, mapping)` class
+/// (`redundancy::subsumption_classes`).
 pub fn number(mut entries: Vec<CommEntry>) -> Vec<CommEntry> {
     for (i, e) in entries.iter_mut().enumerate() {
+        debug_assert!(e.mapping != Mapping::Local, "local entry {}", e.label);
         e.id = EntryId(i as u32);
     }
     entries

@@ -6,14 +6,10 @@ use std::sync::{Arc, Mutex};
 use gcomm_dep::{widen::widen_access_within, DepTest};
 use gcomm_guard::Budget;
 use gcomm_ir::{AccessRef, DomTree, IrProgram, StmtId, StmtKind};
-use gcomm_sections::{Asd, SectId, Section, SectionAlgebra, SymCtx};
+use gcomm_sections::{Asd, Section, SymCtx};
 use gcomm_ssa::{DefId, DefKind, SsaForm};
 
 use crate::entry::{CommEntry, EntryId};
-
-/// A cached, interned ASD handle: the shared descriptor plus its section's
-/// interned id in the compile's [`SectionAlgebra`].
-pub type SharedAsd = (Arc<Asd>, SectId);
 
 /// Everything the placement phases need about one procedure.
 #[derive(Debug)]
@@ -30,14 +26,11 @@ pub struct AnalysisCtx<'a> {
     /// when it exhausts, every phase degrades conservatively (DESIGN.md
     /// §10) instead of erroring.
     pub budget: Budget,
-    /// Per-compile section interner + memoized subsumption (DESIGN.md
-    /// §11). Shared by reference with the parallel optimal-search workers.
-    pub alg: SectionAlgebra,
-    /// Memoized `(entry, level) → interned ASD`: the widened section of an
-    /// entry at a placement level is a pure function of the program, so
-    /// the quadratic pair scans (redundancy fixpoint, greedy grouping)
-    /// rebuild each one exactly once.
-    asd_cache: Mutex<HashMap<(EntryId, u32), SharedAsd>>,
+    /// Memoized `(entry, level) → ASD`: the widened section of an entry at
+    /// a placement level is a pure function of the program, so the pair
+    /// scans (redundancy sweep, greedy grouping) and the cost model build
+    /// each one exactly once (DESIGN.md §11).
+    asd_cache: Mutex<HashMap<(EntryId, u32), Arc<Asd>>>,
 }
 
 impl<'a> AnalysisCtx<'a> {
@@ -61,7 +54,6 @@ impl<'a> AnalysisCtx<'a> {
             dt,
             sym: SymCtx::default(),
             budget,
-            alg: SectionAlgebra::new(),
             asd_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -121,26 +113,26 @@ impl<'a> AnalysisCtx<'a> {
     /// `(entry, level)`); callers that only need to *borrow* the section
     /// should prefer [`asd_shared`](Self::asd_shared) to skip the clone.
     pub fn section_at(&self, e: &CommEntry, level: u32) -> Section {
-        self.asd_shared(e, level).0.section.clone()
+        self.asd_shared(e, level).section.clone()
     }
 
     /// The ASD of an entry at a placement nesting level (cached; clones
     /// out of the shared descriptor).
     pub fn asd_at(&self, e: &CommEntry, level: u32) -> Asd {
-        (*self.asd_shared(e, level).0).clone()
+        (*self.asd_shared(e, level)).clone()
     }
 
-    /// The cached, interned ASD of an entry at a placement level.
+    /// The cached ASD of an entry at a placement level.
     ///
     /// The compute happens under the cache lock, so exactly one thread
     /// builds (and budget-charges) each descriptor even when the parallel
     /// optimal-search workers race on the same key — keeping charge and
     /// counter totals identical between `--jobs 1` and `--jobs N`.
-    pub fn asd_shared(&self, e: &CommEntry, level: u32) -> SharedAsd {
+    pub fn asd_shared(&self, e: &CommEntry, level: u32) -> Arc<Asd> {
         let mut cache = self.asd_cache.lock().unwrap();
         if let Some(hit) = cache.get(&(e.id, level)) {
             gcomm_obs::count("core.asd_cache_hits", 1);
-            return hit.clone();
+            return Arc::clone(hit);
         }
         let chain = self.prog.stmt_loop_chain(e.stmt);
         let mut acc: Option<Section> = None;
@@ -152,22 +144,24 @@ impl<'a> AnalysisCtx<'a> {
                 Some(prev) => prev.union_bbox(&s, &self.sym).unwrap_or(prev),
             });
         }
-        let section = acc.unwrap_or_default();
-        let sid = self.alg.intern(&section);
-        let asd = Arc::new(Asd::new(e.array, section, e.mapping.clone()));
-        cache.insert((e.id, level), (Arc::clone(&asd), sid));
-        (asd, sid)
+        let asd = Arc::new(Asd::new(
+            e.array,
+            acc.unwrap_or_default(),
+            e.mapping.clone(),
+        ));
+        cache.insert((e.id, level), Arc::clone(&asd));
+        asd
     }
 
-    /// Memoized ASD subsumption: true when `sub`'s communication at
-    /// `level` is fully served by `sup`'s ([`Asd::subsumed_by_memo`] over
-    /// the cached descriptors). The answer for a revisited pair is one
-    /// hash lookup — this is what makes the redundancy fixpoint's repeated
-    /// pair scans O(1) per revisited pair.
+    /// ASD subsumption: true when `sub`'s communication at `level` is
+    /// fully served by `sup`'s ([`Asd::subsumed_by_within`] over the
+    /// cached descriptors).
     pub fn subsumed_within(&self, sub: &CommEntry, sup: &CommEntry, level: u32) -> bool {
-        let (a_sub, id_sub) = self.asd_shared(sub, level);
-        let (a_sup, id_sup) = self.asd_shared(sup, level);
-        a_sub.subsumed_by_memo(id_sub, &a_sup, id_sup, &self.alg, &self.sym, &self.budget)
+        self.asd_shared(sub, level).subsumed_by_within(
+            &self.asd_shared(sup, level),
+            &self.sym,
+            &self.budget,
+        )
     }
 
     /// True if statement `s` is an assignment.

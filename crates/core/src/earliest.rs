@@ -19,7 +19,7 @@ use crate::entry::CommEntry;
 /// `Earliest(u)` for one read: the first definition on the upward chain
 /// whose `Test` is true (the ENTRY pseudo-definition always is).
 pub fn earliest_def_for_read(ctx: &AnalysisCtx<'_>, stmt: StmtId, idx: usize) -> DefId {
-    let u_acc = ctx.read_access(stmt, idx).clone();
+    let u_acc = ctx.read_access(stmt, idx);
     // invariant: SSA construction gives every read a reaching definition
     // (the ENTRY pseudo-def backstops uses with no prior write), so a miss
     // here is a builder bug, not a property of any source program.
@@ -27,8 +27,10 @@ pub fn earliest_def_for_read(ctx: &AnalysisCtx<'_>, stmt: StmtId, idx: usize) ->
         .ssa
         .use_def(stmt, idx)
         .expect("every read has a reaching definition");
+    // One visit buffer for the whole walk; `test` clears it per φ-parameter.
+    let mut visit = HashSet::new();
     loop {
-        if test(ctx, d, stmt, &u_acc) {
+        if test(ctx, d, stmt, u_acc, &mut visit) {
             return d;
         }
         match ctx.ssa.def(d).dom_prev {
@@ -38,20 +40,25 @@ pub fn earliest_def_for_read(ctx: &AnalysisCtx<'_>, stmt: StmtId, idx: usize) ->
     }
 }
 
-/// The paper's `Test(d, u)` (Fig. 8b).
-pub fn test(ctx: &AnalysisCtx<'_>, d: DefId, u_stmt: StmtId, u_acc: &AccessRef) -> bool {
+/// The paper's `Test(d, u)` (Fig. 8b). `visit` is scratch space for
+/// [`rcount`]; its contents on entry are ignored.
+pub fn test(
+    ctx: &AnalysisCtx<'_>,
+    d: DefId,
+    u_stmt: StmtId,
+    u_acc: &AccessRef,
+    visit: &mut HashSet<DefId>,
+) -> bool {
     gcomm_obs::count("core.earliest.tests", 1);
     let info = ctx.ssa.def(d);
     match &info.kind {
         DefKind::Entry => true,
-        DefKind::Regular { stmt, .. } => {
+        DefKind::Regular { .. } => {
             let Some((d_acc, d_stmt)) = ctx.def_access(d) else {
                 return true; // defensive: unknown def blocks motion
             };
-            let d_acc = d_acc.clone();
-            let _ = stmt;
             let l = ctx.prog.cnl(d_stmt, u_stmt);
-            ctx.ext_dep(d_stmt, &d_acc, u_stmt, u_acc, l)
+            ctx.ext_dep(d_stmt, d_acc, u_stmt, u_acc, l)
         }
         k => {
             let l = ctx.prog.cnl_node_stmt(info.node, u_stmt);
@@ -60,9 +67,9 @@ pub fn test(ctx: &AnalysisCtx<'_>, d: DefId, u_stmt: StmtId, u_acc: &AccessRef) 
                 // Fig. 8(b): the visit array is cleared for each parameter
                 // (`visit[] = 0, visit[d] = 1`); only the φ being tested
                 // stays marked, so the walk cannot cycle through it.
-                let mut visit: HashSet<DefId> = HashSet::new();
+                visit.clear();
                 visit.insert(d);
-                if rcount(ctx, arg, u_stmt, u_acc, l, &mut visit) > 0 {
+                if rcount(ctx, arg, u_stmt, u_acc, l, visit) > 0 {
                     positives += 1;
                     if positives >= 2 {
                         return true;
@@ -94,10 +101,9 @@ pub fn rcount(
             let Some((d_acc, d_stmt)) = ctx.def_access(d) else {
                 return 1;
             };
-            let d_acc = d_acc.clone();
             if ctx.ext_dep(
                 d_stmt,
-                &d_acc,
+                d_acc,
                 u_stmt,
                 u_acc,
                 l.min(ctx.prog.cnl(d_stmt, u_stmt)),

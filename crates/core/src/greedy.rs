@@ -75,9 +75,8 @@ pub fn compatible(
             a.array == b.array
                 || ctx
                     .asd_shared(a, level)
-                    .0
                     .section
-                    .same_shape(&ctx.asd_shared(b, level).0.section)
+                    .same_shape(&ctx.asd_shared(b, level).section)
         }
         (CommKind::Reduction, _) | (_, CommKind::Reduction) => false,
         // NNC ghost exchanges: mapping equality is checked in physical
@@ -90,8 +89,8 @@ pub fn compatible(
             // General data motion: different arrays need identical sections
             // under the shared descriptor; same-array entries need a
             // bounded-blowup union.
-            let sa = ctx.asd_shared(a, level).0;
-            let sb = ctx.asd_shared(b, level).0;
+            let sa = ctx.asd_shared(a, level);
+            let sb = ctx.asd_shared(b, level);
             if a.array == b.array {
                 sa.section.union_bbox(&sb.section, &ctx.sym).is_some()
                     && size_ok(ctx, a, b, level, policy)
@@ -112,8 +111,8 @@ fn size_ok(
     level: u32,
     policy: &CombinePolicy,
 ) -> bool {
-    let ca = ctx.asd_shared(a, level).0.section.count(&|_| None);
-    let cb = ctx.asd_shared(b, level).0.section.count(&|_| None);
+    let ca = ctx.asd_shared(a, level).section.count(&|_| None);
+    let cb = ctx.asd_shared(b, level).section.count(&|_| None);
     match (ca, cb) {
         (Some(x), Some(y)) => (x + y) * policy.elem_bytes <= policy.max_combined_bytes,
         _ => true,

@@ -9,9 +9,10 @@
 //! this is how choosing a *later-than-earliest* placement for `b1` in the
 //! paper's running example eliminates that communication completely.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use gcomm_ir::Pos;
+use gcomm_ir::{ArrayId, Pos};
+use gcomm_sections::Mapping;
 
 use crate::ctx::AnalysisCtx;
 use crate::entry::{CommEntry, EntryId};
@@ -26,118 +27,188 @@ pub struct Absorption {
     pub by: EntryId,
 }
 
+/// The *subsumption class* of each entry, by index into `entries`: a dense
+/// id per distinct `(array, mapping)`. `(D2, M2)` can only be subsumed by
+/// `(D1, M1)` on the same array with `M2 ⊆ M1`, and
+/// [`Mapping::subset_of`] is equality except for `Local` — which
+/// [`commgen::number`](crate::commgen::number) asserts no entry carries —
+/// so entries of different classes never subsume one another and the pair
+/// scans skip them on one integer compare.
+pub(crate) fn subsumption_classes(entries: &[CommEntry]) -> Vec<u32> {
+    let mut ids: HashMap<(ArrayId, &Mapping), u32> = HashMap::new();
+    entries
+        .iter()
+        .map(|e| {
+            let fresh = ids.len() as u32;
+            *ids.entry((e.array, &e.mapping)).or_insert(fresh)
+        })
+        .collect()
+}
+
 /// Runs redundancy elimination to a fixpoint. Returns the absorptions.
+///
+/// One forward sweep over the candidate positions in `Pos` order. At each
+/// position every entry `c1` (ascending) is compared with the later
+/// entries `c2` of its own [subsumption class](subsumption_classes):
+/// first "`c2` absorbed by `c1`", then the reverse. After an absorption
+/// the sweep *resumes where it stands* instead of rescanning from the
+/// first position: a pair's verdict depends only on `(sub, sup, level)`,
+/// an absorption only ever removes entries from positions (the loser
+/// everywhere, the winner where its refined set shrank) and the banned
+/// set only grows, so every pair a rescan would meet before the current
+/// one was already judged "no" and would be again (DESIGN.md §3).
 ///
 /// Coverage obligations are *inherited through chains*: when `A` absorbs
 /// `B` and later `C` absorbs `A`, `C` must still dominate `B`'s use (not
 /// just `A`'s) — otherwise `B`'s data would silently go unserved.
 ///
-/// Degradation: every candidate pair charges the budget (and the ASD
-/// subsumption tests themselves degrade to "not subsumed"); on exhaustion
-/// the fixpoint stops and returns the absorptions found so far
-/// (`core.degraded.redundancy` counts one per early stop). Stopping early
-/// only *keeps* communication that could have been eliminated — every
-/// recorded absorption was individually proven, so the result stays legal.
+/// Degradation: every compared (same-class) pair charges the budget one
+/// step (and the ASD subsumption tests themselves degrade to "not
+/// subsumed"); on exhaustion the sweep stops and returns the absorptions
+/// found so far (`core.degraded.redundancy` counts one per early stop).
+/// Stopping early only *keeps* communication that could have been
+/// eliminated — every recorded absorption was individually proven, so the
+/// result stays legal.
 pub fn eliminate(
     ctx: &AnalysisCtx<'_>,
     entries: &[CommEntry],
     table: &mut CandidateTable,
 ) -> Vec<Absorption> {
     let _s = gcomm_obs::span("core.redundancy");
-    let mut absorptions: Vec<Absorption> = Vec::new();
-    // Per surviving entry: the uses (and level caps) of everything it has
-    // absorbed, directly or transitively.
-    let mut obligations: std::collections::HashMap<EntryId, Vec<(Pos, u32)>> =
-        std::collections::HashMap::new();
-    // Pairs rejected because the winner could not keep a candidate
-    // satisfying every inherited obligation.
-    let mut banned: std::collections::HashSet<(EntryId, EntryId)> =
-        std::collections::HashSet::new();
-    loop {
-        if ctx.budget.exhausted() {
-            gcomm_obs::count("core.degraded.redundancy", 1);
-            return absorptions;
-        }
-        gcomm_obs::count("core.redundancy.checks", 1);
-        let Some((winner, loser, at)) = find_pair(ctx, entries, table, &banned) else {
-            if ctx.budget.exhausted() {
-                // The budget ran out mid-scan, not at a true fixpoint.
-                gcomm_obs::count("core.degraded.redundancy", 1);
+    let class = subsumption_classes(entries);
+    let same_class = |a: EntryId, b: EntryId| class[a.0 as usize] == class[b.0 as usize];
+    // Position → entries, built once. Entries only ever *leave* a
+    // position, so the index is a superset of the live table; the sweep
+    // drops stale members when it arrives at a position.
+    let mut index: Vec<(Pos, EntryId)> = table
+        .cands
+        .iter()
+        .flat_map(|(&e, ps)| ps.iter().map(move |&p| (p, e)))
+        .collect();
+    index.sort_unstable();
+
+    let mut sweep = Sweep {
+        ctx,
+        entries,
+        table,
+        obligations: HashMap::new(),
+        banned: HashSet::new(),
+        absorptions: Vec::new(),
+        attempts: 0,
+    };
+    let mut ids: Vec<EntryId> = Vec::new();
+    'sweep: for at in index.chunk_by(|a, b| a.0 == b.0) {
+        let pos = at[0].0;
+        ids.clear();
+        ids.extend(at.iter().map(|&(_, e)| e).filter(|&e| sweep.is_at(e, pos)));
+        let level = pos.level(ctx.prog);
+        let mut i = 0;
+        'c1: while i < ids.len() {
+            let c1 = ids[i];
+            let mut j = i + 1;
+            while j < ids.len() {
+                let c2 = ids[j];
+                if !same_class(c1, c2) {
+                    j += 1;
+                    continue;
+                }
+                if !ctx.budget.charge(1) {
+                    break 'sweep;
+                }
+                if sweep.absorb(c1, c2, level) {
+                    ids.remove(j);
+                    if !sweep.is_at(c1, pos) {
+                        ids.remove(i);
+                        continue 'c1;
+                    }
+                    continue;
+                }
+                // Also reached when the forward absorption was just
+                // banned: the pair is re-examined in the other direction.
+                if sweep.absorb(c2, c1, level) {
+                    if !sweep.is_at(c2, pos) {
+                        ids.remove(j);
+                    }
+                    ids.remove(i);
+                    continue 'c1;
+                }
+                j += 1;
             }
-            return absorptions;
-        };
-        let loser_stmt = entries[loser.0 as usize].stmt;
-        let level_at = at.level(ctx.prog);
+            i += 1;
+        }
+    }
+    if ctx.budget.exhausted() {
+        gcomm_obs::count("core.degraded.redundancy", 1);
+    }
+    // Absorption attempts plus the final "no pair left".
+    gcomm_obs::count("core.redundancy.checks", sweep.attempts + 1);
+    sweep.absorptions
+}
+
+/// The mutable state of one [`eliminate`] run.
+struct Sweep<'a, 'p> {
+    ctx: &'a AnalysisCtx<'p>,
+    entries: &'a [CommEntry],
+    table: &'a mut CandidateTable,
+    /// Per surviving entry: the uses (and level caps) of everything it has
+    /// absorbed, directly or transitively.
+    obligations: HashMap<EntryId, Vec<(Pos, u32)>>,
+    /// `(winner, loser)` pairs rejected because the winner could not keep
+    /// a candidate satisfying every inherited obligation.
+    banned: HashSet<(EntryId, EntryId)>,
+    absorptions: Vec<Absorption>,
+    attempts: u64,
+}
+
+impl Sweep<'_, '_> {
+    /// True while `pos` is still a candidate of the (unabsorbed) entry `e`.
+    fn is_at(&self, e: EntryId, pos: Pos) -> bool {
+        self.table.cands.get(&e).is_some_and(|ps| ps.contains(&pos))
+    }
+
+    /// Absorbs `loser` into `winner` at a shared position of nesting level
+    /// `level` if the pair is not banned, `loser`'s ASD at that level is
+    /// subsumed by `winner`'s, and `winner` keeps a candidate that covers
+    /// everything `loser` stands for (otherwise the pair is banned). True
+    /// when the absorption happened.
+    fn absorb(&mut self, winner: EntryId, loser: EntryId, level: u32) -> bool {
+        let (ctx, entries) = (self.ctx, self.entries);
+        let (win, lose) = (&entries[winner.0 as usize], &entries[loser.0 as usize]);
+        if self.banned.contains(&(winner, loser)) || !ctx.subsumed_within(lose, win, level) {
+            return false;
+        }
+        self.attempts += 1;
 
         // The loser's own use, plus every obligation it had accumulated.
-        let mut obs = obligations.get(&loser).cloned().unwrap_or_default();
-        obs.push((Pos::before(ctx.prog, loser_stmt), level_at));
+        let mut obs = self.obligations.get(&loser).cloned().unwrap_or_default();
+        obs.push((Pos::before(ctx.prog, lose.stmt), level));
 
-        let refined: BTreeSet<Pos> = table
-            .cands
-            .get(&winner)
-            .map(|ps| {
-                ps.iter()
-                    .copied()
-                    .filter(|p| {
-                        obs.iter().all(|(before_use, cap)| {
-                            p.dominates(before_use, &ctx.dt) && p.level(ctx.prog) <= *cap
-                        })
-                    })
-                    .collect()
+        let refined: BTreeSet<Pos> = self.table.cands[&winner]
+            .iter()
+            .copied()
+            .filter(|p| {
+                obs.iter().all(|(before_use, cap)| {
+                    p.dominates(before_use, &ctx.dt) && p.level(ctx.prog) <= *cap
+                })
             })
-            .unwrap_or_default();
+            .collect();
         if refined.is_empty() {
             // No placement of the winner can cover everything the loser
             // stands for: reject this absorption.
-            banned.insert((winner, loser));
-            continue;
+            self.banned.insert((winner, loser));
+            return false;
         }
 
-        table.remove_entry(loser);
-        obligations.remove(&loser);
-        table.cands.insert(winner, refined);
-        obligations.entry(winner).or_default().extend(obs);
-        absorptions.push(Absorption {
+        self.table.remove_entry(loser);
+        self.obligations.remove(&loser);
+        self.table.cands.insert(winner, refined);
+        self.obligations.entry(winner).or_default().extend(obs);
+        self.absorptions.push(Absorption {
             absorbed: loser,
             by: winner,
         });
+        true
     }
-}
-
-/// Finds one (subsumer, subsumed, position) triple, or `None` at fixpoint.
-fn find_pair(
-    ctx: &AnalysisCtx<'_>,
-    entries: &[CommEntry],
-    table: &CandidateTable,
-    banned: &std::collections::HashSet<(EntryId, EntryId)>,
-) -> Option<(EntryId, EntryId, Pos)> {
-    let sets = table.comm_sets();
-    for (&pos, set) in &sets {
-        let level = pos.level(ctx.prog);
-        let ids: Vec<EntryId> = set.iter().copied().collect();
-        for (i, &c1) in ids.iter().enumerate() {
-            for &c2 in &ids[i + 1..] {
-                if !ctx.budget.charge(1) {
-                    // Exhausted mid-scan: report fixpoint. The caller
-                    // observes the exhaustion and stops with what it has.
-                    return None;
-                }
-                let e1 = &entries[c1.0 as usize];
-                let e2 = &entries[c2.0 as usize];
-                // Memoized: a revisited (section, section) pair answers
-                // from the per-compile memo, so re-scans after each
-                // absorption cost O(1) per already-judged pair.
-                if !banned.contains(&(c1, c2)) && ctx.subsumed_within(e2, e1, level) {
-                    return Some((c1, c2, pos));
-                }
-                if !banned.contains(&(c2, c1)) && ctx.subsumed_within(e1, e2, level) {
-                    return Some((c2, c1, pos));
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

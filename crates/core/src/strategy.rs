@@ -147,9 +147,11 @@ fn earliest_re(ctx: &AnalysisCtx<'_>, entries: Vec<CommEntry>) -> Schedule {
         .collect();
 
     // Pairwise redundancy elimination: an entry is covered by an earlier,
-    // dominating entry whose vectorized data subsumes it. Each pair charges
-    // the budget; on exhaustion the scan stops and the remaining entries
-    // simply keep their own communication (conservative but legal).
+    // dominating entry of its subsumption class whose vectorized data
+    // subsumes it. Each same-class pair charges the budget; on exhaustion
+    // the scan stops and the remaining entries simply keep their own
+    // communication (conservative but legal).
+    let class = redundancy::subsumption_classes(&entries);
     let mut order: Vec<usize> = (0..entries.len()).collect();
     order.sort_by_key(|&i| (ctx.dt.depth(pos[i].node), pos[i].slot, entries[i].id));
     let mut alive = vec![true; entries.len()];
@@ -161,6 +163,9 @@ fn earliest_re(ctx: &AnalysisCtx<'_>, entries: Vec<CommEntry>) -> Schedule {
     let mut absorptions = Vec::new();
     'outer: for (oi, &i2) in order.iter().enumerate() {
         for &i1 in &order[..oi] {
+            if class[i1] != class[i2] {
+                continue;
+            }
             if !ctx.budget.charge(1) {
                 gcomm_obs::count("core.degraded.redundancy", 1);
                 break 'outer;
@@ -241,8 +246,13 @@ fn earliest_re(ctx: &AnalysisCtx<'_>, entries: Vec<CommEntry>) -> Schedule {
 /// ASD(b2) − ASD(b1), while the communication for b1 would remain".
 fn earliest_partial_re(ctx: &AnalysisCtx<'_>, entries: Vec<CommEntry>) -> Schedule {
     let base = earliest_re(ctx, entries);
-    let absorbed: Vec<_> = base.absorptions.iter().map(|a| a.absorbed).collect();
-    let absorbers: Vec<_> = base.absorptions.iter().map(|a| a.by).collect();
+    // The group heads below are the survivors (never an absorbed entry);
+    // per entry, whether it absorbed another and whether it got shaved.
+    let mut absorber = vec![false; base.entries.len()];
+    for a in &base.absorptions {
+        absorber[a.by.0 as usize] = true;
+    }
+    let mut shaved = vec![false; base.entries.len()];
     let mut overrides: Vec<(crate::entry::EntryId, gcomm_sections::Section)> = Vec::new();
 
     // For every surviving pair at comparable placements, try to shave the
@@ -263,11 +273,7 @@ fn earliest_partial_re(ctx: &AnalysisCtx<'_>, entries: Vec<CommEntry>) -> Schedu
             // be shaved (`ej` an absorber). Without these two exclusions a
             // pair at one position can shave each other mutually and the
             // intersection goes unshipped. (Found by the fuzzing harness.)
-            if ei == ej
-                || absorbed.contains(&ei)
-                || absorbed.contains(&ej)
-                || absorbers.contains(&ej)
-                || overrides.iter().any(|(id, _)| *id == ej || *id == ei)
+            if ei == ej || shaved[ei.0 as usize] || shaved[ej.0 as usize] || absorber[ej.0 as usize]
             {
                 continue;
             }
@@ -286,10 +292,11 @@ fn earliest_partial_re(ctx: &AnalysisCtx<'_>, entries: Vec<CommEntry>) -> Schedu
                 continue;
             }
             let lvl = gj.pos.level(ctx.prog);
-            let full = ctx.asd_shared(b, lvl).0;
-            let cover = ctx.asd_shared(a, lvl).0;
+            let full = ctx.asd_shared(b, lvl);
+            let cover = ctx.asd_shared(a, lvl);
             if let Some(residual) = full.section.subtract(&cover.section, &ctx.sym) {
                 overrides.push((ej, residual));
+                shaved[ej.0 as usize] = true;
             }
         }
     }

@@ -81,8 +81,6 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     // sections: ASD construction and the section algebra.
     "sections.asd_built",
     "sections.subsume_checks",
-    "sections.subsume_memo_hits",
-    "sections.interned",
     "sections.degraded.subsume",
     // core: per-entry placement fates (the partition invariant
     // `candidates == placed + redundant + combined_away`) plus the

@@ -79,45 +79,6 @@ impl Asd {
         }
         r
     }
-
-    /// Memoizing [`subsumed_by_within`](Self::subsumed_by_within): the
-    /// section-subset leg (the expensive symbolic part) is answered from
-    /// `alg`'s memo table, keyed on the pre-interned ids of the two
-    /// sections. Same degradation contract — a `false` under an exhausted
-    /// budget may be conservative and is reported as degraded, and the
-    /// memo never caches such answers.
-    pub fn subsumed_by_memo(
-        &self,
-        self_sect: crate::intern::SectId,
-        other: &Asd,
-        other_sect: crate::intern::SectId,
-        alg: &crate::intern::SectionAlgebra,
-        ctx: &SymCtx,
-        budget: &gcomm_guard::Budget,
-    ) -> bool {
-        if budget.exhausted() {
-            gcomm_obs::count("sections.degraded.subsume", 1);
-            return false;
-        }
-        let r = {
-            let _t = gcomm_obs::time("sections.subsume");
-            gcomm_obs::count("sections.subsume_checks", 1);
-            self.array == other.array
-                && self.mapping.subset_of(&other.mapping)
-                && alg.subset_of_within(
-                    &self.section,
-                    self_sect,
-                    &other.section,
-                    other_sect,
-                    ctx,
-                    budget,
-                )
-        };
-        if !r && budget.exhausted() {
-            gcomm_obs::count("sections.degraded.subsume", 1);
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -158,5 +119,18 @@ mod tests {
         assert!(!a.subsumed_by(&b, &ctx));
         assert!(!a.subsumed_by(&c, &ctx));
         assert!(a.subsumed_by(&a.clone(), &ctx));
+    }
+
+    #[test]
+    fn local_mapping_is_subsumed_by_any_mapping_on_the_direct_path() {
+        // `core`'s class index buckets entries by `(array, mapping)` and
+        // relies on `commgen` never emitting a `Local` entry; the algebra
+        // itself keeps `Local ⊆ everything`.
+        let ctx = SymCtx::default();
+        let local = Asd::new(ArrayId(0), sect(2, -1), Mapping::Local);
+        let shift = Asd::new(ArrayId(0), sect(1, 0), Mapping::Shift { offsets: vec![1] });
+        assert!(local.subsumed_by(&shift, &ctx));
+        assert!(local.subsumed_by_within(&shift, &ctx, &gcomm_guard::Budget::unlimited()));
+        assert!(!shift.subsumed_by(&local, &ctx));
     }
 }

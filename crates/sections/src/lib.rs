@@ -19,13 +19,11 @@
 //!   `D1 ⊆ D2 ∧ M1(D1) ⊆ M2(D1)`.
 
 pub mod asd;
-pub mod intern;
 pub mod mapping;
 pub mod section;
 pub mod symcmp;
 
 pub use asd::Asd;
-pub use intern::{SectId, SectionAlgebra};
 pub use mapping::{Mapping, ReduceOp};
 pub use section::{DimSect, Section};
 pub use symcmp::SymCtx;

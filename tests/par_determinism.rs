@@ -9,17 +9,13 @@
 //! * the parallel exhaustive placement search returns the same schedule,
 //!   cost bits, node/prune counts, and `truncated` flag for any worker count — the
 //!   shared best-cost bound only prunes, and ties resolve by assignment
-//!   index;
-//! * the memoized section algebra answers exactly like the unmemoized
-//!   symbolic comparison.
+//!   index.
 
 use std::collections::BTreeMap;
 
 use gcomm::core::{optimal_placement_jobs, CombinePolicy, Compiled, SimConfig};
 use gcomm::machine::{NetworkModel, ProcGrid};
-use gcomm::sections::{DimSect, Section, SectionAlgebra, SymCtx};
 use gcomm::{compile, Budget, Strategy};
-use gcomm_ir::Affine;
 use proptest::hpf;
 
 const STRATEGIES: [Strategy; 4] = [
@@ -153,56 +149,5 @@ fn fuzz_seeds_are_jobs_invariant() {
     let parallel = compile_all(8);
     for (seed, (a, b)) in seeds.iter().zip(serial.iter().zip(&parallel)) {
         assert_eq!(a, b, "seed {seed}: schedules diverged between jobs 1 and 8");
-    }
-}
-
-/// Deterministic splitmix-style generator for random section shapes.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn random_section(state: &mut u64) -> Section {
-    let rank = 1 + (next(state) % 3) as usize;
-    let dims = (0..rank)
-        .map(|_| match next(state) % 8 {
-            0 => DimSect::Any,
-            1 => DimSect::Elem(Affine::constant((next(state) % 10) as i64)),
-            _ => {
-                let lo = (next(state) % 8) as i64;
-                let len = (next(state) % 12) as i64;
-                let step = 1 + (next(state) % 3) as i64;
-                DimSect::Range {
-                    lo: Affine::constant(lo),
-                    hi: Affine::constant(lo + len),
-                    step,
-                }
-            }
-        })
-        .collect();
-    Section::new(dims)
-}
-
-/// Memoized subsumption ≡ unmemoized symbolic subset on random pairs, and
-/// the memoized answer is stable across re-queries.
-#[test]
-fn memoized_subsumption_matches_unmemoized() {
-    let alg = SectionAlgebra::new();
-    let ctx = SymCtx::default();
-    let budget = Budget::unlimited();
-    let mut state = 0x5eed_u64;
-    let sections: Vec<Section> = (0..40).map(|_| random_section(&mut state)).collect();
-    let ids: Vec<_> = sections.iter().map(|s| alg.intern(s)).collect();
-    for (i, a) in sections.iter().enumerate() {
-        for (j, b) in sections.iter().enumerate() {
-            let direct = a.subset_of(b, &ctx);
-            let memo = alg.subset_of_within(a, ids[i], b, ids[j], &ctx, &budget);
-            assert_eq!(memo, direct, "pair ({i}, {j}): memoized answer diverged");
-            let again = alg.subset_of_within(a, ids[i], b, ids[j], &ctx, &budget);
-            assert_eq!(again, direct, "pair ({i}, {j}): memo hit diverged");
-        }
     }
 }
