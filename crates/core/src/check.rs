@@ -147,8 +147,8 @@ pub fn check_schedule(c: &Compiled) -> LegalityReport {
                 ));
             }
             let lvl = group.pos.level(&c.prog);
-            let cover = ctx.asd_at(c.schedule.entry(by), lvl);
-            let need = ctx.asd_at(absorbed, lvl);
+            let cover = ctx.asd_shared(c.schedule.entry(by), lvl);
+            let need = ctx.asd_shared(absorbed, lvl);
             if !need.subsumed_by(&cover, &ctx.sym) {
                 rep.errors.push(format!(
                     "{strategy:?}: data of {} not covered by {}",

@@ -9,12 +9,13 @@
 use std::collections::HashMap;
 
 use gcomm_coll::{CollConfig, PatternShape};
+use gcomm_guard::Budget;
 use gcomm_ir::StmtKind;
 use gcomm_ir::{AccessRef, LoopId, SubscriptIr, Var};
 use gcomm_machine::{CommPhase, CommProgram, Msg, MsgKind, PhaseItem, ProcGrid};
 use gcomm_sections::Mapping;
 
-use crate::ctx::AnalysisCtx;
+use crate::ctx::SectionCtx;
 use crate::entry::CommKind;
 use crate::pipeline::CompiledRef;
 use crate::schedule::PlacedGroup;
@@ -64,21 +65,24 @@ impl SimConfig {
 }
 
 /// Lowers a compiled procedure — a `&Compiled`, or a [`CompiledRef`] over
-/// separately held parts — to a concrete communication program.
+/// separately held parts — to a concrete communication program. Lowering
+/// needs the program and the widened sections, nothing else: neither this
+/// nor [`lower_to_sim_with`] builds dominators or SSA.
 pub fn lower_to_sim<'a>(compiled: impl Into<CompiledRef<'a>>, cfg: &SimConfig) -> CommProgram {
     let compiled = compiled.into();
-    lower_to_sim_with(compiled, cfg, &AnalysisCtx::new(compiled.prog))
+    let ctx = SectionCtx::with_budget(compiled.prog, Budget::unlimited());
+    lower_to_sim_with(compiled, cfg, &ctx)
 }
 
-/// Like [`lower_to_sim`], but reuses a caller-provided analysis context
-/// for the *same program*. Repeated lowerings — the exhaustive search
-/// scores thousands of schedules of one procedure — then share the
-/// context's section cache instead of rebuilding SSA, dominators, and
-/// every widened section per call.
+/// Like [`lower_to_sim`], but reuses a caller-provided section context
+/// (an `&AnalysisCtx` derefs to one) for the *same program*. Repeated
+/// lowerings — the optimal search scores thousands of schedules of one
+/// procedure — then share its `(entry, level) → ASD` cache instead of
+/// widening every section again per call.
 pub fn lower_to_sim_with<'a>(
     compiled: impl Into<CompiledRef<'a>>,
     cfg: &SimConfig,
-    ctx: &AnalysisCtx<'_>,
+    ctx: &SectionCtx<'_>,
 ) -> CommProgram {
     let compiled = compiled.into();
     let prog = compiled.prog;
@@ -124,7 +128,7 @@ pub(crate) fn loop_bindings(
 fn build_items(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
-    ctx: &AnalysisCtx<'_>,
+    ctx: &SectionCtx<'_>,
     mid: &HashMap<LoopId, i64>,
     trips: &HashMap<LoopId, u64>,
     context: Option<LoopId>,
@@ -239,7 +243,7 @@ fn bind_exact<'a>(
 fn group_msg(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
-    ctx: &AnalysisCtx<'_>,
+    ctx: &SectionCtx<'_>,
     mid: &HashMap<LoopId, i64>,
     g: &PlacedGroup,
     p_total: u64,
@@ -325,7 +329,7 @@ fn shift_distance(offsets: &[i64], grid: &ProcGrid) -> u64 {
 pub(crate) fn entry_msg_bytes(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
-    ctx: &AnalysisCtx<'_>,
+    ctx: &SectionCtx<'_>,
     mid: &HashMap<LoopId, i64>,
     eid: crate::entry::EntryId,
     mapping: &Mapping,
@@ -388,7 +392,7 @@ pub(crate) fn entry_msg_bytes(
 pub(crate) fn group_pattern(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
-    ctx: &AnalysisCtx<'_>,
+    ctx: &SectionCtx<'_>,
     mid: &HashMap<LoopId, i64>,
     head: crate::entry::EntryId,
     mapping: &Mapping,

@@ -7,27 +7,31 @@
 
 use gcomm_ir::Pos;
 
-use crate::ctx::AnalysisCtx;
+use crate::ctx::{ext_dep_at, AnalysisCtx};
 use crate::entry::CommEntry;
 
 /// `CommLevel(u)` (§4.2): `max_d DepLevel(d, u)` over the reaching regular
-/// definitions of the entry's reads (ENTRY pseudo-defs excluded).
+/// definitions of the entry's reads (ENTRY pseudo-defs excluded). One
+/// direction analysis per `(definition, use)` pair answers every level.
 pub fn comm_level(ctx: &AnalysisCtx<'_>, e: &CommEntry) -> u32 {
     let u_stmt = e.stmt;
     let mut level = 0u32;
     for &r in &e.reads {
-        let u_acc = ctx.read_access(u_stmt, r).clone();
+        let u_acc = ctx.read_access(u_stmt, r);
         for d in ctx.ssa.reaching_regular_defs(u_stmt, r) {
             let Some((d_acc, d_stmt)) = ctx.def_access(d) else {
                 continue;
             };
-            let d_acc = d_acc.clone();
             let cnl = ctx.prog.cnl(d_stmt, u_stmt);
-            for l in (level + 1..=cnl).rev() {
-                if ctx.ext_dep(d_stmt, &d_acc, u_stmt, &u_acc, l) {
-                    level = l;
-                    break;
-                }
+            if cnl <= level {
+                continue; // this pair cannot raise the level
+            }
+            let res = ctx.dep().analyze(d_stmt, d_acc, u_stmt, u_acc);
+            if let Some(l) = (level + 1..=cnl)
+                .rev()
+                .find(|&l| ext_dep_at(&res, d_stmt, u_stmt, l))
+            {
+                level = l;
             }
         }
     }

@@ -6,10 +6,10 @@
 //! precedes the use's — a forward-carried dependence). Per-dimension
 //! subscript constraints are intersected conservatively across dimensions.
 
-use gcomm_ir::{AccessRef, Affine, IrProgram, LoopId, StmtId, Var};
+use gcomm_ir::{AccessRef, Affine, IrProgram, StmtId, Var};
 use gcomm_sections::{DimSect, SymCtx};
 
-use crate::widen::widen_access;
+use crate::widen::widen_sub;
 
 /// A dependence direction at one loop level, for a definition→use pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,6 +86,23 @@ impl DepResult {
             allowed: vec![DirSet::EMPTY; levels],
         }
     }
+
+    /// The paper's `IsArrayDep(d, u, l)` (Fig. 8d) for `l >= 1`: a
+    /// direction vector `(0,…,0,+,…)` exists with the `+` at level `l`.
+    pub fn carried_at(&self, l: u32) -> bool {
+        let l = l as usize;
+        self.possible
+            && (1..=self.allowed.len()).contains(&l)
+            && self.allowed[..l - 1].iter().all(|s| s.contains(Dir::Zero))
+            && self.allowed[l - 1].contains(Dir::Pos)
+    }
+
+    /// True when the all-zero direction vector exists: the accesses can
+    /// touch one element in the same iteration of every common loop (a
+    /// loop-independent dependence when the definition comes first).
+    pub fn same_iteration(&self) -> bool {
+        self.possible && self.allowed.iter().all(|s| s.contains(Dir::Zero))
+    }
 }
 
 /// Runs the direction analysis between `d_acc` (written at `d_stmt`) and
@@ -98,30 +115,21 @@ pub fn analyze(
     u_acc: &AccessRef,
 ) -> DepResult {
     let ctx = SymCtx::default();
-    let d_chain = prog.stmt_loop_chain(d_stmt);
-    let u_chain = prog.stmt_loop_chain(u_stmt);
-    let common: Vec<LoopId> = d_chain
-        .iter()
-        .zip(u_chain.iter())
-        .take_while(|(a, b)| a == b)
-        .map(|(a, _)| *a)
-        .collect();
-    let cnl = common.len();
+    let cnl = prog.cnl(d_stmt, u_stmt);
 
-    // Widen both accesses down to the common nest: deeper loop variables are
-    // expanded to their ranges, so only common-loop variables remain.
-    let d_sect = widen_access(prog, d_acc, &d_chain, cnl as u32);
-    let u_sect = widen_access(prog, u_acc, &u_chain, cnl as u32);
-
-    let mut allowed = vec![DirSet::ALL; cnl];
-    for (dd, ud) in d_sect.dims.iter().zip(u_sect.dims.iter()) {
-        match dim_constraint(dd, ud, &common, &ctx) {
-            DimOutcome::Impossible => return DepResult::none(cnl),
+    // Widen both accesses down to the common nest, one dimension at a
+    // time: deeper loop variables are expanded to their ranges, so only
+    // common-loop variables remain.
+    let mut allowed = vec![DirSet::ALL; cnl as usize];
+    for (ds, us) in d_acc.subs.iter().zip(u_acc.subs.iter()) {
+        let (dd, ud) = (widen_sub(prog, ds, cnl), widen_sub(prog, us, cnl));
+        match dim_constraint(prog, &dd, &ud, cnl, &ctx) {
+            DimOutcome::Impossible => return DepResult::none(cnl as usize),
             DimOutcome::Unconstrained => {}
             DimOutcome::Level(k, set) => {
                 allowed[k] = allowed[k].intersect(set);
                 if allowed[k].is_empty() {
-                    return DepResult::none(cnl);
+                    return DepResult::none(cnl as usize);
                 }
             }
         }
@@ -131,10 +139,13 @@ pub fn analyze(
     // be mirrored. Stay conservative instead: any refinement at a
     // negative-step level widens back to all directions (overlap was
     // established; only ordering is uncertain).
-    for (k, &l) in common.iter().enumerate() {
-        if prog.loop_info(l).step < 0 && !allowed[k].is_empty() {
-            allowed[k] = DirSet::ALL;
+    let mut cur = prog.stmt(d_stmt).enclosing;
+    while let Some(l) = cur {
+        let li = prog.loop_info(l);
+        if li.level <= cnl && li.step < 0 {
+            allowed[li.level as usize - 1] = DirSet::ALL;
         }
+        cur = li.parent;
     }
     DepResult {
         possible: true,
@@ -151,118 +162,104 @@ enum DimOutcome {
     Level(usize, DirSet),
 }
 
-/// A window `lin(loops) + [lo_rest, hi_rest]` with parameter-only rests.
+/// A window `lin(loops) + [lo_rest, hi_rest]`: `lin` holds the
+/// common-loop terms (constant 0), the rests are parameter-only.
 struct Window {
-    coefs: Vec<i64>,
+    lin: Affine,
     lo_rest: Affine,
     hi_rest: Affine,
 }
 
-fn strip_loops(e: &Affine, common: &[LoopId]) -> Option<(Vec<i64>, Affine)> {
-    let mut coefs = vec![0i64; common.len()];
-    let mut rest = e.clone();
-    for (k, &l) in common.iter().enumerate() {
-        let c = e.coeff(Var::Loop(l));
-        if c != 0 {
-            coefs[k] = c;
-            rest = rest.sub(&Affine::new(0, [(Var::Loop(l), c)]));
-        }
-    }
-    // Any other surviving loop variable defeats the window analysis.
-    if rest.has_loop_vars() {
+/// Splits `e` into its common-loop terms and the rest.
+fn strip_loops(prog: &IrProgram, e: &Affine, cnl: u32) -> Option<(Affine, Affine)> {
+    // Any loop variable deeper than the common nest defeats the window
+    // analysis.
+    if e.loop_vars().any(|l| prog.loop_info(l).level > cnl) {
         return None;
     }
-    Some((coefs, rest))
+    let is_loop = |t: &&(Var, i64)| matches!(t.0, Var::Loop(_));
+    let lin = Affine::new(0, e.terms().iter().filter(is_loop).copied());
+    let rest = Affine::new(e.k, e.terms().iter().filter(|t| !is_loop(t)).copied());
+    Some((lin, rest))
 }
 
-fn window_of(d: &DimSect, common: &[LoopId]) -> Option<Window> {
-    match d {
-        DimSect::Any => None,
-        DimSect::Elem(e) => {
-            let (coefs, rest) = strip_loops(e, common)?;
-            Some(Window {
-                coefs,
-                lo_rest: rest.clone(),
-                hi_rest: rest,
-            })
-        }
-        DimSect::Range { lo, hi, .. } => {
-            let (clo, rlo) = strip_loops(lo, common)?;
-            let (chi, rhi) = strip_loops(hi, common)?;
-            if clo != chi {
+fn window_of(prog: &IrProgram, d: &DimSect, cnl: u32) -> Option<Window> {
+    let (lin, lo_rest) = strip_loops(prog, d.lo()?, cnl)?;
+    let hi_rest = match d {
+        DimSect::Range { hi, .. } => {
+            let (lin_hi, hi_rest) = strip_loops(prog, hi, cnl)?;
+            if lin != lin_hi {
                 return None; // triangular window: bounds move differently
             }
-            Some(Window {
-                coefs: clo,
-                lo_rest: rlo,
-                hi_rest: rhi,
-            })
+            hi_rest
         }
-    }
+        _ => lo_rest.clone(),
+    };
+    Some(Window {
+        lin,
+        lo_rest,
+        hi_rest,
+    })
 }
 
-fn dim_constraint(dd: &DimSect, ud: &DimSect, common: &[LoopId], ctx: &SymCtx) -> DimOutcome {
-    let (Some(wd), Some(wu)) = (window_of(dd, common), window_of(ud, common)) else {
+fn dim_constraint(
+    prog: &IrProgram,
+    dd: &DimSect,
+    ud: &DimSect,
+    cnl: u32,
+    ctx: &SymCtx,
+) -> DimOutcome {
+    let (Some(wd), Some(wu)) = (window_of(prog, dd, cnl), window_of(prog, ud, cnl)) else {
         return DimOutcome::Unconstrained;
     };
 
-    let active: Vec<usize> = (0..common.len())
-        .filter(|&k| wd.coefs[k] != 0 || wu.coefs[k] != 0)
-        .collect();
-
-    if active.is_empty() {
+    // The active loops: those either window moves with.
+    let mut active = wd.lin.terms().iter().chain(wu.lin.terms()).map(|t| t.0);
+    let Some(first) = active.next() else {
         // Loop-invariant windows: plain (stride-aware) overlap test.
         return if dd.overlaps(ud, ctx) {
             DimOutcome::Unconstrained
         } else {
             DimOutcome::Impossible
         };
-    }
+    };
 
     // Overlap condition: lin_d(id) - lin_u(iu) ∈ [L, U] with
     // L = u.lo - d.hi, U = u.hi - d.lo.
     let l_expr = wu.lo_rest.sub(&wd.hi_rest);
     let u_expr = wu.hi_rest.sub(&wd.lo_rest);
+    let bounds = l_expr.as_const().zip(u_expr.as_const());
 
-    if active.len() == 1 {
-        let k = active[0];
-        let (cd, cu) = (wd.coefs[k], wu.coefs[k]);
-        if cd == cu && cd != 0 {
+    if active.all(|v| v == first) {
+        let (cd, cu) = (wd.lin.coeff(first), wu.lin.coeff(first));
+        if cd == cu {
             // Strong SIV with a window: c·(id - iu) ∈ [L, U], i.e.
             // c·δ ∈ [-U, -L] with δ = iu - id.
-            if let (Some(lc), Some(uc)) = (l_expr.as_const(), u_expr.as_const()) {
-                return match int_mult_interval(-uc, -lc, cd) {
-                    None => DimOutcome::Impossible,
-                    Some((dlo, dhi)) => DimOutcome::Level(
-                        k,
-                        DirSet::from_flags(dlo <= -1, dlo <= 0 && 0 <= dhi, dhi >= 1),
-                    ),
-                };
-            }
-            // Symbolic window: if provably 0 ∉ feasible set in one
-            // direction we could refine; stay conservative.
-            return DimOutcome::Unconstrained;
+            let (Some((lc, uc)), Var::Loop(l)) = (bounds, first) else {
+                // Symbolic window: if provably 0 ∉ feasible set in one
+                // direction we could refine; stay conservative.
+                return DimOutcome::Unconstrained;
+            };
+            return match int_mult_interval(-uc, -lc, cd) {
+                None => DimOutcome::Impossible,
+                Some((dlo, dhi)) => DimOutcome::Level(
+                    prog.loop_info(l).level as usize - 1,
+                    DirSet::from_flags(dlo <= -1, dlo <= 0 && 0 <= dhi, dhi >= 1),
+                ),
+            };
         }
-        // Differing coefficients (weak SIV): point-equation GCD feasibility.
-        if let (Some(lc), Some(uc)) = (l_expr.as_const(), u_expr.as_const()) {
-            if lc == uc {
-                let g = gcd(cd.unsigned_abs(), cu.unsigned_abs());
-                if g != 0 && lc.unsigned_abs() % g != 0 {
-                    return DimOutcome::Impossible;
-                }
-            }
-        }
-        return DimOutcome::Unconstrained;
     }
 
-    // MIV: GCD feasibility on a point equation, otherwise unconstrained.
-    if let (Some(lc), Some(uc)) = (l_expr.as_const(), u_expr.as_const()) {
+    // Differing coefficients (weak SIV) or several loops (MIV): GCD
+    // feasibility on a point equation, otherwise unconstrained.
+    if let Some((lc, uc)) = bounds {
         if lc == uc {
-            let mut g: u64 = 0;
-            for &k in &active {
-                g = gcd(g, wd.coefs[k].unsigned_abs());
-                g = gcd(g, wu.coefs[k].unsigned_abs());
-            }
+            let g = wd
+                .lin
+                .terms()
+                .iter()
+                .chain(wu.lin.terms())
+                .fold(0, |g, t| gcd(g, t.1.unsigned_abs()));
             if g != 0 && lc.unsigned_abs() % g != 0 {
                 return DimOutcome::Impossible;
             }

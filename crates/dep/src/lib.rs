@@ -56,6 +56,11 @@ impl<'a> DepTest<'a> {
     ///
     /// `l == 0` asks for a loop-independent dependence: all-zero directions
     /// with the definition textually preceding the use.
+    ///
+    /// One analysis answers every level: callers asking about several
+    /// should take [`analyze`](Self::analyze)'s [`DepResult`] and read
+    /// [`carried_at`](DepResult::carried_at) /
+    /// [`same_iteration`](DepResult::same_iteration) off it.
     pub fn is_array_dep(
         &self,
         d_stmt: StmtId,
@@ -64,21 +69,12 @@ impl<'a> DepTest<'a> {
         u_acc: &AccessRef,
         l: u32,
     ) -> bool {
-        let cnl = self.prog.cnl(d_stmt, u_stmt);
-        if l > cnl {
-            return false;
-        }
         let res = self.analyze(d_stmt, d_acc, u_stmt, u_acc);
-        if !res.possible {
-            return false;
-        }
         if l == 0 {
-            // Loop-independent: all common levels zero and d before u.
-            return res.allowed.iter().all(|s| s.contains(Dir::Zero)) && d_stmt < u_stmt;
+            res.same_iteration() && d_stmt < u_stmt
+        } else {
+            res.carried_at(l)
         }
-        let l = l as usize;
-        res.allowed[..l - 1].iter().all(|s| s.contains(Dir::Zero))
-            && res.allowed[l - 1].contains(Dir::Pos)
     }
 
     /// The paper's `DepLevel(d, u)`: the deepest loop level carrying a true
@@ -90,10 +86,10 @@ impl<'a> DepTest<'a> {
         u_stmt: StmtId,
         u_acc: &AccessRef,
     ) -> u32 {
-        let cnl = self.prog.cnl(d_stmt, u_stmt);
-        (1..=cnl)
+        let res = self.analyze(d_stmt, d_acc, u_stmt, u_acc);
+        (1..=res.allowed.len() as u32)
             .rev()
-            .find(|&l| self.is_array_dep(d_stmt, d_acc, u_stmt, u_acc, l))
+            .find(|&l| res.carried_at(l))
             .unwrap_or(0)
     }
 }

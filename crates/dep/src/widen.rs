@@ -11,77 +11,83 @@
 //! single-variable unit-coefficient subscripts (so `b(i-1, j)` inside
 //! `do j = 1, n, 2` widens to `b(i-1, 1:n:2)`), and bounds substitution
 //! extends ranges monotonically otherwise.
+//!
+//! The kept prefix is named by its depth alone. A subscript mentions only
+//! variables of loops enclosing its statement, and a loop bound only
+//! variables of loops enclosing that loop, so every variable widening can
+//! meet lies on the statement's own loop chain — where "in the first
+//! `keep_level` loops" is `LoopInfo::level <= keep_level`. No chain is
+//! built.
 
 use gcomm_ir::{AccessRef, Affine, IrProgram, LoopId, SubscriptIr, Var};
 use gcomm_sections::{DimSect, Section};
 
-/// Widens `acc` (made at a statement whose loop chain is `chain`) so that
-/// only variables of `chain[..keep_level]` remain; all deeper or sibling
-/// loop variables are expanded over their iteration ranges.
-pub fn widen_access(
-    prog: &IrProgram,
-    acc: &AccessRef,
-    chain: &[LoopId],
-    keep_level: u32,
-) -> Section {
-    let keep: Vec<LoopId> = chain[..(keep_level as usize).min(chain.len())].to_vec();
-    let dims = acc.subs.iter().map(|s| widen_sub(prog, s, &keep)).collect();
-    Section::new(dims)
+/// Widens `acc` so that only variables of the `keep_level` outermost loops
+/// around its statement remain; all deeper loop variables are expanded
+/// over their iteration ranges.
+pub fn widen_access(prog: &IrProgram, acc: &AccessRef, keep_level: u32) -> Section {
+    Section::new(
+        acc.subs
+            .iter()
+            .map(|s| widen_sub(prog, s, keep_level))
+            .collect(),
+    )
 }
 
-/// Widens every subscript of `acc` over the full nest (no loops kept).
-pub fn widen_fully(prog: &IrProgram, acc: &AccessRef, chain: &[LoopId]) -> Section {
-    widen_access(prog, acc, chain, 0)
-}
-
-/// Budgeted [`widen_access`]: charges steps proportional to the work
-/// (one per subscript per eliminated loop) and notes the transient memory
-/// of the produced section, so widening-heavy programs exhaust a compile
-/// budget like any other super-linear analysis. The *result* is never
-/// degraded — widening is already a bounded superset approximation, and a
-/// wrong section (unlike a skipped optimization) could be illegal — so
+/// Budgeted [`widen_access`] of an access made at nesting level
+/// `stmt_level`: charges steps proportional to the work (one per
+/// subscript per eliminated loop) and notes the transient memory of the
+/// produced section, so widening-heavy programs exhaust a compile budget
+/// like any other super-linear analysis. The *result* is never degraded —
+/// widening is already a bounded superset approximation, and a wrong
+/// section (unlike a skipped optimization) could be illegal — so
 /// exhaustion here only makes the *passes* above degrade sooner.
 pub fn widen_access_within(
     prog: &IrProgram,
     acc: &AccessRef,
-    chain: &[LoopId],
+    stmt_level: u32,
     keep_level: u32,
     budget: &gcomm_guard::Budget,
 ) -> Section {
-    let eliminated = chain.len().saturating_sub(keep_level as usize).max(1);
-    budget.charge((acc.subs.len() * eliminated) as u64);
-    let s = widen_access(prog, acc, chain, keep_level);
+    let eliminated = stmt_level.saturating_sub(keep_level).max(1);
+    budget.charge(acc.subs.len() as u64 * u64::from(eliminated));
+    let s = widen_access(prog, acc, keep_level);
     // Rough transient footprint: each dimension holds two affine bounds.
     budget.note_mem(s.rank() as u64 * 64);
     s
 }
 
-fn widen_sub(prog: &IrProgram, sub: &SubscriptIr, keep: &[LoopId]) -> DimSect {
+/// Widens one subscript (see [`widen_access`]).
+pub(crate) fn widen_sub(prog: &IrProgram, sub: &SubscriptIr, keep_level: u32) -> DimSect {
     match sub {
         SubscriptIr::NonAffine => DimSect::Any,
-        SubscriptIr::Elem(e) => widen_elem(prog, e, keep),
-        SubscriptIr::Range { lo, hi, step } => widen_range(prog, lo, hi, *step, keep),
+        SubscriptIr::Elem(e) => widen_elem(prog, e, keep_level),
+        SubscriptIr::Range { lo, hi, step } => widen_range(prog, lo, hi, *step, keep_level),
     }
 }
 
-/// Variables to eliminate: loop vars not in `keep`.
-fn bad_vars(e: &Affine, keep: &[LoopId]) -> Vec<(LoopId, i64)> {
-    e.terms()
-        .iter()
-        .filter_map(|&(v, c)| match v {
-            Var::Loop(l) if !keep.contains(&l) => Some((l, c)),
-            _ => None,
-        })
-        .collect()
+/// Variables to eliminate: loop vars deeper than `keep_level`.
+fn bad_vars<'a>(
+    prog: &'a IrProgram,
+    e: &'a Affine,
+    keep_level: u32,
+) -> impl Iterator<Item = (LoopId, i64)> + 'a {
+    e.terms().iter().filter_map(move |&(v, c)| match v {
+        Var::Loop(l) if prog.loop_info(l).level > keep_level => Some((l, c)),
+        _ => None,
+    })
+}
+
+fn is_clean(prog: &IrProgram, e: &Affine, keep_level: u32) -> bool {
+    bad_vars(prog, e, keep_level).next().is_none()
 }
 
 /// Substitutes eliminated loop vars in a *bound* expression, choosing the
 /// loop bound that pushes the expression toward `minimize` (down) or up.
-fn saturate_bound(prog: &IrProgram, e: &Affine, keep: &[LoopId], minimize: bool) -> Option<Affine> {
+fn saturate_bound(prog: &IrProgram, e: &Affine, keep_level: u32, minimize: bool) -> Option<Affine> {
     let mut cur = e.clone();
     for _ in 0..16 {
-        let bad = bad_vars(&cur, keep);
-        let Some(&(l, c)) = bad.first() else {
+        let Some((l, c)) = bad_vars(prog, &cur, keep_level).next() else {
             return Some(cur);
         };
         let li = prog.loop_info(l);
@@ -99,50 +105,47 @@ fn saturate_bound(prog: &IrProgram, e: &Affine, keep: &[LoopId], minimize: bool)
     None
 }
 
-fn widen_elem(prog: &IrProgram, e: &Affine, keep: &[LoopId]) -> DimSect {
-    let bad = bad_vars(e, keep);
-    if bad.is_empty() {
+fn widen_elem(prog: &IrProgram, e: &Affine, keep_level: u32) -> DimSect {
+    let mut bad = bad_vars(prog, e, keep_level);
+    let Some((l, c)) = bad.next() else {
         return DimSect::Elem(e.clone());
-    }
+    };
     // Stride preservation: single eliminated variable whose loop bounds are
     // already clean (no further eliminated vars).
-    if bad.len() == 1 {
-        let (l, c) = bad[0];
-        let li = prog.loop_info(l);
-        let bounds_clean = bad_vars(&li.lo, keep).is_empty() && bad_vars(&li.hi, keep).is_empty();
-        if bounds_clean {
-            let (vmin, vmax) = if li.step > 0 {
-                (&li.lo, &li.hi)
-            } else {
-                (&li.hi, &li.lo)
-            };
-            let (lo, hi) = if c > 0 {
-                (e.subst(Var::Loop(l), vmin), e.subst(Var::Loop(l), vmax))
-            } else {
-                (e.subst(Var::Loop(l), vmax), e.subst(Var::Loop(l), vmin))
-            };
-            let stride = (c * li.step).unsigned_abs() as i64;
-            return DimSect::Range {
-                lo,
-                hi,
-                step: stride.max(1),
-            };
-        }
+    let li = prog.loop_info(l);
+    if bad.next().is_none()
+        && is_clean(prog, &li.lo, keep_level)
+        && is_clean(prog, &li.hi, keep_level)
+    {
+        let (vmin, vmax) = if li.step > 0 {
+            (&li.lo, &li.hi)
+        } else {
+            (&li.hi, &li.lo)
+        };
+        let (lo, hi) = if c > 0 {
+            (e.subst(Var::Loop(l), vmin), e.subst(Var::Loop(l), vmax))
+        } else {
+            (e.subst(Var::Loop(l), vmax), e.subst(Var::Loop(l), vmin))
+        };
+        let stride = (c * li.step).unsigned_abs() as i64;
+        return DimSect::Range {
+            lo,
+            hi,
+            step: stride.max(1),
+        };
     }
     // General case: saturate both directions, densify.
     match (
-        saturate_bound(prog, e, keep, true),
-        saturate_bound(prog, e, keep, false),
+        saturate_bound(prog, e, keep_level, true),
+        saturate_bound(prog, e, keep_level, false),
     ) {
         (Some(lo), Some(hi)) => DimSect::Range { lo, hi, step: 1 },
         _ => DimSect::Any,
     }
 }
 
-fn widen_range(prog: &IrProgram, lo: &Affine, hi: &Affine, step: i64, keep: &[LoopId]) -> DimSect {
-    let lo_clean = bad_vars(lo, keep).is_empty();
-    let hi_clean = bad_vars(hi, keep).is_empty();
-    if lo_clean && hi_clean {
+fn widen_range(prog: &IrProgram, lo: &Affine, hi: &Affine, step: i64, keep_level: u32) -> DimSect {
+    if is_clean(prog, lo, keep_level) && is_clean(prog, hi, keep_level) {
         return DimSect::Range {
             lo: lo.clone(),
             hi: hi.clone(),
@@ -150,8 +153,8 @@ fn widen_range(prog: &IrProgram, lo: &Affine, hi: &Affine, step: i64, keep: &[Lo
         };
     }
     match (
-        saturate_bound(prog, lo, keep, true),
-        saturate_bound(prog, hi, keep, false),
+        saturate_bound(prog, lo, keep_level, true),
+        saturate_bound(prog, hi, keep_level, false),
     ) {
         // A moving window loses stride alignment guarantees; keep the stride
         // only if the window moves by multiples of it (conservative: same
@@ -196,8 +199,7 @@ enddo
 end",
         );
         let acc = read_acc(&p, StmtId(0), 0);
-        let chain = p.stmt_loop_chain(StmtId(0));
-        let s = widen_access(&p, &acc, &chain, 0);
+        let s = widen_access(&p, &acc, 0);
         // a(i-1, ·) over i = 2..n widens to rows 1..n-1.
         match &s.dims[0] {
             DimSect::Range { lo, hi, step } => {
@@ -225,15 +227,14 @@ enddo
 end",
         );
         let acc = read_acc(&p, StmtId(0), 0);
-        let chain = p.stmt_loop_chain(StmtId(0));
         // Keep the timestep loop (level 1), widen the i loop only.
-        let s = widen_access(&p, &acc, &chain, 1);
+        let s = widen_access(&p, &acc, 1);
         match &s.dims[0] {
             DimSect::Range { lo, .. } => assert!(!lo.has_loop_vars()),
             other => panic!("{other:?}"),
         }
         // Keeping both loops leaves the element subscript intact.
-        let s2 = widen_access(&p, &acc, &chain, 2);
+        let s2 = widen_access(&p, &acc, 2);
         assert!(matches!(&s2.dims[0], DimSect::Elem(e) if e.has_loop_vars()));
     }
 
@@ -252,8 +253,7 @@ enddo
 end",
         );
         let acc = read_acc(&p, StmtId(0), 0);
-        let chain = p.stmt_loop_chain(StmtId(0));
-        let s = widen_access(&p, &acc, &chain, 1); // widen j, keep i
+        let s = widen_access(&p, &acc, 1); // widen j, keep i
         match &s.dims[1] {
             DimSect::Range { lo, hi, step } => {
                 assert_eq!(lo.as_const(), Some(1));
@@ -284,8 +284,7 @@ enddo
 end",
         );
         let acc = read_acc(&p, StmtId(0), 0);
-        let chain = p.stmt_loop_chain(StmtId(0));
-        let s = widen_access(&p, &acc, &chain, 0);
+        let s = widen_access(&p, &acc, 0);
         match &s.dims[0] {
             DimSect::Range { lo, hi, .. } => {
                 // n - i + 1 over i = 1..n: range 1..n.
@@ -313,8 +312,7 @@ enddo
 end",
         );
         let lhs = p.stmt(StmtId(0)).kind.def().unwrap().clone();
-        let chain = p.stmt_loop_chain(StmtId(0));
-        let s = widen_access(&p, &lhs, &chain, 0);
+        let s = widen_access(&p, &lhs, 0);
         match &s.dims[1] {
             DimSect::Range { lo, hi, .. } => {
                 assert_eq!(lo.as_const(), Some(1));
@@ -340,8 +338,7 @@ enddo
 end",
         );
         let acc = read_acc(&p, StmtId(0), 0);
-        let chain = p.stmt_loop_chain(StmtId(0));
-        let s = widen_access(&p, &acc, &chain, 0);
+        let s = widen_access(&p, &acc, 0);
         assert!(matches!(s.dims[0], DimSect::Any));
     }
 }

@@ -4,9 +4,14 @@
 //! expressions `k + Σ cᵢ·vᵢ` where each `vᵢ` is a program size parameter
 //! (`n`, `nx`, …) or a loop variable. Terms are kept sorted by variable so
 //! equality is structural.
+//!
+//! Almost every expression the analyses touch has one or two terms, so the
+//! terms live inline (up to [`INLINE`]) and only a longer list spills to
+//! the heap; sums and substitutions are linear merges of two sorted lists.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::program::{LoopId, ParamId};
 
@@ -19,53 +24,116 @@ pub enum Var {
     Loop(LoopId),
 }
 
+type Term = (Var, i64);
+
+/// Terms held without a heap block.
+const INLINE: usize = 3;
+
+/// Filler of the unused inline slots (never observable through `terms()`).
+const NIL: Term = (Var::Param(ParamId(0)), 0);
+
+/// A term list: inline up to [`INLINE`] terms, on the heap beyond.
+#[derive(Clone)]
+enum Terms {
+    Inline(u8, [Term; INLINE]),
+    Heap(Vec<Term>),
+}
+
+impl Terms {
+    const EMPTY: Terms = Terms::Inline(0, [NIL; INLINE]);
+
+    fn as_slice(&self) -> &[Term] {
+        match self {
+            Terms::Inline(n, buf) => &buf[..*n as usize],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Term] {
+        match self {
+            Terms::Inline(n, buf) => &mut buf[..*n as usize],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn push(&mut self, t: Term) {
+        match self {
+            Terms::Inline(n, buf) if (*n as usize) < INLINE => {
+                buf[*n as usize] = t;
+                *n += 1;
+            }
+            Terms::Inline(_, buf) => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(buf);
+                v.push(t);
+                *self = Terms::Heap(v);
+            }
+            Terms::Heap(v) => v.push(t),
+        }
+    }
+
+    fn push_nonzero(&mut self, v: Var, c: i64) {
+        if c != 0 {
+            self.push((v, c));
+        }
+    }
+}
+
 /// An affine expression: constant plus a sum of integer-scaled variables.
 ///
 /// The representation is canonical: terms are sorted by variable and no term
 /// has a zero coefficient, so `PartialEq`/`Hash` give semantic equality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+/// Equality, hashing and `Debug` read the term *slice*, so they do not
+/// depend on whether the list is inline or spilled — fingerprints of
+/// programs are persisted and must not move with the storage.
+#[derive(Clone)]
 pub struct Affine {
     /// Constant term.
     pub k: i64,
     /// Scaled variables, sorted by `Var`, no zero coefficients.
-    terms: Vec<(Var, i64)>,
+    terms: Terms,
 }
 
 impl Affine {
     /// The constant expression `k`.
     pub fn constant(k: i64) -> Self {
-        Affine { k, terms: vec![] }
+        Affine {
+            k,
+            terms: Terms::EMPTY,
+        }
     }
 
     /// The expression `v` (coefficient 1).
     pub fn var(v: Var) -> Self {
-        Affine {
-            k: 0,
-            terms: vec![(v, 1)],
-        }
+        let mut terms = Terms::EMPTY;
+        terms.push((v, 1));
+        Affine { k: 0, terms }
     }
 
     /// Builds from a constant and arbitrary (possibly unsorted, duplicated)
     /// terms.
     pub fn new(k: i64, terms: impl IntoIterator<Item = (Var, i64)>) -> Self {
-        let mut map: BTreeMap<Var, i64> = BTreeMap::new();
-        for (v, c) in terms {
-            *map.entry(v).or_insert(0) += c;
+        let mut raw = Terms::EMPTY;
+        for t in terms {
+            raw.push(t);
         }
-        Affine {
-            k,
-            terms: map.into_iter().filter(|&(_, c)| c != 0).collect(),
+        raw.as_mut_slice().sort_unstable_by_key(|&(v, _)| v);
+        // Fold each run of one variable; a zero sum drops out.
+        let mut out = Terms::EMPTY;
+        for run in raw.as_slice().chunk_by(|a, b| a.0 == b.0) {
+            out.push_nonzero(run[0].0, run.iter().map(|t| t.1).sum());
         }
+        Affine { k, terms: out }
     }
 
     /// The terms, sorted by variable.
     pub fn terms(&self) -> &[(Var, i64)] {
-        &self.terms
+        self.terms.as_slice()
     }
 
     /// Coefficient of `v` (0 if absent).
     pub fn coeff(&self, v: Var) -> i64 {
-        self.terms
+        self.terms()
             .iter()
             .find(|&&(tv, _)| tv == v)
             .map_or(0, |&(_, c)| c)
@@ -73,7 +141,7 @@ impl Affine {
 
     /// True if the expression is a plain constant.
     pub fn is_const(&self) -> bool {
-        self.terms.is_empty()
+        self.terms().is_empty()
     }
 
     /// Returns the constant value if the expression is constant.
@@ -83,28 +151,61 @@ impl Affine {
 
     /// True if the expression mentions any loop variable.
     pub fn has_loop_vars(&self) -> bool {
-        self.terms.iter().any(|(v, _)| matches!(v, Var::Loop(_)))
+        self.terms().iter().any(|(v, _)| matches!(v, Var::Loop(_)))
     }
 
     /// All loop variables mentioned.
     pub fn loop_vars(&self) -> impl Iterator<Item = LoopId> + '_ {
-        self.terms.iter().filter_map(|(v, _)| match v {
+        self.terms().iter().filter_map(|(v, _)| match v {
             Var::Loop(l) => Some(*l),
             Var::Param(_) => None,
         })
     }
 
+    /// `self` without its `skip` term, plus `c · other`: one linear merge
+    /// of the two canonical lists (`c` must be non-zero).
+    fn merge(&self, skip: Option<Var>, other: &Affine, c: i64) -> Affine {
+        let mut a = self
+            .terms()
+            .iter()
+            .copied()
+            .filter(|&(v, _)| Some(v) != skip);
+        let mut b = other.terms().iter().map(|&(v, cb)| (v, cb * c));
+        let (mut ta, mut tb) = (a.next(), b.next());
+        let mut out = Terms::EMPTY;
+        loop {
+            let ((v, coef), step_a, step_b) = match (ta, tb) {
+                (Some((va, ca)), Some((vb, cb))) => match va.cmp(&vb) {
+                    Ordering::Less => ((va, ca), true, false),
+                    Ordering::Greater => ((vb, cb), false, true),
+                    Ordering::Equal => ((va, ca + cb), true, true),
+                },
+                (Some(t), None) => (t, true, false),
+                (None, Some(t)) => (t, false, true),
+                (None, None) => break,
+            };
+            out.push_nonzero(v, coef);
+            if step_a {
+                ta = a.next();
+            }
+            if step_b {
+                tb = b.next();
+            }
+        }
+        Affine {
+            k: self.k + other.k * c,
+            terms: out,
+        }
+    }
+
     /// Sum of two expressions.
     pub fn add(&self, other: &Affine) -> Affine {
-        Affine::new(
-            self.k + other.k,
-            self.terms.iter().chain(other.terms.iter()).copied(),
-        )
+        self.merge(None, other, 1)
     }
 
     /// Difference `self - other`.
     pub fn sub(&self, other: &Affine) -> Affine {
-        self.add(&other.scale(-1))
+        self.merge(None, other, -1)
     }
 
     /// Adds a constant.
@@ -120,23 +221,20 @@ impl Affine {
         if c == 0 {
             return Affine::constant(0);
         }
-        Affine {
-            k: self.k * c,
-            terms: self.terms.iter().map(|&(v, t)| (v, t * c)).collect(),
+        let mut out = self.clone();
+        out.k *= c;
+        for t in out.terms.as_mut_slice() {
+            t.1 *= c;
         }
+        out
     }
 
     /// Substitutes `v := e` and returns the result.
     pub fn subst(&self, v: Var, e: &Affine) -> Affine {
-        let c = self.coeff(v);
-        if c == 0 {
-            return self.clone();
+        match self.coeff(v) {
+            0 => self.clone(),
+            c => self.merge(Some(v), e, c),
         }
-        let rest = Affine::new(
-            self.k,
-            self.terms.iter().copied().filter(|&(tv, _)| tv != v),
-        );
-        rest.add(&e.scale(c))
     }
 
     /// Evaluates with the given variable bindings.
@@ -144,7 +242,7 @@ impl Affine {
     /// Returns `None` if some variable is unbound.
     pub fn eval(&self, bind: &dyn Fn(Var) -> Option<i64>) -> Option<i64> {
         let mut acc = self.k;
-        for &(v, c) in &self.terms {
+        for &(v, c) in self.terms() {
             acc += c * bind(v)?;
         }
         Some(acc)
@@ -152,7 +250,39 @@ impl Affine {
 
     /// Difference `self - other` if it is a compile-time constant.
     pub fn const_diff(&self, other: &Affine) -> Option<i64> {
-        self.sub(other).as_const()
+        (self.terms() == other.terms()).then(|| self.k - other.k)
+    }
+}
+
+impl Default for Affine {
+    fn default() -> Self {
+        Affine::constant(0)
+    }
+}
+
+impl PartialEq for Affine {
+    fn eq(&self, other: &Affine) -> bool {
+        self.k == other.k && self.terms() == other.terms()
+    }
+}
+
+impl Eq for Affine {}
+
+/// Hashes exactly as the derived impl over `{ k: i64, terms: Vec<_> }`
+/// did (a slice hashes like a `Vec`): stored fingerprints stay valid.
+impl Hash for Affine {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.k.hash(state);
+        self.terms().hash(state);
+    }
+}
+
+impl fmt::Debug for Affine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Affine")
+            .field("k", &self.k)
+            .field("terms", &self.terms())
+            .finish()
     }
 }
 
@@ -165,11 +295,11 @@ impl From<i64> for Affine {
 impl fmt::Display for Affine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        if self.k != 0 || self.terms.is_empty() {
+        if self.k != 0 || self.is_const() {
             write!(f, "{}", self.k)?;
             first = false;
         }
-        for &(v, c) in &self.terms {
+        for &(v, c) in self.terms() {
             if first {
                 if c == -1 {
                     write!(f, "-")?;

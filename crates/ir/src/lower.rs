@@ -117,9 +117,9 @@ impl std::error::Error for LowerError {}
 pub fn lower(ast: &Program) -> Result<IrProgram, LowerError> {
     let _t = gcomm_obs::time("ir.lower");
     // Reject over-deep ASTs before anything recursive touches them: the
-    // lowerer clones the body and walks it with recursive descent, and the
-    // derived `Clone`/`Drop` impls themselves recurse per nesting level.
-    // This scan is iterative, so it is safe at any depth.
+    // lowerer walks the body with recursive descent, and the derived
+    // `Drop` impl itself recurses per nesting level. This scan is
+    // iterative, so it is safe at any depth.
     if let Some(line) = deeper_than(&ast.body, MAX_NESTING) {
         return Err(LowerError::NestingTooDeep { line });
     }
@@ -162,13 +162,15 @@ fn deeper_than(body: &[Stmt], limit: usize) -> Option<u32> {
     None
 }
 
+/// Borrows the AST for its whole run: names are looked up as `&'a str`
+/// slices of it and statement bodies are walked in place.
 struct Lowerer<'a> {
     ast: &'a Program,
-    params: HashMap<String, ParamId>,
-    arrays: HashMap<String, ArrayId>,
+    params: HashMap<&'a str, ParamId>,
+    arrays: HashMap<&'a str, ArrayId>,
     array_infos: Vec<ArrayInfo>,
     loops: Vec<LoopInfo>,
-    loop_vars: Vec<(String, LoopId)>,
+    loop_vars: Vec<(&'a str, LoopId)>,
     stmts: Vec<StmtInfo>,
     cfg: Cfg,
     cur: NodeId,
@@ -178,11 +180,11 @@ struct Lowerer<'a> {
 
 impl<'a> Lowerer<'a> {
     fn new(ast: &'a Program) -> Result<Self, LowerError> {
-        let params: HashMap<String, ParamId> = ast
+        let params: HashMap<&str, ParamId> = ast
             .params
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.clone(), ParamId(i as u32)))
+            .map(|(i, n)| (n.as_str(), ParamId(i as u32)))
             .collect();
 
         let mut this = Lowerer {
@@ -215,7 +217,7 @@ impl<'a> Lowerer<'a> {
                 dims.push((lo, hi));
             }
             let id = ArrayId(this.array_infos.len() as u32);
-            this.arrays.insert(decl.name.clone(), id);
+            this.arrays.insert(&decl.name, id);
             this.array_infos.push(ArrayInfo {
                 name: decl.name.clone(),
                 dims,
@@ -232,8 +234,8 @@ impl<'a> Lowerer<'a> {
         self.cfg.add_edge(self.cfg.entry, first);
         self.cur = first;
 
-        let body = self.ast.body.clone();
-        self.lower_stmts(&body)?;
+        let ast = self.ast;
+        self.lower_stmts(&ast.body)?;
 
         let exit = self.cfg.add_node(NodeKind::Exit, None, 0);
         self.cfg.add_edge(self.cur, exit);
@@ -258,7 +260,7 @@ impl<'a> Lowerer<'a> {
         self.loop_vars.len() as u32
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<(), LowerError> {
+    fn lower_stmts(&mut self, stmts: &'a [Stmt]) -> Result<(), LowerError> {
         if self.depth >= MAX_NESTING {
             // Best-effort source location: the first assignment in the
             // too-deep block (loops and ifs carry no line of their own).
@@ -277,7 +279,7 @@ impl<'a> Lowerer<'a> {
         r
     }
 
-    fn lower_stmts_tail(&mut self, stmts: &[Stmt]) -> Result<(), LowerError> {
+    fn lower_stmts_tail(&mut self, stmts: &'a [Stmt]) -> Result<(), LowerError> {
         for s in stmts {
             match s {
                 Stmt::Assign(a) => self.lower_assign(a)?,
@@ -303,7 +305,7 @@ impl<'a> Lowerer<'a> {
         id
     }
 
-    fn lower_assign(&mut self, a: &Assign) -> Result<(), LowerError> {
+    fn lower_assign(&mut self, a: &'a Assign) -> Result<(), LowerError> {
         let lhs = self.lower_ref(&a.lhs, a.line)?;
         let mut reads = Vec::new();
         let mut err = None;
@@ -316,8 +318,8 @@ impl<'a> Lowerer<'a> {
             // Bare names that are loop variables or parameters are not array
             // reads.
             if r.subs.is_empty()
-                && (self.params.contains_key(&r.array)
-                    || self.loop_vars.iter().any(|(v, _)| v == &r.array))
+                && (self.params.contains_key(r.array.as_str())
+                    || self.loop_vars.iter().any(|(v, _)| *v == r.array))
             {
                 return;
             }
@@ -345,7 +347,7 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn lower_do(&mut self, d: &gcomm_lang::DoLoop) -> Result<(), LowerError> {
+    fn lower_do(&mut self, d: &'a gcomm_lang::DoLoop) -> Result<(), LowerError> {
         let outer = self.cur_loop();
         let outer_level = self.cur_level();
         let lo = self
@@ -386,7 +388,7 @@ impl<'a> Lowerer<'a> {
         let body = self.cfg.add_node(NodeKind::Block, Some(l), outer_level + 1);
         self.cfg.add_edge(header, body);
         self.cur = body;
-        self.loop_vars.push((d.var.clone(), l));
+        self.loop_vars.push((&d.var, l));
         self.lower_stmts(&d.body)?;
         self.loop_vars.pop();
         // Backedge.
@@ -404,7 +406,7 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn lower_if(&mut self, i: &gcomm_lang::IfStmt) -> Result<(), LowerError> {
+    fn lower_if(&mut self, i: &'a gcomm_lang::IfStmt) -> Result<(), LowerError> {
         // Lower the condition's array reads as a Cond pseudo-statement so the
         // branch point is a valid communication position.
         let mut reads = Vec::new();
@@ -414,8 +416,8 @@ impl<'a> Lowerer<'a> {
                 return;
             }
             if r.subs.is_empty()
-                && (self.params.contains_key(&r.array)
-                    || self.loop_vars.iter().any(|(v, _)| v == &r.array))
+                && (self.params.contains_key(r.array.as_str())
+                    || self.loop_vars.iter().any(|(v, _)| *v == r.array))
             {
                 return;
             }
@@ -463,7 +465,7 @@ impl<'a> Lowerer<'a> {
     fn lower_ref(&self, r: &ArrayRef, line: u32) -> Result<AccessRef, LowerError> {
         let &array = self
             .arrays
-            .get(&r.array)
+            .get(r.array.as_str())
             .ok_or_else(|| LowerError::UnknownArray {
                 array: r.array.clone(),
                 line,
@@ -541,13 +543,13 @@ impl<'a> Lowerer<'a> {
             Expr::Num(_) => None,
             Expr::Neg(a) => Some(self.affine_at(a, depth + 1)?.scale(-1)),
             Expr::Ref(r) if r.subs.is_empty() => {
-                if let Some(&p) = self.params.get(&r.array) {
+                if let Some(&p) = self.params.get(r.array.as_str()) {
                     Some(Affine::var(Var::Param(p)))
                 } else {
                     self.loop_vars
                         .iter()
                         .rev()
-                        .find(|(v, _)| v == &r.array)
+                        .find(|(v, _)| *v == r.array)
                         .map(|&(_, l)| Affine::var(Var::Loop(l)))
                 }
             }

@@ -287,56 +287,45 @@ impl IrProgram {
             .map(|i| ArrayId(i as u32))
     }
 
-    /// The chain of loops enclosing `l`, outermost first, ending with `l`.
-    pub fn loop_chain(&self, l: LoopId) -> Vec<LoopId> {
-        let mut chain = vec![l];
-        let mut cur = l;
-        while let Some(p) = self.loop_info(cur).parent {
-            chain.push(p);
-            cur = p;
+    /// Level of the deepest loop enclosing both `a` and `b` (0 when none):
+    /// walks `LoopInfo::{parent, level}` upward from both, no chain built.
+    fn common_level(&self, mut a: Option<LoopId>, mut b: Option<LoopId>) -> u32 {
+        while let (Some(x), Some(y)) = (a, b) {
+            let (lx, ly) = (self.loop_info(x), self.loop_info(y));
+            if x == y {
+                return lx.level;
+            }
+            if lx.level >= ly.level {
+                a = lx.parent;
+            }
+            if ly.level >= lx.level {
+                b = ly.parent;
+            }
         }
-        chain.reverse();
-        chain
-    }
-
-    /// The chain of loops enclosing a statement, outermost first.
-    pub fn stmt_loop_chain(&self, s: StmtId) -> Vec<LoopId> {
-        match self.stmt(s).enclosing {
-            Some(l) => self.loop_chain(l),
-            None => Vec::new(),
-        }
+        0
     }
 
     /// Common nesting level of two statements (paper's `CNL`): the level of
     /// the deepest loop containing both.
     pub fn cnl(&self, a: StmtId, b: StmtId) -> u32 {
-        let ca = self.stmt_loop_chain(a);
-        let cb = self.stmt_loop_chain(b);
-        ca.iter().zip(cb.iter()).take_while(|(x, y)| x == y).count() as u32
-    }
-
-    /// The chain of loops enclosing a CFG node, outermost first.
-    pub fn node_loop_chain(&self, n: NodeId) -> Vec<LoopId> {
-        match self.cfg.node(n).enclosing {
-            Some(l) => self.loop_chain(l),
-            None => Vec::new(),
-        }
+        self.common_level(self.stmt(a).enclosing, self.stmt(b).enclosing)
     }
 
     /// Common nesting level of a CFG node and a statement.
     pub fn cnl_node_stmt(&self, n: NodeId, s: StmtId) -> u32 {
-        let ca = self.node_loop_chain(n);
-        let cb = self.stmt_loop_chain(s);
-        ca.iter().zip(cb.iter()).take_while(|(x, y)| x == y).count() as u32
+        self.common_level(self.cfg.node(n).enclosing, self.stmt(s).enclosing)
     }
 
     /// The loop at `level` (1-based) in the chain enclosing statement `s`.
     pub fn enclosing_loop_at_level(&self, s: StmtId, level: u32) -> Option<LoopId> {
-        let chain = self.stmt_loop_chain(s);
-        if level == 0 || level as usize > chain.len() {
-            None
-        } else {
-            Some(chain[level as usize - 1])
+        let mut cur = self.stmt(s).enclosing;
+        while let Some(l) = cur {
+            let li = self.loop_info(l);
+            if li.level <= level {
+                return (li.level == level).then_some(l);
+            }
+            cur = li.parent;
         }
+        None
     }
 }

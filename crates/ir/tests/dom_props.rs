@@ -2,10 +2,14 @@
 //! Cooper–Harvey–Kennedy result must agree with a brute-force reference
 //! (path enumeration) on random structured CFGs built from the lowering of
 //! random programs — the same graphs the placement analyses run on.
+//!
+//! Also here: the parent-walking loop-nest queries (`cnl`,
+//! `cnl_node_stmt`, `enclosing_loop_at_level`) must equal their chain-zip
+//! definitions.
 
 use proptest::prelude::*;
 
-use gcomm_ir::{DomTree, IrProgram, NodeId};
+use gcomm_ir::{DomTree, IrProgram, LoopId, NodeId, StmtId};
 
 /// Brute-force dominance: `a` dominates `b` iff removing `a` disconnects
 /// `b` from the entry (or `a == b`).
@@ -43,6 +47,13 @@ fn program_src() -> impl Strategy<Value = String> {
         Just(
             "do i = 1, n\n  do j = 1, n, 2\n    v0(i, j) = v1(i, j)\n  enddo\nenddo\n".to_string()
         ),
+        // Sibling nests of different depth under one loop, with a
+        // statement between them.
+        Just(
+            "do t = 1, 4\n  do i = 1, n\n    do j = 1, n\n      v0(i, j) = v1(i, j)\n    enddo\n  \
+             enddo\n  s = 1\n  do i = 2, n\n    v1(i, 1:n) = v0(i-1, 1:n)\n  enddo\nenddo\n"
+                .to_string()
+        ),
     ];
     prop::collection::vec(piece, 1..6).prop_map(|pieces| {
         format!(
@@ -52,8 +63,86 @@ fn program_src() -> impl Strategy<Value = String> {
     })
 }
 
+/// The chain of loops from the outermost down to `inner`: what the
+/// loop-nest queries are defined over (and were once computed from).
+fn loop_chain(prog: &IrProgram, inner: Option<LoopId>) -> Vec<LoopId> {
+    let mut chain = Vec::new();
+    let mut cur = inner;
+    while let Some(l) = cur {
+        chain.push(l);
+        cur = prog.loop_info(l).parent;
+    }
+    chain.reverse();
+    chain
+}
+
+/// Length of the common prefix of two loop chains: the definition of `CNL`.
+fn common_prefix(a: &[LoopId], b: &[LoopId]) -> u32 {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count() as u32
+}
+
+/// Checks the parent-walking loop-nest queries of `prog` against the
+/// chain-zip definitions, for every statement pair, node and level.
+fn check_loop_nest_queries(prog: &IrProgram, src: &str) -> Result<(), TestCaseError> {
+    let stmts = || (0..prog.stmts.len() as u32).map(StmtId);
+    for a in stmts() {
+        let ca = loop_chain(prog, prog.stmt(a).enclosing);
+        for b in stmts() {
+            prop_assert_eq!(
+                prog.cnl(a, b),
+                common_prefix(&ca, &loop_chain(prog, prog.stmt(b).enclosing)),
+                "cnl({:?}, {:?}) in\n{}",
+                a,
+                b,
+                src
+            );
+        }
+        for n in prog.cfg.node_ids() {
+            prop_assert_eq!(
+                prog.cnl_node_stmt(n, a),
+                common_prefix(&loop_chain(prog, prog.cfg.node(n).enclosing), &ca),
+                "cnl_node_stmt({:?}, {:?}) in\n{}",
+                n,
+                a,
+                src
+            );
+        }
+        for level in 0..=ca.len() as u32 + 1 {
+            let want = (level >= 1)
+                .then(|| ca.get(level as usize - 1).copied())
+                .flatten();
+            prop_assert_eq!(
+                prog.enclosing_loop_at_level(a, level),
+                want,
+                "enclosing_loop_at_level({:?}, {}) in\n{}",
+                a,
+                level,
+                src
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Loop-nest queries on the hand-shaped pieces (siblings, nests of
+    /// different depth, statements outside any loop) ...
+    #[test]
+    fn loop_nest_queries_match_chain_zip(src in program_src()) {
+        let prog = gcomm_ir::lower(&gcomm_lang::parse_program(&src).unwrap()).unwrap();
+        check_loop_nest_queries(&prog, &src)?;
+    }
+
+    /// ... and on the fuzzing generator's programs (depth up to 3, branches
+    /// inside loops).
+    #[test]
+    fn loop_nest_queries_match_chain_zip_on_generated_programs(seed in 0u64..1_000_000) {
+        let src = proptest::hpf::generate(seed);
+        let prog = gcomm_ir::lower(&gcomm_lang::parse_program(&src).unwrap()).unwrap();
+        check_loop_nest_queries(&prog, &src)?;
+    }
 
     /// Fast dominance agrees with the brute-force reference on every
     /// reachable node pair.
@@ -126,9 +215,8 @@ proptest! {
         for (i, li) in prog.loops.iter().enumerate() {
             let _ = i;
             for n in prog.cfg.node_ids() {
-                let inside = prog
-                    .node_loop_chain(n)
-                    .contains(&gcomm_ir::LoopId(i as u32));
+                let inside = loop_chain(&prog, prog.cfg.node(n).enclosing)
+                    .contains(&LoopId(i as u32));
                 if inside && dt.is_reachable(n) {
                     prop_assert!(
                         !dt.dominates(n, li.postexit),

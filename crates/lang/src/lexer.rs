@@ -38,7 +38,8 @@ impl<'s> Lexer<'s> {
             src,
             pos: 0,
             line: 1,
-            out: Vec::new(),
+            // Sized once: dense sources run about one token per two bytes.
+            out: Vec::with_capacity(src.len() / 2 + 8),
         }
     }
 

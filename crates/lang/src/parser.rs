@@ -53,11 +53,18 @@ impl<'s> Parser<'s> {
         self.toks[self.pos].line
     }
 
-    fn bump(&mut self) -> TokenKind<'s> {
-        let k = self.toks[self.pos].kind.clone();
+    /// Steps past the current token (the end marker is never passed).
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
+    }
+
+    /// [`bump`](Self::bump) for the few callers that consume the token's
+    /// payload.
+    fn take(&mut self) -> TokenKind<'s> {
+        let k = self.peek().clone();
+        self.bump();
         k
     }
 
@@ -83,7 +90,7 @@ impl<'s> Parser<'s> {
     }
 
     fn expect_ident(&mut self) -> Result<String, LangError> {
-        match self.bump() {
+        match self.take() {
             TokenKind::Ident(s) => Ok(s.into_owned()),
             other => Err(LangError::at(
                 self.line(),
@@ -422,7 +429,7 @@ impl<'s> Parser<'s> {
     }
 
     fn dist_format(&mut self) -> Result<Dist, LangError> {
-        match self.bump() {
+        match self.take() {
             TokenKind::Star => Ok(Dist::Collapsed),
             TokenKind::Ident(s) if s == "block" => Ok(Dist::Block),
             TokenKind::Ident(s) if s == "cyclic" => Ok(Dist::Cyclic),
@@ -590,7 +597,7 @@ impl<'s> Parser<'s> {
 
     fn const_int(&mut self) -> Result<i64, LangError> {
         let neg = self.eat(&TokenKind::Minus);
-        match self.bump() {
+        match self.take() {
             TokenKind::Int(v) => Ok(if neg { -v } else { v }),
             other => Err(LangError::at(
                 self.line(),
@@ -666,7 +673,7 @@ impl<'s> Parser<'s> {
     }
 
     fn atom(&mut self) -> Result<Expr, LangError> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
@@ -689,7 +696,7 @@ impl<'s> Parser<'s> {
                 Ok(Expr::Sum(r))
             }
             TokenKind::Ident(_) => Ok(Expr::Ref(self.array_ref()?)),
-            other => Err(LangError::at(
+            ref other => Err(LangError::at(
                 self.line(),
                 format!("expected expression, found {other}"),
             )),

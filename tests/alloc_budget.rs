@@ -1,0 +1,170 @@
+//! Heap-allocation budget of the in-process op the benchmark times:
+//! `compile → report → SimConfig::uniform → lower_to_sim`.
+//!
+//! Allocation *counts* are exact and clock-free, so the limits hold on any
+//! runner. This binary exists for one reason — its `#[global_allocator]`
+//! is a counting wrapper around the system allocator, which must not leak
+//! into any other test. On a breach the failure message carries a
+//! per-stage table (a staged replay of `compile` over the same inputs), so
+//! the regression names its stage.
+
+use std::fmt::Write as _;
+
+use gcomm::core::candidates::candidates;
+use gcomm::core::earliest::earliest_pos;
+use gcomm::core::greedy::choose;
+use gcomm::core::latest::latest;
+use gcomm::core::subset::{subset_eliminate, CandidateTable};
+use gcomm::core::{
+    commgen, lower_to_sim, redundancy, strategy, AnalysisCtx, CombinePolicy, SimConfig,
+};
+use gcomm::machine::ProcGrid;
+use gcomm::{Budget, Strategy};
+use proptest::hpf;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocs_during, Counting};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, adds the allocations it made to `into`, returns its value.
+fn counted<T>(into: &mut u64, f: impl FnOnce() -> T) -> T {
+    let (out, n) = allocs_during(f);
+    *into += n;
+    out
+}
+
+/// The benchmark's `corpus` pool: 400 pinned generated programs, `comb`.
+fn corpus_programs() -> Vec<(String, Strategy)> {
+    (0..400u64)
+        .map(|i| (hpf::generate(0x6763_1996 + i), Strategy::Global))
+        .collect()
+}
+
+/// The benchmark's `kernels` pool: six routines × {orig, nored, comb}.
+fn kernel_programs() -> Vec<(String, Strategy)> {
+    gcomm::kernels::all_kernels()
+        .into_iter()
+        .flat_map(|(_, _, src)| {
+            [Strategy::Original, Strategy::EarliestRE, Strategy::Global]
+                .map(|s| (src.to_string(), s))
+        })
+        .collect()
+}
+
+/// Allocation totals over a pool.
+#[derive(Default)]
+struct Totals {
+    /// The whole op.
+    op: u64,
+    /// `Compiled::report` alone.
+    report: u64,
+    /// `lower_to_sim` alone.
+    lower_to_sim: u64,
+}
+
+fn run_ops(programs: &[(String, Strategy)]) -> Totals {
+    let mut t = Totals::default();
+    for (src, strategy) in programs {
+        counted(&mut t.op, || {
+            let c = gcomm::compile(src, *strategy).expect("pool programs compile");
+            let report = counted(&mut t.report, || c.report());
+            let rank = c
+                .prog
+                .arrays
+                .iter()
+                .map(|a| a.distributed_dims().len())
+                .max()
+                .unwrap_or(1)
+                .max(1);
+            let cfg = SimConfig::uniform(&c, ProcGrid::balanced(25, rank), 64).with("nsteps", 10);
+            let lowered = counted(&mut t.lower_to_sim, || lower_to_sim(&c, &cfg));
+            std::hint::black_box((report, lowered));
+        });
+    }
+    t
+}
+
+/// Mean allocations per program of each `compile` stage, from a staged
+/// replay through the public pass functions, plus the op's own `report`
+/// and `lower_to_sim` means.
+fn stage_table(programs: &[(String, Strategy)], t: &Totals) -> String {
+    const STAGES: [&str; 10] = [
+        "lex",
+        "parse",
+        "lower",
+        "commgen",
+        "AnalysisCtx",
+        "candidates",
+        "subset",
+        "redundancy",
+        "greedy",
+        "place(orig/nored)",
+    ];
+    let mut a = [0u64; STAGES.len()];
+    for (src, strat) in programs {
+        let _tokens = counted(&mut a[0], || gcomm::lang::lexer::lex(src));
+        let ast = counted(&mut a[1], || gcomm::parse_program(src)).expect("parses");
+        let prog = counted(&mut a[2], || gcomm::ir::lower(&ast)).expect("lowers");
+        let entries = counted(&mut a[3], || commgen::number(commgen::generate(&prog)));
+        let ctx = counted(&mut a[4], || {
+            AnalysisCtx::with_budget(&prog, Budget::unlimited())
+        });
+        if *strat != Strategy::Global {
+            counted(&mut a[9], || strategy::run(&ctx, entries, *strat));
+            continue;
+        }
+        let mut table = CandidateTable::default();
+        counted(&mut a[5], || {
+            for e in &entries {
+                let lp = latest(&ctx, e);
+                let ep = earliest_pos(&ctx, e);
+                table.cands.insert(e.id, candidates(&ctx, e, ep, lp));
+            }
+        });
+        counted(&mut a[6], || {
+            subset_eliminate(&mut table, &ctx.dt, &ctx.budget)
+        });
+        counted(&mut a[7], || {
+            redundancy::eliminate(&ctx, &entries, &mut table)
+        });
+        counted(&mut a[8], || {
+            choose(&ctx, &entries, &mut table, &CombinePolicy::default())
+        });
+    }
+    let n = programs.len() as f64;
+    let mut out = String::from("mean allocations per program, by stage:\n");
+    let rows = STAGES
+        .into_iter()
+        .zip(a)
+        .chain([("report", t.report), ("lower_to_sim", t.lower_to_sim)]);
+    for (stage, allocs) in rows {
+        let _ = writeln!(out, "  {stage:<18} {:>8.1}", allocs as f64 / n);
+    }
+    out
+}
+
+fn check(pool: &str, programs: &[(String, Strategy)], op_limit: f64, lts_limit: Option<f64>) {
+    let t = run_ops(programs);
+    let n = programs.len() as f64;
+    let (op, lts) = (t.op as f64 / n, t.lower_to_sim as f64 / n);
+    let summary = format!(
+        "{pool}: {op:.1} allocations per op (limit {op_limit}), {lts:.1} per lower_to_sim \
+         (limit {lts_limit:?})"
+    );
+    println!("{summary}"); // shown by `--nocapture`
+    let over = op > op_limit || lts_limit.is_some_and(|l| lts > l);
+    assert!(!over, "{summary}\n{}", stage_table(programs, &t));
+}
+
+#[test]
+fn corpus_op_stays_within_its_allocation_budget() {
+    check("corpus", &corpus_programs(), 800.0, Some(100.0));
+}
+
+#[test]
+fn kernels_op_stays_within_its_allocation_budget() {
+    check("kernels", &kernel_programs(), 2800.0, None);
+}

@@ -12,45 +12,21 @@
 //! The jobs-invariance of `stats --stable` under sequence-ordered
 //! absorption is covered by `tests/serve_concurrency.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use gcomm::obs::{count, install, span, time, Registry};
 use gcomm::{compile_stats, Strategy};
 
-thread_local! {
-    /// Allocations made by this thread (tests run on parallel threads).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: defers every operation to `System` unchanged; the only addition
-// is a bump of a const-initialised, destructor-free thread-local `Cell`,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::Counting;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
+    counting_alloc::allocs_during(f).1
 }
 
 #[test]
