@@ -28,11 +28,12 @@
 //! is hashed in node-id order.
 //!
 //! Placement results computed under an exhausted budget (**degraded**)
-//! are never cached — the same soundness rule as the subsumption memo in
-//! `crates/sections/src/intern.rs`: a degraded schedule is legal but not
-//! a pure function of the key (it depends on how far the budget
-//! stretched), so reusing it would silently pin a worse-than-necessary
-//! placement. Diagnostics *are* cached: they are deterministic.
+//! are never cached — the soundness rule every cache of the workspace
+//! follows (the serve response cache and the render memo included): a
+//! degraded schedule is legal but not a pure function of the key (it
+//! depends on how far the budget stretched), so reusing it would silently
+//! pin a worse-than-necessary placement. Diagnostics *are* cached: they
+//! are deterministic.
 //!
 //! Placement always uses [`CombinePolicy::default`] — the same fixed
 //! policy as the serve path, which is the consumer of this module.
@@ -44,6 +45,7 @@
 //! engine, which is what makes "incremental ≡ from-scratch" testable as
 //! bit-identity (tests/incremental_differential.rs).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use gcomm_guard::{Budget, BudgetSpec};
@@ -66,9 +68,10 @@ use crate::strategy::Strategy;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutineChunk<'a> {
     /// Routine name: the word after `program`, lowercased (the same
-    /// normalization the lexer applies), or `routine<idx>` when the
-    /// chunk has no `program` line.
-    pub name: String,
+    /// normalization the lexer applies; borrowed from the source when it
+    /// already is lowercase), or `routine<idx>` when the chunk has no
+    /// `program` line.
+    pub name: Cow<'a, str>,
     /// The chunk's exact source text. Concatenating all chunks yields
     /// the original input byte for byte.
     pub src: &'a str,
@@ -79,73 +82,144 @@ pub struct RoutineChunk<'a> {
     pub line_offset: u32,
 }
 
-/// Splits off a line's first word (alphanumerics and `_`, after leading
-/// blanks) from the rest of the line.
-fn leading_word(line: &str) -> (&str, &str) {
-    let trimmed = line.trim_start();
-    let is_word = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
-    trimmed.split_at(trimmed.bytes().take_while(is_word).count())
+/// True for the bytes of a word (alphanumerics and `_`); one table load.
+fn is_word_byte(b: &u8) -> bool {
+    const WORD: [bool; 256] = {
+        let mut table = [false; 256];
+        let mut b = 0;
+        while b < 256 {
+            table[b] = (b as u8).is_ascii_alphanumeric() || b as u8 == b'_';
+            b += 1;
+        }
+        table
+    };
+    WORD[usize::from(*b)]
 }
 
-/// True for a line whose first word is `end` — the terminator of one
-/// routine. `enddo`/`endif` are distinct words and do not match.
-fn is_end_line(line: &str) -> bool {
-    leading_word(line).0.eq_ignore_ascii_case("end")
+/// The offset of the first non-blank at or after `at`, never past the end
+/// of the line `at` is in (a newline is not a blank here). ASCII blanks
+/// are skipped bytewise; before anything else (a no-break space, U+3000)
+/// the rest of the line goes through `trim_start`, which knows every
+/// blank there is.
+fn skip_blanks(src: &str, mut at: usize) -> usize {
+    let bytes = src.as_bytes();
+    while matches!(bytes.get(at), Some(b'\t' | 0x0b | 0x0c | b'\r' | b' ')) {
+        at += 1;
+    }
+    if bytes.get(at).is_some_and(|b| !b.is_ascii()) {
+        let line = src[at..].split('\n').next().unwrap_or_default();
+        at += line.len() - line.trim_start().len();
+    }
+    at
 }
 
-/// The word following `program` on the first `program` line, lowercased.
-fn program_name(chunk: &str) -> Option<String> {
-    chunk
-        .lines()
-        .map(leading_word)
-        .filter(|(word, _)| word.eq_ignore_ascii_case("program"))
-        .map(|(_, rest)| leading_word(rest).0)
-        .find(|name| !name.is_empty())
-        .map(str::to_ascii_lowercase)
+/// True when the first word of `text` — its longest prefix of word bytes
+/// — is `word`, ASCII case ignored.
+fn first_word_is(text: &[u8], word: &[u8]) -> bool {
+    text.get(..word.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(word))
+        && !text.get(word.len()).is_some_and(is_word_byte)
 }
 
-/// Splits source text into routine chunks at `end` lines. A source with
-/// a single routine (or none at all) comes back as exactly one chunk
-/// whose `src` is the input unchanged; trailing text after the last
-/// `end` (blank lines, comments) is folded into the last chunk so the
-/// chunks always reassemble the input exactly.
+/// The byte offsets of a text's newlines, eight bytes a step: a byte of
+/// `x` is zero exactly where `!(((x & 0x7f…) + 0x7f…) | x | 0x7f…)` has
+/// its high bit set (no carries between bytes, so no false hits).
+struct Newlines<'a> {
+    /// What is left to scan; `at` is its offset in the text.
+    rest: &'a [u8],
+    at: usize,
+    /// Newlines of the last word loaded that are still to be yielded
+    /// (high bit of byte `i` ⇒ offset `at - 8 + i`).
+    found: u64,
+}
+
+impl Iterator for Newlines<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+        while self.found == 0 {
+            let Some((word, rest)) = self.rest.split_first_chunk::<8>() else {
+                let i = self.rest.iter().position(|&b| b == b'\n')?;
+                self.rest = &self.rest[i + 1..];
+                self.at += i + 1;
+                return Some(self.at - 1);
+            };
+            let x = u64::from_le_bytes(*word) ^ (u64::from(b'\n') * (LOW7 / 0x7f));
+            self.found = !(((x & LOW7) + LOW7) | x | LOW7);
+            (self.rest, self.at) = (rest, self.at + 8);
+        }
+        let i = self.found.trailing_zeros() as usize / 8;
+        self.found &= self.found - 1;
+        Some(self.at - 8 + i)
+    }
+}
+
+/// Splits source text into routine chunks at `end` lines — lines whose
+/// first word is `end` (`enddo`/`endif` are distinct words and do not
+/// match). A source with a single routine (or none at all) comes back as
+/// exactly one chunk whose `src` is the input unchanged; trailing text
+/// after the last `end` (blank lines, comments) is folded into the last
+/// chunk so the chunks always reassemble the input exactly.
+///
+/// One pass over the bytes: a line's first word is tested where the line
+/// starts and the line ends at the next newline. The chunks are sliced,
+/// named and fingerprinted back to back afterwards — the text is still in
+/// cache, and the hash chains of neighbouring chunks overlap in the
+/// pipeline, which they cannot while the scan runs between them.
 pub fn split_routines(src: &str) -> Vec<RoutineChunk<'_>> {
-    // Byte spans `(start, end, line_offset)`; chunks are contiguous, so
-    // folding trailing text into the last chunk just widens its span.
-    let mut spans: Vec<(usize, usize, u32)> = Vec::new();
-    let mut start = 0usize;
-    let mut start_line = 0u32;
-    let mut pos = 0usize;
-    let mut line_no = 0u32;
-    for line in src.split_inclusive('\n') {
-        pos += line.len();
+    let bytes = src.as_bytes();
+    // Per closed chunk: its bytes, the lines before it, and the word after
+    // `program` on its first line that has one.
+    let mut spans: Vec<(std::ops::Range<usize>, u32, Option<&str>)> = Vec::new();
+    let (mut start, mut line_offset, mut name) = (0, 0u32, None);
+    let (mut line, mut line_no) = (0, 0u32);
+    let mut newlines = Newlines {
+        rest: bytes,
+        at: 0,
+        found: 0,
+    };
+    while line < src.len() {
+        let word = skip_blanks(src, line);
+        if name.is_none() && first_word_is(&bytes[word..], b"program") {
+            let at = skip_blanks(src, word + "program".len());
+            let len = bytes[at..].iter().take_while(|b| is_word_byte(b)).count();
+            name = (len > 0).then(|| &src[at..at + len]);
+        }
+        line = newlines.next().map_or(src.len(), |nl| nl + 1);
         line_no += 1;
-        if is_end_line(line) {
-            spans.push((start, pos, start_line));
-            start = pos;
-            start_line = line_no;
+        if first_word_is(&bytes[word..], b"end") {
+            spans.push((start..line, line_offset, name.take()));
+            (start, line_offset) = (line, line_no);
         }
     }
-    if start < src.len() {
+    // Whatever follows the last `end` line widens the last chunk (chunks
+    // are contiguous) and may still name it.
+    if start < src.len() || spans.is_empty() {
         match spans.last_mut() {
-            Some(last) => last.1 = src.len(),
-            None => spans.push((0, src.len(), 0)),
+            Some((span, _, last_name)) => {
+                span.end = src.len();
+                *last_name = last_name.or(name);
+            }
+            None => spans.push((0..src.len(), 0, name)),
         }
-    }
-    if spans.is_empty() {
-        spans.push((0, 0, 0));
     }
     spans
         .into_iter()
         .enumerate()
-        .map(|(idx, (a, b, line_offset))| {
-            let text = &src[a..b];
-            RoutineChunk {
-                name: program_name(text).unwrap_or_else(|| format!("routine{idx}")),
-                fp: fingerprint(text.as_bytes()),
-                src: text,
-                line_offset,
-            }
+        .map(|(idx, (span, line_offset, name))| RoutineChunk {
+            name: match name {
+                None => Cow::Owned(format!("routine{idx}")),
+                // (`fold`, not `any`: names are short, and without the
+                // early exit the test runs sixteen bytes a step.)
+                Some(n) if n.bytes().fold(false, |up, b| up | b.is_ascii_uppercase()) => {
+                    Cow::Owned(n.to_ascii_lowercase())
+                }
+                Some(n) => Cow::Borrowed(n),
+            },
+            fp: fingerprint(src[span.clone()].as_bytes()),
+            src: &src[span],
+            line_offset,
         })
         .collect()
 }
@@ -288,8 +362,8 @@ fn outcome_of(
     hits: (bool, bool, bool),
 ) -> RoutineOutcome {
     let (name, result) = match (parse, lower, place) {
-        (Err(errs), _, _) => (chunk.name.clone(), Err(errs)),
-        (Ok(_), Some(Err(errs)), _) => (chunk.name.clone(), Err(errs)),
+        (Err(errs), _, _) => (chunk.name.to_string(), Err(errs)),
+        (Ok(_), Some(Err(errs)), _) => (chunk.name.to_string(), Err(errs)),
         (Ok(_), Some(Ok((prog, _))), Some((placed, place_key))) => (
             prog.name.clone(),
             Ok(RoutineArtifacts {

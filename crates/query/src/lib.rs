@@ -11,7 +11,7 @@
 //! early-cutoff rule, and it is a property of the key derivation rather
 //! than bookkeeping in the engine (DESIGN.md §14).
 //!
-//! The engine therefore only needs three things:
+//! The engine therefore only needs four things:
 //!
 //! * [`QueryEngine::memo`] — probe/compute/insert for a `(query, key)`
 //!   pair, values stored as `Arc<dyn Any>` so one byte-capped LRU serves
@@ -23,14 +23,17 @@
 //!   for a named input slot (e.g. a routine's source chunk) so the
 //!   driver can report `query.invalidate` when an edit actually changed
 //!   a chunk, as opposed to merely re-presenting it.
+//! * [`QueryEngine::present`] — the two above for a whole module at once:
+//!   every routine's input noted and its memo probed under **one** lock
+//!   acquisition; only the misses go on through `memo`.
 //! * [`QueryEngine::count_cutoff`] — bumped by the driver when a
 //!   downstream memo hit despite an upstream recompute (the cutoff
 //!   observably fired).
 //!
 //! Two soundness rules are inherited from the rest of the workspace:
 //! results computed under an exhausted budget (degraded) are **never
-//! cached** — same rule as the subsumption memo in
-//! `crates/sections/src/intern.rs` — and keys are 64-bit [`Fingerprinter`]
+//! cached** — [`Computed::cacheable`] is how a query says so, and the serve
+//! response cache follows the same rule — and keys are 64-bit [`Fingerprinter`]
 //! fingerprints of the complete input, so collisions alias. That risk
 //! (~2⁻⁶⁴ per key pair) is accepted deliberately, as the serve cache's
 //! documentation discusses; unlike the serve LRU there is no full-key
@@ -154,6 +157,17 @@ pub enum InputChange {
     Changed,
 }
 
+/// One input of a [`QueryEngine::present`] batch.
+#[derive(Debug, Clone, Copy)]
+pub struct Input {
+    /// The input slot's identity (e.g. a routine name's fingerprint).
+    pub slot: u64,
+    /// The fingerprint presented for the slot.
+    pub fp: u64,
+    /// The memo key whose value is wanted for this input.
+    pub key: u64,
+}
+
 /// The result of a query computation, as returned by the closure passed
 /// to [`QueryEngine::memo`].
 pub struct Computed<T> {
@@ -194,6 +208,29 @@ struct Inner {
     inputs: HashMap<u64, u64>,
     used_bytes: u64,
     tick: u64,
+}
+
+impl Inner {
+    /// The value memoized under `(query, key)`, made the most recent.
+    fn touch<T: Send + Sync + 'static>(&mut self, query: &'static str, key: u64) -> Option<Arc<T>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let slot = self.slots.get_mut(&(query, key))?;
+        let value = Arc::clone(&slot.value).downcast::<T>().ok()?;
+        let old_tick = std::mem::replace(&mut slot.tick, tick);
+        self.order.remove(&old_tick);
+        self.order.insert(tick, (query, key));
+        Some(value)
+    }
+
+    /// Records `fp` as the latest fingerprint of input slot `slot`.
+    fn note(&mut self, slot: u64, fp: u64) -> InputChange {
+        match self.inputs.insert(slot, fp) {
+            None => InputChange::Fresh,
+            Some(prev) if prev == fp => InputChange::Unchanged,
+            Some(_) => InputChange::Changed,
+        }
+    }
 }
 
 /// Fixed per-entry overhead charged on top of the caller-reported value
@@ -276,15 +313,40 @@ impl QueryEngine {
     where
         T: Send + Sync + 'static,
     {
+        self.inner.lock().unwrap().touch(query, key)
+    }
+
+    /// Presents a whole module's inputs in **one** critical section: per
+    /// input, in order, what [`QueryEngine::note_input`] and then the probe
+    /// half of [`QueryEngine::memo`] on `query` would do. Hits are counted
+    /// here (`query.hit` ticked once, with the count); a `None` is not —
+    /// the caller takes it through `memo`, which probes again (a value an
+    /// earlier miss of the same batch inserted still hits) and counts the
+    /// miss when it computes. Every total therefore equals the
+    /// one-input-at-a-time loop's; only recency differs — a batch's misses
+    /// are stamped after all of its hits.
+    pub fn present<T: Send + Sync + 'static>(
+        &self,
+        query: &'static str,
+        inputs: &[Input],
+    ) -> Vec<Option<Arc<T>>> {
+        let mut changed = 0;
         let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let slot = inner.slots.get_mut(&(query, key))?;
-        let value = Arc::clone(&slot.value).downcast::<T>().ok()?;
-        let old_tick = std::mem::replace(&mut slot.tick, tick);
-        inner.order.remove(&old_tick);
-        inner.order.insert(tick, (query, key));
-        Some(value)
+        let values: Vec<Option<Arc<T>>> = inputs
+            .iter()
+            .map(|input| {
+                changed += u64::from(inner.note(input.slot, input.fp) == InputChange::Changed);
+                inner.touch(query, input.key)
+            })
+            .collect();
+        drop(inner);
+        self.count_invalidations(changed);
+        let hits = values.iter().flatten().count() as u64;
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+            gcomm_obs::count("query.hit", hits);
+        }
+        values
     }
 
     fn insert<T>(&self, query: &'static str, key: u64, value: Arc<T>, bytes: u64) -> Arc<T>
@@ -343,18 +405,16 @@ impl QueryEngine {
     /// fingerprint of the slot's identity, e.g. a routine name). Returns
     /// what changed; a `Changed` result bumps `query.invalidate`.
     pub fn note_input(&self, slot: u64, fp: u64) -> InputChange {
-        let mut inner = self.inner.lock().unwrap();
-        let change = match inner.inputs.insert(slot, fp) {
-            None => InputChange::Fresh,
-            Some(prev) if prev == fp => InputChange::Unchanged,
-            Some(_) => InputChange::Changed,
-        };
-        drop(inner);
-        if change == InputChange::Changed {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            gcomm_obs::count("query.invalidate", 1);
-        }
+        let change = self.inner.lock().unwrap().note(slot, fp);
+        self.count_invalidations(u64::from(change == InputChange::Changed));
         change
+    }
+
+    fn count_invalidations(&self, n: u64) {
+        if n > 0 {
+            self.invalidations.fetch_add(n, Ordering::Relaxed);
+            gcomm_obs::count("query.invalidate", n);
+        }
     }
 
     /// Records that early cutoff observably fired: an upstream pass

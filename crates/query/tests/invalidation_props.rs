@@ -16,11 +16,13 @@
 //! * an edit to routine R **never recomputes** routine-local queries of
 //!   any R' ≠ R;
 //! * memo ≡ direct under a 4-worker pool: concurrent pipelines through
-//!   one shared engine return exactly what the memo-free functions do.
+//!   one shared engine return exactly what the memo-free functions do;
+//! * a module presented in one batch ([`QueryEngine::present`]) returns
+//!   and counts what the one-routine-at-a-time loop returns and counts.
 
 use std::sync::Mutex;
 
-use gcomm_query::{fingerprint, Computed, InputChange, QueryEngine};
+use gcomm_query::{fingerprint, Computed, EngineStats, Input, InputChange, QueryEngine};
 
 // ---------------------------------------------------------------------------
 // The synthetic pipeline
@@ -228,4 +230,59 @@ fn content_addressing_shares_across_routines() {
     assert_eq!(ch, InputChange::Fresh, "slots are per-routine");
     assert_eq!(p.computed_for("right"), Vec::<&str>::new(), "full reuse");
     assert_eq!(p.eng.stats().invalidations, 0);
+}
+
+/// `present` + `memo` for the misses ≡ `note_input` + `memo` per input:
+/// same values, same hit/miss/invalidation totals, over seeded streams
+/// of modules whose routines repeat, change, swap names and duplicate
+/// each other inside one module.
+#[test]
+fn present_counts_like_the_one_at_a_time_loop() {
+    let compute = |key: u64| Computed {
+        value: key.wrapping_mul(31),
+        bytes: 8,
+        cacheable: !key.is_multiple_of(7), // some values are never memoized
+    };
+    let (batched, looped) = (QueryEngine::new(1 << 20), QueryEngine::new(1 << 20));
+    let mut state = 0x9e37_79b9_u64;
+    let mut next = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    for _module in 0..200 {
+        let inputs: Vec<Input> = (0..1 + next(12))
+            .map(|_| {
+                let fp = next(40);
+                Input {
+                    slot: next(10),
+                    fp,
+                    key: fp,
+                }
+            })
+            .collect();
+        let got: Vec<u64> = batched
+            .present::<u64>("t.q", &inputs)
+            .into_iter()
+            .zip(&inputs)
+            .map(|(hit, i)| *hit.unwrap_or_else(|| batched.memo("t.q", i.key, || compute(i.key)).0))
+            .collect();
+        let want: Vec<u64> = inputs
+            .iter()
+            .map(|i| {
+                looped.note_input(i.slot, i.fp);
+                *looped.memo("t.q", i.key, || compute(i.key)).0
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(batched.stats(), looped.stats());
+    }
+    let EngineStats {
+        hits,
+        misses,
+        invalidations,
+        ..
+    } = batched.stats();
+    assert!(hits > 0 && misses > 0 && invalidations > 0);
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 use gcomm_core::Strategy;
 use gcomm_guard::BudgetSpec;
 
-use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
+use crate::frame::{into_text, read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::json::escape;
 use crate::protocol::SimSpec;
 
@@ -130,7 +130,7 @@ impl Client {
     /// any other malformed frame surfaces as `InvalidData`.
     pub fn recv(&mut self) -> io::Result<Option<String>> {
         match read_frame(&mut self.reader, self.max_frame) {
-            Ok(Some(payload)) => Ok(Some(String::from_utf8_lossy(&payload).into_owned())),
+            Ok(Some(payload)) => Ok(Some(into_text(payload))),
             Ok(None) => Ok(None),
             Err(FrameError::Truncated) => Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,

@@ -33,7 +33,7 @@ use gcomm_machine::fault::Rng64;
 use gcomm_obs::Registry;
 use gcomm_par::{Pool, PoolHandle, SubmitError};
 
-use crate::frame::{read_frame, skip_payload, write_frame, FrameError};
+use crate::frame::{into_text, read_frame, skip_payload, write_frame, FrameError};
 use crate::json::{escape, Json};
 use crate::protocol::{assemble, cache_key_material, error_response, Request, PROTOCOL};
 use crate::server::ShutdownFlag;
@@ -332,8 +332,7 @@ fn serve_connection(
     loop {
         match read_frame(&mut reader, max_frame) {
             Ok(Some(payload)) => {
-                let text = String::from_utf8_lossy(&payload).into_owned();
-                dispatch(core, pool, &writer, shutdown, &text);
+                dispatch(core, pool, &writer, shutdown, &into_text(payload));
             }
             Ok(None) => break,
             Err(FrameError::TooLarge { declared }) => {

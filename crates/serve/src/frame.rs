@@ -93,6 +93,15 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
     Ok(Some(payload))
 }
 
+/// The text of a frame or line payload, taking the buffer over: valid
+/// UTF-8 (every well-formed request and response) moves through without a
+/// copy, anything else gets U+FFFD replacement characters — the JSON
+/// parser then rejects it with a proper error response.
+pub fn into_text(payload: Vec<u8>) -> String {
+    String::from_utf8(payload)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
 /// Discards `n` payload bytes after a [`FrameError::TooLarge`] so the next
 /// header reads from a frame boundary.
 ///
@@ -158,7 +167,7 @@ pub fn read_line_capped(r: &mut impl BufRead, max: usize) -> io::Result<Option<L
             if buf.is_empty() {
                 return Ok(None);
             }
-            return Ok(Some(Line::Text(String::from_utf8_lossy(&buf).into_owned())));
+            return Ok(Some(Line::Text(into_text(buf))));
         }
         if let Some(nl) = chunk.iter().position(|&b| b == b'\n') {
             if buf.len() + nl > max {
@@ -170,7 +179,7 @@ pub fn read_line_capped(r: &mut impl BufRead, max: usize) -> io::Result<Option<L
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
-            return Ok(Some(Line::Text(String::from_utf8_lossy(&buf).into_owned())));
+            return Ok(Some(Line::Text(into_text(buf))));
         }
         let take = chunk.len();
         if buf.len() + take > max {

@@ -41,6 +41,7 @@ impl Json {
     /// Returns a one-line message with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -157,8 +158,35 @@ impl Json {
 pub use gcomm_obs::json_str as escape;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+}
+
+/// Length of the raw run at the head of `bytes`: everything before the
+/// first quote, backslash or control byte. Eight bytes a step: a byte of
+/// `x` is zero exactly where `(x - 0x01…) & !x` has its high bit set —
+/// borrows can flag bytes *above* a real match, never below it, so the
+/// lowest flagged byte is always a real one.
+fn run_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        let hits = zero_bytes(w ^ (ONES * u64::from(b'"')))
+            | zero_bytes(w ^ (ONES * u64::from(b'\\')))
+            | (w.wrapping_sub(ONES * 0x20) & !w);
+        if hits & HIGH != 0 {
+            return at + (hits & HIGH).trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    let ends_run = |&b: &u8| b == b'"' || b == b'\\' || b < 0x20;
+    at + tail.iter().position(ends_run).unwrap_or(tail.len())
 }
 
 impl<'a> Parser<'a> {
@@ -232,83 +260,81 @@ impl<'a> Parser<'a> {
         Ok(Json::Num(n))
     }
 
+    /// One string literal. Everything the scan stops at — the quote, the
+    /// backslash, a control byte — is ASCII, so every run between two
+    /// stops is a slice of the (already valid) input text at char
+    /// boundaries and is copied as one piece.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err("bad low surrogate".into());
-                                    }
-                                    let combined = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| "bad \\u escape".to_string())?);
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", esc as char)),
-                    }
-                }
-                b if b < 0x20 => {
+            let run = &self.bytes[self.pos..];
+            let len = run_len(run);
+            let stop = run.get(len).copied();
+            if stop == Some(b'\\') && out.capacity() == 0 {
+                // First escape: no raw string ends before the next quote
+                // byte, so that distance is a lower bound on what is still
+                // to come — for a source text (no quotes inside) all of it.
+                let rest = &self.text[self.pos + len + 1..];
+                out.reserve(len + rest.find('"').unwrap_or(0));
+            }
+            let chunk = self.text.get(self.pos..self.pos + len);
+            out.push_str(chunk.ok_or_else(|| "invalid UTF-8 in string".to_string())?);
+            self.pos += len + 1;
+            match stop {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => out.push(self.escape()?),
+                Some(b) => {
                     return Err(format!(
                         "raw control byte 0x{b:02x} in string at offset {}",
                         self.pos - 1
                     ));
                 }
-                _ => {
-                    // Re-scan the raw UTF-8 run up to the next quote or
-                    // backslash in one go.
-                    let run_start = self.pos - 1;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        if b < 0x20 {
-                            return Err(format!(
-                                "raw control byte 0x{b:02x} in string at offset {}",
-                                self.pos
-                            ));
-                        }
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[run_start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(chunk);
-                }
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the
+    /// backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let Some(esc) = self.peek() else {
+            return Err("unterminated escape".into());
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // an escaped low surrogate.
+                let c = if (0xd800..0xdc00).contains(&cp) {
+                    if self.peek() == Some(b'\\') {
+                        self.pos += 1;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xdc00..0xe000).contains(&lo) {
+                            return Err("bad low surrogate".into());
+                        }
+                        let combined = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                c.ok_or_else(|| "bad \\u escape".to_string())?
+            }
+            _ => return Err(format!("bad escape '\\{}'", esc as char)),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, String> {

@@ -35,7 +35,9 @@ use std::time::Duration;
 
 use gcomm_par::{Pool, PoolHandle, SubmitError};
 
-use crate::frame::{read_frame, read_line_capped, skip_payload, write_frame, FrameError, Line};
+use crate::frame::{
+    into_text, read_frame, read_line_capped, skip_payload, write_frame, FrameError, Line,
+};
 use crate::json::{escape, Json};
 use crate::protocol::{assemble, error_response, Request, PROTOCOL};
 use crate::service::{stats_payload, Service, ServiceConfig};
@@ -135,7 +137,9 @@ fn dispatch(
             // Cache hits are answered inline by the reader: no worker
             // slot, no queue capacity, no backpressure — a warm request
             // costs a hash and a map probe even when the pool is busy.
-            if let Some((resp, report)) = svc.try_cached(&c) {
+            // The key is hashed once; the pooled compile inherits it.
+            let key = svc.cache_key(&c);
+            if let Some((resp, report)) = key.as_ref().and_then(|k| svc.cached(c.id, k)) {
                 svc.finish(seq, report);
                 writer.send(&resp);
                 return;
@@ -144,7 +148,7 @@ fn dispatch(
             let svc2 = Arc::clone(svc);
             let wr = Arc::clone(writer);
             let submitted = pool.try_submit(move || {
-                let (resp, report) = svc2.compile(&c);
+                let (resp, report) = svc2.compile_keyed(&c, key);
                 svc2.finish(seq, report);
                 wr.send(&resp);
             });
@@ -245,8 +249,7 @@ fn serve_tcp_connection(
     loop {
         match read_frame(&mut reader, max_frame) {
             Ok(Some(payload)) => {
-                let text = String::from_utf8_lossy(&payload).into_owned();
-                dispatch(svc, pool, &writer, shutdown, &text);
+                dispatch(svc, pool, &writer, shutdown, &into_text(payload));
             }
             Ok(None) => break,
             Err(FrameError::TooLarge { declared }) => {

@@ -27,7 +27,7 @@ use gcomm_core::{lower_to_sim, CompiledRef, SimConfig};
 use gcomm_guard::BudgetSpec;
 use gcomm_machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
 use gcomm_obs::{Registry, StatsReport};
-use gcomm_query::{fingerprint, mix, Computed, Fingerprinter, QueryEngine};
+use gcomm_query::{fingerprint, mix, Computed, Fingerprinter, Input, QueryEngine};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
 use crate::cache::{CacheKey, LruCache};
@@ -216,29 +216,47 @@ impl Service {
     /// Executes a compile request, returning the full response and the
     /// request's stats snapshot (pass it to [`Service::finish`]).
     pub fn compile(&self, req: &CompileReq) -> (String, StatsReport) {
+        self.compile_keyed(req, self.cache_key(req))
+    }
+
+    /// The request's content address, hashed here once: the transports
+    /// build it, probe with it ([`Service::cached`]) and hand it on to the
+    /// pooled compile ([`Service::compile_keyed`]), so a source-sized key
+    /// is rendered and fingerprinted once per request. `None` for a
+    /// wall-clock (`ms=`) budget — its degradation depends on the clock,
+    /// so the payload is not a pure function of any key.
+    pub(crate) fn cache_key(&self, req: &CompileReq) -> Option<CacheKey> {
+        let effective = req.budget.unwrap_or(self.config.default_budget);
+        (effective.ms.is_none()).then(|| CacheKey::new(cache_key_material(req, &effective)))
+    }
+
+    /// [`Service::compile`] under `key`, which must be
+    /// [`Service::cache_key`] of `req`.
+    pub(crate) fn compile_keyed(
+        &self,
+        req: &CompileReq,
+        key: Option<CacheKey>,
+    ) -> (String, StatsReport) {
         let reg = Registry::new();
         let payload = {
             let _g = gcomm_obs::install(reg.clone());
             gcomm_obs::count("serve.requests", 1);
-            self.compile_payload(req)
+            self.compile_payload(req, key)
         };
         (assemble(req.id, &payload), reg.snapshot())
     }
 
     /// The response payload (everything after `"id":…,`) for a compile
     /// request: served from the cache when possible, compiled cold
-    /// otherwise. Requests with a wall-clock (`ms=`) budget bypass the
-    /// cache — their degradation depends on the clock, so the payload is
-    /// not a pure function of the key.
-    fn compile_payload(&self, req: &CompileReq) -> String {
+    /// otherwise. Requests without a key (wall-clock budgets) bypass the
+    /// cache.
+    fn compile_payload(&self, req: &CompileReq, key: Option<CacheKey>) -> String {
         let effective = req.budget.unwrap_or(self.config.default_budget);
-        if effective.ms.is_some() {
+        let Some(key) = key else {
             gcomm_obs::count("cache.bypass", 1);
             gcomm_obs::count("serve.compiles", 1);
             return cold_compile_payload(req, &effective);
-        }
-        // Hashed once here; the probe and the insert below share it.
-        let key = CacheKey::new(cache_key_material(req, &effective));
+        };
         if let Some(hit) = self.cache.lock().unwrap().get(&key) {
             gcomm_obs::count("cache.hit", 1);
             return hit;
@@ -293,14 +311,14 @@ impl Service {
     /// Counts exactly what the pooled hit path would have counted
     /// (`serve.requests` + `cache.hit`), keeping stats jobs-invariant.
     pub fn try_cached(&self, req: &CompileReq) -> Option<(String, StatsReport)> {
-        let effective = req.budget.unwrap_or(self.config.default_budget);
-        if effective.ms.is_some() {
-            return None; // wall-clock budgets always compile (and bypass).
-        }
-        let key = CacheKey::new(cache_key_material(req, &effective));
-        let payload = self.cache.lock().unwrap().get(&key)?;
+        self.cached(req.id, &self.cache_key(req)?)
+    }
+
+    /// [`Service::try_cached`] under an already built key.
+    pub(crate) fn cached(&self, id: Option<u64>, key: &CacheKey) -> Option<(String, StatsReport)> {
+        let payload = self.cache.lock().unwrap().get(key)?;
         Some((
-            assemble(req.id, &payload),
+            assemble(id, &payload),
             self.counter_report(&[("serve.requests", 1), ("cache.hit", 1)]),
         ))
     }
@@ -379,12 +397,13 @@ struct RoutineRender {
     degraded: bool,
 }
 
-/// The warm-edit path (DESIGN.md §14): chunks the source and serves each
-/// byte-unchanged routine's finished render from a single routine-level
-/// memo probe. Only changed chunks descend into the pass-level queries
-/// (parse → lower → place → render), where early cutoff still applies.
-/// Byte-identical to [`cold_compile_payload`]: the compute path runs the
-/// same stage functions and the same framing helpers.
+/// The warm-edit path (DESIGN.md §14): chunks the source, presents every
+/// chunk to the engine under one lock, and serves each byte-unchanged
+/// routine's finished render from that one routine-level probe. Only
+/// changed chunks descend into the pass-level queries (parse → lower →
+/// place → render), where early cutoff still applies. Byte-identical to
+/// [`cold_compile_payload`]: the compute path runs the same stage
+/// functions and the same framing helpers.
 fn incremental_payload(ic: &IncrCompiler, req: &CompileReq, effective: &BudgetSpec) -> String {
     let eng = ic.engine();
     let chunks = incr::split_routines(&req.source);
@@ -393,25 +412,35 @@ fn incremental_payload(ic: &IncrCompiler, req: &CompileReq, effective: &BudgetSp
     // spec (machine and coll included) and budget are part of the identity,
     // mirroring [`crate::protocol::cache_key_material`].
     let frame_fp = Fingerprinter::of(&(shape, &req.sim, effective, req.strategy));
-    let rendered: Vec<Arc<RoutineRender>> = chunks
+    let inputs: Vec<Input> = chunks
         .iter()
-        .map(|chunk| {
-            eng.note_input(fingerprint(chunk.name.as_bytes()), chunk.fp);
-            let key = mix(chunk.fp, frame_fp);
-            let (r, _) = eng.memo("query.routine", key, || {
-                let routine = ic.compile_routine(chunk, req.strategy, effective);
-                let r = render_routine(&routine, req, Some(eng), shape);
-                Computed {
-                    bytes: r.payload.len() as u64 + 2,
-                    // Error payloads embed module-level line numbers (they
-                    // depend on where the chunk sits, not just its bytes);
-                    // degraded ones depend on budget progress. Neither is a
-                    // pure function of this key.
-                    cacheable: r.ok && !r.degraded,
-                    value: r,
-                }
-            });
-            r
+        .map(|chunk| Input {
+            slot: fingerprint(chunk.name.as_bytes()),
+            fp: chunk.fp,
+            key: mix(chunk.fp, frame_fp),
+        })
+        .collect();
+    let rendered: Vec<Arc<RoutineRender>> = eng
+        .present("query.routine", &inputs)
+        .into_iter()
+        .zip(chunks.iter().zip(&inputs))
+        .map(|(hit, (chunk, input))| {
+            hit.unwrap_or_else(|| {
+                let (r, _) = eng.memo("query.routine", input.key, || {
+                    let routine = ic.compile_routine(chunk, req.strategy, effective);
+                    let r = render_routine(&routine, req, Some(eng), shape);
+                    Computed {
+                        bytes: r.payload.len() as u64 + 2,
+                        // Error payloads embed module-level line numbers
+                        // (they depend on where the chunk sits, not just
+                        // its bytes); degraded ones depend on budget
+                        // progress. Neither is a pure function of this key.
+                        cacheable: r.ok && !r.degraded,
+                        value: r,
+                    }
+                });
+                r
+            })
         })
         .collect();
     frame_payload(&rendered, req)

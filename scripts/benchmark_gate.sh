@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate on the benchmark's layer ledger (ROADMAP item 1): the smoke test,
-# then 5 s traced `serve` and `kernels` runs, then **ratios** read from the
-# traces. A ratio of two layers measured in one run on one pinned CPU holds
-# on a shared runner where absolute microseconds do not. A 5 s run's ratios
+# then 5 s traced `serve`, `kernels` and `edit` runs, then **ratios** read
+# from the traces. A ratio of two layers measured in one run on one pinned
+# CPU holds on a shared runner where absolute microseconds do not. A 5 s run's ratios
 # still wander by a few percent on a busy host, so the gate passes when any
 # of three attempts meets every limit, and prints them all.
 #
@@ -13,7 +13,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 bash benchmark/smoke.sh
 
 for attempt in 1 2 3; do
-  for workload in serve kernels; do
+  for workload in serve kernels edit; do
     bash benchmark/run.sh --workload "$workload" --seed "$attempt" --seconds 5 --trace 1 >/dev/null
   done
   if python3 - "$attempt" <<'PY'
@@ -22,7 +22,7 @@ import json, sys
 def metrics(workload):
     return json.load(open(f"benchmark/out/trace-{workload}.json"))["metrics"]
 
-serve, kernels = metrics("serve"), metrics("kernels")
+serve, kernels, edit = metrics("serve"), metrics("kernels"), metrics("edit")
 gates = [
     # What a served cold compile costs over the compile it wraps, before
     # any cache or socket: fingerprints, render, sim. (2.2-2.7 before the
@@ -48,6 +48,17 @@ gates = [
     # cannot come back unnoticed.
     ("serve: lower_to_sim_us / analysis_us",
      serve["core.lower_to_sim_us"] / serve["core.analysis_us"], 1.4),
+    # Two stops of a served one-routine edit that no routine's compile
+    # needs, over the in-process edit: chunking the 64-routine module
+    # (0.25 while every line was `trim_start`ed and every chunk walked
+    # again for its name, 0.13 as one byte scan) and parsing its 13 KB JSON
+    # request (0.46 while each ~22-byte run between two `\n` escapes was
+    # re-validated and pushed into a string grown from zero, 0.18 since).
+    # 30 s readings; each limit sits midway.
+    ("edit: incr_split_us / edit_inproc_us",
+     edit["core.incr_split_us"] / edit["serve.edit_inproc_us"], 0.19),
+    ("edit: json_parse_us / edit_inproc_us",
+     edit["serve.json_parse_us"] / edit["serve.edit_inproc_us"], 0.32),
 ]
 ok = True
 for name, got, limit in gates:

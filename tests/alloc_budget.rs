@@ -1,5 +1,7 @@
 //! Heap-allocation budget of the in-process op the benchmark times:
-//! `compile → report → SimConfig::uniform → lower_to_sim`.
+//! `compile → report → SimConfig::uniform → lower_to_sim` — and of a served
+//! one-routine edit, in-process: `try_cached` (a miss) → `compile` →
+//! `finish`.
 //!
 //! Allocation *counts* are exact and clock-free, so the limits hold on any
 //! runner. This binary exists for one reason — its `#[global_allocator]`
@@ -19,11 +21,14 @@ use gcomm::core::{
     commgen, lower_to_sim, redundancy, strategy, AnalysisCtx, CombinePolicy, SimConfig,
 };
 use gcomm::machine::ProcGrid;
+use gcomm::serve::{CompileReq, Service, ServiceConfig};
 use gcomm::{Budget, Strategy};
 use proptest::hpf;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "support/edit_pool.rs"]
+mod edit_pool;
 use counting_alloc::{allocs_during, Counting};
 
 #[global_allocator]
@@ -167,4 +172,45 @@ fn corpus_op_stays_within_its_allocation_budget() {
 #[test]
 fn kernels_op_stays_within_its_allocation_budget() {
     check("kernels", &kernel_programs(), 2800.0, None);
+}
+
+/// A served edit of the benchmark's first `edit` module (64 routines, 50
+/// single-routine edits): what the transports do with a parsed request
+/// that misses the response cache. About 165 of the allocations are the
+/// pass-level compile of the routine that changed (0.75 of one on average
+/// — a deleted routine recompiles nothing); the rest is the bookkeeping
+/// around it — key material, splitting, probing, render, stats snapshot.
+/// 300.8 per edit while the splitter built a `String` per routine name,
+/// 245.3 since it borrows them; the limit sits between the two.
+#[test]
+fn served_edit_stays_within_its_allocation_budget() {
+    const LIMIT: f64 = 270.0;
+    let request = |source: &str| CompileReq {
+        id: Some(1),
+        source: source.to_string(),
+        strategy: Strategy::Global,
+        budget: None,
+        sim: None,
+    };
+    let svc = Service::new(ServiceConfig::default());
+    let states = edit_pool::edit_chain(0);
+    let (_, report) = svc.compile(&request(&states[0]));
+    svc.finish(svc.begin(), report);
+    let mut allocs = 0;
+    for state in &states[1..] {
+        let req = request(state);
+        counted(&mut allocs, || {
+            let seq = svc.begin();
+            assert!(svc.try_cached(&req).is_none(), "an edit misses the cache");
+            let (response, report) = svc.compile(&req);
+            svc.finish(seq, report);
+            std::hint::black_box(response);
+        });
+    }
+    let per_edit = allocs as f64 / (states.len() - 1) as f64;
+    println!("edit: {per_edit:.1} allocations per served edit (limit {LIMIT})");
+    assert!(
+        per_edit <= LIMIT,
+        "edit: {per_edit:.1} allocations per served edit (limit {LIMIT})"
+    );
 }

@@ -20,6 +20,14 @@
 //! ignores `CompileStats`, as `Compiled`'s own `PartialEq` does — stats
 //! describe the work done, which is exactly what incrementality changes.
 //!
+//! After the five content edits every chain takes three **AST-preserving**
+//! edits (a trailing comment on an `end`, trailing blanks on a line, a
+//! blank line after an `end`), from a helper local to this file —
+//! `hpf::apply_edit` has none, and the benchmark's pinned `edit` inputs
+//! depend on it staying as it is. The chunk's bytes change, so its parse
+//! reruns; the AST fingerprint does not, so lowering hits and the engine
+//! counts an early **cutoff** (DESIGN.md §14) — asserted below.
+//!
 //! The case count defaults to 300 (the ISSUE-7 floor) and scales via
 //! `GCOMM_INCR_CASES`. Seeds are sequential from a fixed base so every
 //! run explores the same modules.
@@ -34,6 +42,47 @@ use std::collections::HashMap;
 
 const SEED_BASE: u64 = 0x1c4e11;
 const EDITS_PER_CASE: u64 = 5;
+/// Steps `EDITS_PER_CASE + 1 ..= LAST_STEP` are the AST-preserving edits.
+const LAST_STEP: u64 = EDITS_PER_CASE + 3;
+
+/// Offsets just past each line whose first word is `end`.
+fn end_line_ends(module: &str) -> Vec<usize> {
+    let mut pos = 0;
+    let mut ends = Vec::new();
+    for line in module.split_inclusive('\n') {
+        pos += line.len();
+        let t = line.trim_start();
+        let word = t
+            .bytes()
+            .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
+            .count();
+        if t[..word].eq_ignore_ascii_case("end") {
+            ends.push(pos);
+        }
+    }
+    ends
+}
+
+/// One edit that leaves every routine's AST as it was, line numbers
+/// included: `kind` 0 appends a comment to an `end` line, 1 appends
+/// blanks to some line, 2 adds a blank line after the last `end` (after
+/// any other it would shift the next routine's line numbers).
+fn ast_preserving_edit(module: &str, kind: u64, pick: u64) -> String {
+    let ends = end_line_ends(module);
+    let (at, text) = match kind {
+        0 => {
+            let end = ends[(pick % ends.len() as u64) as usize];
+            // Before the line's newline, if it has one.
+            (end - usize::from(module[..end].ends_with('\n')), " ! c")
+        }
+        1 => {
+            let newlines: Vec<usize> = module.match_indices('\n').map(|(i, _)| i).collect();
+            (newlines[(pick % newlines.len() as u64) as usize], "  \t")
+        }
+        _ => (*ends.last().expect("a routine"), "\n"),
+    };
+    format!("{}{text}{}", &module[..at], &module[at..])
+}
 
 fn cases() -> u64 {
     std::env::var("GCOMM_INCR_CASES")
@@ -99,7 +148,7 @@ fn compare(seed: u64, step: u64, module: &str, cold: &ModuleOutcome, warm: &Modu
     // Deep verification is sampled: it multiplies runtime by the
     // interpreter's replay cost, and one in seven storms (first and last
     // state) already exercises every edit kind.
-    let deep = seed.is_multiple_of(7) && (step == 0 || step == EDITS_PER_CASE);
+    let deep = seed.is_multiple_of(7) && (step == 0 || step == EDITS_PER_CASE || step == LAST_STEP);
     for (c, w) in cold.routines.iter().zip(&warm.routines) {
         assert_eq!(c.name, w.name, "{what}\n{module}");
         let (ca, wa) = match (&c.result, &w.result) {
@@ -128,7 +177,8 @@ fn compare(seed: u64, step: u64, module: &str, cold: &ModuleOutcome, warm: &Modu
 }
 
 /// The storm: per seed, a module plus a chain of 5 single-routine
-/// edits; every state compiled cold and incrementally and compared.
+/// edits and 3 AST-preserving ones; every state compiled cold and
+/// incrementally and compared.
 /// One shared engine across all seeds and workers — artifact equality
 /// must survive both memo pollution and concurrent compiles.
 #[test]
@@ -138,12 +188,14 @@ fn edit_storm_incremental_matches_cold() {
     let seeds: Vec<u64> = (0..cases()).map(|i| SEED_BASE + i).collect();
     gcomm::par::map(gcomm::par::default_jobs(), &seeds, |_, &seed| {
         let mut module = hpf::generate_module(seed, 1 + (seed % 3) as usize);
-        for step in 0..=EDITS_PER_CASE {
+        for step in 0..=LAST_STEP {
             let cold = compile_module_cold(&module, Strategy::Global, &spec);
             let warm = ic.compile_module(&module, Strategy::Global, &spec);
             compare(seed, step, &module, &cold, &warm);
             if step < EDITS_PER_CASE {
                 module = hpf::apply_edit(&module, seed.wrapping_mul(1000) + step).0;
+            } else if step < LAST_STEP {
+                module = ast_preserving_edit(&module, step - EDITS_PER_CASE, seed);
             }
         }
     });
@@ -152,6 +204,11 @@ fn edit_storm_incremental_matches_cold() {
     assert!(
         stats.invalidations > 0,
         "storm must exercise invalidation: {stats:?}"
+    );
+    // Every AST-preserving edit re-parses one chunk into the AST it had.
+    assert!(
+        stats.cutoffs >= 3 * cases(),
+        "storm must exercise early cutoff: {stats:?}"
     );
 }
 
