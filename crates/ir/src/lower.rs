@@ -61,8 +61,8 @@ pub enum LowerError {
 }
 
 /// Maximum statement-nesting depth the lowerer accepts. Matches the
-/// parser's limit, so any parsed program lowers; AST-builder users hitting
-/// it get a diagnostic instead of a call-stack overflow.
+/// parser's limit, so any parsed program lowers; a hand-built AST hitting
+/// it gets a diagnostic instead of a call-stack overflow.
 pub const MAX_NESTING: usize = 256;
 
 impl LowerError {

@@ -34,7 +34,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod error;
 pub mod lexer;
 pub mod parser;
@@ -47,7 +46,6 @@ pub use ast::{
     ArrayDecl, ArrayRef, Assign, BinOp, DeclDim, Dist, DoLoop, Expr, IfStmt, Program, Stmt,
     Subscript,
 };
-pub use builder::ProgramBuilder;
 pub use error::LangError;
 pub use parser::Parser;
 pub use transform::{fuse_loops, scalarize};

@@ -1,8 +1,7 @@
 //! Pretty printer: renders an AST back to parseable source text.
 //!
 //! The printer is exercised by round-trip tests (`parse(pretty(p)) == p`
-//! modulo line numbers) and is handy when debugging kernels built with
-//! [`crate::ProgramBuilder`].
+//! modulo line numbers).
 
 use std::fmt::Write as _;
 

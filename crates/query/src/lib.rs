@@ -14,11 +14,11 @@
 //! The engine therefore only needs four things:
 //!
 //! * [`QueryEngine::memo`] — probe/compute/insert for a `(query, key)`
-//!   pair, values stored as `Arc<dyn Any>` so one byte-capped LRU serves
-//!   every query kind. The closure runs *outside* the engine lock:
-//!   duplicate concurrent computes of the same key are benign (queries
-//!   are pure), and the first inserted value wins so all callers share
-//!   one `Arc`.
+//!   pair, values stored as `Arc<dyn Any>` so one byte-capped LRU
+//!   ([`ByteLru`]) serves every query kind. The closure runs *outside*
+//!   the engine lock: duplicate concurrent computes of the same key are
+//!   benign (queries are pure), and the first inserted value wins so all
+//!   callers share one `Arc`.
 //! * [`QueryEngine::note_input`] — records the latest fingerprint seen
 //!   for a named input slot (e.g. a routine's source chunk) so the
 //!   driver can report `query.invalidate` when an edit actually changed
@@ -36,14 +36,18 @@
 //! response cache follows the same rule — and keys are 64-bit [`Fingerprinter`]
 //! fingerprints of the complete input, so collisions alias. That risk
 //! (~2⁻⁶⁴ per key pair) is accepted deliberately, as the serve cache's
-//! documentation discusses; unlike the serve LRU there is no full-key
+//! documentation discusses; unlike the serve cache there is no full-key
 //! guard here because the "key" *is* the content.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+mod lru;
+
+pub use lru::ByteLru;
 
 // ---------------------------------------------------------------------------
 // Fingerprinting
@@ -192,35 +196,23 @@ pub struct EngineStats {
     pub evictions: u64,
 }
 
-struct Slot {
-    value: Arc<dyn Any + Send + Sync>,
-    bytes: u64,
-    tick: u64,
-}
+type MemoKey = (&'static str, u64);
+type MemoValue = Arc<dyn Any + Send + Sync>;
 
 struct Inner {
-    /// Memoized values keyed by (query name, content fingerprint).
-    slots: HashMap<(&'static str, u64), Slot>,
-    /// Recency order: tick → slot key. BTreeMap so the oldest entry is
-    /// `first_key_value`, mirroring the serve LRU.
-    order: BTreeMap<u64, (&'static str, u64)>,
+    /// Memoized values keyed by (query name, content fingerprint), each
+    /// charged its reported footprint plus [`ENTRY_OVERHEAD`].
+    memo: ByteLru<MemoKey, MemoValue>,
     /// Last fingerprint presented per input slot.
     inputs: HashMap<u64, u64>,
-    used_bytes: u64,
-    tick: u64,
 }
 
 impl Inner {
     /// The value memoized under `(query, key)`, made the most recent.
     fn touch<T: Send + Sync + 'static>(&mut self, query: &'static str, key: u64) -> Option<Arc<T>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let slot = self.slots.get_mut(&(query, key))?;
-        let value = Arc::clone(&slot.value).downcast::<T>().ok()?;
-        let old_tick = std::mem::replace(&mut slot.tick, tick);
-        self.order.remove(&old_tick);
-        self.order.insert(tick, (query, key));
-        Some(value)
+        Arc::clone(self.memo.get(&(query, key))?)
+            .downcast::<T>()
+            .ok()
     }
 
     /// Records `fp` as the latest fingerprint of input slot `slot`.
@@ -240,7 +232,6 @@ const ENTRY_OVERHEAD: u64 = 96;
 /// A byte-capped, thread-safe memo table for content-addressed queries.
 pub struct QueryEngine {
     inner: Mutex<Inner>,
-    cap_bytes: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     cutoffs: AtomicU64,
@@ -250,11 +241,9 @@ pub struct QueryEngine {
 
 impl std::fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
         f.debug_struct("QueryEngine")
-            .field("cap_bytes", &self.cap_bytes)
-            .field("stats", &s)
-            .finish()
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
     }
 }
 
@@ -264,13 +253,9 @@ impl QueryEngine {
     pub fn new(cap_bytes: u64) -> Self {
         QueryEngine {
             inner: Mutex::new(Inner {
-                slots: HashMap::new(),
-                order: BTreeMap::new(),
+                memo: ByteLru::new(cap_bytes),
                 inputs: HashMap::new(),
-                used_bytes: 0,
-                tick: 0,
             }),
-            cap_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             cutoffs: AtomicU64::new(0),
@@ -353,47 +338,17 @@ impl QueryEngine {
     where
         T: Send + Sync + 'static,
     {
-        let charged = bytes.saturating_add(ENTRY_OVERHEAD);
-        if charged > self.cap_bytes {
-            return value; // larger than the whole cache: serve uncached
-        }
         let mut inner = self.inner.lock().unwrap();
         // A racing compute may have inserted first; adopt its value so
-        // every caller shares one allocation.
-        if let Some(slot) = inner.slots.get(&(query, key)) {
-            if let Ok(existing) = Arc::clone(&slot.value).downcast::<T>() {
-                return existing;
-            }
-            // The slot holds another type (one key used at two value
-            // types): replace it, and take its charge and its recency
-            // tick out with it.
-            let old = inner.slots.remove(&(query, key)).expect("probed above");
-            inner.used_bytes -= old.bytes;
-            inner.order.remove(&old.tick);
+        // every caller shares one allocation. A slot holding another type
+        // (one key used at two value types) is replaced instead.
+        let existing = inner.memo.peek(&(query, key));
+        if let Some(first) = existing.and_then(|v| Arc::clone(v).downcast::<T>().ok()) {
+            return first;
         }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.slots.insert(
-            (query, key),
-            Slot {
-                value: value.clone() as Arc<dyn Any + Send + Sync>,
-                bytes: charged,
-                tick,
-            },
-        );
-        inner.order.insert(tick, (query, key));
-        inner.used_bytes += charged;
-        let mut evicted = 0u64;
-        while inner.used_bytes > self.cap_bytes {
-            let Some((&oldest, &victim)) = inner.order.first_key_value() else {
-                break;
-            };
-            inner.order.remove(&oldest);
-            if let Some(slot) = inner.slots.remove(&victim) {
-                inner.used_bytes -= slot.bytes;
-                evicted += 1;
-            }
-        }
+        // A value larger than the whole cap is refused: served uncached.
+        let charged = bytes.saturating_add(ENTRY_OVERHEAD);
+        let evicted = inner.memo.insert((query, key), value.clone(), charged);
         drop(inner);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -441,12 +396,12 @@ impl QueryEngine {
 
     /// Bytes currently charged against the cap.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().used_bytes
+        self.inner.lock().unwrap().memo.used_bytes()
     }
 
     /// Number of live memo entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().slots.len()
+        self.inner.lock().unwrap().memo.len()
     }
 
     /// True when the memo holds no entries.
@@ -571,7 +526,6 @@ mod tests {
         assert_eq!((*v, hit), ("x", false));
         assert_eq!(eng.len(), 1);
         assert_eq!(eng.used_bytes(), 50 + ENTRY_OVERHEAD, "old charge leaked");
-        assert_eq!(eng.inner.lock().unwrap().order.len(), 1, "stale tick");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   two transports — NDJSON lines on stdio, 4-byte length-delimited
 //!   frames on TCP ([`frame`]). The parser ([`json`]) is hand-rolled on
 //!   `std` only, depth- and size-limited, and never panics on garbage.
-//! * **Content-addressed caching** ([`cache`]): compile responses are
+//! * **Content-addressed caching** ([`service`]): compile responses are
 //!   keyed by the fingerprint of (source, strategy, budget, sim profile)
 //!   with the full key stored against collisions, bounded by bytes with
 //!   LRU eviction. A cache hit is **bit-identical** to a cold compile —
@@ -37,7 +37,6 @@
 //!
 //! Everything here is `std`-only, like the rest of the workspace.
 
-pub mod cache;
 pub mod cli;
 pub mod client;
 pub mod cluster;
@@ -47,13 +46,12 @@ pub mod protocol;
 pub mod server;
 pub mod service;
 
-pub use cache::{CacheKey, LruCache};
 pub use client::{compile_request, Client};
 pub use cluster::{spawn_router, ClusterConfig, Router, RouterHandle};
 pub use frame::DEFAULT_MAX_FRAME;
 pub use protocol::{CompileReq, Request, SimSpec, PROTOCOL};
 pub use server::{serve_lines, spawn, Server, ServerHandle, ShutdownFlag};
-pub use service::{Service, ServiceConfig};
+pub use service::{CacheKey, Service, ServiceConfig};
 
 /// The single workspace-level version: every crate inherits
 /// `workspace.package.version`, so this constant is the version of the

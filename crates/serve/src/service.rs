@@ -4,9 +4,9 @@
 //! A [`Service`] is shared (behind an `Arc`) between every connection
 //! thread and every pool worker. It owns:
 //!
-//! * the content-addressed compile [`LruCache`] (under a mutex — the
-//!   critical section is a hash plus a map probe, orders of magnitude
-//!   cheaper than a compile);
+//! * the content-addressed response cache, a [`ByteLru`] under a mutex
+//!   (the critical section is a hash plus a map probe, orders of
+//!   magnitude cheaper than a compile);
 //! * the **lifetime registry** all per-request stats merge into, and the
 //!   sequencing machinery that keeps that merge *jobs-invariant*: every
 //!   request draws a sequence number at submission ([`Service::begin`])
@@ -27,10 +27,9 @@ use gcomm_core::{lower_to_sim, CompiledRef, SimConfig};
 use gcomm_guard::BudgetSpec;
 use gcomm_machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
 use gcomm_obs::{Registry, StatsReport};
-use gcomm_query::{fingerprint, mix, Computed, Fingerprinter, Input, QueryEngine};
+use gcomm_query::{fingerprint, mix, ByteLru, Computed, Fingerprinter, Input, QueryEngine};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
-use crate::cache::{CacheKey, LruCache};
 use crate::frame::DEFAULT_MAX_FRAME;
 use crate::json::escape;
 use crate::protocol::{assemble, cache_key_material, CompileReq, SimSpec};
@@ -49,9 +48,9 @@ pub struct ServiceConfig {
     pub default_budget: BudgetSpec,
     /// Maximum accepted frame/line payload in bytes.
     pub max_frame: usize,
-    /// Byte capacity of the incremental query engine's memo
-    /// (`--query-cache-bytes`; `0` disables incremental compilation and
-    /// every payload-cache miss compiles from scratch).
+    /// Byte capacity of the incremental query engine's memo (a cap of `0`
+    /// simply holds nothing: every routine of every response-cache miss
+    /// recompiles, through the same engine).
     pub query_cache_bytes: u64,
     /// Directory of the persistent compile cache (`--persist`); `None`
     /// keeps the cache purely in memory. With a directory, cache inserts
@@ -79,6 +78,65 @@ impl Default for ServiceConfig {
     }
 }
 
+/// The content address of a compile request: the canonical key material
+/// — the exact bytes of `(protocol version, strategy, budget spec, sim
+/// spec, source)` joined with NUL separators, see
+/// [`cache_key_material`] — together with its index hash, so a request
+/// that probes and then inserts hashes its (source-sized) key once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheKey {
+    material: String,
+    hash: u64,
+}
+
+impl CacheKey {
+    /// Hashes `material` (the full canonical key string).
+    pub fn new(material: String) -> CacheKey {
+        let hash = fingerprint(material.as_bytes());
+        CacheKey { material, hash }
+    }
+
+    /// The full canonical key string.
+    pub fn material(&self) -> &str {
+        &self.material
+    }
+}
+
+/// A rendered response payload with the key material it was stored under.
+struct CachedResponse {
+    material: String,
+    payload: String,
+}
+
+/// The response cache: key hash → rendered payload of a cold compile,
+/// bounded by key + payload bytes. Because the stored value *is* the
+/// response payload, a hit is bit-identical to a cold compile by
+/// construction; the property tests prove the converse (a cold recompile
+/// reproduces the stored bytes).
+///
+/// The 64-bit hash is only the index: the full key material is kept in
+/// each entry and compared on every hit, so a hash collision degrades to a
+/// miss (and the colliding insert replaces the entry — the old one could
+/// no longer be trusted to be reachable anyway), never to a wrong answer.
+#[derive(Debug)]
+struct ResponseCache(ByteLru<u64, CachedResponse>);
+
+impl ResponseCache {
+    /// The payload stored under `key`, made the most recently used.
+    fn get(&mut self, key: &CacheKey) -> Option<String> {
+        let entry = self.0.get(&key.hash)?;
+        (entry.material == key.material).then(|| entry.payload.clone())
+    }
+
+    /// Stores `payload` under `key`; returns the number of entries evicted.
+    fn insert(&mut self, key: CacheKey, payload: String) -> u64 {
+        let CacheKey { material, hash } = key;
+        let bytes = (material.len() + payload.len()) as u64;
+        self.0
+            .insert(hash, CachedResponse { material, payload }, bytes)
+    }
+}
+
 /// Reorder buffer absorbing per-request reports in sequence order.
 #[derive(Debug, Default)]
 struct Absorber {
@@ -90,10 +148,10 @@ struct Absorber {
 #[derive(Debug)]
 pub struct Service {
     config: ServiceConfig,
-    cache: Mutex<LruCache>,
+    cache: Mutex<ResponseCache>,
     /// Write-through persistent log shadowing the cache (DESIGN.md §15).
     store: Option<Mutex<Store>>,
-    incr: Option<IncrCompiler>,
+    incr: IncrCompiler,
     lifetime: Registry,
     absorber: Mutex<Absorber>,
     next_seq: AtomicU64,
@@ -128,7 +186,7 @@ impl Service {
     /// directory. Infallible when `config.persist` is `None`.
     pub fn open(config: ServiceConfig) -> io::Result<Service> {
         let lifetime = Registry::new();
-        let mut cache = LruCache::new(config.cache_bytes);
+        let mut cache = ResponseCache(ByteLru::new(config.cache_bytes));
         let store = match &config.persist {
             None => None,
             Some(dir) => {
@@ -154,13 +212,11 @@ impl Service {
                 Some(Mutex::new(store))
             }
         };
-        let incr =
-            (config.query_cache_bytes > 0).then(|| IncrCompiler::new(config.query_cache_bytes));
         Ok(Service {
+            incr: IncrCompiler::new(config.query_cache_bytes),
             config,
             cache: Mutex::new(cache),
             store,
-            incr,
             lifetime,
             absorber: Mutex::new(Absorber::default()),
             next_seq: AtomicU64::new(0),
@@ -263,14 +319,11 @@ impl Service {
         }
         gcomm_obs::count("cache.miss", 1);
         gcomm_obs::count("serve.compiles", 1);
-        // The warm-edit path: with the query engine enabled, a near-miss
-        // (an edited source) recomputes only the pipeline stages whose
-        // input fingerprints actually changed; everything else is reused
-        // bit-identically (DESIGN.md §14).
-        let payload = match &self.incr {
-            Some(ic) => incremental_payload(ic, req, &effective),
-            None => cold_compile_payload(req, &effective),
-        };
+        // The warm-edit path: a near-miss (an edited source) recomputes
+        // only the pipeline stages whose input fingerprints actually
+        // changed; everything else is reused bit-identically (DESIGN.md
+        // §14).
+        let payload = incremental_payload(&self.incr, req, &effective);
         self.persist_entry(key.material(), &payload);
         let evicted = self.cache.lock().unwrap().insert(key, payload.clone());
         if evicted > 0 {
@@ -326,7 +379,7 @@ impl Service {
     /// Cache occupancy `(entries, used_bytes)` (for reports and tests).
     pub fn cache_usage(&self) -> (usize, u64) {
         let c = self.cache.lock().unwrap();
-        (c.len(), c.used_bytes())
+        (c.0.len(), c.0.used_bytes())
     }
 }
 
@@ -693,6 +746,22 @@ mod tests {
         assert_eq!(life.counter("serve.compiles"), 1);
         assert_eq!(life.counter("serve.requests"), 2);
         assert_eq!(svc.cache_usage().0, 1);
+    }
+
+    #[test]
+    fn a_hash_collision_is_a_miss_and_the_newcomer_wins() {
+        let key = |material: &str| CacheKey {
+            material: material.into(),
+            hash: 7, // forced: two materials under one index hash
+        };
+        let mut cache = ResponseCache(ByteLru::new(1024));
+        cache.insert(key("k1"), "v1".into());
+        assert_eq!(cache.get(&key("k1")), Some("v1".into()));
+        assert_eq!(cache.get(&key("k2")), None, "same hash, other material");
+        cache.insert(key("k2"), "v2".into());
+        assert_eq!(cache.get(&key("k1")), None, "replaced, not aliased");
+        assert_eq!(cache.get(&key("k2")), Some("v2".into()));
+        assert_eq!((cache.0.len(), cache.0.used_bytes()), (1, 4));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`lang`] | mini-HPF frontend (lexer, parser, AST, validator, builder) |
+//! | [`lang`] | mini-HPF frontend (lexer, parser, AST, validator) |
 //! | [`ir`] | statement IR, augmented CFG, loop tree, dominators |
 //! | [`ssa`] | whole-array SSA with φ-Enter / φ-Exit definitions |
 //! | [`dep`] | dependence testing, direction vectors, access widening |

@@ -2,7 +2,9 @@
 //! first `edit` module (64 routines) is preloaded and then sent 50 times,
 //! one single-routine edit apart, and the server's stable `stats` must
 //! equal `results/edit_storm_stats.txt` — every `query.*`, `cache.*`,
-//! `serve.*` and compiler-pass count, with 1 worker and with 4.
+//! `serve.*` and compiler-pass count, with 1 worker and with 4. Each of the
+//! 51 responses must also equal, byte for byte, what a memo-free cold
+//! compile of the same request renders.
 //!
 //! The served edit path is where the bookkeeping around a compile gets
 //! optimised (one engine lock per module, one key hash per request); this
@@ -14,8 +16,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use gcomm::serve::json::Json;
-use gcomm::serve::{compile_request, Client, ServiceConfig};
-use gcomm::Strategy;
+use gcomm::serve::protocol::assemble;
+use gcomm::serve::service::cold_compile_payload;
+use gcomm::serve::{compile_request, Client, CompileReq, ServiceConfig};
+use gcomm::{BudgetSpec, Strategy};
 
 #[path = "support/edit_pool.rs"]
 mod edit_pool;
@@ -28,10 +32,22 @@ fn storm_counters(jobs: usize) -> String {
     };
     let server = gcomm::serve::spawn("127.0.0.1:0", config).expect("server spawns");
     let mut client = Client::connect(server.addr()).expect("client connects");
-    for (step, module) in edit_pool::edit_chain(0).iter().enumerate() {
-        let request = compile_request(step as u64, module, Strategy::Global, None, None);
+    for (step, module) in edit_pool::edit_chain(0).into_iter().enumerate() {
+        let req = CompileReq {
+            id: Some(step as u64),
+            source: module,
+            strategy: Strategy::Global,
+            budget: None,
+            sim: None,
+        };
+        let request = compile_request(step as u64, &req.source, req.strategy, None, None);
         let response = client.request(&request).expect("a response");
         assert!(response.contains("\"ok\":true"), "step {step}: {response}");
+        let cold = assemble(req.id, &cold_compile_payload(&req, &BudgetSpec::default()));
+        assert_eq!(
+            response, cold,
+            "step {step}: incremental diverged from cold"
+        );
     }
     let stats = client
         .request(r#"{"op":"stats","id":0,"stable":true}"#)

@@ -18,7 +18,7 @@
 //! Seeds are sequential from the shared fuzz base so CI and local runs
 //! explore the same programs; `GCOMM_FUZZ_CASES` scales the count.
 
-use gcomm::core::optimal::comm_cost;
+use gcomm::core::optimal::{comm_cost, OptimalResult};
 use gcomm::core::{
     exhaustive_placement_jobs, optimal_placement_jobs, CombinePolicy, Compiled, SimConfig,
 };
@@ -64,17 +64,26 @@ fn scoring(c: &Compiled) -> (SimConfig, NetworkModel) {
 /// compiled program, at jobs 1 and 8. Returns false when the program has
 /// no communication or its space exceeds `ENUM_LIMIT`.
 fn assert_bnb_matches_exhaustive(c: &Compiled, what: &str) -> bool {
+    bnb_matching_exhaustive(c, what, ENUM_LIMIT, BNB_LIMIT).is_some()
+}
+
+/// [`assert_bnb_matches_exhaustive`] under explicit budgets; returns the
+/// (jobs-invariant) branch-and-bound result when the comparison ran.
+fn bnb_matching_exhaustive(
+    c: &Compiled,
+    what: &str,
+    enum_limit: u64,
+    bnb_limit: u64,
+) -> Option<OptimalResult> {
     let (cfg, net) = scoring(c);
     let policy = CombinePolicy::default();
-    let Some(ex) = exhaustive_placement_jobs(c, &policy, &cfg, &net, &Budget::steps(ENUM_LIMIT), 1)
-    else {
-        return false;
-    };
+    let ex = exhaustive_placement_jobs(c, &policy, &cfg, &net, &Budget::steps(enum_limit), 1)?;
     if ex.truncated {
-        return false; // space too large for the reference
+        return None; // space too large for the reference
     }
+    let mut result = None;
     for jobs in [1usize, 8] {
-        let bb = optimal_placement_jobs(c, &policy, &cfg, &net, &Budget::steps(BNB_LIMIT), jobs)
+        let bb = optimal_placement_jobs(c, &policy, &cfg, &net, &Budget::steps(bnb_limit), jobs)
             .expect("same front half as the reference");
         assert!(
             !bb.truncated,
@@ -94,8 +103,9 @@ fn assert_bnb_matches_exhaustive(c: &Compiled, what: &str) -> bool {
             bb.schedule, ex.schedule,
             "{what} jobs {jobs}: schedule diverged from exhaustive"
         );
+        result = Some(bb);
     }
-    true
+    result
 }
 
 /// Asserts the truncated search is jobs-invariant and never worse than
@@ -172,6 +182,19 @@ fn kernels_bnb_matches_exhaustive() {
         "only {exercised} kernels had enumerable spaces — the differential \
          check lost its coverage"
     );
+}
+
+/// Dominance pruning earns its keep (ROADMAP 3b): it cuts nothing on the
+/// five `compare_optimal` kernels, but on `gravity:main` (space 4 096, past
+/// `ENUM_LIMIT`) it cuts subtrees the bound test let through, and the
+/// certified result is still the enumeration's, bit for bit.
+#[test]
+fn dominance_pruning_fires_on_gravity_and_stays_exact() {
+    let c = compile(gcomm::kernels::GRAVITY, Strategy::Global).expect("gravity compiles");
+    let bb = bnb_matching_exhaustive(&c, "gravity:main", 4_096, 4 * 4_096 + 64)
+        .expect("gravity:main's space is enumerable at 4 096");
+    assert_eq!(bb.space, 4_096);
+    assert!(bb.pruned_dominance > 0, "dominance never fired: {bb:?}");
 }
 
 /// ≥200 fuzzed programs, complete budgets: wherever the enumeration can
