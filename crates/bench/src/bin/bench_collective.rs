@@ -110,18 +110,8 @@ fn paper_programs() -> Vec<(String, &'static str)> {
     v
 }
 
-fn grid_rank(c: &Compiled) -> usize {
-    c.prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
 fn comm_us(c: &Compiled, net: &NetworkModel, topo: &Topology, choice: CollChoice) -> f64 {
-    let cfg = SimConfig::uniform(c, ProcGrid::balanced(25, grid_rank(c)), 64)
+    let cfg = SimConfig::uniform(c, ProcGrid::balanced(25, c.prog.grid_rank()), 64)
         .with("nsteps", 2)
         .with_coll(CollConfig::new(topo.clone(), choice, net.clone()));
     simulate(&lower_to_sim(c, &cfg), net).comm_us

@@ -9,7 +9,7 @@
 //! * `fig10_runtimes` — normalized running-time bars (E3–E8),
 //! * `ablation_greedy`, `ablation_threshold`, `ablation_subset` — A1–A3.
 
-use gcomm_core::{compile, lower_to_sim, Compiled, CoreError, SimConfig, Strategy};
+use gcomm_core::{compile, lower_to_sim, CoreError, SimConfig, Strategy};
 use gcomm_machine::fault::FaultPlan;
 use gcomm_machine::profile::ProfilePoint;
 use gcomm_machine::{simulate, simulate_with_faults, NetworkModel, ProcGrid, SimReport, SimResult};
@@ -78,17 +78,6 @@ impl RuntimeRow {
     }
 }
 
-/// Grid rank needed by a compiled kernel (max distributed dims).
-pub fn grid_rank(c: &Compiled) -> usize {
-    c.prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Simulates one kernel at size `n` on a platform under one strategy.
 ///
 /// # Errors
@@ -101,7 +90,7 @@ pub fn simulate_kernel(
     n: i64,
 ) -> Result<SimResult, CoreError> {
     let c = compile(src, strategy)?;
-    let grid = ProcGrid::balanced(platform.nproc(), grid_rank(&c));
+    let grid = ProcGrid::balanced(platform.nproc(), c.prog.grid_rank());
     let cfg = SimConfig::uniform(&c, grid, n).with("nsteps", NSTEPS);
     let prog = lower_to_sim(&c, &cfg);
     Ok(simulate(&prog, &platform.model()))
@@ -135,7 +124,7 @@ pub fn simulate_kernel_with_faults(
     plan: &FaultPlan,
 ) -> Result<SimReport, CoreError> {
     let c = compile(src, strategy)?;
-    let grid = ProcGrid::balanced(platform.nproc(), grid_rank(&c));
+    let grid = ProcGrid::balanced(platform.nproc(), c.prog.grid_rank());
     let cfg = SimConfig::uniform(&c, grid, n).with("nsteps", NSTEPS);
     let prog = lower_to_sim(&c, &cfg);
     Ok(simulate_with_faults(&prog, &platform.model(), plan))

@@ -1012,14 +1012,7 @@ pub(crate) fn optimal_strategy(
         schedule: seed,
         stats: Default::default(),
     };
-    let rank = scratch
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = scratch.prog.grid_rank();
     let cfg = SimConfig::uniform(&scratch, ProcGrid::balanced(8, rank), 64).with("nsteps", 4);
     let net = NetworkModel::sp2();
     let budget = if ctx.budget.step_cap().is_some() {

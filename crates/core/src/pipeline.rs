@@ -207,7 +207,18 @@ pub fn compile_budgeted_with_policy(
 ) -> Result<Compiled, CoreError> {
     let _compile = PassTimer::start("core.compile");
     let ast = gcomm_lang::parse_program(src)?;
-    let prog = gcomm_ir::lower(&ast)?;
+    compile_ast(&ast, strategy, policy, budget)
+}
+
+/// What every `compile*` does with a parsed program: lower it, place its
+/// communication, and snapshot the installed registry (if any).
+fn compile_ast(
+    ast: &gcomm_lang::Program,
+    strategy: Strategy,
+    policy: &CombinePolicy,
+    budget: gcomm_guard::Budget,
+) -> Result<Compiled, CoreError> {
+    let prog = gcomm_ir::lower(ast)?;
     let schedule = compile_program_budgeted(&prog, strategy, policy, budget);
     let stats = gcomm_obs::current()
         .map(|r| r.snapshot())
@@ -260,16 +271,7 @@ pub fn compile_diagnostics_budgeted(
 ) -> Result<Compiled, Vec<CoreError>> {
     let ast = gcomm_lang::parse_program_diagnostics(src)
         .map_err(|errs| errs.into_iter().map(CoreError::from).collect::<Vec<_>>())?;
-    let prog = gcomm_ir::lower(&ast).map_err(|e| vec![CoreError::from(e)])?;
-    let schedule = compile_program_budgeted(&prog, strategy, &CombinePolicy::default(), budget);
-    let stats = gcomm_obs::current()
-        .map(|r| r.snapshot())
-        .unwrap_or_default();
-    Ok(Compiled {
-        prog,
-        schedule,
-        stats,
-    })
+    compile_ast(&ast, strategy, &CombinePolicy::default(), budget).map_err(|e| vec![e])
 }
 
 /// Runs a strategy over an already-lowered program.

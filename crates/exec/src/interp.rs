@@ -274,11 +274,6 @@ impl<'a> Interp<'a> {
         &self.st
     }
 
-    /// Consumes the interpreter, returning the final state.
-    pub fn into_state(self) -> FinalState {
-        FinalState { state: self.st }
-    }
-
     /// Executes the program from entry to exit.
     ///
     /// # Errors

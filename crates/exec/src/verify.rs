@@ -352,15 +352,7 @@ mod tests {
     }
 
     fn grid_for(compiled: &Compiled) -> ProcGrid {
-        let rank = compiled
-            .prog
-            .arrays
-            .iter()
-            .map(|a| a.distributed_dims().len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        ProcGrid::balanced(4, rank)
+        ProcGrid::balanced(4, compiled.prog.grid_rank())
     }
 
     #[test]

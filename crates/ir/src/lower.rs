@@ -610,6 +610,16 @@ mod tests {
     }
 
     #[test]
+    fn grid_rank_is_the_widest_distribution_and_at_least_one() {
+        let replicated = ir("program p\nparam n\nreal a(n), s\na(1:n) = s\nend\n");
+        assert!(replicated.arrays.iter().all(ArrayInfo::is_replicated));
+        assert_eq!(replicated.grid_rank(), 1);
+        let mixed = ir("program p\nparam n\nreal a(n,n) distribute (block, *)\n\
+             real b(n,n) distribute (block, block)\nb(1:n, 1:n) = a(1:n, 1:n)\nend\n");
+        assert_eq!(mixed.grid_rank(), 2);
+    }
+
+    #[test]
     fn deep_programmatic_ast_is_an_error_not_a_stack_overflow() {
         // The parser bounds source-derived nesting, but an AST built
         // programmatically can be arbitrarily deep; the lowerer must

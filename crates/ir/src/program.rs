@@ -287,6 +287,14 @@ impl IrProgram {
             .map(|i| ArrayId(i as u32))
     }
 
+    /// Rank of the processor grid the program runs on: the largest number
+    /// of distributed dimensions among its arrays, at least 1 (a program
+    /// of replicated data still runs on a line of processors).
+    pub fn grid_rank(&self) -> usize {
+        let dims = self.arrays.iter().map(|a| a.distributed_dims().len());
+        dims.max().unwrap_or(1).max(1)
+    }
+
     /// Level of the deepest loop enclosing both `a` and `b` (0 when none):
     /// walks `LoopInfo::{parent, level}` upward from both, no chain built.
     fn common_level(&self, mut a: Option<LoopId>, mut b: Option<LoopId>) -> u32 {

@@ -44,11 +44,6 @@ impl Asd {
             && self.section.subset_of(&other.section, ctx)
     }
 
-    /// True if the two descriptors describe byte-identical communication.
-    pub fn same_comm(&self, other: &Asd) -> bool {
-        self == other
-    }
-
     /// Budgeted [`subsumed_by`](Self::subsumed_by): charges steps
     /// proportional to the section rank, and answers `false` (not
     /// subsumed) once the budget is exhausted. A `false` only ever *skips*

@@ -9,7 +9,6 @@
 
 use std::cmp::Ordering;
 
-use gcomm_guard::Budget;
 use gcomm_ir::Affine;
 
 /// Context for symbolic comparisons.
@@ -95,22 +94,6 @@ impl SymCtx {
     /// canonical forms).
     pub fn eq(&self, a: &Affine, b: &Affine) -> bool {
         a == b
-    }
-
-    /// Budgeted [`cmp`](Self::cmp): charges one step and answers `None`
-    /// (undecidable — which every client already treats conservatively)
-    /// once the budget is exhausted.
-    pub fn cmp_within(&self, a: &Affine, b: &Affine, budget: &Budget) -> Option<Ordering> {
-        if !budget.charge(1) {
-            return None;
-        }
-        self.cmp(a, b)
-    }
-
-    /// Budgeted [`le`](Self::le): charges one step and answers `false`
-    /// (not provable) once the budget is exhausted.
-    pub fn le_within(&self, a: &Affine, b: &Affine, budget: &Budget) -> bool {
-        budget.charge(1) && self.le(a, b)
     }
 }
 

@@ -355,6 +355,15 @@ mod tests {
         assert!(take_persist_flag(&mut bad).is_err());
         let mut bad = argv(&["--persist-fsync", "sometimes"]);
         assert!(take_persist_fsync_flag(&mut bad).is_err());
+        // `gcommc cluster` forwards the flag to its shards as text.
+        use gcomm_store::FsyncPolicy;
+        for p in [
+            FsyncPolicy::Always,
+            FsyncPolicy::Off,
+            FsyncPolicy::Interval(8),
+        ] {
+            assert_eq!(FsyncPolicy::parse(&p.to_string()), Ok(p));
+        }
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! * [`shard`] — deadline-armed pooled connections and verbatim
 //!   request/response relay (the bit-identity guarantee: the router never
 //!   re-renders a payload, and payloads are pure functions of the key).
-//! * [`router`] — the accept loop, retry with wall-clock exponential
-//!   backoff ([`gcomm_machine::fault::RetryPolicy`] pointed at real
-//!   sockets), failover to replicas, and a structured `unavailable`
-//!   error when everything failed — never a hang, never a partial frame.
+//! * [`router`] — the routing backend of the crate's one listener
+//!   ([`crate::server`] accepts, parses, answers management ops, sheds
+//!   load and drains for it): retry with wall-clock exponential backoff
+//!   ([`gcomm_machine::fault::RetryPolicy`] pointed at real sockets),
+//!   failover to replicas, and a structured `unavailable` error when
+//!   everything failed — never a hang, never a partial frame.
 //! * [`proc`] — shard child-process management for `gcommc cluster`
 //!   (spawn, address handshake, graceful shutdown, kill, respawn).
 //! * [`supervise`] — the respawn loop (DESIGN.md §15): a dead child is
@@ -37,8 +39,6 @@ use std::time::Duration;
 
 use gcomm_guard::BudgetSpec;
 use gcomm_machine::fault::RetryPolicy;
-
-use crate::frame::DEFAULT_MAX_FRAME;
 
 pub mod health;
 pub mod hotkey;
@@ -52,11 +52,13 @@ pub use health::{HealthCell, HealthPolicy, Transition};
 pub use hotkey::HotKeys;
 pub use proc::ShardProc;
 pub use ring::Ring;
-pub use router::{spawn_router, Admission, Router, RouterHandle};
+pub use router::{spawn_router, Admission, RouterHandle};
 pub use shard::{ForwardError, Shard};
 pub use supervise::{supervise, SupervisePolicy, SupervisorHandle};
 
-/// Tuning knobs of a cluster router.
+/// Tuning knobs of a cluster router: the values something sets. What only
+/// ever took its default (queue depth, socket and probe deadlines, hot-key
+/// capacity, jitter seed) is a constant beside its one use.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Extra ring successors a request may fail over to (and hot keys
@@ -66,38 +68,24 @@ pub struct ClusterConfig {
     pub vnodes: usize,
     /// Router worker threads forwarding requests.
     pub jobs: usize,
-    /// Bounded router queue; submissions beyond it get `overloaded`.
-    pub queue_cap: usize,
-    /// Maximum accepted frame payload in bytes.
-    pub max_frame: usize,
     /// Budget assumed for compile requests without one — **must match the
     /// shards' default budget** so the router hashes the same key material
     /// the shard caches under.
     pub default_budget: BudgetSpec,
-    /// Read/write deadline on router→shard sockets.
-    pub io_timeout: Duration,
-    /// Connect deadline on router→shard sockets.
-    pub connect_timeout: Duration,
     /// Retry curve (attempt count, exponential backoff shape).
     pub retry: RetryPolicy,
     /// Base of the wall-clock backoff between attempts.
     pub retry_base: Duration,
     /// Hard cap on a single backoff sleep.
     pub retry_cap: Duration,
-    /// Seed for the per-request jitter stream (deterministic per key).
-    pub seed: u64,
     /// Interval between background health probes.
     pub check_interval: Duration,
-    /// Deadline on one health probe round-trip.
-    pub check_timeout: Duration,
     /// Up/down thresholds of the health state machine.
     pub health: HealthPolicy,
     /// Hits within [`ClusterConfig::hot_window`] that make a key hot.
     pub hot_threshold: u32,
     /// Sliding window for hot-key detection.
     pub hot_window: Duration,
-    /// Maximum tracked keys in the hot-key table.
-    pub hot_capacity: usize,
 }
 
 impl Default for ClusterConfig {
@@ -106,23 +94,14 @@ impl Default for ClusterConfig {
             replicas: 1,
             vnodes: 64,
             jobs: gcomm_par::default_jobs(),
-            queue_cap: 64,
-            max_frame: DEFAULT_MAX_FRAME,
             default_budget: BudgetSpec::default(),
-            // Above the 10s sleep-op cap, so a worst-case parked worker
-            // still answers within the deadline instead of tripping it.
-            io_timeout: Duration::from_secs(15),
-            connect_timeout: Duration::from_secs(1),
             retry: RetryPolicy::default(),
             retry_base: Duration::from_millis(25),
             retry_cap: Duration::from_secs(1),
-            seed: 0x9e37_79b9_7f4a_7c15,
             check_interval: Duration::from_millis(150),
-            check_timeout: Duration::from_secs(1),
             health: HealthPolicy::default(),
             hot_threshold: 3,
             hot_window: Duration::from_secs(2),
-            hot_capacity: 65_536,
         }
     }
 }

@@ -77,6 +77,17 @@ pub struct Shard {
 /// of pooled.
 const POOL_CAP: usize = 8;
 
+/// Connect deadline on router→shard sockets.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Read/write deadline on router→shard sockets. Above the 10s sleep-op
+/// cap, so a worst-case parked worker still answers within the deadline
+/// instead of tripping it.
+const IO_TIMEOUT: Duration = Duration::from_secs(15);
+
+/// Deadline on one health probe (its connect, and each read and write).
+const CHECK_TIMEOUT: Duration = Duration::from_secs(1);
+
 impl Shard {
     /// A shard handle with an empty connection pool.
     pub fn new(addr: SocketAddr) -> Shard {
@@ -99,29 +110,19 @@ impl Shard {
         self.drop_idle();
     }
 
-    fn connect(
-        &self,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-    ) -> Result<Client, ForwardError> {
-        let addr = self.addr();
-        let mut c =
-            Client::connect_timeout(&addr, connect_timeout).map_err(ForwardError::Connect)?;
-        c.set_io_timeout(Some(io_timeout))
+    fn connect(&self) -> Result<Client, ForwardError> {
+        let mut c = Client::connect_timeout(&self.addr(), CONNECT_TIMEOUT)
+            .map_err(ForwardError::Connect)?;
+        c.set_io_timeout(Some(IO_TIMEOUT))
             .map_err(ForwardError::Io)?;
         Ok(c)
     }
 
-    fn checkout(
-        &self,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-    ) -> Result<(Client, bool), ForwardError> {
+    fn checkout(&self) -> Result<(Client, bool), ForwardError> {
         if let Some(c) = self.idle.lock().unwrap().pop() {
             return Ok((c, true));
         }
-        self.connect(connect_timeout, io_timeout)
-            .map(|c| (c, false))
+        self.connect().map(|c| (c, false))
     }
 
     fn checkin(&self, c: Client) {
@@ -147,13 +148,8 @@ impl Shard {
     ///
     /// A classified [`ForwardError`]; the failed connection is dropped,
     /// never pooled again.
-    pub fn forward(
-        &self,
-        text: &str,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-    ) -> Result<String, ForwardError> {
-        let (mut client, reused) = self.checkout(connect_timeout, io_timeout)?;
+    pub fn forward(&self, text: &str) -> Result<String, ForwardError> {
+        let (mut client, reused) = self.checkout()?;
         match Self::roundtrip(&mut client, text) {
             Ok(resp) => {
                 self.checkin(client);
@@ -161,7 +157,7 @@ impl Shard {
             }
             Err(_) if reused => {
                 // The pooled socket was stale; one fresh attempt.
-                let mut fresh = self.connect(connect_timeout, io_timeout)?;
+                let mut fresh = self.connect()?;
                 let resp = Self::roundtrip(&mut fresh, text)?;
                 self.checkin(fresh);
                 Ok(resp)
@@ -183,13 +179,7 @@ impl Shard {
 
     /// Liveness probe: one `ping` round-trip on a fresh socket (never a
     /// pooled one — the probe must test the shard, not our cache of it).
-    pub fn ping(&self, connect_timeout: Duration, io_timeout: Duration) -> bool {
-        let Ok(mut c) = self.connect(connect_timeout, io_timeout) else {
-            return false;
-        };
-        matches!(
-            Self::roundtrip(&mut c, r#"{"op":"ping","id":0}"#),
-            Ok(resp) if resp.contains("\"pong\":true")
-        )
+    pub fn ping(&self) -> bool {
+        Client::ping(&self.addr(), CHECK_TIMEOUT)
     }
 }

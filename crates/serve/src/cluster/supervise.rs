@@ -43,36 +43,34 @@ use crate::server::ShutdownFlag;
 use super::proc::ShardProc;
 use super::router::Admission;
 
+/// Base of the wall-clock backoff between failed respawn attempts (the
+/// attempt budget and curve are [`RetryPolicy::default`]).
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Hard cap on a single backoff sleep.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Connect/IO deadline on one readmission probe round-trip.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Total time to keep probing a respawned shard before giving up on
+/// this respawn (the next poll cycle starts over).
+const PROBE_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Seed of the backoff jitter stream.
+const JITTER_SEED: u64 = 0x5851_f42d_4c95_7f2d;
+
 /// Tuning knobs of a shard supervisor.
 #[derive(Debug, Clone)]
 pub struct SupervisePolicy {
     /// Interval between child liveness polls.
     pub poll_interval: Duration,
-    /// Respawn attempt budget and backoff shape per detected death.
-    pub retry: RetryPolicy,
-    /// Base of the wall-clock backoff between failed respawn attempts.
-    pub backoff_base: Duration,
-    /// Hard cap on a single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Connect/IO deadline on one readmission probe round-trip.
-    pub probe_timeout: Duration,
-    /// Total time to keep probing a respawned shard before giving up on
-    /// this respawn (the next poll cycle starts over).
-    pub probe_deadline: Duration,
-    /// Seed of the backoff jitter stream.
-    pub seed: u64,
 }
 
 impl Default for SupervisePolicy {
     fn default() -> Self {
         SupervisePolicy {
             poll_interval: Duration::from_millis(100),
-            retry: RetryPolicy::default(),
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            probe_timeout: Duration::from_secs(1),
-            probe_deadline: Duration::from_secs(10),
-            seed: 0x5851_f42d_4c95_7f2d,
         }
     }
 }
@@ -117,16 +115,16 @@ fn supervise_loop(
     policy: &SupervisePolicy,
     shutdown: &ShutdownFlag,
 ) -> Vec<ShardProc> {
-    let mut rng = Rng64::new(policy.seed);
+    let mut rng = Rng64::new(JITTER_SEED);
     while !shutdown.is_set() {
         for (i, child) in children.iter_mut().enumerate() {
             if !child.has_exited() || shutdown.is_set() {
                 continue;
             }
-            if let Some(addr) = respawn_with_backoff(i, child, policy, &mut rng, shutdown) {
+            if let Some(addr) = respawn_with_backoff(i, child, &mut rng, shutdown) {
                 // Banner implies the recovery scan completed; the probe
                 // confirms the serve loop answers before readmission.
-                if probe_until_pong(&addr, policy, shutdown) {
+                if probe_until_pong(&addr, shutdown) {
                     admission.readmit(i, addr);
                 } else {
                     eprintln!(
@@ -141,17 +139,17 @@ fn supervise_loop(
     children
 }
 
-/// One respawn episode: up to the policy's attempt budget, exponential
-/// wall-clock backoff between failures. `None` leaves the child dead for
-/// the next poll cycle.
+/// One respawn episode: up to the retry policy's attempt budget,
+/// exponential wall-clock backoff between failures. `None` leaves the
+/// child dead for the next poll cycle.
 fn respawn_with_backoff(
     index: usize,
     child: &mut ShardProc,
-    policy: &SupervisePolicy,
     rng: &mut Rng64,
     shutdown: &ShutdownFlag,
 ) -> Option<SocketAddr> {
-    let attempts = policy.retry.attempts();
+    let retry = RetryPolicy::default();
+    let attempts = retry.attempts();
     for attempt in 1..=attempts {
         if shutdown.is_set() {
             return None;
@@ -164,12 +162,7 @@ fn respawn_with_backoff(
                      (attempt {attempt}/{attempts}): {e}"
                 );
                 if attempt < attempts {
-                    std::thread::sleep(policy.retry.backoff_wall(
-                        policy.backoff_base,
-                        policy.backoff_cap,
-                        attempt,
-                        rng,
-                    ));
+                    std::thread::sleep(retry.backoff_wall(BACKOFF_BASE, BACKOFF_CAP, attempt, rng));
                 }
             }
         }
@@ -179,20 +172,13 @@ fn respawn_with_backoff(
 
 /// Probes `addr` with the protocol's `ping` op until it answers `pong`
 /// or the probe deadline expires.
-fn probe_until_pong(addr: &SocketAddr, policy: &SupervisePolicy, shutdown: &ShutdownFlag) -> bool {
-    let deadline = Instant::now() + policy.probe_deadline;
+fn probe_until_pong(addr: &SocketAddr, shutdown: &ShutdownFlag) -> bool {
+    let deadline = Instant::now() + PROBE_DEADLINE;
     loop {
         if shutdown.is_set() {
             return false;
         }
-        let pong = Client::connect_timeout(addr, policy.probe_timeout)
-            .and_then(|mut c| {
-                c.set_io_timeout(Some(policy.probe_timeout))?;
-                c.request(r#"{"op":"ping","id":0}"#)
-            })
-            .map(|resp| resp.contains("\"pong\":true"))
-            .unwrap_or(false);
-        if pong {
+        if Client::ping(addr, PROBE_TIMEOUT) {
             return true;
         }
         if Instant::now() >= deadline {

@@ -15,6 +15,10 @@
 //!   with the full key stored against collisions, bounded by bytes with
 //!   LRU eviction. A cache hit is **bit-identical** to a cold compile —
 //!   the cache stores the rendered response payload itself.
+//! * **One listener** ([`server`]): accept loop, frame reader, dispatch,
+//!   response writer and drain exist once, generic over a crate-private
+//!   backend seam with two implementors — the [`Service`] and the
+//!   cluster router.
 //! * **Batching & backpressure** ([`service`], [`server`]): requests feed
 //!   a bounded queue in front of a `gcomm-par` worker pool
 //!   (`--jobs`/`GCOMM_JOBS`); a full queue rejects with `overloaded`
@@ -25,10 +29,11 @@
 //! * **Graceful drain** ([`server::ShutdownFlag`]): a `shutdown` request
 //!   or SIGTERM/SIGINT stops accepting, finishes every accepted job,
 //!   flushes its response, and exits cleanly.
-//! * **Cluster mode** ([`cluster`]): a router consistent-hashes cache
-//!   keys over N shard processes, health-checks them, retries with real
-//!   wall-clock backoff, fails over to ring replicas, and replicates hot
-//!   keys — while responses stay bit-identical to a single-node server.
+//! * **Cluster mode** ([`cluster`]): a router — the listener's second
+//!   backend — consistent-hashes cache keys over N shard processes,
+//!   health-checks them, retries with real wall-clock backoff, fails
+//!   over to ring replicas, and replicates hot keys — while responses
+//!   stay bit-identical to a single-node server.
 //! * **Crash-safe persistence** (`--persist`, DESIGN.md §15): cache
 //!   inserts write through to a `gcomm-store` segmented log; a restarted
 //!   service (or a supervisor-respawned shard) recovers it — truncating
@@ -47,10 +52,10 @@ pub mod server;
 pub mod service;
 
 pub use client::{compile_request, Client};
-pub use cluster::{spawn_router, ClusterConfig, Router, RouterHandle};
+pub use cluster::{spawn_router, ClusterConfig, RouterHandle};
 pub use frame::DEFAULT_MAX_FRAME;
 pub use protocol::{CompileReq, Request, SimSpec, PROTOCOL};
-pub use server::{serve_lines, spawn, Server, ServerHandle, ShutdownFlag};
+pub use server::{serve_lines, spawn, ServerHandle, ShutdownFlag};
 pub use service::{CacheKey, Service, ServiceConfig};
 
 /// The single workspace-level version: every crate inherits

@@ -1,6 +1,9 @@
-//! The transport layer: a TCP accept loop (length-delimited frames) and a
-//! stdio loop (NDJSON), both dispatching into one [`Service`] and one
-//! bounded [`Pool`].
+//! The transport layer, and the only one: a TCP accept loop
+//! (length-delimited frames) and a stdio loop (NDJSON), both dispatching
+//! into a [`Backend`] and one bounded [`Pool`]. The compile service
+//! ([`Service`]) and the cluster router ([`crate::cluster::router`]) are
+//! the two backends; everything below the seam — framing, request
+//! parsing, management ops, backpressure, drain — exists once.
 //!
 //! ## Concurrency shape
 //!
@@ -10,6 +13,8 @@
 //! Responses are written under a per-connection writer mutex, so worker
 //! and reader writes never interleave bytes. Responses to pooled requests
 //! may arrive out of submission order — that is what request ids are for.
+//! A connection that ends takes its thread and its descriptors with it;
+//! the listener holds state only for connections that are live.
 //!
 //! ## Backpressure
 //!
@@ -19,27 +24,32 @@
 //!
 //! ## Drain and shutdown
 //!
-//! A `shutdown` request (or [`ShutdownFlag::request`], which the `gcommc
-//! serve` binary wires to SIGINT/SIGTERM) makes the accept loop stop —
-//! it is woken by a loopback connection — after which the pool is drained
+//! A `shutdown` request (or [`ShutdownFlag::request`], which the `gcommc`
+//! binary wires to SIGINT/SIGTERM) makes the accept loop stop — it is
+//! woken by a loopback connection — after which the pool is drained
 //! (**every accepted job still runs and its response is written**), the
-//! connection sockets are shut down to unblock their readers, and all
-//! threads are joined before [`Server::run`] returns.
+//! live connections' sockets are shut down to unblock their readers, and
+//! all threads — the backend's background threads last — are joined
+//! before [`ServerHandle::wait`] returns.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::Duration;
 
+use gcomm_obs::StatsReport;
 use gcomm_par::{Pool, PoolHandle, SubmitError};
 
 use crate::frame::{
     into_text, read_frame, read_line_capped, skip_payload, write_frame, FrameError, Line,
+    DEFAULT_MAX_FRAME,
 };
 use crate::json::{escape, Json};
-use crate::protocol::{assemble, error_response, Request, PROTOCOL};
+use crate::protocol::{assemble, error_response, CompileReq, Request, PROTOCOL};
 use crate::service::{stats_payload, Service, ServiceConfig};
 use crate::VERSION;
 
@@ -107,113 +117,132 @@ impl ResponseWriter {
     }
 }
 
+/// What differs between the servers behind the listener, and nothing
+/// else: how a `compile` / `sleep` is answered, how a request's counters
+/// reach the lifetime registry, the extra field of `version`, and the
+/// threads that live as long as the listener does.
+pub(crate) trait Backend: Send + Sync + 'static {
+    /// What a request carries from arrival to completion so that its
+    /// counters can reach the lifetime registry.
+    type Ticket: Copy + Send + 'static;
+    /// A compile or sleep, prepared on the reader thread for a pool worker.
+    type Work: Send + 'static;
+
+    /// Called once per request (malformed ones included) as it arrives.
+    /// The ticket is then completed exactly once: by [`Backend::settle`],
+    /// by an inline [`Backend::compile`] answer, or by [`Backend::run`] —
+    /// and by `settle` when the pool refuses the work `run` was meant for.
+    fn admit(&self) -> Self::Ticket;
+
+    /// Completes a request the transport answers itself, counting
+    /// `serve.requests` and `extra`.
+    fn settle(&self, ticket: Self::Ticket, extra: &[(&'static str, u64)]);
+
+    /// The reader-thread half of a compile (`text` is the request as
+    /// received): answer now, or hand the rest to a pool worker.
+    fn compile(&self, ticket: Self::Ticket, req: CompileReq, text: &str) -> Plan<Self::Work>;
+
+    /// The reader-thread half of a `sleep` (never answered inline).
+    fn sleep(&self, id: Option<u64>, ms: u64, text: &str) -> Self::Work;
+
+    /// The pool-worker half: does the work and returns the response.
+    fn run(&self, ticket: Self::Ticket, work: Self::Work) -> String;
+
+    /// The lifetime registry, for a `stats` request.
+    fn stats(&self) -> StatsReport;
+
+    /// `Some(n)` adds `"shards":n` to the `version` response.
+    fn shards(&self) -> Option<usize> {
+        None
+    }
+
+    /// Runs `serve` — the accept loop through the end of the drain — with
+    /// this backend's background threads alive around it.
+    fn with_background(&self, _shutdown: &ShutdownFlag, serve: impl FnOnce()) {
+        serve();
+    }
+}
+
+/// What [`Backend::compile`] decided on the reader thread.
+pub(crate) enum Plan<W> {
+    /// The complete response; the ticket is already completed.
+    Answered(String),
+    /// Work for [`Backend::run`] on a pool worker.
+    Pooled(W),
+}
+
 /// Handles one request text: parses it, answers management ops inline,
 /// and submits compile/sleep work to the pool. Never panics on malformed
 /// input — every failure becomes an error response on `writer`.
-fn dispatch(
-    svc: &Arc<Service>,
+fn dispatch<B: Backend>(
+    backend: &Arc<B>,
     pool: &PoolHandle,
     writer: &Arc<ResponseWriter>,
     shutdown: &ShutdownFlag,
     text: &str,
 ) {
-    let seq = svc.begin();
+    let ticket = backend.admit();
     let parsed = Json::parse(text)
         .map_err(|e| (None, format!("invalid JSON: {e}")))
         .and_then(|v| Request::parse(&v));
-    let req = match parsed {
-        Ok(r) => r,
+    let (id, work) = match parsed {
         Err((id, msg)) => {
-            svc.finish(
-                seq,
-                svc.counter_report(&[("serve.requests", 1), ("serve.errors", 1)]),
-            );
+            backend.settle(ticket, &[("serve.errors", 1)]);
             writer.send(&error_response(id, "bad_request", &msg));
             return;
         }
-    };
-    match req {
-        Request::Compile(c) => {
-            // Cache hits are answered inline by the reader: no worker
-            // slot, no queue capacity, no backpressure — a warm request
-            // costs a hash and a map probe even when the pool is busy.
-            // The key is hashed once; the pooled compile inherits it.
-            let key = svc.cache_key(&c);
-            if let Some((resp, report)) = key.as_ref().and_then(|k| svc.cached(c.id, k)) {
-                svc.finish(seq, report);
-                writer.send(&resp);
-                return;
-            }
+        Ok(Request::Compile(c)) => {
             let id = c.id;
-            let svc2 = Arc::clone(svc);
-            let wr = Arc::clone(writer);
-            let submitted = pool.try_submit(move || {
-                let (resp, report) = svc2.compile_keyed(&c, key);
-                svc2.finish(seq, report);
-                wr.send(&resp);
-            });
-            reject_if_failed(svc, writer, seq, id, submitted);
+            match backend.compile(ticket, c, text) {
+                Plan::Answered(resp) => {
+                    writer.send(&resp);
+                    return;
+                }
+                Plan::Pooled(work) => (id, work),
+            }
         }
-        Request::Sleep { id, ms } => {
-            let svc2 = Arc::clone(svc);
-            let wr = Arc::clone(writer);
-            let submitted = pool.try_submit(move || {
-                std::thread::sleep(Duration::from_millis(ms));
-                svc2.finish(seq, svc2.counter_report(&[("serve.requests", 1)]));
-                wr.send(&assemble(id, &format!("\"ok\":true,\"slept_ms\":{ms}")));
-            });
-            reject_if_failed(svc, writer, seq, id, submitted);
+        Ok(Request::Sleep { id, ms }) => (id, backend.sleep(id, ms, text)),
+        Ok(Request::Stats { id, stable }) => {
+            // Settle our own ticket first so a stats request issued after
+            // a set of *completed* requests observes all of them (plus
+            // itself); stats racing in-flight compiles see only what has
+            // drained, by design.
+            backend.settle(ticket, &[]);
+            writer.send(&assemble(id, &stats_payload(&backend.stats(), stable)));
+            return;
         }
-        Request::Stats { id, stable } => {
-            // Finish our own sequence number first so a stats request
-            // issued after a set of *completed* requests observes all of
-            // them (plus itself); stats racing in-flight compiles see
-            // only what has drained, by design.
-            svc.finish(seq, svc.counter_report(&[("serve.requests", 1)]));
-            writer.send(&assemble(
-                id,
-                &stats_payload(&svc.lifetime_report(), stable),
-            ));
+        Ok(Request::Version { id }) => {
+            backend.settle(ticket, &[]);
+            let mut payload = format!(
+                "\"ok\":true,\"version\":{},\"protocol\":{}",
+                escape(VERSION),
+                escape(PROTOCOL)
+            );
+            if let Some(n) = backend.shards() {
+                let _ = write!(payload, ",\"shards\":{n}");
+            }
+            writer.send(&assemble(id, &payload));
+            return;
         }
-        Request::Version { id } => {
-            svc.finish(seq, svc.counter_report(&[("serve.requests", 1)]));
-            writer.send(&assemble(
-                id,
-                &format!(
-                    "\"ok\":true,\"version\":{},\"protocol\":{}",
-                    escape(VERSION),
-                    escape(PROTOCOL)
-                ),
-            ));
-        }
-        Request::Ping { id } => {
-            svc.finish(seq, svc.counter_report(&[("serve.requests", 1)]));
+        Ok(Request::Ping { id }) => {
+            backend.settle(ticket, &[]);
             writer.send(&assemble(id, "\"ok\":true,\"pong\":true"));
+            return;
         }
-        Request::Shutdown { id } => {
-            svc.finish(seq, svc.counter_report(&[("serve.requests", 1)]));
+        Ok(Request::Shutdown { id }) => {
+            backend.settle(ticket, &[]);
             writer.send(&assemble(id, "\"ok\":true,\"shutting_down\":true"));
             shutdown.request();
+            return;
         }
-    }
-}
-
-/// Turns a failed submission into the corresponding error response and
-/// completes its sequence number so the stats absorber never stalls.
-fn reject_if_failed(
-    svc: &Arc<Service>,
-    writer: &Arc<ResponseWriter>,
-    seq: u64,
-    id: Option<u64>,
-    submitted: Result<(), SubmitError>,
-) {
-    match submitted {
+    };
+    let (worker, wr) = (Arc::clone(backend), Arc::clone(writer));
+    // A refused job is dropped unrun, so its ticket is settled here: the
+    // backend never waits on a request the pool did not take.
+    match pool.try_submit(move || wr.send(&worker.run(ticket, work))) {
         Ok(()) => {}
         Err(SubmitError::Full) => {
-            svc.finish(
-                seq,
-                svc.counter_report(&[("serve.requests", 1), ("serve.overloaded", 1)]),
-            );
+            backend.settle(ticket, &[("serve.overloaded", 1)]);
             writer.send(&error_response(
                 id,
                 "overloaded",
@@ -221,22 +250,29 @@ fn reject_if_failed(
             ));
         }
         Err(SubmitError::Closed) => {
-            svc.finish(seq, svc.counter_report(&[("serve.requests", 1)]));
+            backend.settle(ticket, &[]);
             writer.send(&error_response(id, "shutting_down", "server is draining"));
         }
     }
+}
+
+/// Answers a frame or line over [`DEFAULT_MAX_FRAME`], which never
+/// reaches [`dispatch`] but counts as a (failed) request all the same.
+fn reject_too_large<B: Backend>(backend: &Arc<B>, writer: &ResponseWriter, message: &str) {
+    let ticket = backend.admit();
+    backend.settle(ticket, &[("serve.errors", 1)]);
+    writer.send(&error_response(None, "too_large", message));
 }
 
 /// Reads frames off one TCP connection until EOF, a fatal frame error, or
 /// socket shutdown. Oversized frames are rejected *and resynchronized*;
 /// garbage JSON is rejected per-frame; the loop itself never panics and
 /// never exits on a malformed request.
-fn serve_tcp_connection(
-    svc: &Arc<Service>,
+fn serve_connection<B: Backend>(
+    backend: &Arc<B>,
     pool: &PoolHandle,
     stream: TcpStream,
     shutdown: &ShutdownFlag,
-    max_frame: usize,
 ) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -247,22 +283,17 @@ fn serve_tcp_connection(
     });
     let mut reader = BufReader::new(stream);
     loop {
-        match read_frame(&mut reader, max_frame) {
+        match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
             Ok(Some(payload)) => {
-                dispatch(svc, pool, &writer, shutdown, &into_text(payload));
+                dispatch(backend, pool, &writer, shutdown, &into_text(payload));
             }
             Ok(None) => break,
             Err(FrameError::TooLarge { declared }) => {
-                let seq = svc.begin();
-                svc.finish(
-                    seq,
-                    svc.counter_report(&[("serve.requests", 1), ("serve.errors", 1)]),
+                reject_too_large(
+                    backend,
+                    &writer,
+                    &format!("declared frame of {declared} bytes exceeds {DEFAULT_MAX_FRAME}"),
                 );
-                writer.send(&error_response(
-                    None,
-                    "too_large",
-                    &format!("declared frame of {declared} bytes exceeds {max_frame}"),
-                ));
                 if skip_payload(&mut reader, declared).is_err() {
                     break;
                 }
@@ -272,145 +303,158 @@ fn serve_tcp_connection(
     }
 }
 
-/// A bound-but-not-yet-running TCP server.
-pub struct Server {
-    listener: TcpListener,
-    svc: Arc<Service>,
-    shutdown: ShutdownFlag,
+/// How long the accept loop waits after a failed `accept`. The failure
+/// that lasts is descriptor exhaustion, which ends when some connection
+/// does — retrying at once would only spin until then.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// Accepts and serves connections until shutdown is requested, then
+/// drains and joins everything (see the module docs).
+fn run<B: Backend>(listener: &TcpListener, backend: &Arc<B>, shutdown: &ShutdownFlag, pool: Pool) {
+    // A duplicate of every *live* connection's socket, so the drain can
+    // unblock its reader. A connection that ends removes its own entry:
+    // the listener's descriptors track open connections, not accepted ones.
+    let conns: Mutex<HashMap<usize, TcpStream>> = Mutex::new(HashMap::new());
+    backend.with_background(shutdown, || {
+        // Scoped, so the readers borrow the listener's state. They are
+        // still joined by hand — an ended one at the next accept, the rest
+        // after the drain — because a thread the scope merely waits for is
+        // detached, and a detached thread gives its stack and allocator
+        // arena back on its own time, not before `run` returns.
+        std::thread::scope(|scope| {
+            let mut readers = Vec::new();
+            for (n, incoming) in listener.incoming().enumerate() {
+                if shutdown.is_set() {
+                    break;
+                }
+                for ended in readers.extract_if(.., |r: &mut ScopedJoinHandle<_>| r.is_finished()) {
+                    let _ = ended.join();
+                }
+                let Ok(stream) = incoming else {
+                    std::thread::sleep(ACCEPT_RETRY);
+                    continue;
+                };
+                // Responses must not sit in Nagle's buffer waiting for an ACK.
+                let _ = stream.set_nodelay(true);
+                if let Ok(clone) = stream.try_clone() {
+                    conns.lock().unwrap().insert(n, clone);
+                }
+                let (handle, conns) = (pool.handle(), &conns);
+                readers.push(scope.spawn(move || {
+                    serve_connection(backend, &handle, stream, shutdown);
+                    conns.lock().unwrap().remove(&n);
+                }));
+            }
+            // Drain: every job accepted before the close still runs and its
+            // response is written (the sockets are still open here).
+            pool.shutdown();
+            // Unblock any reader still waiting on its socket, then join.
+            for s in conns.lock().unwrap().values() {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
+            for reader in readers {
+                let _ = reader.join();
+            }
+        });
+    });
 }
 
-impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:7070`, port 0 for ephemeral). When
-    /// the config persists, the recovery scan runs here — a server that
-    /// reached its `serving on` banner has finished warming from disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure or a persistent-cache recovery error.
-    pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let shutdown = ShutdownFlag::new();
-        shutdown.set_wake_addr(listener.local_addr()?);
-        Ok(Server {
-            listener,
-            svc: Arc::new(Service::open(config)?),
-            shutdown,
-        })
-    }
-
-    /// The bound address (useful after binding port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket query failure.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// A handle that stops this server when requested.
-    pub fn shutdown_flag(&self) -> ShutdownFlag {
-        self.shutdown.clone()
-    }
-
-    /// The shared service state (cache, lifetime stats).
-    pub fn service(&self) -> Arc<Service> {
-        Arc::clone(&self.svc)
-    }
-
-    /// Accepts and serves connections until shutdown is requested, then
-    /// drains and joins everything (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after a successful bind; the `io::Result`
-    /// return leaves room for fatal accept failures to surface.
-    pub fn run(self) -> io::Result<()> {
-        let cfg = self.svc.config().clone();
-        let pool = Pool::new(cfg.jobs, cfg.queue_cap);
-        let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
-        let mut threads: Vec<JoinHandle<()>> = Vec::new();
-        for incoming in self.listener.incoming() {
-            if self.shutdown.is_set() {
-                break;
-            }
-            let Ok(stream) = incoming else { continue };
-            // Responses must not sit in Nagle's buffer waiting for an ACK.
-            let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                conns.lock().unwrap().push(clone);
-            }
-            let svc = Arc::clone(&self.svc);
-            let handle = pool.handle();
-            let shutdown = self.shutdown.clone();
-            let max_frame = cfg.max_frame;
-            threads.push(std::thread::spawn(move || {
-                serve_tcp_connection(&svc, &handle, stream, &shutdown, max_frame);
-            }));
-        }
-        // Drain: every job accepted before the close still runs and its
-        // response is written (the sockets are still open here).
-        pool.shutdown();
-        // Unblock any reader still waiting on its socket, then join.
-        for s in conns.lock().unwrap().iter() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        for t in threads {
-            let _ = t.join();
-        }
-        Ok(())
-    }
-}
-
-/// A running server on its own thread (the test/bench entry point).
-pub struct ServerHandle {
+/// A running server on its own thread: the compile service by default,
+/// the cluster router as [`crate::cluster::RouterHandle`].
+pub struct ServerHandle<B = Service> {
     addr: SocketAddr,
-    svc: Arc<Service>,
+    pub(crate) backend: Arc<B>,
     shutdown: ShutdownFlag,
-    thread: JoinHandle<io::Result<()>>,
+    thread: JoinHandle<()>,
 }
 
-impl ServerHandle {
+impl<B> ServerHandle<B> {
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The shared service state.
-    pub fn service(&self) -> &Arc<Service> {
-        &self.svc
+    /// A handle that stops this server when requested (the `gcommc` binary
+    /// hands it to the signal watcher, the cluster to its supervisor).
+    pub fn shutdown_flag(&self) -> ShutdownFlag {
+        self.shutdown.clone()
+    }
+
+    /// Waits until something requests shutdown — a `shutdown` op, a
+    /// signal, [`ShutdownFlag::request`] — and the drain completes.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from the server thread.
+    pub fn wait(self) {
+        self.thread.join().expect("server thread panicked");
     }
 
     /// Requests shutdown and waits for the full drain.
     ///
     /// # Errors
     ///
-    /// Propagates the server loop's error.
+    /// None today: after a successful bind the accept loop has no fatal
+    /// failure. The `io::Result` is what callers already check, and leaves
+    /// room for one to surface.
     ///
     /// # Panics
     ///
     /// Re-raises a panic from the server thread.
     pub fn stop(self) -> io::Result<()> {
         self.shutdown.request();
-        self.thread.join().expect("server thread panicked")
+        self.wait();
+        Ok(())
     }
 }
 
-/// Binds `addr` and runs the server on a background thread.
+impl ServerHandle {
+    /// The shared service state (cache, lifetime stats).
+    pub fn service(&self) -> &Arc<Service> {
+        &self.backend
+    }
+}
+
+/// Binds `addr` (e.g. `127.0.0.1:7070`, port 0 for ephemeral), then builds
+/// the backend — in that order, so whatever `backend` opens (a persisting
+/// [`Service`] scans and repairs its log) is opened behind a port no second
+/// instance can hold — and serves it on a background thread behind a pool
+/// of `jobs` workers and `queue_cap` waiting jobs.
+pub(crate) fn spawn_backend<B: Backend>(
+    addr: &str,
+    jobs: usize,
+    queue_cap: usize,
+    backend: impl FnOnce() -> io::Result<B>,
+) -> io::Result<ServerHandle<B>> {
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
+    let shutdown = ShutdownFlag::new();
+    shutdown.set_wake_addr(addr);
+    let backend = Arc::new(backend()?);
+    let thread = {
+        let (backend, shutdown) = (Arc::clone(&backend), shutdown.clone());
+        std::thread::spawn(move || {
+            run(&listener, &backend, &shutdown, Pool::new(jobs, queue_cap));
+        })
+    };
+    Ok(ServerHandle {
+        addr,
+        backend,
+        shutdown,
+        thread,
+    })
+}
+
+/// Binds `addr` and runs the compile service on a background thread. When
+/// the config persists, the recovery scan runs here — a server whose
+/// `spawn` returned has finished warming from disk.
 ///
 /// # Errors
 ///
-/// Propagates the bind failure.
+/// Propagates the bind failure or a persistent-cache recovery error.
 pub fn spawn(addr: &str, config: ServiceConfig) -> io::Result<ServerHandle> {
-    let server = Server::bind(addr, config)?;
-    let addr = server.local_addr()?;
-    let svc = server.service();
-    let shutdown = server.shutdown_flag();
-    let thread = std::thread::spawn(move || server.run());
-    Ok(ServerHandle {
-        addr,
-        svc,
-        shutdown,
-        thread,
+    spawn_backend(addr, config.jobs, config.queue_cap, || {
+        Service::open(config)
     })
 }
 
@@ -428,28 +472,20 @@ pub fn serve_lines(
     output: Box<dyn Write + Send>,
     shutdown: &ShutdownFlag,
 ) -> io::Result<()> {
-    let cfg = svc.config().clone();
-    let pool = Pool::new(cfg.jobs, cfg.queue_cap);
+    let pool = Pool::new(svc.config().jobs, svc.config().queue_cap);
     let handle = pool.handle();
     let writer = Arc::new(ResponseWriter {
         framing: Framing::Lines,
         w: Mutex::new(output),
     });
     while !shutdown.is_set() {
-        match read_line_capped(input, cfg.max_frame)? {
+        match read_line_capped(input, DEFAULT_MAX_FRAME)? {
             None => break,
-            Some(Line::TooLong) => {
-                let seq = svc.begin();
-                svc.finish(
-                    seq,
-                    svc.counter_report(&[("serve.requests", 1), ("serve.errors", 1)]),
-                );
-                writer.send(&error_response(
-                    None,
-                    "too_large",
-                    &format!("line exceeds {} bytes", cfg.max_frame),
-                ));
-            }
+            Some(Line::TooLong) => reject_too_large(
+                svc,
+                &writer,
+                &format!("line exceeds {DEFAULT_MAX_FRAME} bytes"),
+            ),
             Some(Line::Text(text)) => {
                 if text.trim().is_empty() {
                     continue;
@@ -519,6 +555,7 @@ pub mod signal {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::cluster::{spawn_router, ClusterConfig};
 
     fn test_config() -> ServiceConfig {
         ServiceConfig {
@@ -527,54 +564,88 @@ mod tests {
         }
     }
 
+    /// Runs `session` against a listener's address once per backend — the
+    /// compile service, then a router over one shard (the flag is true
+    /// for the router) — and returns what each run returned.
+    fn over_both_backends<T>(session: impl Fn(SocketAddr, bool) -> T) -> [T; 2] {
+        let server = spawn("127.0.0.1:0", test_config()).unwrap();
+        let direct = session(server.addr(), false);
+        server.stop().unwrap();
+
+        let shard = spawn("127.0.0.1:0", test_config()).unwrap();
+        let router =
+            spawn_router("127.0.0.1:0", &[shard.addr()], ClusterConfig::default()).unwrap();
+        let routed = session(router.addr(), true);
+        router.stop().unwrap();
+        shard.stop().unwrap();
+        [direct, routed]
+    }
+
     #[test]
     fn tcp_roundtrip_ping_version_shutdown() {
-        let server = spawn("127.0.0.1:0", test_config()).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        assert_eq!(
-            client.request(r#"{"op":"ping","id":1}"#).unwrap(),
-            r#"{"id":1,"ok":true,"pong":true}"#
-        );
-        let version = client.request(r#"{"op":"version","id":2}"#).unwrap();
-        assert!(version.contains(&format!("\"version\":\"{VERSION}\"")));
-        assert!(version.contains(PROTOCOL));
-        assert_eq!(
-            client.request(r#"{"op":"shutdown","id":3}"#).unwrap(),
-            r#"{"id":3,"ok":true,"shutting_down":true}"#
-        );
-        drop(client);
-        server.stop().unwrap();
+        over_both_backends(|addr, routed| {
+            let mut client = Client::connect(addr).unwrap();
+            assert_eq!(
+                client.request(r#"{"op":"ping","id":1}"#).unwrap(),
+                r#"{"id":1,"ok":true,"pong":true}"#
+            );
+            // Identical but for the router's extra field.
+            let shards = if routed { ",\"shards\":1" } else { "" };
+            assert_eq!(
+                client.request(r#"{"op":"version","id":2}"#).unwrap(),
+                format!(
+                    "{{\"id\":2,\"ok\":true,\"version\":\"{VERSION}\",\
+                     \"protocol\":\"{PROTOCOL}\"{shards}}}"
+                )
+            );
+            assert_eq!(
+                client.request(r#"{"op":"shutdown","id":3}"#).unwrap(),
+                r#"{"id":3,"ok":true,"shutting_down":true}"#
+            );
+        });
     }
 
     #[test]
     fn malformed_frames_do_not_kill_the_connection() {
-        let server = spawn("127.0.0.1:0", test_config()).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        // Garbage JSON.
-        let resp = client.request("{not json").unwrap();
-        assert!(resp.contains("\"error\":\"bad_request\""));
-        // Not an object.
-        let resp = client.request("[1,2,3]").unwrap();
-        assert!(resp.contains("\"error\":\"bad_request\""));
-        // Unknown op with an id — the id is echoed.
-        let resp = client.request(r#"{"op":"frobnicate","id":7}"#).unwrap();
-        assert!(resp.starts_with(r#"{"id":7,"#), "{resp}");
-        // An oversized frame: declared > max. The server rejects it,
-        // skips the payload, and the connection still works.
-        let huge = vec![b'x'; crate::frame::DEFAULT_MAX_FRAME + 1];
-        client
-            .send_raw(&u32::try_from(huge.len()).unwrap().to_be_bytes())
-            .unwrap();
-        client.send_raw(&huge).unwrap();
-        let resp = client.recv().unwrap().unwrap();
-        assert!(resp.contains("\"error\":\"too_large\""), "{resp}");
-        // The stream resynchronized.
-        assert_eq!(
-            client.request(r#"{"op":"ping","id":9}"#).unwrap(),
-            r#"{"id":9,"ok":true,"pong":true}"#
-        );
-        drop(client);
-        server.stop().unwrap();
+        let [direct, routed] = over_both_backends(|addr, _| {
+            let mut client = Client::connect(addr).unwrap();
+            let mut got = Vec::new();
+            // Garbage JSON.
+            let resp = client.request("{not json").unwrap();
+            assert!(resp.contains("\"error\":\"bad_request\""));
+            got.push(resp);
+            // Not an object.
+            let resp = client.request("[1,2,3]").unwrap();
+            assert!(resp.contains("\"error\":\"bad_request\""));
+            got.push(resp);
+            // Unknown op with an id — the id is echoed.
+            let resp = client.request(r#"{"op":"frobnicate","id":7}"#).unwrap();
+            assert!(resp.starts_with(r#"{"id":7,"#), "{resp}");
+            got.push(resp);
+            // An oversized frame: declared > max. The server rejects it,
+            // skips the payload, and the connection still works.
+            let huge = vec![b'x'; DEFAULT_MAX_FRAME + 1];
+            client
+                .send_raw(&u32::try_from(huge.len()).unwrap().to_be_bytes())
+                .unwrap();
+            client.send_raw(&huge).unwrap();
+            let resp = client.recv().unwrap().unwrap();
+            assert!(resp.contains("\"error\":\"too_large\""), "{resp}");
+            got.push(resp);
+            // The stream resynchronized.
+            assert_eq!(
+                client.request(r#"{"op":"ping","id":9}"#).unwrap(),
+                r#"{"id":9,"ok":true,"pong":true}"#
+            );
+            // Four failed requests and a ping, and the stats request itself.
+            let stats = client
+                .request(r#"{"op":"stats","id":10,"stable":true}"#)
+                .unwrap();
+            assert!(stats.contains("\"serve.errors\":4"), "{stats}");
+            assert!(stats.contains("\"serve.requests\":6"), "{stats}");
+            got
+        });
+        assert_eq!(direct, routed, "one transport, one answer");
     }
 
     #[test]

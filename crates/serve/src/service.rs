@@ -30,9 +30,9 @@ use gcomm_obs::{Registry, StatsReport};
 use gcomm_query::{fingerprint, mix, ByteLru, Computed, Fingerprinter, Input, QueryEngine};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
-use crate::frame::DEFAULT_MAX_FRAME;
 use crate::json::escape;
 use crate::protocol::{assemble, cache_key_material, CompileReq, SimSpec};
+use crate::server::{Backend, Plan};
 
 /// Tuning knobs of a service instance.
 #[derive(Debug, Clone)]
@@ -46,8 +46,6 @@ pub struct ServiceConfig {
     pub cache_bytes: u64,
     /// Budget applied to compile requests that do not carry their own.
     pub default_budget: BudgetSpec,
-    /// Maximum accepted frame/line payload in bytes.
-    pub max_frame: usize,
     /// Byte capacity of the incremental query engine's memo (a cap of `0`
     /// simply holds nothing: every routine of every response-cache miss
     /// recompiles, through the same engine).
@@ -70,7 +68,6 @@ impl Default for ServiceConfig {
             queue_cap: 64,
             cache_bytes: 32 * 1024 * 1024,
             default_budget: BudgetSpec::default(),
-            max_frame: DEFAULT_MAX_FRAME,
             query_cache_bytes: 64 * 1024 * 1024,
             persist: None,
             persist_fsync: FsyncPolicy::Always,
@@ -383,6 +380,68 @@ impl Service {
     }
 }
 
+/// A compile or sleep on its way from a reader thread to a pool worker.
+pub(crate) enum Work {
+    /// A cache miss (or bypass) with the key the reader already hashed.
+    Compile(CompileReq, Option<CacheKey>),
+    /// The load-testing aid: park a worker for `ms`.
+    Sleep { id: Option<u64>, ms: u64 },
+}
+
+/// The compile service behind the shared listener ([`crate::server`]):
+/// tickets are sequence numbers, drawn as a request arrives and finished
+/// exactly once, so the lifetime merge stays in arrival order.
+impl Backend for Service {
+    type Ticket = u64;
+    type Work = Work;
+
+    fn admit(&self) -> u64 {
+        self.begin()
+    }
+
+    fn settle(&self, seq: u64, extra: &[(&'static str, u64)]) {
+        let mut counters = vec![("serve.requests", 1)];
+        counters.extend_from_slice(extra);
+        self.finish(seq, self.counter_report(&counters));
+    }
+
+    /// Cache hits are answered inline by the reader: no worker slot, no
+    /// queue capacity, no backpressure — a warm request costs a hash and a
+    /// map probe even when the pool is busy. The key is hashed once; the
+    /// pooled compile inherits it.
+    fn compile(&self, seq: u64, req: CompileReq, _text: &str) -> Plan<Work> {
+        let key = self.cache_key(&req);
+        if let Some((resp, report)) = key.as_ref().and_then(|k| self.cached(req.id, k)) {
+            self.finish(seq, report);
+            return Plan::Answered(resp);
+        }
+        Plan::Pooled(Work::Compile(req, key))
+    }
+
+    fn sleep(&self, id: Option<u64>, ms: u64, _text: &str) -> Work {
+        Work::Sleep { id, ms }
+    }
+
+    fn run(&self, seq: u64, work: Work) -> String {
+        match work {
+            Work::Compile(req, key) => {
+                let (resp, report) = self.compile_keyed(&req, key);
+                self.finish(seq, report);
+                resp
+            }
+            Work::Sleep { id, ms } => {
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+                self.settle(seq, &[]);
+                assemble(id, &format!("\"ok\":true,\"slept_ms\":{ms}"))
+            }
+        }
+    }
+
+    fn stats(&self) -> StatsReport {
+        self.lifetime_report()
+    }
+}
+
 /// Compiles a request without consulting any cache and renders its
 /// response payload. Pure in the content-addressing sense: for a fixed
 /// `(req minus id, effective)` the returned bytes are identical across
@@ -635,18 +694,8 @@ fn sim_json(compiled: CompiledRef<'_>, sim: &SimSpec) -> String {
         "sp2" => (25u32, NetworkModel::sp2()),
         _ => (8u32, NetworkModel::now_myrinet()),
     };
-    // Same grid-rank choice as the gcommc --sim path: the largest number
-    // of distributed dimensions among the program's arrays.
-    let rank = compiled
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let mut cfg =
-        SimConfig::uniform(compiled, ProcGrid::balanced(p, rank), sim.n).with("nsteps", 10);
+    let grid = ProcGrid::balanced(p, compiled.prog.grid_rank());
+    let mut cfg = SimConfig::uniform(compiled, grid, sim.n).with("nsteps", 10);
     // `flat`+`p2p` is the legacy flat-model pricing: identical numbers,
     // and old-protocol requests keep their exact historical output.
     if !(sim.machine == "flat" && sim.coll == "p2p") {

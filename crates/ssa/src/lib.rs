@@ -131,8 +131,6 @@ pub struct SsaForm {
     use_defs: HashMap<(StmtId, usize), DefId>,
     /// φ definitions by node (in creation order).
     phis_by_node: HashMap<NodeId, Vec<DefId>>,
-    /// ENTRY pseudo-def per variable.
-    entry_defs: Vec<DefId>,
 }
 
 impl SsaForm {
@@ -159,19 +157,9 @@ impl SsaForm {
         self.defs.len()
     }
 
-    /// Iterates all definition ids.
-    pub fn def_ids(&self) -> impl Iterator<Item = DefId> {
-        (0..self.defs.len() as u32).map(DefId)
-    }
-
     /// The definition reaching read `idx` of statement `s`.
     pub fn use_def(&self, s: StmtId, idx: usize) -> Option<DefId> {
         self.use_defs.get(&(s, idx)).copied()
-    }
-
-    /// The ENTRY pseudo-definition of a variable.
-    pub fn entry_def(&self, var: ArrayId) -> DefId {
-        self.entry_defs[var.0 as usize]
     }
 
     /// φ definitions at a node.
@@ -383,7 +371,6 @@ impl<'a> Builder<'a> {
             defs: self.defs,
             use_defs: self.use_defs,
             phis_by_node: self.phis_by_node,
-            entry_defs: self.entry_defs,
         }
     }
 

@@ -111,6 +111,17 @@ impl FsyncPolicy {
     }
 }
 
+/// The spelling [`FsyncPolicy::parse`] reads back.
+impl std::fmt::Display for FsyncPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FsyncPolicy::Always => f.write_str("always"),
+            FsyncPolicy::Off => f.write_str("off"),
+            FsyncPolicy::Interval(n) => write!(f, "interval:{n}"),
+        }
+    }
+}
+
 /// Tuning for a [`Store`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {

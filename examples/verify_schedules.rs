@@ -23,14 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (bench, routine, src) in gcomm::kernels::all_kernels() {
         for strategy in [Strategy::Original, Strategy::EarliestRE, Strategy::Global] {
             let c = compile(src, strategy)?;
-            let rank = c
-                .prog
-                .arrays
-                .iter()
-                .map(|a| a.distributed_dims().len())
-                .max()
-                .unwrap_or(1)
-                .max(1);
+            let rank = c.prog.grid_rank();
             let grid = ProcGrid::balanced(4, rank);
             let mut params: HashMap<String, i64> =
                 c.prog.params.iter().map(|p| (p.clone(), 8)).collect();

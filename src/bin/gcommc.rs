@@ -94,7 +94,7 @@ use std::sync::Arc;
 use gcomm::core::{commgen, compile_diagnostics_budgeted, lower_to_sim, SimConfig};
 use gcomm::machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
 use gcomm::serve::cli;
-use gcomm::serve::{Client, ServiceConfig};
+use gcomm::serve::{Client, ServerHandle, ServiceConfig};
 use gcomm::{Budget, BudgetSpec, Strategy};
 
 struct Opts {
@@ -281,25 +281,9 @@ fn serve_main(mut args: Vec<String>) -> ExitCode {
     }
     match addr {
         Some(addr) => {
-            let server = match gcomm::serve::Server::bind(&addr, config) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("gcommc: bind {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            #[cfg(unix)]
-            {
-                gcomm::serve::server::signal::install();
-                gcomm::serve::server::signal::watch(server.shutdown_flag());
-            }
-            if let Ok(local) = server.local_addr() {
-                eprintln!("gcommc: serving on {local} ({jobs} jobs)");
-            }
-            if let Err(e) = server.run() {
-                eprintln!("gcommc: serve: {e}");
-                return ExitCode::FAILURE;
-            }
+            let spawned = gcomm::serve::spawn(&addr, config);
+            let banner = |a| format!("serving on {a} ({jobs} jobs)");
+            serve_to_exit(&addr, spawned, banner, ServerHandle::wait)
         }
         None => {
             let svc = match gcomm::serve::Service::open(config) {
@@ -310,11 +294,7 @@ fn serve_main(mut args: Vec<String>) -> ExitCode {
                 }
             };
             let shutdown = gcomm::serve::ShutdownFlag::new();
-            #[cfg(unix)]
-            {
-                gcomm::serve::server::signal::install();
-                gcomm::serve::server::signal::watch(shutdown.clone());
-            }
+            watch_signals(shutdown.clone());
             let stdin = std::io::stdin();
             let mut input = stdin.lock();
             if let Err(e) =
@@ -323,8 +303,41 @@ fn serve_main(mut args: Vec<String>) -> ExitCode {
                 eprintln!("gcommc: serve: {e}");
                 return ExitCode::FAILURE;
             }
+            ExitCode::SUCCESS
         }
     }
+}
+
+/// Forwards SIGINT/SIGTERM to `flag`: either starts a graceful drain.
+#[cfg_attr(not(unix), allow(unused_variables))]
+fn watch_signals(flag: gcomm::serve::ShutdownFlag) {
+    #[cfg(unix)]
+    {
+        gcomm::serve::server::signal::install();
+        gcomm::serve::server::signal::watch(flag);
+    }
+}
+
+/// The tail `serve --addr` and `cluster` share: a bind failure reported, or
+/// signals wired to the listener, its banner printed (only now — a
+/// persisting server has recovered by the time it exists), and `wait` run
+/// to the end of the drain.
+fn serve_to_exit<B>(
+    addr: &str,
+    spawned: std::io::Result<ServerHandle<B>>,
+    banner: impl FnOnce(std::net::SocketAddr) -> String,
+    wait: impl FnOnce(ServerHandle<B>),
+) -> ExitCode {
+    let handle = match spawned {
+        Ok(handle) => handle,
+        Err(e) => {
+            eprintln!("gcommc: bind {addr}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    watch_signals(handle.shutdown_flag());
+    eprintln!("gcommc: {}", banner(handle.addr()));
+    wait(handle);
     ExitCode::SUCCESS
 }
 
@@ -378,11 +391,7 @@ fn cluster_main(mut args: Vec<String>) -> ExitCode {
         }
         if let Some(policy) = persist_fsync {
             extra.push("--persist-fsync".into());
-            extra.push(match policy {
-                gcomm::store::FsyncPolicy::Always => "always".into(),
-                gcomm::store::FsyncPolicy::Off => "off".into(),
-                gcomm::store::FsyncPolicy::Interval(n) => format!("interval:{n}"),
-            });
+            extra.push(policy.to_string());
         }
         for i in 0..shards {
             // Each spawned shard gets its own persistence directory, so a
@@ -424,54 +433,37 @@ fn cluster_main(mut args: Vec<String>) -> ExitCode {
         default_budget,
         ..gcomm::serve::ClusterConfig::default()
     };
-    let router = match gcomm::serve::Router::bind(&addr, &shard_addrs, config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("gcommc: bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let spawned = gcomm::serve::spawn_router(&addr, &shard_addrs, config);
+    let banner = |a| {
+        let shards = shard_addrs.len();
+        format!("cluster on {a} ({shards} shards, {replicas} replica(s), {jobs} jobs)")
     };
-    #[cfg(unix)]
-    {
-        gcomm::serve::server::signal::install();
-        gcomm::serve::server::signal::watch(router.shutdown_flag());
-    }
-    if let Ok(local) = router.local_addr() {
-        eprintln!(
-            "gcommc: cluster on {local} ({} shards, {} replica(s), {jobs} jobs)",
-            shard_addrs.len(),
-            replicas
-        );
-    }
-    // Spawned children are supervised: a crashed shard is respawned on
-    // its original command line (same --persist directory), probed, and
-    // readmitted to its ring slot. The supervisor shares the router's
-    // shutdown flag, so the router's exit winds it down and hands the
-    // children back for the graceful drain below.
-    let supervisor = (!procs.is_empty()).then(|| {
-        gcomm::serve::cluster::supervise(
-            std::mem::take(&mut procs),
-            router.admission(),
-            gcomm::serve::cluster::SupervisePolicy::default(),
-            router.shutdown_flag(),
-        )
-    });
-    let result = router.run();
-    if let Some(s) = supervisor {
-        procs = s.join();
-    }
-    // The router drained first, so the shards see no more forwards; now
-    // drain and stop the children we own (attached shards stay up).
-    for (i, p) in procs.iter_mut().enumerate() {
-        if let Err(e) = p.shutdown_graceful(std::time::Duration::from_secs(5)) {
-            eprintln!("gcommc: cluster: stopping shard {i}: {e}");
+    serve_to_exit(&addr, spawned, banner, |router| {
+        // Spawned children are supervised: a crashed shard is respawned on
+        // its original command line (same --persist directory), probed, and
+        // readmitted to its ring slot. The supervisor shares the router's
+        // shutdown flag, so the router's exit winds it down and hands the
+        // children back for the graceful drain below.
+        let supervisor = (!procs.is_empty()).then(|| {
+            gcomm::serve::cluster::supervise(
+                std::mem::take(&mut procs),
+                router.admission(),
+                gcomm::serve::cluster::SupervisePolicy::default(),
+                router.shutdown_flag(),
+            )
+        });
+        router.wait();
+        if let Some(s) = supervisor {
+            procs = s.join();
         }
-    }
-    if let Err(e) = result {
-        eprintln!("gcommc: cluster: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        // The router drained first, so the shards see no more forwards; now
+        // drain and stop the children we own (attached shards stay up).
+        for (i, p) in procs.iter_mut().enumerate() {
+            if let Err(e) = p.shutdown_graceful(std::time::Duration::from_secs(5)) {
+                eprintln!("gcommc: cluster: stopping shard {i}: {e}");
+            }
+        }
+    })
 }
 
 /// `gcommc client`: sends one request to a running service and prints the
@@ -704,14 +696,7 @@ fn compile_main(args: Vec<String>) -> ExitCode {
     }
 
     if let Some(n) = opts.sim {
-        let rank = compiled
-            .prog
-            .arrays
-            .iter()
-            .map(|a| a.distributed_dims().len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let rank = compiled.prog.grid_rank();
         for (p, net) in [
             (25u32, NetworkModel::sp2()),
             (8, NetworkModel::now_myrinet()),
@@ -763,14 +748,7 @@ fn compile_main(args: Vec<String>) -> ExitCode {
     }
 
     if opts.verify {
-        let rank = compiled
-            .prog
-            .arrays
-            .iter()
-            .map(|a| a.distributed_dims().len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let rank = compiled.prog.grid_rank();
         let grid = ProcGrid::balanced(4, rank);
         let mut params: HashMap<String, i64> = compiled
             .prog
@@ -801,14 +779,7 @@ fn compile_main(args: Vec<String>) -> ExitCode {
     if stats_enabled && opts.sim.is_none() {
         // Populate the machine stage even without --sim: one quiet
         // small-size run on the default network (doesn't touch stdout).
-        let rank = compiled
-            .prog
-            .arrays
-            .iter()
-            .map(|a| a.distributed_dims().len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let rank = compiled.prog.grid_rank();
         let cfg = SimConfig::uniform(&compiled, ProcGrid::balanced(4, rank), 64).with("nsteps", 2);
         let _ = simulate_with_faults(
             &lower_to_sim(&compiled, &cfg),

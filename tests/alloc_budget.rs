@@ -76,14 +76,7 @@ fn run_ops(programs: &[(String, Strategy)]) -> Totals {
         counted(&mut t.op, || {
             let c = gcomm::compile(src, *strategy).expect("pool programs compile");
             let report = counted(&mut t.report, || c.report());
-            let rank = c
-                .prog
-                .arrays
-                .iter()
-                .map(|a| a.distributed_dims().len())
-                .max()
-                .unwrap_or(1)
-                .max(1);
+            let rank = c.prog.grid_rank();
             let cfg = SimConfig::uniform(&c, ProcGrid::balanced(25, rank), 64).with("nsteps", 10);
             let lowered = counted(&mut t.lower_to_sim, || lower_to_sim(&c, &cfg));
             std::hint::black_box((report, lowered));

@@ -35,14 +35,7 @@ fn corpus() -> Vec<(String, &'static str)> {
 }
 
 fn verify(name: &str, c: &Compiled) {
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let grid = ProcGrid::balanced(4, rank);
     let mut params: HashMap<String, i64> = c.prog.params.iter().map(|p| (p.clone(), 8)).collect();
     params.insert("nsteps".into(), 2);

@@ -38,16 +38,6 @@ fn topologies() -> Vec<Topology> {
     ]
 }
 
-fn grid_rank(c: &Compiled) -> usize {
-    c.prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Simulates `c` at size `n` on `net` with the given collective choice
 /// (`None` = the legacy flat-model sentinel path).
 fn sim_with(
@@ -57,7 +47,8 @@ fn sim_with(
     net: &NetworkModel,
     coll: Option<(Topology, CollChoice)>,
 ) -> SimResult {
-    let mut cfg = SimConfig::uniform(c, ProcGrid::balanced(p, grid_rank(c)), n).with("nsteps", 2);
+    let mut cfg =
+        SimConfig::uniform(c, ProcGrid::balanced(p, c.prog.grid_rank()), n).with("nsteps", 2);
     if let Some((topo, choice)) = coll {
         cfg = cfg.with_coll(CollConfig::new(topo, choice, net.clone()));
     }

@@ -42,18 +42,8 @@ do t = 1, nsteps
 enddo
 end";
 
-fn grid_rank(c: &Compiled) -> usize {
-    c.prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
 fn verify(name: &str, what: &str, c: &Compiled, n: i64) {
-    let grid = ProcGrid::balanced(4, grid_rank(c));
+    let grid = ProcGrid::balanced(4, c.prog.grid_rank());
     let mut params: HashMap<String, i64> = c.prog.params.iter().map(|p| (p.clone(), n)).collect();
     params.insert("nsteps".into(), 2);
     let rep = exec::verify_schedule(c, &grid, &params)
@@ -67,7 +57,8 @@ fn verify(name: &str, what: &str, c: &Compiled, n: i64) {
 
 fn check(name: &str, src: &str, n: i64) {
     let c = compile(src, Strategy::Global).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let cfg = SimConfig::uniform(&c, ProcGrid::balanced(4, grid_rank(&c)), 32).with("nsteps", 4);
+    let cfg =
+        SimConfig::uniform(&c, ProcGrid::balanced(4, c.prog.grid_rank()), 32).with("nsteps", 4);
     let net = NetworkModel::sp2();
     let greedy_cost = comm_cost(&c, &cfg, &net);
     let budget = gcomm::guard::Budget::steps(BUDGET);

@@ -16,14 +16,7 @@ fn verify_ok(src: &str, s: Strategy) {
     let c = compile(src, s).unwrap();
     let rep = check_schedule(&c);
     assert!(rep.ok(), "{s:?}: {rep}");
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let grid = ProcGrid::balanced(4, rank);
     let mut params: HashMap<String, i64> = c.prog.params.iter().map(|p| (p.clone(), 8)).collect();
     params.insert("nsteps".into(), 2);

@@ -51,14 +51,7 @@ fn for_each_seed(f: impl Fn(u64) + Sync) {
 
 /// Runs `exec::verify_schedule` on a compiled program at size 8.
 fn verify(c: &Compiled, seed: u64, what: &str) {
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let grid = ProcGrid::balanced(4, rank);
     let mut params: HashMap<String, i64> = c.prog.params.iter().map(|p| (p.clone(), 8)).collect();
     params.insert("nsteps".into(), 2);

@@ -102,27 +102,13 @@ fn as_compiled(a: &RoutineArtifacts) -> Compiled {
 /// Deterministic analytical codegen of a compiled routine, as a
 /// comparable string.
 fn codegen_repr(c: &Compiled) -> String {
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let cfg = SimConfig::uniform(c, ProcGrid::balanced(4, rank), 8).with("nsteps", 2);
     format!("{:?}", lower_to_sim(c, &cfg))
 }
 
 fn verify(c: &Compiled, seed: u64, what: &str) {
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let grid = ProcGrid::balanced(4, rank);
     let mut params: HashMap<String, i64> = c.prog.params.iter().map(|p| (p.clone(), 8)).collect();
     params.insert("nsteps".into(), 2);

@@ -48,14 +48,7 @@ fn cases() -> u64 {
 }
 
 fn scoring(c: &Compiled) -> (SimConfig, NetworkModel) {
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let cfg = SimConfig::uniform(c, ProcGrid::balanced(8, rank), 32).with("nsteps", 2);
     (cfg, NetworkModel::sp2())
 }

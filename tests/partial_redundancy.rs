@@ -61,14 +61,7 @@ fn partial_re_schedules_verify_dynamically() {
         gcomm::kernels::HYDFLO_FLUX,
     ] {
         let c = compile(src, Strategy::EarliestPartialRE).unwrap();
-        let rank = c
-            .prog
-            .arrays
-            .iter()
-            .map(|a| a.distributed_dims().len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let rank = c.prog.grid_rank();
         let mut params: HashMap<String, i64> =
             c.prog.params.iter().map(|p| (p.clone(), 8)).collect();
         params.insert("nsteps".into(), 2);

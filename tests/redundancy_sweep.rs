@@ -387,14 +387,7 @@ fn scrambled_tables_with_banned_pairs_take_the_same_path() {
 }
 
 fn verify(what: &str, c: &Compiled) {
-    let rank = c
-        .prog
-        .arrays
-        .iter()
-        .map(|a| a.distributed_dims().len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let rank = c.prog.grid_rank();
     let grid = ProcGrid::balanced(4, rank);
     let mut params: HashMap<String, i64> = c.prog.params.iter().map(|p| (p.clone(), 8)).collect();
     params.insert("nsteps".into(), 2);

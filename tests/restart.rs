@@ -153,7 +153,6 @@ fn supervised_cluster_shard_respawns_and_answers_from_warmed_cache() {
         router.admission(),
         SupervisePolicy {
             poll_interval: Duration::from_millis(500),
-            ..SupervisePolicy::default()
         },
         router.shutdown_flag(),
     );

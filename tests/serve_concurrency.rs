@@ -6,7 +6,9 @@
 //! * a full queue answers `overloaded` immediately instead of
 //!   deadlocking or buffering without bound;
 //! * shutdown drains: every accepted job's response is written before the
-//!   server exits.
+//!   server exits;
+//! * a connection that ends gives its descriptors back then, not at
+//!   shutdown — behind either backend of the one listener.
 
 use std::collections::BTreeMap;
 
@@ -124,6 +126,17 @@ fn full_queue_overloads_instead_of_deadlocking() {
     // The connection (and the server) survived the burst.
     let pong = client.request(r#"{"op":"ping","id":99}"#).unwrap();
     assert!(pong.contains("\"pong\":true"));
+    // A sequence number the pool refused was finished, not parked: every
+    // answered request — the ten sleeps, the ping, this one — has reached
+    // the lifetime registry.
+    let stats = client
+        .request(r#"{"op":"stats","id":100,"stable":true}"#)
+        .unwrap();
+    assert!(stats.contains("\"serve.requests\":12"), "{stats}");
+    assert!(
+        stats.contains(&format!("\"serve.overloaded\":{overloaded}")),
+        "{stats}"
+    );
     server.stop().unwrap();
 }
 
@@ -140,4 +153,63 @@ fn shutdown_drains_accepted_jobs() {
     got.sort_unstable();
     assert_eq!(got, vec![1, 2], "the accepted sleep must drain before exit");
     server.stop().unwrap();
+}
+
+/// Descriptor accounting through `/proc/self/fd`.
+#[cfg(target_os = "linux")]
+mod descriptors {
+    use std::time::{Duration, Instant};
+
+    use gcomm::serve::{Client, ClusterConfig};
+
+    /// Connects, pings and hangs up, `CYCLES` times, then waits for the
+    /// process's open-descriptor count to come back to where it started.
+    /// Polled with slack, because the other tests of this binary open and
+    /// close sockets of their own meanwhile; a leak of one descriptor per
+    /// connection is far outside it.
+    fn assert_descriptors_return(what: &str, addr: std::net::SocketAddr, idle: Duration) {
+        const CYCLES: usize = 300;
+        const SLACK: usize = 24;
+        let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+        let before = open_fds();
+        for _ in 0..CYCLES {
+            let mut client = Client::connect(addr).unwrap();
+            let pong = client.request(r#"{"op":"ping","id":1}"#).unwrap();
+            assert!(pong.contains("\"pong\":true"));
+        }
+        std::thread::sleep(idle);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while open_fds() > before + SLACK {
+            assert!(
+                Instant::now() < deadline,
+                "{what}: {before} descriptors open before {CYCLES} connections, {} after",
+                open_fds()
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    #[test]
+    fn ended_connections_release_their_descriptors() {
+        let server = gcomm::serve::spawn("127.0.0.1:0", super::config(2)).unwrap();
+        assert_descriptors_return("server", server.addr(), Duration::ZERO);
+
+        // The same through a router, which also probes its shard on a fresh
+        // socket every interval: left idle for fifty of them (twice the
+        // slack), neither side may keep what a finished connection or probe
+        // held.
+        let check_interval = Duration::from_millis(20);
+        let router = gcomm::serve::spawn_router(
+            "127.0.0.1:0",
+            &[server.addr()],
+            ClusterConfig {
+                check_interval,
+                ..ClusterConfig::default()
+            },
+        )
+        .unwrap();
+        assert_descriptors_return("router", router.addr(), 50 * check_interval);
+        router.stop().unwrap();
+        server.stop().unwrap();
+    }
 }
