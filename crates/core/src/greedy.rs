@@ -124,8 +124,8 @@ fn size_ok(
 /// Entries are processed most-constrained first (`|StmtSet(c)|` ascending,
 /// ties by id). Each is pinned to the candidate position where it can
 /// combine with the most other entries; position ties prefer the **latest**
-/// position. Pinned entries then partition per position into compatibility
-/// groups.
+/// position. Pinned entries then [`partition`] per position into
+/// compatibility groups.
 pub fn choose(
     ctx: &AnalysisCtx<'_>,
     entries: &[CommEntry],
@@ -194,12 +194,32 @@ pub fn choose(
         }
     }
 
-    // Partition the entries at each position into compatibility groups.
+    let pinned = table
+        .cands
+        .iter()
+        .filter_map(|(&eid, ps)| ps.first().map(|&p| (eid, p)));
+    partition(ctx, entries, pinned, policy)
+}
+
+/// The one first-fit grouping rule (§4.7), shared by the greedy choice and
+/// the optimal search's leaves so the two are compared like for like. Per
+/// position, taking `pinned` in the order given: an entry joins the first
+/// group at its position whose every member it is [`compatible`] with,
+/// else opens a new group; groups come out in position order, then
+/// creation order.
+///
+/// With no budget left, entries become singleton groups instead (no
+/// combining scan). A group of one is always legal — combining only ever
+/// merges messages.
+pub(crate) fn partition(
+    ctx: &AnalysisCtx<'_>,
+    entries: &[CommEntry],
+    pinned: impl IntoIterator<Item = (EntryId, Pos)>,
+    policy: &CombinePolicy,
+) -> Vec<PlacedGroup> {
     let mut by_pos: BTreeMap<Pos, Vec<EntryId>> = BTreeMap::new();
-    for (&eid, ps) in &table.cands {
-        if let Some(&p) = ps.iter().next() {
-            by_pos.entry(p).or_default().push(eid);
-        }
+    for (eid, p) in pinned {
+        by_pos.entry(p).or_default().push(eid);
     }
     let mut groups = Vec::new();
     for (pos, ids) in by_pos {
@@ -207,9 +227,6 @@ pub fn choose(
         let mut parts: Vec<Vec<EntryId>> = Vec::new();
         for id in ids {
             let e = &entries[id.0 as usize];
-            // Degraded partitioning: with no budget left, entries become
-            // singleton groups (no combining scan). A group of one is
-            // always legal — combining only ever merges messages.
             let slot = if ctx.budget.exhausted() {
                 gcomm_obs::count("core.degraded.greedy", 1);
                 None

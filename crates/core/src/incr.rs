@@ -29,7 +29,7 @@
 //!
 //! Placement results computed under an exhausted budget (**degraded**)
 //! are never cached — the soundness rule every cache of the workspace
-//! follows (the serve response cache and the render memo included): a
+//! follows (the serve response cache and its routine memo included): a
 //! degraded schedule is legal but not a pure function of the key (it
 //! depends on how far the budget stretched), so reusing it would silently
 //! pin a worse-than-necessary placement. Diagnostics *are* cached: they
@@ -287,9 +287,6 @@ fn run_place(prog: &IrProgram, strategy: Strategy, spec: &BudgetSpec) -> PlaceOu
 /// stage (all `false` on the cold path).
 #[derive(Debug, Clone)]
 pub struct RoutineArtifacts {
-    /// The place-stage memo key: `ir_fp` × strategy × budget spec.
-    /// Downstream consumers (the serve render memo) extend this.
-    pub place_key: u64,
     /// The lowered program.
     pub prog: Arc<IrProgram>,
     /// The placed schedule.
@@ -358,16 +355,15 @@ fn outcome_of(
     chunk: &RoutineChunk,
     parse: ParseOut,
     lower: Option<LowerOut>,
-    place: Option<(PlaceOut, u64)>,
+    place: Option<PlaceOut>,
     hits: (bool, bool, bool),
 ) -> RoutineOutcome {
     let (name, result) = match (parse, lower, place) {
         (Err(errs), _, _) => (chunk.name.to_string(), Err(errs)),
         (Ok(_), Some(Err(errs)), _) => (chunk.name.to_string(), Err(errs)),
-        (Ok(_), Some(Ok((prog, _))), Some((placed, place_key))) => (
+        (Ok(_), Some(Ok((prog, _))), Some(placed)) => (
             prog.name.clone(),
             Ok(RoutineArtifacts {
-                place_key,
                 prog,
                 schedule: placed.schedule,
                 degraded: placed.degraded,
@@ -384,7 +380,7 @@ fn outcome_of(
 }
 
 /// The place-stage memo key for a given IR under a strategy and budget.
-pub fn place_key(ir_fp: u64, strategy: Strategy, spec: &BudgetSpec) -> u64 {
+fn place_key(ir_fp: u64, strategy: Strategy, spec: &BudgetSpec) -> u64 {
     Fingerprinter::of(&(ir_fp, strategy, spec))
 }
 
@@ -405,10 +401,7 @@ pub fn compile_module_cold(src: &str, strategy: Strategy, spec: &BudgetSpec) -> 
                 Err(_) => None,
             };
             let place = match &lower {
-                Some(Ok((prog, ir_fp))) => Some((
-                    run_place(prog, strategy, spec),
-                    place_key(*ir_fp, strategy, spec),
-                )),
+                Some(Ok((prog, _))) => Some(run_place(prog, strategy, spec)),
                 _ => None,
             };
             outcome_of(chunk, parse, lower, place, (false, false, false))
@@ -442,7 +435,7 @@ impl IncrCompiler {
         }
     }
 
-    /// The underlying engine (for stats, probes, and the render memo).
+    /// The underlying engine (for stats, probes, and the serve routine memo).
     pub fn engine(&self) -> &QueryEngine {
         &self.engine
     }
@@ -540,7 +533,7 @@ impl IncrCompiler {
             chunk,
             (*parse).clone(),
             Some((*lower).clone()),
-            Some((placed, key)),
+            Some(placed),
             (parse_hit, lower_hit, place_hit),
         )
     }
@@ -611,7 +604,6 @@ mod tests {
             };
             assert_eq!(*ca.prog, *wa.prog);
             assert_eq!(*ca.schedule, *wa.schedule);
-            assert_eq!(ca.place_key, wa.place_key);
         }
     }
 

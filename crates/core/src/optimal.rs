@@ -52,7 +52,7 @@ use crate::codegen::{
 use crate::ctx::AnalysisCtx;
 use crate::earliest::earliest_pos;
 use crate::entry::{CommEntry, EntryId};
-use crate::greedy::{compatible, CombinePolicy};
+use crate::greedy::{compatible, partition, CombinePolicy};
 use crate::latest::latest;
 use crate::pipeline::{Compiled, CompiledRef};
 use crate::redundancy::{self, Absorption};
@@ -126,6 +126,26 @@ struct SearchSpace {
     choice_sets: Vec<Vec<Pos>>,
     /// Product of the choice-set sizes (saturating).
     space: u64,
+}
+
+impl SearchSpace {
+    /// The message groups of the complete assignment `digits` (one choice
+    /// index per entry, parallel to `ids`): the greedy's own first-fit
+    /// grouping, for a like-for-like comparison.
+    fn groups(
+        &self,
+        ctx: &AnalysisCtx<'_>,
+        digits: &[usize],
+        policy: &CombinePolicy,
+    ) -> Vec<PlacedGroup> {
+        let pinned = self
+            .ids
+            .iter()
+            .zip(&self.choice_sets)
+            .zip(digits)
+            .map(|((&id, set), &j)| (id, set[j]));
+        partition(ctx, &self.entries, pinned, policy)
+    }
 }
 
 fn front_half(compiled: &Compiled) -> Option<(AnalysisCtx<'_>, SearchSpace)> {
@@ -371,10 +391,12 @@ impl<'a, 'p> Searcher<'a, 'p> {
         &self.space.entries[self.space.ids[i].0 as usize]
     }
 
-    /// Joins entry `i` at choice `j` into the partial grouping with the
-    /// same first-fit rule as [`group_assignment`] (groups at the
-    /// position in creation order; a member must be compatible with every
-    /// existing member). Binding in `ids` order makes the two identical.
+    /// Joins entry `i` at choice `j` into the partial grouping by the
+    /// first-fit rule of [`crate::greedy::partition`] — which groups every
+    /// leaf — applied one entry at a time so it can be undone: groups at
+    /// the position in creation order; a member must be compatible with
+    /// every existing member. Binding in `ids` order makes the two
+    /// identical.
     fn bind(&mut self, i: usize, j: usize) {
         let enc = self.cm.pos_enc[i][j];
         let level = self.cm.level[i][j];
@@ -482,20 +504,13 @@ impl<'a, 'p> Searcher<'a, 'p> {
     /// recorded winner) are bit-identical between the two searches.
     fn score_leaf(&mut self) {
         let idx = self.leaf_index();
-        let assignment: Vec<Pos> = self
-            .digits
-            .iter()
-            .zip(&self.space.choice_sets)
-            .map(|(&j, set)| set[j])
-            .collect();
         let (ctx, policy, cfg, net, space) =
             (self.ctx, self.policy, self.cfg, self.net, self.space);
         if self.scratch.is_none() {
             self.scratch = Some(self.base.clone());
         }
         let scratch = self.scratch.as_mut().expect("scratch just set");
-        scratch.schedule.groups =
-            group_assignment(ctx, &space.entries, &space.ids, &assignment, policy);
+        scratch.schedule.groups = space.groups(ctx, &self.digits, policy);
         let cost = simulate(&lower_to_sim_with(&*scratch, cfg, ctx), net).comm_us;
         self.leaves += 1;
         if cost < self.bound {
@@ -806,13 +821,8 @@ pub fn optimal_placement_jobs(
 
     let (comm_us, schedule) = match best {
         Some((cost, _, digits)) if cost < seed_cost => {
-            let assignment: Vec<Pos> = digits
-                .iter()
-                .zip(&space.choice_sets)
-                .map(|(&j, set)| set[j])
-                .collect();
             let mut sched = base.schedule.clone();
-            sched.groups = group_assignment(&ctx, &space.entries, &space.ids, &assignment, policy);
+            sched.groups = space.groups(&ctx, &digits, policy);
             (cost, sched)
         }
         _ => (seed_cost, compiled.schedule.clone()),
@@ -868,13 +878,7 @@ pub fn exhaustive_placement_jobs(
         let mut scratch = base.clone();
         let mut local: Option<(f64, u64, Schedule)> = None;
         for idx in lo..hi {
-            let assignment: Vec<Pos> = counters
-                .iter()
-                .zip(&space.choice_sets)
-                .map(|(&c, set)| set[c])
-                .collect();
-            scratch.schedule.groups =
-                group_assignment(&ctx, &space.entries, &space.ids, &assignment, policy);
+            scratch.schedule.groups = space.groups(&ctx, &counters, policy);
             let cost = simulate(&lower_to_sim_with(&scratch, cfg, &ctx), net).comm_us;
             budget.charge(1);
             // Record through the shared gate: a cost strictly above it can
@@ -945,48 +949,6 @@ fn decode_odometer(idx: u64, choice_sets: &[Vec<Pos>]) -> Vec<usize> {
         rem /= len;
     }
     out
-}
-
-/// Partitions an assignment into compatibility groups (same first-fit rule
-/// as the greedy's final grouping, for a like-for-like comparison).
-fn group_assignment(
-    ctx: &AnalysisCtx<'_>,
-    entries: &[crate::entry::CommEntry],
-    ids: &[EntryId],
-    assignment: &[Pos],
-    policy: &CombinePolicy,
-) -> Vec<PlacedGroup> {
-    use std::collections::BTreeMap;
-    let mut by_pos: BTreeMap<Pos, Vec<EntryId>> = BTreeMap::new();
-    for (&id, &pos) in ids.iter().zip(assignment.iter()) {
-        by_pos.entry(pos).or_default().push(id);
-    }
-    let mut groups = Vec::new();
-    for (pos, members) in by_pos {
-        let level = pos.level(ctx.prog);
-        let mut parts: Vec<Vec<EntryId>> = Vec::new();
-        for id in members {
-            let e = &entries[id.0 as usize];
-            let slot = parts.iter_mut().find(|g| {
-                g.iter()
-                    .all(|&m| compatible(ctx, e, &entries[m.0 as usize], level, policy))
-            });
-            match slot {
-                Some(g) => g.push(id),
-                None => parts.push(vec![id]),
-            }
-        }
-        for p in parts {
-            let first = &entries[p[0].0 as usize];
-            groups.push(PlacedGroup {
-                pos,
-                entries: p,
-                mapping: first.mapping.clone(),
-                kind: first.kind,
-            });
-        }
-    }
-    groups
 }
 
 // ---------------------------------------------------------------------------
@@ -1169,13 +1131,7 @@ mod tests {
             let mut scratch = base.clone();
             for idx in 0..space.space {
                 let digits = decode_odometer(idx, &space.choice_sets);
-                let assignment: Vec<Pos> = digits
-                    .iter()
-                    .zip(&space.choice_sets)
-                    .map(|(&j, set)| set[j])
-                    .collect();
-                scratch.schedule.groups =
-                    group_assignment(&ctx, &space.entries, &space.ids, &assignment, &policy);
+                scratch.schedule.groups = space.groups(&ctx, &digits, &policy);
                 leaf_cost[idx as usize] =
                     simulate(&lower_to_sim_with(&scratch, &cfg, &ctx), &net).comm_us;
             }

@@ -9,8 +9,6 @@
 //! * [`net`] — parametric network models (startup + half-size bandwidth
 //!   curve, cache-limited `bcopy`) with presets calibrated to the paper's
 //!   Figure 5,
-//! * [`cost`] — the paper's §6.1 analytic cost model (`C × partners +
-//!   volume`, max over processors, summed over patterns),
 //! * [`sim`] — a bulk-synchronous simulator executing a loop-structured
 //!   communication program and splitting time into compute and
 //!   communication, the quantities Figure 10 plots,
@@ -18,7 +16,6 @@
 //! * [`fault`] — seeded fault injection (message loss, link degradation,
 //!   stragglers) and the retry policy the simulator recovers with.
 
-pub mod cost;
 pub mod fault;
 pub mod grid;
 pub mod net;

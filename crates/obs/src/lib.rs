@@ -130,13 +130,11 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "cache.bypass",
     // cluster: the sharded router (DESIGN.md §13) — routing volume, the
     // failure/recovery path (retries with wall-clock backoff, failover to
-    // the ring replica), hot-key replication, and shard health
-    // transitions.
+    // the ring replica), and shard health transitions.
     "cluster.requests",
     "cluster.retry",
     "cluster.failover",
     "cluster.replica_hit",
-    "cluster.replicated",
     "cluster.conn_lost",
     "cluster.marked_down",
     "cluster.marked_up",

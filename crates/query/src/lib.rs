@@ -22,7 +22,8 @@
 //! * [`QueryEngine::note_input`] — records the latest fingerprint seen
 //!   for a named input slot (e.g. a routine's source chunk) so the
 //!   driver can report `query.invalidate` when an edit actually changed
-//!   a chunk, as opposed to merely re-presenting it.
+//!   a chunk, as opposed to merely re-presenting it. The record is an
+//!   ordinary entry of the same LRU, so the byte cap bounds it too.
 //! * [`QueryEngine::present`] — the two above for a whole module at once:
 //!   every routine's input noted and its memo probed under **one** lock
 //!   acquisition; only the misses go on through `memo`.
@@ -40,7 +41,6 @@
 //! guard here because the "key" *is* the content.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -199,30 +199,43 @@ pub struct EngineStats {
 type MemoKey = (&'static str, u64);
 type MemoValue = Arc<dyn Any + Send + Sync>;
 
-struct Inner {
-    /// Memoized values keyed by (query name, content fingerprint), each
-    /// charged its reported footprint plus [`ENTRY_OVERHEAD`].
-    memo: ByteLru<MemoKey, MemoValue>,
-    /// Last fingerprint presented per input slot.
-    inputs: HashMap<u64, u64>,
+/// Everything the engine holds, under one byte cap: memoized values keyed
+/// by (query name, content fingerprint), each charged its reported
+/// footprint plus [`ENTRY_OVERHEAD`], and — under [`INPUT`] — the last
+/// fingerprint presented per input slot, charged [`ENTRY_OVERHEAD`].
+type Memo = ByteLru<MemoKey, MemoValue>;
+
+/// The query name input slots are recorded under.
+const INPUT: &str = "query.input";
+
+/// The value memoized under `(query, key)`, made the most recent.
+fn touch<T: Send + Sync + 'static>(
+    memo: &mut Memo,
+    query: &'static str,
+    key: u64,
+) -> Option<Arc<T>> {
+    Arc::clone(memo.get(&(query, key))?).downcast::<T>().ok()
 }
 
-impl Inner {
-    /// The value memoized under `(query, key)`, made the most recent.
-    fn touch<T: Send + Sync + 'static>(&mut self, query: &'static str, key: u64) -> Option<Arc<T>> {
-        Arc::clone(self.memo.get(&(query, key))?)
-            .downcast::<T>()
-            .ok()
+/// Records `fp` as the latest fingerprint of input slot `slot`; returns
+/// what changed and how many entries the write evicted. An unchanged slot
+/// writes nothing and keeps its recency, so a slot nobody edits ages out:
+/// it reads `Fresh` the next time it does change — one `query.invalidate`
+/// short, never a wrong answer.
+fn note(memo: &mut Memo, slot: u64, fp: u64) -> (InputChange, u64) {
+    let prev = memo
+        .peek(&(INPUT, slot))
+        .and_then(|v| v.downcast_ref::<u64>())
+        .copied();
+    if prev == Some(fp) {
+        return (InputChange::Unchanged, 0);
     }
-
-    /// Records `fp` as the latest fingerprint of input slot `slot`.
-    fn note(&mut self, slot: u64, fp: u64) -> InputChange {
-        match self.inputs.insert(slot, fp) {
-            None => InputChange::Fresh,
-            Some(prev) if prev == fp => InputChange::Unchanged,
-            Some(_) => InputChange::Changed,
-        }
-    }
+    let evicted = memo.insert((INPUT, slot), Arc::new(fp), ENTRY_OVERHEAD);
+    let change = match prev {
+        Some(_) => InputChange::Changed,
+        None => InputChange::Fresh,
+    };
+    (change, evicted)
 }
 
 /// Fixed per-entry overhead charged on top of the caller-reported value
@@ -231,7 +244,7 @@ const ENTRY_OVERHEAD: u64 = 96;
 
 /// A byte-capped, thread-safe memo table for content-addressed queries.
 pub struct QueryEngine {
-    inner: Mutex<Inner>,
+    memo: Mutex<Memo>,
     hits: AtomicU64,
     misses: AtomicU64,
     cutoffs: AtomicU64,
@@ -252,10 +265,7 @@ impl QueryEngine {
     /// (as reported by each query's own footprint estimate).
     pub fn new(cap_bytes: u64) -> Self {
         QueryEngine {
-            inner: Mutex::new(Inner {
-                memo: ByteLru::new(cap_bytes),
-                inputs: HashMap::new(),
-            }),
+            memo: Mutex::new(ByteLru::new(cap_bytes)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             cutoffs: AtomicU64::new(0),
@@ -298,7 +308,7 @@ impl QueryEngine {
     where
         T: Send + Sync + 'static,
     {
-        self.inner.lock().unwrap().touch(query, key)
+        touch(&mut self.memo.lock().unwrap(), query, key)
     }
 
     /// Presents a whole module's inputs in **one** critical section: per
@@ -315,17 +325,20 @@ impl QueryEngine {
         query: &'static str,
         inputs: &[Input],
     ) -> Vec<Option<Arc<T>>> {
-        let mut changed = 0;
-        let mut inner = self.inner.lock().unwrap();
+        let (mut changed, mut evicted) = (0, 0);
+        let mut memo = self.memo.lock().unwrap();
         let values: Vec<Option<Arc<T>>> = inputs
             .iter()
             .map(|input| {
-                changed += u64::from(inner.note(input.slot, input.fp) == InputChange::Changed);
-                inner.touch(query, input.key)
+                let (change, out) = note(&mut memo, input.slot, input.fp);
+                changed += u64::from(change == InputChange::Changed);
+                evicted += out;
+                touch(&mut memo, query, input.key)
             })
             .collect();
-        drop(inner);
+        drop(memo);
         self.count_invalidations(changed);
+        self.count_evictions(evicted);
         let hits = values.iter().flatten().count() as u64;
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed);
@@ -338,21 +351,19 @@ impl QueryEngine {
     where
         T: Send + Sync + 'static,
     {
-        let mut inner = self.inner.lock().unwrap();
+        let mut memo = self.memo.lock().unwrap();
         // A racing compute may have inserted first; adopt its value so
         // every caller shares one allocation. A slot holding another type
         // (one key used at two value types) is replaced instead.
-        let existing = inner.memo.peek(&(query, key));
+        let existing = memo.peek(&(query, key));
         if let Some(first) = existing.and_then(|v| Arc::clone(v).downcast::<T>().ok()) {
             return first;
         }
         // A value larger than the whole cap is refused: served uncached.
         let charged = bytes.saturating_add(ENTRY_OVERHEAD);
-        let evicted = inner.memo.insert((query, key), value.clone(), charged);
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let evicted = memo.insert((query, key), value.clone(), charged);
+        drop(memo);
+        self.count_evictions(evicted);
         value
     }
 
@@ -360,9 +371,16 @@ impl QueryEngine {
     /// fingerprint of the slot's identity, e.g. a routine name). Returns
     /// what changed; a `Changed` result bumps `query.invalidate`.
     pub fn note_input(&self, slot: u64, fp: u64) -> InputChange {
-        let change = self.inner.lock().unwrap().note(slot, fp);
+        let (change, evicted) = note(&mut self.memo.lock().unwrap(), slot, fp);
         self.count_invalidations(u64::from(change == InputChange::Changed));
+        self.count_evictions(evicted);
         change
+    }
+
+    fn count_evictions(&self, n: u64) {
+        if n > 0 {
+            self.evictions.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     fn count_invalidations(&self, n: u64) {
@@ -396,12 +414,12 @@ impl QueryEngine {
 
     /// Bytes currently charged against the cap.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().memo.used_bytes()
+        self.memo.lock().unwrap().used_bytes()
     }
 
-    /// Number of live memo entries.
+    /// Number of live entries (memoized values and input-slot records).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().memo.len()
+        self.memo.lock().unwrap().len()
     }
 
     /// True when the memo holds no entries.
@@ -548,6 +566,24 @@ mod tests {
         assert_eq!(eng.note_input(slot, 11), InputChange::Unchanged);
         assert_eq!(eng.note_input(slot, 12), InputChange::Changed);
         assert_eq!(eng.note_input(slot, 12), InputChange::Unchanged);
+        assert_eq!(eng.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn input_slots_are_bounded_by_the_byte_cap() {
+        let fits = 16;
+        let cap = fits * ENTRY_OVERHEAD;
+        let eng = QueryEngine::new(cap);
+        for slot in 0..10 * fits {
+            assert_eq!(eng.note_input(slot, 1), InputChange::Fresh);
+            assert!(eng.used_bytes() <= cap, "slot {slot} broke the cap");
+        }
+        assert_eq!(eng.len() as u64, fits);
+        assert_eq!(eng.stats().evictions, 9 * fits);
+        // An evicted slot reads fresh again (an undercount, never a wrong
+        // answer); a resident one still reports its change.
+        assert_eq!(eng.note_input(0, 2), InputChange::Fresh);
+        assert_eq!(eng.note_input(10 * fits - 1, 2), InputChange::Changed);
         assert_eq!(eng.stats().invalidations, 1);
     }
 

@@ -16,9 +16,6 @@
 //!   shard on the ring).
 //! * [`health`] — a failure-threshold state machine per shard, fed by a
 //!   background `ping` prober and by forwarding outcomes.
-//! * [`hotkey`] — sliding-window hot-key detection; keys above the
-//!   threshold replicate to the next ring shard so a primary's death does
-//!   not cold-start the popular programs.
 //! * [`shard`] — deadline-armed pooled connections and verbatim
 //!   request/response relay (the bit-identity guarantee: the router never
 //!   re-renders a payload, and payloads are pure functions of the key).
@@ -41,7 +38,6 @@ use gcomm_guard::BudgetSpec;
 use gcomm_machine::fault::RetryPolicy;
 
 pub mod health;
-pub mod hotkey;
 pub mod proc;
 pub mod ring;
 pub mod router;
@@ -49,7 +45,6 @@ pub mod shard;
 pub mod supervise;
 
 pub use health::{HealthCell, HealthPolicy, Transition};
-pub use hotkey::HotKeys;
 pub use proc::ShardProc;
 pub use ring::Ring;
 pub use router::{spawn_router, Admission, RouterHandle};
@@ -57,12 +52,12 @@ pub use shard::{ForwardError, Shard};
 pub use supervise::{supervise, SupervisePolicy, SupervisorHandle};
 
 /// Tuning knobs of a cluster router: the values something sets. What only
-/// ever took its default (queue depth, socket and probe deadlines, hot-key
-/// capacity, jitter seed) is a constant beside its one use.
+/// ever took its default (queue depth, socket and probe deadlines, jitter
+/// seed) is a constant beside its one use.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Extra ring successors a request may fail over to (and hot keys
-    /// replicate to). `1` means primary + one replica.
+    /// Extra ring successors a request may fail over to. `1` means
+    /// primary + one replica.
     pub replicas: usize,
     /// Virtual nodes per shard on the hash ring.
     pub vnodes: usize,
@@ -82,10 +77,6 @@ pub struct ClusterConfig {
     pub check_interval: Duration,
     /// Up/down thresholds of the health state machine.
     pub health: HealthPolicy,
-    /// Hits within [`ClusterConfig::hot_window`] that make a key hot.
-    pub hot_threshold: u32,
-    /// Sliding window for hot-key detection.
-    pub hot_window: Duration,
 }
 
 impl Default for ClusterConfig {
@@ -100,8 +91,6 @@ impl Default for ClusterConfig {
             retry_cap: Duration::from_secs(1),
             check_interval: Duration::from_millis(150),
             health: HealthPolicy::default(),
-            hot_threshold: 3,
-            hot_window: Duration::from_secs(2),
         }
     }
 }

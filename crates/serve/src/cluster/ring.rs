@@ -8,9 +8,9 @@
 //! Virtual nodes keep
 //! the keyspace split roughly even for small shard counts, and the
 //! *successor* walk — the next **distinct** shards around the ring —
-//! defines the replica set: the replication rule is "replicate a hot key
-//! to the next shard on the ring", so a shard's death hands its keyspace
-//! (and its hot keys' warm cache) to exactly the shard that inherits it.
+//! defines the failover order: a dead shard's requests go to the next
+//! shard on the ring, so its death hands its keyspace to exactly the
+//! shard that inherits it.
 
 use gcomm_query::Fingerprinter;
 

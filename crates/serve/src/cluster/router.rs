@@ -26,8 +26,7 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gcomm_machine::fault::Rng64;
@@ -38,21 +37,13 @@ use crate::protocol::{cache_key_material, error_response, CompileReq};
 use crate::server::{spawn_backend, Backend, Plan, ServerHandle, ShutdownFlag};
 
 use super::health::Transition;
-use super::hotkey::HotKeys;
 use super::ring::Ring;
 use super::shard::{ForwardError, Shard};
 use super::ClusterConfig;
 
-/// Replication jobs queued ahead of the replication worker; beyond this
-/// the hint is dropped (replication is an optimization, never load).
-const REPLICATION_QUEUE: usize = 256;
-
 /// Forwards queued ahead of the router's workers; submissions beyond it
 /// get `overloaded` (a shard's own default).
 const QUEUE_CAP: usize = 64;
-
-/// Maximum tracked keys in the hot-key table.
-const HOT_CAPACITY: usize = 65_536;
 
 /// Seed of the per-request backoff jitter stream, mixed with the key's
 /// hash so the stream is deterministic per key.
@@ -65,8 +56,6 @@ pub struct Core {
     ring: Ring,
     cfg: ClusterConfig,
     lifetime: Registry,
-    hot: HotKeys,
-    repl_tx: Mutex<Option<SyncSender<(usize, String)>>>,
 }
 
 impl Core {
@@ -117,9 +106,7 @@ impl Core {
             match shard.forward(text) {
                 Ok(resp) => {
                     self.record_transition(shard.health.record_success(&self.cfg.health), shard);
-                    if target == order[0] {
-                        self.replicate_if_hot(hash, text, &order);
-                    } else {
+                    if target != order[0] {
                         // Served by a ring successor instead of the
                         // key's primary — the failover path worked.
                         self.count("cluster.failover", 1);
@@ -149,27 +136,6 @@ impl Core {
             "unavailable",
             "no shard could serve the request (all attempts failed)",
         )
-    }
-
-    /// Replication hook: on a primary-served request whose key just
-    /// crossed the hot threshold, enqueue a copy for the next shard on
-    /// the ring. Fire-and-forget — a full queue drops the hint.
-    fn replicate_if_hot(&self, hash: u64, text: &str, order: &[usize]) {
-        if self.cfg.replicas == 0 || order.len() < 2 {
-            return;
-        }
-        if !self.hot.record(hash, Instant::now()) {
-            return;
-        }
-        let replica = order[1];
-        if !self.shards[replica].health.is_up() {
-            return;
-        }
-        if let Some(tx) = self.repl_tx.lock().unwrap().as_ref() {
-            match tx.try_send((replica, text.to_string())) {
-                Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
-            }
-        }
     }
 }
 
@@ -216,8 +182,8 @@ impl Admission {
 /// The router behind the shared listener ([`crate::server`]): it answers
 /// a compile or sleep by relaying it, on a pool worker, to the shard its
 /// key hashes to; it counts straight into its registry (no per-request
-/// reports, so nothing to sequence); and it keeps a prober and a
-/// replication worker alive for as long as it accepts.
+/// reports, so nothing to sequence); and it keeps a prober alive for as
+/// long as it accepts.
 impl Backend for Core {
     type Ticket = ();
     /// `(ring hash, the request bytes to relay, the id a structured
@@ -261,15 +227,9 @@ impl Backend for Core {
     }
 
     fn with_background(&self, shutdown: &ShutdownFlag, serve: impl FnOnce()) {
-        let (tx, rx) = std::sync::mpsc::sync_channel(REPLICATION_QUEUE);
-        *self.repl_tx.lock().unwrap() = Some(tx);
         std::thread::scope(|scope| {
             scope.spawn(|| self.probe(shutdown));
-            scope.spawn(move || self.replicate(&rx));
             serve();
-            // Connection threads are joined: nothing can enqueue replication
-            // work anymore. Dropping the sender lets the worker drain out.
-            self.repl_tx.lock().unwrap().take();
         });
     }
 }
@@ -294,16 +254,6 @@ impl Core {
             // Sleep in short slices so shutdown never waits a full
             // interval on the prober.
             std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    /// Replication worker: forwards hot-key copies to their ring
-    /// successor, warming the replica's cache off the request path.
-    fn replicate(&self, rx: &Receiver<(usize, String)>) {
-        while let Ok((idx, text)) = rx.recv() {
-            if self.shards[idx].forward(&text).is_ok() {
-                self.count("cluster.replicated", 1);
-            }
         }
     }
 }
@@ -350,10 +300,8 @@ pub fn spawn_router(
         Ok(Core {
             shards: shard_addrs.iter().map(|&a| Shard::new(a)).collect(),
             ring: Ring::new(shard_addrs.len(), cfg.vnodes),
-            hot: HotKeys::new(cfg.hot_window, cfg.hot_threshold, HOT_CAPACITY),
             cfg,
             lifetime: Registry::new(),
-            repl_tx: Mutex::new(None),
         })
     })
 }

@@ -31,9 +31,9 @@
 //!   flushes its response, and exits cleanly.
 //! * **Cluster mode** ([`cluster`]): a router — the listener's second
 //!   backend — consistent-hashes cache keys over N shard processes,
-//!   health-checks them, retries with real wall-clock backoff, fails
-//!   over to ring replicas, and replicates hot keys — while responses
-//!   stay bit-identical to a single-node server.
+//!   health-checks them, retries with real wall-clock backoff and fails
+//!   over to ring replicas — while responses stay bit-identical to a
+//!   single-node server.
 //! * **Crash-safe persistence** (`--persist`, DESIGN.md §15): cache
 //!   inserts write through to a `gcomm-store` segmented log; a restarted
 //!   service (or a supervisor-respawned shard) recovers it — truncating

@@ -27,7 +27,7 @@ use gcomm_core::{lower_to_sim, CompiledRef, SimConfig};
 use gcomm_guard::BudgetSpec;
 use gcomm_machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
 use gcomm_obs::{Registry, StatsReport};
-use gcomm_query::{fingerprint, mix, ByteLru, Computed, Fingerprinter, Input, QueryEngine};
+use gcomm_query::{fingerprint, mix, ByteLru, Computed, Fingerprinter, Input};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
 use crate::json::escape;
@@ -455,7 +455,7 @@ pub fn cold_compile_payload(req: &CompileReq, effective: &BudgetSpec) -> String 
     let rendered: Vec<RoutineRender> = outcome
         .routines
         .iter()
-        .map(|routine| render_routine(routine, req, None, shape))
+        .map(|routine| render_routine(routine, req, shape))
         .collect();
     frame_payload(&rendered, req)
 }
@@ -501,7 +501,8 @@ fn single_error_payload(errs: &[gcomm_core::CoreError]) -> String {
 }
 
 /// A fully rendered routine plus the flags the module frame needs — the
-/// value of the routine-level render memo.
+/// value of the `query.routine` memo, the engine's one tier of rendered
+/// bytes.
 #[derive(Debug)]
 struct RoutineRender {
     payload: String,
@@ -513,9 +514,9 @@ struct RoutineRender {
 /// chunk to the engine under one lock, and serves each byte-unchanged
 /// routine's finished render from that one routine-level probe. Only
 /// changed chunks descend into the pass-level queries (parse → lower →
-/// place → render), where early cutoff still applies. Byte-identical to
-/// [`cold_compile_payload`]: the compute path runs the same stage
-/// functions and the same framing helpers.
+/// place), where early cutoff still applies, and are rendered afresh.
+/// Byte-identical to [`cold_compile_payload`]: the compute path runs the
+/// same stage functions and the same framing helpers.
 fn incremental_payload(ic: &IncrCompiler, req: &CompileReq, effective: &BudgetSpec) -> String {
     let eng = ic.engine();
     let chunks = incr::split_routines(&req.source);
@@ -540,7 +541,7 @@ fn incremental_payload(ic: &IncrCompiler, req: &CompileReq, effective: &BudgetSp
             hit.unwrap_or_else(|| {
                 let (r, _) = eng.memo("query.routine", input.key, || {
                     let routine = ic.compile_routine(chunk, req.strategy, effective);
-                    let r = render_routine(&routine, req, Some(eng), shape);
+                    let r = render_routine(&routine, req, shape);
                     Computed {
                         bytes: r.payload.len() as u64 + 2,
                         // Error payloads embed module-level line numbers
@@ -558,19 +559,12 @@ fn incremental_payload(ic: &IncrCompiler, req: &CompileReq, effective: &BudgetSp
     frame_payload(&rendered, req)
 }
 
-/// Renders one routine in the given frame shape, successes through the
-/// render memo when an engine is supplied. Error renders embed
-/// module-level line numbers, which depend on where the chunk sits — cheap
-/// to render, never memoized.
-fn render_routine(
-    routine: &RoutineOutcome,
-    req: &CompileReq,
-    engine: Option<&QueryEngine>,
-    shape: RenderShape,
-) -> RoutineRender {
+/// Renders one routine in the given frame shape — the one renderer under
+/// both [`cold_compile_payload`] and [`incremental_payload`].
+fn render_routine(routine: &RoutineOutcome, req: &CompileReq, shape: RenderShape) -> RoutineRender {
     match &routine.result {
         Ok(a) => RoutineRender {
-            payload: render_ok(a, req, engine, shape),
+            payload: render_ok(a, req, shape),
             ok: true,
             degraded: a.degraded,
         },
@@ -613,32 +607,8 @@ impl RenderShape {
     }
 }
 
-/// Renders a successful routine, through the render memo when an engine
-/// is available. The key extends the place key (already ir × strategy ×
-/// budget) with the sim spec and the frame shape; degraded renders are
-/// never cached, matching the place stage's rule.
-fn render_ok(
-    a: &RoutineArtifacts,
-    req: &CompileReq,
-    engine: Option<&QueryEngine>,
-    shape: RenderShape,
-) -> String {
-    let Some(eng) = engine else {
-        return render_ok_fresh(a, req, shape);
-    };
-    let key = Fingerprinter::of(&(a.place_key, &req.sim, shape));
-    let (payload, _) = eng.memo("query.render", key, || {
-        let p = render_ok_fresh(a, req, shape);
-        Computed {
-            bytes: p.len() as u64,
-            cacheable: !a.degraded,
-            value: p,
-        }
-    });
-    (*payload).clone()
-}
-
-fn render_ok_fresh(a: &RoutineArtifacts, req: &CompileReq, shape: RenderShape) -> String {
+/// Renders a successful routine in the given frame shape.
+fn render_ok(a: &RoutineArtifacts, req: &CompileReq, shape: RenderShape) -> String {
     let report = a.schedule.report(&a.prog);
     let mut p = match shape {
         RenderShape::Single => format!(

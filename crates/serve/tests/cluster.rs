@@ -1,7 +1,6 @@
 //! Cluster robustness tests against in-process shards: bit-identity with
 //! a single-node server, failover with zero failed requests, partial-frame
-//! classification, structured `unavailable`, hot-key replication, and the
-//! drain guarantee.
+//! classification, structured `unavailable`, and the drain guarantee.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -28,8 +27,6 @@ fn cluster_config() -> ClusterConfig {
         retry_base: Duration::from_millis(5),
         retry_cap: Duration::from_millis(50),
         check_interval: Duration::from_millis(50),
-        hot_threshold: 2,
-        hot_window: Duration::from_secs(30),
         ..ClusterConfig::default()
     }
 }
@@ -111,20 +108,65 @@ fn cluster_responses_are_bit_identical_to_single_node() {
 
 #[test]
 fn shard_death_fails_over_with_zero_failed_requests() {
+    let cfg = cluster_config();
     let (mut shards, addrs) = spawn_shards(2);
-    let router = spawn_router("127.0.0.1:0", &addrs, cluster_config()).unwrap();
+    let srcs = sources(8);
+    // A key whose primary is the shard about to die, so its ring
+    // successor has never seen it.
+    let hot = srcs
+        .iter()
+        .position(|s| primary_shard(s, 2, &cfg) == 0)
+        .expect("some source routes to shard 0");
+    let router = spawn_router("127.0.0.1:0", &addrs, cfg.clone()).unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
 
-    let srcs = sources(8);
     let mut healthy: Vec<String> = Vec::new();
     for (i, src) in srcs.iter().enumerate() {
         let req = compile_request(i as u64, src, Strategy::Global, None, None);
         healthy.push(client.request(&req).unwrap());
     }
+    // The primary serves the popular key again and again; nothing copies
+    // it anywhere.
+    let hot_req = compile_request(hot as u64, &srcs[hot], Strategy::Global, None, None);
+    for _ in 0..4 {
+        assert_eq!(client.request(&hot_req).unwrap(), healthy[hot]);
+    }
 
-    // Kill shard 0. Its keyspace must fail over to shard 1 with every
+    // Kill shard 0. The first answer for its popular key comes from the
+    // survivor, which compiles it cold — same bytes, one more compile.
+    let survivor = shards.pop().unwrap();
+    shards.pop().unwrap().stop().unwrap();
+    assert_eq!(
+        client.request(&hot_req).unwrap(),
+        healthy[hot],
+        "first post-kill answer for the popular key changed bytes"
+    );
+    assert!(counter(&router, "cluster.replica_hit") >= 1);
+    // Until now the survivor compiled exactly the keys it is primary for.
+    // A request's counters reach the lifetime report after its response
+    // is written, hence the poll.
+    let own = srcs
+        .iter()
+        .filter(|s| primary_shard(s, 2, &cfg) == 1)
+        .count() as u64;
+    let compiles = || {
+        survivor
+            .service()
+            .lifetime_report()
+            .counter("serve.compiles")
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while compiles() <= own && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        compiles(),
+        own + 1,
+        "the survivor should have compiled the dead primary's key cold"
+    );
+
+    // The rest of the dead shard's keyspace fails over too, with every
     // request still answered, bit-identical to the healthy run.
-    shards.remove(0).stop().unwrap();
     for (i, src) in srcs.iter().enumerate() {
         let req = compile_request(i as u64, src, Strategy::Global, None, None);
         let resp = client.request(&req).unwrap();
@@ -143,7 +185,7 @@ fn shard_death_fails_over_with_zero_failed_requests() {
     );
     drop(client);
     router.stop().unwrap();
-    shards.remove(0).stop().unwrap();
+    survivor.stop().unwrap();
 }
 
 #[test]
@@ -256,56 +298,6 @@ fn client_reports_connection_lost_on_mid_frame_death() {
         err.to_string().contains("connection lost"),
         "unexpected error text: {err}"
     );
-}
-
-#[test]
-fn hot_keys_replicate_to_the_ring_successor() {
-    let cfg = cluster_config();
-    let (mut shards, addrs) = spawn_shards(2);
-    // A source whose primary is shard 0 (so the successor is shard 1).
-    let src = sources(64)
-        .into_iter()
-        .find(|s| primary_shard(s, 2, &cfg) == 0)
-        .expect("some source routes to shard 0");
-    let router = spawn_router("127.0.0.1:0", &addrs, cfg).unwrap();
-    let mut client = Client::connect(router.addr()).unwrap();
-
-    // hot_threshold = 2: the second hit flags the key, replication warms
-    // the successor in the background.
-    let req = compile_request(1, &src, Strategy::Global, None, None);
-    let baseline = client.request(&req).unwrap();
-    for _ in 0..3 {
-        assert_eq!(client.request(&req).unwrap(), baseline);
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while counter(&router, "cluster.replicated") == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        counter(&router, "cluster.replicated") >= 1,
-        "hot key never replicated"
-    );
-
-    // The replica now serves the key from its warmed cache after the
-    // primary dies — same bytes, and a cache hit rather than a compile.
-    let replica = shards.pop().unwrap();
-    let hits_before = replica.service().lifetime_report().counter("cache.hit");
-    shards.pop().unwrap().stop().unwrap();
-    assert_eq!(client.request(&req).unwrap(), baseline);
-    assert!(counter(&router, "cluster.replica_hit") >= 1);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while replica.service().lifetime_report().counter("cache.hit") <= hits_before
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        replica.service().lifetime_report().counter("cache.hit") > hits_before,
-        "failover request should hit the replica's warmed cache"
-    );
-    drop(client);
-    router.stop().unwrap();
-    replica.stop().unwrap();
 }
 
 /// Polls a router counter until it reaches `want` or the deadline hits.

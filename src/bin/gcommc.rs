@@ -49,8 +49,8 @@
 //! Cluster options (DESIGN.md §13):
 //!   --addr <host:port>           router listen address (required)
 //!   --shards <n>                 shard processes to spawn (default: 2)
-//!   --replicas <n>               ring successors for failover and hot-key
-//!                                replication (default: 1)
+//!   --replicas <n>               ring successors a request may fail over to
+//!                                (default: 1)
 //!   --attach <host:port>         attach a running serve instead of spawning
 //!                                (repeatable; overrides --shards)
 //!   --jobs <n>                   router workers and per-shard workers
@@ -344,9 +344,9 @@ fn serve_to_exit<B>(
 /// `gcommc cluster`: the sharded compile service (DESIGN.md §13). Spawns
 /// `--shards` child `gcommc serve` processes (or attaches to running ones
 /// via `--attach`) and routes the unchanged protocol across them with
-/// health checks, retry/backoff, and hot-key replication. SIGINT/SIGTERM
-/// drain the router's in-flight requests, then shut the spawned shards
-/// down gracefully.
+/// health checks, retry/backoff, and failover to ring successors.
+/// SIGINT/SIGTERM drain the router's in-flight requests, then shut the
+/// spawned shards down gracefully.
 fn cluster_main(mut args: Vec<String>) -> ExitCode {
     let jobs = cli::or_exit2("gcommc", gcomm::par::take_jobs_flag(&mut args));
     let addr = cli::or_exit2("gcommc", cli::take_addr_flag(&mut args));

@@ -4,8 +4,8 @@
 //! module states, its corpus programs, and hand-written line shapes.
 //!
 //! The split points are load-bearing beyond this repository's tests: the
-//! routine fingerprints key the query engine and the render memo, so a
-//! chunk boundary that moved would silently change what an edit reuses.
+//! routine fingerprints key the query engine's routine memo, so a chunk
+//! boundary that moved would silently change what an edit reuses.
 
 use gcomm::core::incr::split_routines;
 use proptest::hpf;

@@ -37,7 +37,6 @@ fn canonical_taxonomy_is_zero_filled_in_every_report() {
         "cluster.retry",
         "cluster.failover",
         "cluster.replica_hit",
-        "cluster.replicated",
         "cluster.conn_lost",
         "cluster.marked_down",
         "cluster.marked_up",
