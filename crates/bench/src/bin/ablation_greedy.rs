@@ -4,7 +4,6 @@
 //! global code motion heuristic). This ablation compares that order against
 //! least-constrained-first and plain program order on every kernel.
 
-use gcomm_bench::reports;
 use gcomm_core::{compile_with_policy, CombinePolicy, GreedyOrder, Strategy};
 use gcomm_serve::cli;
 
@@ -15,14 +14,13 @@ fn main() {
         println!("{}", cli::version_line(BIN));
         return;
     }
-    let jobs = cli::or_exit2(BIN, gcomm_par::take_jobs_flag(&mut args));
     let _stats = cli::or_exit2(BIN, cli::StatsOpts::extract(&mut args)).install();
+    cli::or_exit2(BIN, cli::reject_leftover_args(&args));
     println!(
         "{:<10} {:<9} {:>16} {:>17} {:>14}",
         "Benchmark", "Routine", "most-constrained", "least-constrained", "program-order"
     );
-    let kernels = gcomm_kernels::all_kernels();
-    let table = reports::par_report(jobs, &kernels, |&(bench, routine, src)| {
+    for (bench, routine, src) in gcomm_kernels::all_kernels() {
         let count = |order: GreedyOrder| {
             let policy = CombinePolicy {
                 order,
@@ -32,14 +30,13 @@ fn main() {
                 .expect("kernel compiles")
                 .static_messages()
         };
-        format!(
-            "{:<10} {:<9} {:>16} {:>17} {:>14}\n",
+        println!(
+            "{:<10} {:<9} {:>16} {:>17} {:>14}",
             bench,
             routine,
             count(GreedyOrder::MostConstrained),
             count(GreedyOrder::LeastConstrained),
             count(GreedyOrder::ProgramOrder)
-        )
-    });
-    print!("{table}");
+        );
+    }
 }

@@ -46,8 +46,8 @@ fn main() {
         println!("{}", cli::version_line(BIN));
         return;
     }
-    let jobs = cli::or_exit2(BIN, gcomm_par::take_jobs_flag(&mut args));
     let _stats = cli::or_exit2(BIN, cli::StatsOpts::extract(&mut args)).install();
+    cli::or_exit2(BIN, cli::reject_leftover_args(&args));
     let k = 8;
     let m = 16;
     let src = kernel(k, m);
@@ -57,16 +57,14 @@ fn main() {
         "threshold(B)", "messages", "comm us/step", "vs 20KB"
     );
     let (_, base) = run(&src, m, 20 * 1024);
-    let thresholds = [512u64, 2 * 1024, 8 * 1024, 20 * 1024, 64 * 1024, 1 << 20];
-    let table = gcomm_bench::reports::par_report(jobs, &thresholds, |&threshold| {
+    for threshold in [512u64, 2 * 1024, 8 * 1024, 20 * 1024, 64 * 1024, 1 << 20] {
         let (msgs, comm) = run(&src, m, threshold);
-        format!(
-            "{:>12} {:>8} {:>12.1} {:>+11.1}%\n",
+        println!(
+            "{:>12} {:>8} {:>12.1} {:>+11.1}%",
             threshold,
             msgs,
             comm,
             100.0 * (comm - base) / base
-        )
-    });
-    print!("{table}");
+        );
+    }
 }

@@ -6,9 +6,11 @@
 //! simulator. `--budget <n>` bounds **search nodes expanded** (entry
 //! bindings) — it used to bound assignments scored; a node is strictly
 //! cheaper, so the same number now certifies far larger programs. The
-//! default is the golden-file setting. `--json <path>` additionally runs
-//! the retained exhaustive enumeration at the same budget and writes a
-//! `BENCH_optimal.json` comparison (nodes, prune counts, wall times).
+//! default is the golden-file setting. `--jobs <n>` sets the search's
+//! worker count (the table is the same bytes for any). `--json <path>`
+//! additionally runs the retained serial enumeration at the same budget
+//! and writes a `BENCH_optimal.json` comparison (nodes, prune counts, wall
+//! times).
 
 use gcomm_bench::reports;
 use gcomm_serve::cli;
@@ -24,30 +26,16 @@ fn main() {
     let _stats = cli::or_exit2(BIN, cli::StatsOpts::extract(&mut args)).install();
     // NOTE: `--budget <n>` here is the *search node* budget (a bare count
     // of nodes expanded), not the shared `--budget <spec>` analysis budget.
-    let mut budget = reports::DEFAULT_OPTIMAL_BUDGET;
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--budget" => {
-                budget = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!(
-                        "usage: compare_optimal [--budget <nodes>] [--jobs <n>] [--json <path>]"
-                    );
-                    std::process::exit(2);
-                });
-            }
-            "--json" => {
-                json_path = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!(
-                        "usage: compare_optimal [--budget <nodes>] [--jobs <n>] [--json <path>]"
-                    );
-                    std::process::exit(2);
-                }));
-            }
-            _ => {}
-        }
-    }
+    let budget = match cli::or_exit2(BIN, cli::take_value_flag(&mut args, "--budget")) {
+        None => reports::DEFAULT_OPTIMAL_BUDGET,
+        Some(v) => cli::or_exit2(
+            BIN,
+            v.parse()
+                .map_err(|_| format!("--budget expects a node count, got '{v}'")),
+        ),
+    };
+    let json_path = cli::or_exit2(BIN, cli::take_value_flag(&mut args, "--json"));
+    cli::or_exit2(BIN, cli::reject_leftover_args(&args));
     print!("{}", reports::compare_optimal_text(budget, jobs));
     if let Some(path) = json_path {
         let json = reports::compare_optimal_json(budget, jobs);

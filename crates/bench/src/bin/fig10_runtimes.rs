@@ -5,12 +5,9 @@
 //! Usage:
 //!   cargo run -p gcomm-bench --bin fig10_runtimes            # all panels
 //!   cargo run -p gcomm-bench --bin fig10_runtimes -- sp2 shallow
-//!   cargo run -p gcomm-bench --bin fig10_runtimes -- --json
 //!   cargo run -p gcomm-bench --bin fig10_runtimes -- --faults seed=42,loss=0.01
 
-use gcomm_bench::{
-    bar, fault_row, json, paper_sizes, runtime_row, runtime_source, FaultRow, Platform,
-};
+use gcomm_bench::{bar, fault_row, paper_sizes, runtime_row, runtime_source, Platform};
 use gcomm_machine::FaultPlan;
 use gcomm_serve::cli;
 
@@ -22,13 +19,11 @@ fn main() {
         return;
     }
     let _stats = cli::or_exit2(BIN, cli::StatsOpts::extract(&mut args)).install();
-    let json_out = args.iter().any(|a| a == "--json");
     let mut plan = FaultPlan::quiet();
     let mut filt: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => {}
             "--faults" => {
                 let Some(spec) = it.next() else {
                     eprintln!("--faults requires a spec (e.g. seed=42,loss=0.01)");
@@ -42,10 +37,7 @@ fn main() {
                     }
                 };
             }
-            _ if a.starts_with("--") => {
-                eprintln!("unknown flag {a}");
-                std::process::exit(2);
-            }
+            _ if a.starts_with("--") => cli::or_exit2(BIN, Err(format!("unknown flag '{a}'"))),
             _ => filt.push(a),
         }
     }
@@ -73,25 +65,18 @@ fn main() {
             continue;
         };
         if plan.is_quiet() {
-            run_clean_panel(src, pf, bench, title, json_out);
+            run_clean_panel(src, pf, bench, title);
         } else {
-            run_fault_panel(src, pf, bench, title, json_out, &plan);
+            run_fault_panel(src, pf, bench, title, &plan);
         }
     }
 }
 
-fn run_clean_panel(src: &str, pf: Platform, bench: &str, title: &str, json_out: bool) {
-    if !json_out {
-        println!("== Figure 10 {title} ==");
-        println!("   ('#' = network time, '-' = CPU time; orig normalized to 1.0)");
-    }
-    let mut rows = Vec::new();
+fn run_clean_panel(src: &str, pf: Platform, bench: &str, title: &str) {
+    println!("== Figure 10 {title} ==");
+    println!("   ('#' = network time, '-' = CPU time; orig normalized to 1.0)");
     for n in paper_sizes(pf, bench) {
         let row = runtime_row(src, pf, n).expect("kernel compiles");
-        if json_out {
-            rows.push(row);
-            continue;
-        }
         for (name, r) in [
             ("orig", &row.orig),
             ("nored", &row.nored),
@@ -113,32 +98,14 @@ fn run_clean_panel(src: &str, pf: Platform, bench: &str, title: &str, json_out: 
             100.0 * (1.0 - row.normalized(&row.comb))
         );
     }
-    if json_out {
-        println!("{}", json::runtime_rows(&rows));
-    } else {
-        println!();
-    }
+    println!();
 }
 
-fn run_fault_panel(
-    src: &str,
-    pf: Platform,
-    bench: &str,
-    title: &str,
-    json_out: bool,
-    plan: &FaultPlan,
-) {
-    if !json_out {
-        println!("== Figure 10 {title} [fault-injected] ==");
-        println!("   (orig normalized to 1.0; rexmit = retransmitted rounds)");
-    }
-    let mut rows: Vec<FaultRow> = Vec::new();
+fn run_fault_panel(src: &str, pf: Platform, bench: &str, title: &str, plan: &FaultPlan) {
+    println!("== Figure 10 {title} [fault-injected] ==");
+    println!("   (orig normalized to 1.0; rexmit = retransmitted rounds)");
     for n in paper_sizes(pf, bench) {
         let row = fault_row(src, pf, n, plan).expect("kernel compiles");
-        if json_out {
-            rows.push(row);
-            continue;
-        }
         for (name, r) in [
             ("orig", &row.orig),
             ("nored", &row.nored),
@@ -159,9 +126,5 @@ fn run_fault_panel(
             );
         }
     }
-    if json_out {
-        println!("{}", json::fault_rows(&rows));
-    } else {
-        println!();
-    }
+    println!();
 }

@@ -1,9 +1,8 @@
 //! Regenerates Figure 5: buffer-copying and network bandwidth vs. size for
 //! the SP2/MPL and NOW/MPICH machine models (log-spaced x axis).
 //!
-//! Usage: `cargo run -p gcomm-bench --bin fig5_network_profile [--json]`
+//! Usage: `cargo run -p gcomm-bench --bin fig5_network_profile`
 
-use gcomm_bench::json;
 use gcomm_machine::profile::{default_sizes, profile};
 use gcomm_machine::NetworkModel;
 use gcomm_serve::cli;
@@ -16,14 +15,10 @@ fn main() {
         return;
     }
     let _stats = cli::or_exit2(BIN, cli::StatsOpts::extract(&mut args)).install();
-    let json = args.iter().any(|a| a == "--json");
+    cli::or_exit2(BIN, cli::reject_leftover_args(&args));
     let sizes = default_sizes();
     for net in [NetworkModel::sp2(), NetworkModel::now_myrinet()] {
         let pts = profile(&net, &sizes);
-        if json {
-            println!("{}", json::profile_points(&pts));
-            continue;
-        }
         println!("== Figure 5: {} ==", net.name);
         println!(
             "{:>9}  {:>10}  {:>10}  {:>10}",

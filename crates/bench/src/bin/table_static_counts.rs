@@ -9,8 +9,8 @@ fn main() {
         println!("{}", cli::version_line(BIN));
         return;
     }
-    let jobs = cli::or_exit2(BIN, gcomm_par::take_jobs_flag(&mut args));
     let _stats = cli::or_exit2(BIN, cli::StatsOpts::extract(&mut args)).install();
-    let verbose = args.iter().any(|a| a == "-v");
-    print!("{}", reports::table_static_counts_text(verbose, jobs));
+    let verbose = cli::take_switch(&mut args, "-v");
+    cli::or_exit2(BIN, cli::reject_leftover_args(&args));
+    print!("{}", reports::table_static_counts_text(verbose));
 }

@@ -11,7 +11,6 @@
 
 use gcomm_core::{compile, lower_to_sim, CoreError, SimConfig, Strategy};
 use gcomm_machine::fault::FaultPlan;
-use gcomm_machine::profile::ProfilePoint;
 use gcomm_machine::{simulate, simulate_with_faults, NetworkModel, ProcGrid, SimReport, SimResult};
 
 /// Timesteps simulated per run (everything scales linearly in this).
@@ -171,87 +170,6 @@ pub fn fault_row(
     })
 }
 
-/// Minimal JSON emitters for the benchmark binaries (the build environment
-/// has no serialization crates; these write the same shapes by hand —
-/// `f64` via Rust's shortest-roundtrip `Display`).
-pub mod json {
-    use super::{FaultRow, ProfilePoint, RuntimeRow, SimReport, SimResult};
-
-    /// `SimResult` as a JSON object.
-    pub fn sim_result(r: &SimResult) -> String {
-        format!(
-            "{{\"compute_us\":{},\"comm_us\":{},\"messages\":{},\"bytes\":{}}}",
-            r.compute_us, r.comm_us, r.messages, r.bytes
-        )
-    }
-
-    /// `SimReport` as a JSON object (result + fault counters).
-    pub fn sim_report(r: &SimReport) -> String {
-        let f = &r.faults;
-        format!(
-            "{{\"result\":{},\"faults\":{{\"retransmits\":{},\"timeouts\":{},\
-             \"backoff_us\":{},\"fallbacks\":{},\"giveups\":{},\
-             \"degraded_phases\":{},\"straggled_phases\":{}}}}}",
-            sim_result(&r.result),
-            f.retransmits,
-            f.timeouts,
-            f.backoff_us,
-            f.fallbacks,
-            f.giveups,
-            f.degraded_phases,
-            f.straggled_phases
-        )
-    }
-
-    /// An array of Figure-10 rows.
-    pub fn runtime_rows(rows: &[RuntimeRow]) -> String {
-        let items: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{\"n\":{},\"orig\":{},\"nored\":{},\"comb\":{}}}",
-                    row.n,
-                    sim_result(&row.orig),
-                    sim_result(&row.nored),
-                    sim_result(&row.comb)
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(","))
-    }
-
-    /// An array of fault-injected Figure-10 rows.
-    pub fn fault_rows(rows: &[FaultRow]) -> String {
-        let items: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{\"n\":{},\"orig\":{},\"nored\":{},\"comb\":{}}}",
-                    row.n,
-                    sim_report(&row.orig),
-                    sim_report(&row.nored),
-                    sim_report(&row.comb)
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(","))
-    }
-
-    /// An array of Figure-5 profile points.
-    pub fn profile_points(pts: &[ProfilePoint]) -> String {
-        let items: Vec<String> = pts
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"bytes\":{},\"bcopy_mb\":{},\"inject_mb\":{},\"recv_mb\":{}}}",
-                    p.bytes, p.bcopy_mb, p.inject_mb, p.recv_mb
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(","))
-    }
-}
-
 /// Report generators shared by the benchmark binaries and the golden-file
 /// tests: each renders the exact text a `results/*.txt` artifact holds, so
 /// the tier-1 suite can detect drift by regenerating and comparing.
@@ -263,40 +181,6 @@ pub mod reports {
     use gcomm_machine::{NetworkModel, ProcGrid};
     use std::fmt::Write as _;
 
-    /// Runs `build` for every item on `jobs` workers, each under a fresh
-    /// stats registry, then merges the per-item snapshots into the
-    /// caller's registry *in item order* and concatenates the returned
-    /// text chunks. The merged counters (and the report text) are
-    /// bit-identical for any worker count — the determinism contract of
-    /// DESIGN.md §11.
-    pub fn par_report<T: Sync>(
-        jobs: usize,
-        items: &[T],
-        build: impl Fn(&T) -> String + Sync,
-    ) -> String {
-        // The per-item registries exist only to route worker-side counters
-        // back to the caller's registry deterministically; when the caller
-        // collects nothing, skip them so every counter/span call inside
-        // `build` keeps its no-registry fast path (a no-op).
-        let Some(sink) = gcomm_obs::current() else {
-            return gcomm_par::map(jobs, items, |_, item| build(item)).concat();
-        };
-        let chunks = gcomm_par::map(jobs, items, |_, item| {
-            let reg = gcomm_obs::Registry::new();
-            let chunk = {
-                let _scope = gcomm_obs::install(reg.clone());
-                build(item)
-            };
-            (chunk, reg.snapshot())
-        });
-        let mut out = String::new();
-        for (chunk, snap) in chunks {
-            sink.absorb(&snap);
-            out.push_str(&chunk);
-        }
-        out
-    }
-
     /// Default search budget for [`compare_optimal_text`], in **nodes
     /// expanded** (entry bindings), the branch-and-bound budget unit.
     /// Before the branch-and-bound search this same number bounded
@@ -307,19 +191,15 @@ pub mod reports {
     pub const DEFAULT_OPTIMAL_BUDGET: u64 = 20_000;
 
     /// The static message count table (Figure 10, top; `-v` appends the
-    /// global placement report per kernel). Kernels compile on `jobs`
-    /// workers; the table rows (and any merged stats) come out in kernel
-    /// order regardless of the worker count.
-    pub fn table_static_counts_text(verbose: bool, jobs: usize) -> String {
+    /// global placement report per kernel).
+    pub fn table_static_counts_text(verbose: bool) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{:<10} {:<9} {:<5} {:>6} {:>7} {:>6}",
             "Benchmark", "Routine", "Type", "orig", "nored", "comb"
         );
-        let kernels = gcomm_kernels::all_kernels();
-        out.push_str(&par_report(jobs, &kernels, |&(bench, routine, src)| {
-            let mut out = String::new();
+        for (bench, routine, src) in gcomm_kernels::all_kernels() {
             let orig = compile(src, Strategy::Original).expect("compile orig");
             let nored = compile(src, Strategy::EarliestRE).expect("compile nored");
             let comb = compile(src, Strategy::Global).expect("compile comb");
@@ -355,8 +235,7 @@ pub mod reports {
                     comb.report()
                 );
             }
-            out
-        }));
+        }
         out
     }
 
@@ -432,8 +311,9 @@ pub mod reports {
         out
     }
 
-    /// `BENCH_optimal.json`: the branch-and-bound search vs. the retained
-    /// exhaustive enumeration at the **same** budget, with wall times —
+    /// `BENCH_optimal.json`: the branch-and-bound search on `jobs` workers
+    /// vs. the retained (serial) exhaustive enumeration at the **same**
+    /// budget, with wall times —
     /// the measured evidence behind the README's certified-size frontier.
     /// Wall times vary run to run; everything else is deterministic.
     pub fn compare_optimal_json(budget: u64, jobs: usize) -> String {
@@ -458,13 +338,12 @@ pub mod reports {
             let Some(bb) = bb else { continue };
 
             let t1 = std::time::Instant::now();
-            let ex = gcomm_core::exhaustive_placement_jobs(
+            let ex = gcomm_core::exhaustive_placement(
                 &c,
                 &policy,
                 &cfg,
                 &net,
                 &gcomm_guard::Budget::steps(budget),
-                jobs,
             )
             .expect("same front half");
             let ex_ms = t1.elapsed().as_secs_f64() * 1e3;

@@ -52,17 +52,17 @@ fn check_golden(name: &str, regenerated: &str) {
 
 #[test]
 fn table_static_counts_matches_golden() {
-    // Runs at the ambient worker count (`GCOMM_JOBS` in CI): the golden
-    // file doubles as the jobs-1-vs-N determinism check, since it was
-    // blessed from a serial run.
     check_golden(
         "table_static_counts.txt",
-        &reports::table_static_counts_text(false, gcomm_par::default_jobs()),
+        &reports::table_static_counts_text(false),
     );
 }
 
 #[test]
 fn compare_optimal_matches_golden() {
+    // Runs at the ambient worker count (`GCOMM_JOBS` in CI): the golden
+    // file doubles as a jobs-1-vs-N determinism check, since it was
+    // blessed from a serial run.
     check_golden(
         "compare_optimal.txt",
         &reports::compare_optimal_text(reports::DEFAULT_OPTIMAL_BUDGET, gcomm_par::default_jobs()),

@@ -60,7 +60,7 @@ impl Algo {
 
 /// What the code generator knows about a combined message: the pattern
 /// class and its geometry on the linearized processor grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternShape {
     /// An NNC shift: one partner, `dist` ranks away.
     Shift {

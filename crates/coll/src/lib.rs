@@ -20,7 +20,7 @@
 //!   and fault model execute the step lists unchanged.
 //! * [`select`] — an algorithm selector that sweeps the
 //!   latency/bandwidth pareto frontier per (pattern, size, topology) as
-//!   in SCCL, memoized via `gcomm-query`. `auto` picks the cheapest
+//!   in SCCL. `auto` picks the cheapest
 //!   candidate under the *exact* step-sum cost the simulator charges and
 //!   always includes `p2p` among the candidates, so `auto` is never
 //!   costlier than `p2p` by construction.

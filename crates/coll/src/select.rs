@@ -8,14 +8,10 @@
 //! whose *exact* step-sum cost (the very expression
 //! [`gcomm_machine::Msg::time_us`] charges) is minimal. `p2p` is always a
 //! candidate and wins ties, so `auto` is never costlier than `p2p` by
-//! construction. Selections are memoized in a process-wide `gcomm-query`
-//! engine: selection is a pure function of the swept key, so a hit is
-//! bit-identical to a recomputation.
-
-use std::sync::OnceLock;
+//! construction. Nothing is memoized: a sweep is at most four closed-form
+//! candidates and measured no dearer than a probe of a shared memo.
 
 use gcomm_machine::{NetworkModel, SimStep};
-use gcomm_query::{Computed, Fingerprinter, QueryEngine};
 
 use crate::algo::{lower, Algo, PatternShape, ALL_ALGOS};
 use crate::topo::Topology;
@@ -143,39 +139,18 @@ fn exact_cost(steps: &[SimStep], net: &NetworkModel) -> f64 {
     steps.iter().map(|s| s.time_us(net)).sum()
 }
 
-fn engine() -> &'static QueryEngine {
-    static ENGINE: OnceLock<QueryEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| QueryEngine::new(1 << 20))
-}
-
-fn select_key(cfg: &CollConfig, shape: PatternShape, bytes: f64) -> u64 {
-    let net = &cfg.net;
-    let reals = [bytes, net.startup_us, net.peak_bw_mb, net.half_size].map(f64::to_bits);
-    Fingerprinter::of(&(&cfg.topo, shape, reals))
-}
-
 /// The `auto` selection: the cheapest applicable algorithm under the
-/// exact step-sum cost, ties to the earliest candidate (`p2p`). Memoized
-/// per (topology, shape, bytes, network) — selection is pure, so hits
-/// are bit-identical to recomputation.
+/// exact step-sum cost, ties to the earliest candidate (`p2p`).
 pub fn select(cfg: &CollConfig, shape: PatternShape, bytes: f64) -> Algo {
-    let key = select_key(cfg, shape, bytes);
-    let (algo, _hit) = engine().memo("coll.select", key, || {
-        let mut best = Algo::P2p;
-        let mut best_cost = f64::INFINITY;
-        for c in sweep(&cfg.topo, &cfg.net, shape, bytes) {
-            if c.cost_us < best_cost {
-                best = c.algo;
-                best_cost = c.cost_us;
-            }
+    let mut best = Algo::P2p;
+    let mut best_cost = f64::INFINITY;
+    for c in sweep(&cfg.topo, &cfg.net, shape, bytes) {
+        if c.cost_us < best_cost {
+            best = c.algo;
+            best_cost = c.cost_us;
         }
-        Computed {
-            value: best,
-            bytes: 16,
-            cacheable: true,
-        }
-    });
-    *algo
+    }
+    best
 }
 
 /// A lowered message schedule.
@@ -280,15 +255,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn selection_is_memoized_and_stable() {
-        let c = cfg("torus:5x5", "auto");
-        let shape = PatternShape::Tree { parts: 25 };
-        let a = select(&c, shape, 4096.0);
-        let b = select(&c, shape, 4096.0);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -45,7 +45,7 @@ const TORUS_HOP_STARTUP: f64 = 0.25;
 const TORUS_HOP_CONGESTION: f64 = 0.15;
 
 /// An interconnect topology, selected with `--machine` on `gcommc`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
     /// The flat 1996 model: every rank pair is equidistant.
     Flat,

@@ -75,9 +75,7 @@ pub use codegen::{lower_to_sim, lower_to_sim_with, SimConfig};
 pub use ctx::{AnalysisCtx, SectionCtx};
 pub use entry::{CommEntry, CommKind, EntryId};
 pub use greedy::{CombinePolicy, GreedyOrder};
-pub use optimal::{
-    exhaustive_placement_jobs, optimal_placement, optimal_placement_jobs, OptimalResult,
-};
+pub use optimal::{exhaustive_placement, optimal_placement_jobs, OptimalResult};
 pub use pipeline::{
     compile, compile_budgeted, compile_budgeted_with_policy, compile_diagnostics,
     compile_diagnostics_budgeted, compile_program, compile_program_budgeted, compile_stats,

@@ -23,18 +23,20 @@
 //!   strictly costlier one is cut.
 //! * **Determinism contract (DESIGN.md §11/§16).** The subtree split,
 //!   per-subtree node allowances, and every pruning decision depend only
-//!   on the program and the budget — never on worker scheduling. The
-//!   shared [`gcomm_par::MinF64`] best-cost cell is only a *recording
-//!   gate* (a cost strictly above it can never win); the final merge
-//!   picks the minimum by `(cost, assignment index)` with the seed
-//!   schedule winning cost ties. `jobs = 1` and `jobs = 8` are
-//!   bit-identical, including the node and prune counts.
+//!   on the program and the budget — never on worker scheduling; workers
+//!   share nothing mutable. Each subtree keeps its first cheapest leaf,
+//!   and the merge walks the subtrees in task order taking strict
+//!   improvements only. A depth-first walk visits leaves in enumeration
+//!   order and subtree `t` precedes subtree `t + 1`, so that is the
+//!   minimum by `(cost, enumeration order)`, with the seed schedule
+//!   winning cost ties. `jobs = 1` and `jobs = 8` are bit-identical,
+//!   including the node and prune counts.
 //!
 //! Surviving complete assignments are scored with the machine simulator,
 //! exactly like the retained exhaustive reference
-//! ([`exhaustive_placement_jobs`]), so the two return bit-identical
-//! results whenever both complete — the differential property the test
-//! suite enforces. The budget charges **nodes expanded** (one per entry
+//! ([`exhaustive_placement`]), so the two return bit-identical results
+//! whenever both complete — the differential property the test suite
+//! enforces. The budget charges **nodes expanded** (one per entry
 //! binding); on exhaustion the search truncates and returns the seeded
 //! schedule or better.
 
@@ -42,7 +44,6 @@ use std::collections::{HashMap, HashSet};
 
 use gcomm_ir::{IrProgram, LoopId, Pos};
 use gcomm_machine::{simulate, MsgKind, NetworkModel, ProcGrid};
-use gcomm_par::MinF64;
 
 use crate::candidates::candidates;
 use crate::codegen::{
@@ -191,20 +192,6 @@ fn front_half(compiled: &Compiled) -> Option<(AnalysisCtx<'_>, SearchSpace)> {
             space,
         },
     ))
-}
-
-/// Leaf-index strides under the canonical enumeration order: entry 0 (the
-/// outermost) varies slowest, the last entry fastest, so a depth-first
-/// walk visits leaves in increasing index and every subtree is a
-/// contiguous index range. Saturating — ties at the saturation point are
-/// astronomically beyond any budget.
-fn strides(choice_sets: &[Vec<Pos>]) -> Vec<u64> {
-    let n = choice_sets.len();
-    let mut s = vec![1u64; n];
-    for i in (0..n.saturating_sub(1)).rev() {
-        s[i] = s[i + 1].saturating_mul(choice_sets[i + 1].len() as u64);
-    }
-    s
 }
 
 /// An empty scratch compile the searches mutate and score: the seed's
@@ -360,16 +347,14 @@ struct Searcher<'a, 'p> {
     policy: &'a CombinePolicy,
     cfg: &'a SimConfig,
     net: &'a NetworkModel,
-    gate: &'a MinF64,
     base: &'a Compiled,
-    strides: &'a [u64],
     /// Forced digits below the split depth.
     prefix: &'a [usize],
     k: usize,
     allowance: u64,
     /// Deterministic per-subtree prune bound: min(seed cost, cheapest
-    /// leaf simulated so far *in this subtree*). Never reads the shared
-    /// gate — worker scheduling must not change pruning decisions.
+    /// leaf simulated so far *in this subtree*) — nothing another worker
+    /// found, so scheduling cannot change a pruning decision.
     bound: f64,
     digits: Vec<usize>,
     groups: Vec<LiveGroup>,
@@ -383,7 +368,9 @@ struct Searcher<'a, 'p> {
     pruned_dominance: u64,
     truncated: bool,
     stopped: bool,
-    best: Option<(f64, u64, Vec<usize>)>,
+    /// Digits of the first leaf that reached `bound`; `None` while the
+    /// seed is still the cheapest this subtree knows.
+    best: Option<Vec<usize>>,
 }
 
 impl<'a, 'p> Searcher<'a, 'p> {
@@ -460,7 +447,7 @@ impl<'a, 'p> Searcher<'a, 'p> {
     /// strictly cheaper: same depth, same placements among the positions
     /// the remaining entries can still reach. The frozen remainder then
     /// costs strictly more for any completion. Strict margin only — exact
-    /// ties both survive, preserving the lex-min index tie-break.
+    /// ties both survive, so the first of them in enumeration order wins.
     fn dominated(&mut self, d: usize, g: f64) -> bool {
         let rc = &self.cm.rc[d];
         let mut key: Vec<u64> = Vec::with_capacity(2 * d + 1);
@@ -491,19 +478,10 @@ impl<'a, 'p> Searcher<'a, 'p> {
         }
     }
 
-    fn leaf_index(&self) -> u64 {
-        let mut idx = 0u64;
-        for (i, &j) in self.digits.iter().enumerate() {
-            idx = idx.saturating_add(self.strides[i].saturating_mul(j as u64));
-        }
-        idx
-    }
-
     /// Scores a surviving complete assignment with the simulator — the
     /// same arithmetic as the exhaustive reference, so costs (and the
     /// recorded winner) are bit-identical between the two searches.
     fn score_leaf(&mut self) {
-        let idx = self.leaf_index();
         let (ctx, policy, cfg, net, space) =
             (self.ctx, self.policy, self.cfg, self.net, self.space);
         if self.scratch.is_none() {
@@ -513,21 +491,10 @@ impl<'a, 'p> Searcher<'a, 'p> {
         scratch.schedule.groups = space.groups(ctx, &self.digits, policy);
         let cost = simulate(&lower_to_sim_with(&*scratch, cfg, ctx), net).comm_us;
         self.leaves += 1;
+        // Strict: the seed and every earlier leaf win cost ties.
         if cost < self.bound {
             self.bound = cost;
-        }
-        // The shared gate is only a recording filter: a cost strictly
-        // above it can never be the global minimum, so skipping the
-        // bookkeeping is safe for any interleaving.
-        if cost <= self.gate.get() {
-            let improves = match &self.best {
-                None => true,
-                Some((c, i, _)) => cost < *c || (cost == *c && idx < *i),
-            };
-            if improves {
-                self.best = Some((cost, idx, self.digits.clone()));
-            }
-            self.gate.record(cost);
+            self.best = Some(self.digits.clone());
         }
     }
 
@@ -578,22 +545,6 @@ impl<'a, 'p> Searcher<'a, 'p> {
     }
 }
 
-/// Branch-and-bound optimal placement (serial reference path —
-/// [`optimal_placement_jobs`] with one worker).
-///
-/// # Errors / `None`
-///
-/// Returns `None` when the program has no communication.
-pub fn optimal_placement(
-    compiled: &Compiled,
-    policy: &CombinePolicy,
-    cfg: &SimConfig,
-    net: &NetworkModel,
-    budget: &gcomm_guard::Budget,
-) -> Option<OptimalResult> {
-    optimal_placement_jobs(compiled, policy, cfg, net, budget, 1)
-}
-
 /// Branch-and-bound search for the cheapest candidate assignment, fanned
 /// across `jobs` workers by work-stealing over subtree ranges.
 ///
@@ -621,14 +572,12 @@ pub fn optimal_placement_jobs(
     let n = space.ids.len();
     let base = base_scratch(compiled, &space);
     let cm = build_cost_model(&base, cfg, net, &ctx, &space);
-    let strides = strides(&space.choice_sets);
 
     // Seed the search with the input schedule so the result is never worse
     // than what the caller already has, even under truncation. Every
     // scoring call shares `ctx`, so SSA/dominators build once and each
     // `(entry, level)` section widens once for the whole search.
     let seed_cost = simulate(&lower_to_sim_with(compiled, cfg, &ctx), net).comm_us;
-    let gate = MinF64::new(seed_cost);
     let reg = gcomm_obs::current();
 
     // The node window is fixed up front from the budget's remaining steps
@@ -689,9 +638,7 @@ pub fn optimal_placement_jobs(
             policy,
             cfg,
             net,
-            gate: &gate,
             base: &base,
-            strides: &strides,
             prefix: &prefix,
             k,
             allowance,
@@ -711,7 +658,7 @@ pub fn optimal_placement_jobs(
         };
         s.dfs(0);
         (
-            s.best,
+            s.best.map(|digits| (s.bound, digits)),
             s.nodes,
             s.leaves,
             s.pruned_bound,
@@ -738,7 +685,7 @@ pub fn optimal_placement_jobs(
             }
         })
         .collect();
-    type WorkerOut = (Option<(f64, u64, Vec<usize>)>, u64, u64, u64, u64, bool);
+    type WorkerOut = (Option<(f64, Vec<usize>)>, u64, u64, u64, u64, bool);
     let mut outs: Vec<Option<WorkerOut>> = (0..p).map(|_| None).collect();
     let mut pending: Vec<u64> = (0..prefixes).collect();
     const MAX_ROUNDS: usize = 32;
@@ -789,26 +736,21 @@ pub fn optimal_placement_jobs(
     let mut pruned_bound = 0u64;
     let mut pruned_dominance = 0u64;
     let mut truncated = false;
-    // Deterministic merge: lexicographic minimum over (cost, index); the
-    // seed wins ties against any searched assignment (strict `<` below).
-    let mut best: Option<(f64, u64, Vec<usize>)> = None;
+    // Deterministic merge: subtrees in task order, strict improvements
+    // only — the seed, then the earliest subtree, wins a cost tie.
+    let mut comm_us = seed_cost;
+    let mut best: Option<Vec<usize>> = None;
     for (cand, n_, l, pb, pd, t) in outs.into_iter().flatten() {
         nodes += n_;
         leaves += l;
         pruned_bound += pb;
         pruned_dominance += pd;
         truncated |= t;
-        if let Some(cand) = cand {
-            best = Some(match best {
-                None => cand,
-                Some(b) => {
-                    if cand.0 < b.0 || (cand.0 == b.0 && cand.1 < b.1) {
-                        cand
-                    } else {
-                        b
-                    }
-                }
-            });
+        if let Some((cost, digits)) = cand {
+            if cost < comm_us {
+                comm_us = cost;
+                best = Some(digits);
+            }
         }
     }
     budget.charge(nodes);
@@ -819,13 +761,13 @@ pub fn optimal_placement_jobs(
         gcomm_obs::count("search.complete", 1);
     }
 
-    let (comm_us, schedule) = match best {
-        Some((cost, _, digits)) if cost < seed_cost => {
+    let schedule = match best {
+        Some(digits) => {
             let mut sched = base.schedule.clone();
             sched.groups = space.groups(&ctx, &digits, policy);
-            (cost, sched)
+            sched
         }
-        _ => (seed_cost, compiled.schedule.clone()),
+        None => compiled.schedule.clone(),
     };
     Some(OptimalResult {
         schedule,
@@ -846,109 +788,55 @@ pub fn optimal_placement_jobs(
 /// Exhaustively enumerates and scores candidate assignments — the
 /// retained reference the branch-and-bound search is differentially
 /// tested against, and the baseline `BENCH_optimal.json` measures the
-/// speedup over. Same front half, same enumeration order (entry 0
-/// slowest), same `(cost, index)` merge; the `budget` charges one step
-/// per assignment scored, window fixed up front.
+/// speedup over. Deliberately the simplest thing that could be right: one
+/// serial odometer over the same front half in the same enumeration order
+/// (entry 0 slowest), the first cheapest assignment kept, the seed winning
+/// ties. The `budget` bounds the assignments scored, one step each.
 ///
 /// Returns `None` when the program has no communication.
-pub fn exhaustive_placement_jobs(
+pub fn exhaustive_placement(
     compiled: &Compiled,
     policy: &CombinePolicy,
     cfg: &SimConfig,
     net: &NetworkModel,
     budget: &gcomm_guard::Budget,
-    jobs: usize,
 ) -> Option<OptimalResult> {
     let (ctx, space) = front_half(compiled)?;
-    let base = base_scratch(compiled, &space);
     let remaining = budget
         .step_cap()
         .map_or(u64::MAX, |cap| cap.saturating_sub(budget.steps_used()));
     let limit = space.space.min(remaining.max(1));
-    let truncated = space.space > limit;
 
     let seed_cost = simulate(&lower_to_sim_with(compiled, cfg, &ctx), net).comm_us;
-    let gate = MinF64::new(seed_cost);
-    let reg = gcomm_obs::current();
-
-    let ranges = gcomm_par::split_range(limit, jobs);
-    let worker_best = gcomm_par::map(jobs, &ranges, |_, &(lo, hi)| {
-        let _obs = reg.clone().map(gcomm_obs::install);
-        let mut counters = decode_odometer(lo, &space.choice_sets);
-        let mut scratch = base.clone();
-        let mut local: Option<(f64, u64, Schedule)> = None;
-        for idx in lo..hi {
-            scratch.schedule.groups = space.groups(&ctx, &counters, policy);
-            let cost = simulate(&lower_to_sim_with(&scratch, cfg, &ctx), net).comm_us;
-            budget.charge(1);
-            // Record through the shared gate: a cost strictly above it can
-            // never win. Equal costs must still be recorded — a lower
-            // index elsewhere may win the tie.
-            if cost <= gate.get() {
-                let improves = match &local {
-                    None => true,
-                    Some((lc, li, _)) => cost < *lc || (cost == *lc && idx < *li),
-                };
-                if improves {
-                    local = Some((cost, idx, scratch.schedule.clone()));
-                }
-                gate.record(cost);
-            }
-            // Advance the odometer (last digit fastest).
-            let mut i = counters.len();
-            while i > 0 {
-                i -= 1;
-                counters[i] += 1;
-                if counters[i] < space.choice_sets[i].len() {
-                    break;
-                }
-                counters[i] = 0;
-            }
+    let mut best = (seed_cost, compiled.schedule.clone());
+    let mut scratch = base_scratch(compiled, &space);
+    let mut digits = vec![0usize; space.ids.len()];
+    for _ in 0..limit {
+        scratch.schedule.groups = space.groups(&ctx, &digits, policy);
+        let cost = simulate(&lower_to_sim_with(&scratch, cfg, &ctx), net).comm_us;
+        if cost < best.0 {
+            best = (cost, scratch.schedule.clone());
         }
-        local
-    });
-
-    let mut best: Option<(f64, u64, Schedule)> = None;
-    for cand in worker_best.into_iter().flatten() {
-        best = Some(match best {
-            None => cand,
-            Some(b) => {
-                if cand.0 < b.0 || (cand.0 == b.0 && cand.1 < b.1) {
-                    cand
-                } else {
-                    b
-                }
+        // Advance the odometer (last digit fastest).
+        for (d, set) in digits.iter_mut().zip(&space.choice_sets).rev() {
+            *d += 1;
+            if *d < set.len() {
+                break;
             }
-        });
+            *d = 0;
+        }
     }
-    let (comm_us, schedule) = match best {
-        Some((cost, _, sched)) if cost < seed_cost => (cost, sched),
-        _ => (seed_cost, compiled.schedule.clone()),
-    };
+    budget.charge(limit);
     Some(OptimalResult {
-        schedule,
-        comm_us,
+        schedule: best.1,
+        comm_us: best.0,
         nodes: limit,
         leaves: limit,
         pruned_bound: 0,
         pruned_dominance: 0,
         space: space.space,
-        truncated,
+        truncated: space.space > limit,
     })
-}
-
-/// Decodes a linear assignment index into odometer digits (entry 0
-/// slowest, the last entry fastest — the canonical enumeration order both
-/// searches share).
-fn decode_odometer(idx: u64, choice_sets: &[Vec<Pos>]) -> Vec<usize> {
-    let mut rem = idx;
-    let mut out = vec![0usize; choice_sets.len()];
-    for i in (0..choice_sets.len()).rev() {
-        let len = choice_sets[i].len() as u64;
-        out[i] = (rem % len) as usize;
-        rem /= len;
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,7 +916,8 @@ mod tests {
         let (c, cfg, net) = setup(gcomm_kernels_src::FIG4);
         let greedy_cost = comm_cost(&c, &cfg, &net);
         let budget = gcomm_guard::Budget::steps(100_000);
-        let opt = optimal_placement(&c, &CombinePolicy::default(), &cfg, &net, &budget).unwrap();
+        let opt =
+            optimal_placement_jobs(&c, &CombinePolicy::default(), &cfg, &net, &budget, 1).unwrap();
         assert!(!opt.truncated);
         assert!(
             greedy_cost <= opt.comm_us * 1.0001,
@@ -1043,7 +932,8 @@ mod tests {
         let (c, cfg, net) = setup(gcomm_kernels_src::TWO_READS);
         let greedy_cost = comm_cost(&c, &cfg, &net);
         let budget = gcomm_guard::Budget::steps(100_000);
-        let opt = optimal_placement(&c, &CombinePolicy::default(), &cfg, &net, &budget).unwrap();
+        let opt =
+            optimal_placement_jobs(&c, &CombinePolicy::default(), &cfg, &net, &budget, 1).unwrap();
         assert!(greedy_cost <= opt.comm_us * 1.0001);
     }
 
@@ -1054,7 +944,8 @@ mod tests {
         let net = NetworkModel::sp2();
         let greedy_cost = comm_cost(&c, &cfg, &net);
         let budget = gcomm_guard::Budget::steps(30_000);
-        let opt = optimal_placement(&c, &CombinePolicy::default(), &cfg, &net, &budget).unwrap();
+        let opt =
+            optimal_placement_jobs(&c, &CombinePolicy::default(), &cfg, &net, &budget, 1).unwrap();
         // The greedy must be within 10% of the best assignment found.
         assert!(
             greedy_cost <= opt.comm_us * 1.10,
@@ -1067,7 +958,8 @@ mod tests {
 
     /// Branch-and-bound must return bit-identical results to the retained
     /// exhaustive reference when both complete (same cost bits, same
-    /// schedule, same winner under the lex-min tie-break).
+    /// schedule, same winner under the first-in-enumeration-order
+    /// tie-break).
     #[test]
     fn bnb_matches_exhaustive_on_kernels() {
         for src in [
@@ -1077,13 +969,12 @@ mod tests {
         ] {
             let (c, cfg, net) = setup(src);
             let policy = CombinePolicy::default();
-            let ex = exhaustive_placement_jobs(
+            let ex = exhaustive_placement(
                 &c,
                 &policy,
                 &cfg,
                 &net,
                 &gcomm_guard::Budget::steps(2_000_000),
-                1,
             )
             .unwrap();
             if ex.truncated {
@@ -1116,29 +1007,44 @@ mod tests {
     /// true optimum.
     #[test]
     fn lower_bound_is_admissible_on_enumerated_subtrees() {
+        /// Binds every choice of entry `d` under the prefix already bound,
+        /// checks the bound of each extended prefix against the cheapest
+        /// leaf below it, and returns the cheapest leaf below the prefix.
+        fn cheapest_completion(s: &mut Searcher<'_, '_>, scratch: &mut Compiled, d: usize) -> f64 {
+            let n = s.space.ids.len();
+            if d == n {
+                scratch.schedule.groups = s.space.groups(s.ctx, &s.digits, s.policy);
+                return simulate(&lower_to_sim_with(&*scratch, s.cfg, s.ctx), s.net).comm_us;
+            }
+            let mut min = f64::INFINITY;
+            for j in 0..s.space.choice_sets[d].len() {
+                s.digits[d] = j;
+                s.bind(d, j);
+                let g = s.partial_cost();
+                let below = cheapest_completion(s, scratch, d + 1);
+                s.unbind();
+                assert!(
+                    g + s.cm.h[d + 1] <= below + slack(below),
+                    "inadmissible bound at depth {} under {:?}: \
+                     g+h = {} vs min completion {below}",
+                    d + 1,
+                    &s.digits[..=d],
+                    g + s.cm.h[d + 1]
+                );
+                min = min.min(below);
+            }
+            min
+        }
+
         for src in [gcomm_kernels_src::FIG4, gcomm_kernels_src::TWO_READS] {
             let (c, cfg, net) = setup(src);
             let policy = CombinePolicy::default();
             let (ctx, space) = front_half(&c).unwrap();
-            let n = space.ids.len();
             let base = base_scratch(&c, &space);
             let cm = build_cost_model(&base, &cfg, &net, &ctx, &space);
-            let st = strides(&space.choice_sets);
             assert!(space.space <= 4096, "kernel meant to be enumerable");
-
-            // Simulated cost of every leaf, by index.
-            let mut leaf_cost = vec![0.0f64; space.space as usize];
-            let mut scratch = base.clone();
-            for idx in 0..space.space {
-                let digits = decode_odometer(idx, &space.choice_sets);
-                scratch.schedule.groups = space.groups(&ctx, &digits, &policy);
-                leaf_cost[idx as usize] =
-                    simulate(&lower_to_sim_with(&scratch, &cfg, &ctx), &net).comm_us;
-            }
-
-            // Every prefix: analytic g via the searcher's own incremental
-            // grouping, then compare g + h[d] against the subtree minimum.
-            let gate = MinF64::new(f64::INFINITY);
+            // The searcher only lends its incremental grouping and analytic
+            // cost; the walk above never calls `dfs`.
             let mut s = Searcher {
                 ctx: &ctx,
                 space: &space,
@@ -1146,14 +1052,12 @@ mod tests {
                 policy: &policy,
                 cfg: &cfg,
                 net: &net,
-                gate: &gate,
                 base: &base,
-                strides: &st,
                 prefix: &[],
                 k: 0,
                 allowance: u64::MAX,
                 bound: f64::INFINITY,
-                digits: vec![0usize; n],
+                digits: vec![0usize; space.ids.len()],
                 groups: Vec::new(),
                 bind_log: Vec::new(),
                 dom: HashMap::new(),
@@ -1166,37 +1070,7 @@ mod tests {
                 stopped: false,
                 best: None,
             };
-            for idx in 0..space.space {
-                let digits = decode_odometer(idx, &space.choice_sets);
-                for d in 1..=n {
-                    // Prefix of depth d starting a subtree at this index
-                    // only when the tail digits are all zero.
-                    if digits[d..].iter().any(|&x| x != 0) {
-                        continue;
-                    }
-                    for (i, &j) in digits[..d].iter().enumerate() {
-                        s.digits[i] = j;
-                        s.bind(i, j);
-                    }
-                    let g = s.partial_cost();
-                    for _ in 0..d {
-                        s.unbind();
-                    }
-                    let sub = st[d - 1]; // leaves under the depth-d prefix
-                    let lo = idx as usize;
-                    let hi = (idx + sub).min(space.space) as usize;
-                    let min_completion = leaf_cost[lo..hi]
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min);
-                    assert!(
-                        g + cm.h[d] <= min_completion + slack(min_completion),
-                        "inadmissible bound at depth {d} idx {idx}: \
-                         g+h = {} vs min completion {min_completion}",
-                        g + cm.h[d]
-                    );
-                }
-            }
+            cheapest_completion(&mut s, &mut base.clone(), 0);
         }
     }
 

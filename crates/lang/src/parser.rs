@@ -131,62 +131,19 @@ impl<'s> Parser<'s> {
         }
     }
 
-    /// Parses a complete program.
+    /// Parses a complete program, failing on the first syntax error:
+    /// the first diagnostic of [`Self::parse_program_recovering`], which
+    /// holds the only copy of the program-level grammar.
     ///
     /// # Errors
     ///
     /// Returns [`LangError`] on the first syntax error.
     pub fn parse_program(&mut self) -> Result<Program, LangError> {
-        self.skip_newlines();
-        self.expect(TokenKind::Program)?;
-        let name = self.expect_ident()?;
-        self.end_of_stmt()?;
-        self.skip_newlines();
-
-        let mut prog = Program {
-            name,
-            ..Program::default()
-        };
-
-        // Declarations: any number of `param` / `real` lines.
-        loop {
-            match self.peek() {
-                TokenKind::Param => {
-                    self.bump();
-                    loop {
-                        prog.params.push(self.expect_ident()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    self.end_of_stmt()?;
-                    self.skip_newlines();
-                }
-                TokenKind::Real => {
-                    self.bump();
-                    let decls = self.array_decl_group()?;
-                    prog.arrays.extend(decls);
-                    self.end_of_stmt()?;
-                    self.skip_newlines();
-                }
-                _ => break,
-            }
+        let (prog, errs) = self.parse_program_recovering();
+        match errs.into_iter().next() {
+            None => Ok(prog),
+            Some(first) => Err(first),
         }
-
-        prog.body = self.stmts()?;
-        self.expect(TokenKind::End)?;
-        // Optional trailing `end <name>` or `end program`.
-        if let TokenKind::Ident(_) | TokenKind::Program = self.peek() {
-            self.bump();
-        }
-        self.skip_newlines();
-        if self.peek() != &TokenKind::Eof {
-            return Err(LangError::at(
-                self.line(),
-                format!("unexpected {} after `end`", self.peek()),
-            ));
-        }
-        Ok(prog)
     }
 
     /// Parses a complete program while recovering from statement-level
@@ -225,23 +182,19 @@ impl<'s> Parser<'s> {
             match self.peek() {
                 TokenKind::Param => {
                     self.bump();
-                    let r = (|p: &mut Self| -> Result<Vec<String>, LangError> {
-                        let mut names = Vec::new();
+                    let params = &mut prog.params;
+                    let r = (|p: &mut Self| -> Result<(), LangError> {
                         loop {
-                            names.push(p.expect_ident()?);
+                            params.push(p.expect_ident()?);
                             if !p.eat(&TokenKind::Comma) {
                                 break;
                             }
                         }
-                        p.end_of_stmt()?;
-                        Ok(names)
+                        p.end_of_stmt()
                     })(self);
-                    match r {
-                        Ok(names) => prog.params.extend(names),
-                        Err(e) => {
-                            errs.push(e);
-                            self.sync_to_newline();
-                        }
+                    if let Err(e) = r {
+                        errs.push(e);
+                        self.sync_to_newline();
                     }
                     self.skip_newlines();
                 }
@@ -279,7 +232,7 @@ impl<'s> Parser<'s> {
                 TokenKind::EndDo | TokenKind::EndIf | TokenKind::Else => {
                     errs.push(LangError::at(
                         self.line(),
-                        format!("unmatched `{}`", self.peek()),
+                        format!("unmatched {}", self.peek()),
                     ));
                     self.bump();
                     self.sync_to_newline();

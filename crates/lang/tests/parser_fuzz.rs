@@ -1,11 +1,12 @@
 //! Fuzz-style property tests: the frontend must never panic, whatever
 //! bytes it is fed — it returns diagnostics instead. Covers raw random
 //! bytes, random token soup (keyword-dense input that gets much deeper
-//! into the parser), and mutated valid programs.
+//! into the parser), and mutated valid programs. The fail-fast entry
+//! point must also report exactly the recovering one's first diagnostic.
 
 use proptest::prelude::*;
 
-use gcomm_lang::{parse_program, parse_program_diagnostics};
+use gcomm_lang::{parse_program, parse_program_diagnostics, LangError};
 
 fn token_soup() -> BoxedStrategy<String> {
     let word = prop::sample::select(vec![
@@ -118,5 +119,54 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+/// `parse_program` must fail with exactly the first diagnostic of
+/// `parse_program_diagnostics` (text and line), and accept the same AST.
+fn assert_first_diagnostic_agrees(src: &str) {
+    match (parse_program(src), parse_program_diagnostics(src)) {
+        (Ok(p), Ok(q)) => assert_eq!(p, q, "ASTs differ on:\n{src}"),
+        (Err(e), Err(errs)) => assert_eq!(Some(&e), errs.first(), "first error differs on:\n{src}"),
+        (a, b) => panic!("accept/reject differs ({a:?} vs {b:?}) on:\n{src}"),
+    }
+}
+
+/// Line- and byte-level mutations of generated programs: dropping or
+/// doubling a line strands block terminators at top level and unbalances
+/// constructs; byte edits break tokens mid-statement.
+#[test]
+fn fail_fast_error_is_the_first_recovered_diagnostic() {
+    for seed in 0..60u64 {
+        let src = proptest::hpf::generate(0x9c077 + seed);
+        let lines: Vec<&str> = src.lines().collect();
+        for i in 0..lines.len() {
+            let mut dropped = lines.clone();
+            dropped.remove(i);
+            assert_first_diagnostic_agrees(&dropped.join("\n"));
+            let mut doubled = lines.clone();
+            doubled.insert(i, lines[i]);
+            assert_first_diagnostic_agrees(&doubled.join("\n"));
+        }
+        for at in (0..src.len()).step_by(5) {
+            if !src.is_char_boundary(at) || !src.is_char_boundary(at + 1) {
+                continue;
+            }
+            for junk in ["", "(", "=", "@"] {
+                assert_first_diagnostic_agrees(&format!("{}{junk}{}", &src[..at], &src[at + 1..]));
+            }
+        }
+    }
+}
+
+/// One wording for a block terminator with no block to close, and the
+/// token quoted once.
+#[test]
+fn stray_terminators_read_unmatched_from_both_entry_points() {
+    for word in ["enddo", "endif", "else"] {
+        let src = format!("program t\n{word}\nend");
+        let want = LangError::at(2, format!("unmatched `{word}`"));
+        assert_eq!(parse_program(&src), Err(want.clone()));
+        assert_eq!(parse_program_diagnostics(&src), Err(vec![want]));
     }
 }

@@ -1,9 +1,9 @@
 //! # gcomm-par — deterministic data parallelism for the gcomm drivers
 //!
 //! A zero-dependency scoped worker pool built on [`std::thread::scope`].
-//! The drivers (bench binaries, fuzz harness) and the optimal-placement
-//! enumeration fan independent work items across workers; this crate
-//! guarantees the **determinism contract** those callers rely on
+//! The branch-and-bound placement search (its subtrees) and the fuzz
+//! suites (their seeds) fan independent work items across workers; this
+//! crate guarantees the **determinism contract** those callers rely on
 //! (DESIGN.md §11): for a pure `f`, [`map`] returns exactly
 //! `items.iter().enumerate().map(f).collect()` regardless of the worker
 //! count — results come back in item order, and `jobs = 1` takes a strictly
@@ -311,57 +311,6 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// A shared, monotonically decreasing nonnegative-`f64` minimum, stored as
-/// IEEE-754 bits in one atomic word (nonnegative floats order identically
-/// to their bit patterns, so `fetch_min` over bits is `min` over values).
-///
-/// The branch-and-bound optimal search publishes the cheapest complete
-/// schedule cost seen by *any* worker here. The determinism contract
-/// (DESIGN.md §11) only allows it as a **recording gate** — a cost
-/// strictly above the cell can never be the global minimum, so a worker
-/// may skip bookkeeping for it — never as a pruning input, because the
-/// cell's momentary value depends on scheduling.
-pub struct MinF64(std::sync::atomic::AtomicU64);
-
-impl MinF64 {
-    /// A cell holding `init` (must be nonnegative and not NaN).
-    pub fn new(init: f64) -> MinF64 {
-        MinF64(std::sync::atomic::AtomicU64::new(init.to_bits()))
-    }
-
-    /// The current minimum.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Lowers the cell to `v` if `v` is smaller.
-    pub fn record(&self, v: f64) {
-        self.0.fetch_min(v.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// Splits the index range `[0, total)` into at most `parts` contiguous,
-/// non-empty chunks of near-equal size (the leading chunks are one longer
-/// when `total` does not divide evenly). Used by the optimal-placement
-/// enumeration to hand each worker a contiguous slice of the assignment
-/// space.
-pub fn split_range(total: u64, parts: usize) -> Vec<(u64, u64)> {
-    if total == 0 {
-        return Vec::new();
-    }
-    let parts = (parts.max(1) as u64).min(total);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts as usize);
-    let mut start = 0u64;
-    for i in 0..parts {
-        let len = base + u64::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,33 +341,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1000);
         assert_eq!(out[999], 1000);
-    }
-
-    #[test]
-    fn split_range_covers_exactly() {
-        for total in [0u64, 1, 7, 16, 1000] {
-            for parts in [1usize, 2, 3, 8, 2000] {
-                let chunks = split_range(total, parts);
-                let mut expect = 0u64;
-                for &(lo, hi) in &chunks {
-                    assert_eq!(lo, expect);
-                    assert!(hi > lo, "chunks are non-empty");
-                    expect = hi;
-                }
-                assert_eq!(expect, total);
-                assert!(chunks.len() <= parts.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn min_f64_converges_under_contention() {
-        let cell = MinF64::new(1e18);
-        let items: Vec<u64> = (0..1000).collect();
-        map(8, &items, |_, &x| cell.record(((x * 7919) % 997) as f64));
-        assert_eq!(cell.get(), 0.0);
-        cell.record(5.0);
-        assert_eq!(cell.get(), 0.0, "recording a larger value is a no-op");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Shared command-line plumbing for `gcommc` and the benchmark binaries.
 //!
-//! Every driver in the workspace accepts the same cross-cutting flags —
-//! `--stats`, `--stats-json <path>`, `--budget <spec>`, `--jobs <n>`
-//! (via [`gcomm_par::take_jobs_flag`]), and now `--addr <host:port>` /
-//! `--cache-bytes <size>` / `--version` — and every one of them must obey
-//! the same contract: a malformed flag exits with status 2 and one clear
-//! message. This module is the single implementation; the `take_*`
-//! helpers strip their flags from the argument list so each binary's own
-//! parser never sees them, and [`or_exit2`] applies the exit-2 contract.
+//! The drivers in the workspace share their cross-cutting flags —
+//! `--stats`, `--stats-json <path>`, `--version` everywhere; `--budget
+//! <spec>`, `--jobs <n>` (via [`gcomm_par::take_jobs_flag`]), `--addr
+//! <host:port>` / `--cache-bytes <size>` where they apply — and every
+//! one of them must obey the same contract: a malformed or unknown flag
+//! exits with status 2 and one clear message. This module is the single
+//! implementation; the `take_*` helpers strip their flags from the
+//! argument list so each binary's own parser never sees them,
+//! [`reject_leftover_args`] refuses what nobody took, and [`or_exit2`]
+//! applies the exit-2 contract.
 
 use gcomm_guard::{parse_size, BudgetSpec};
 
@@ -28,8 +30,14 @@ pub fn or_exit2<T>(bin: &str, r: Result<T, String>) -> T {
 /// Removes `--version` from `args`; when present the caller should print
 /// [`version_line`] and exit 0.
 pub fn take_version_flag(args: &mut Vec<String>) -> bool {
+    take_switch(args, "--version")
+}
+
+/// Removes every occurrence of the valueless flag `name` from `args`;
+/// true when there was one.
+pub fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
     let before = args.len();
-    args.retain(|a| a != "--version");
+    args.retain(|a| a != name);
     args.len() != before
 }
 
@@ -39,13 +47,26 @@ pub fn version_line(bin: &str) -> String {
     format!("{bin} {} ({})", VERSION, crate::protocol::PROTOCOL)
 }
 
+/// For a binary that has taken every flag it knows out of `args`: whatever
+/// is left is a typo or a flag it no longer has.
+///
+/// # Errors
+///
+/// Naming the first leftover argument.
+pub fn reject_leftover_args(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        None => Ok(()),
+        Some(extra) => Err(format!("unexpected argument '{extra}'")),
+    }
+}
+
 /// Extracts the value following flag `name`, removing both from `args`.
 ///
 /// # Errors
 ///
 /// When the flag is present without a value, or the value looks like
 /// another option.
-fn take_value_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
+pub fn take_value_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
     let mut value = None;
     let mut kept = Vec::with_capacity(args.len());
     let mut it = args.drain(..);
@@ -215,13 +236,11 @@ impl StatsOpts {
     /// When `--stats-json` is missing its path (or the "path" is another
     /// option).
     pub fn extract(args: &mut Vec<String>) -> Result<StatsOpts, String> {
-        let mut opts = StatsOpts::default();
-        let before = args.len();
-        args.retain(|a| a != "--stats");
-        opts.text = args.len() != before;
-        opts.json_path = take_value_flag(args, "--stats-json")
-            .map_err(|_| "--stats-json expects a file path".to_string())?;
-        Ok(opts)
+        Ok(StatsOpts {
+            text: take_switch(args, "--stats"),
+            json_path: take_value_flag(args, "--stats-json")
+                .map_err(|_| "--stats-json expects a file path".to_string())?,
+        })
     }
 
     /// True when any stats output was requested.

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use gcomm::core::optimal::comm_cost;
-use gcomm::core::{optimal_placement, CombinePolicy, Compiled, SimConfig, Strategy};
+use gcomm::core::{optimal_placement_jobs, CombinePolicy, Compiled, SimConfig, Strategy};
 use gcomm::machine::{NetworkModel, ProcGrid};
 use gcomm::{compile, exec};
 
@@ -62,7 +62,8 @@ fn check(name: &str, src: &str, n: i64) {
     let net = NetworkModel::sp2();
     let greedy_cost = comm_cost(&c, &cfg, &net);
     let budget = gcomm::guard::Budget::steps(BUDGET);
-    let Some(opt) = optimal_placement(&c, &CombinePolicy::default(), &cfg, &net, &budget) else {
+    let Some(opt) = optimal_placement_jobs(&c, &CombinePolicy::default(), &cfg, &net, &budget, 1)
+    else {
         // No communication: nothing to compare, but the (empty) schedule
         // must still verify.
         verify(name, "greedy", &c, n);

@@ -20,7 +20,7 @@
 
 use gcomm::core::optimal::{comm_cost, OptimalResult};
 use gcomm::core::{
-    exhaustive_placement_jobs, optimal_placement_jobs, CombinePolicy, Compiled, SimConfig,
+    exhaustive_placement, optimal_placement_jobs, CombinePolicy, Compiled, SimConfig,
 };
 use gcomm::machine::{NetworkModel, ProcGrid};
 use gcomm::{compile, Budget, Strategy};
@@ -70,7 +70,7 @@ fn bnb_matching_exhaustive(
 ) -> Option<OptimalResult> {
     let (cfg, net) = scoring(c);
     let policy = CombinePolicy::default();
-    let ex = exhaustive_placement_jobs(c, &policy, &cfg, &net, &Budget::steps(enum_limit), 1)?;
+    let ex = exhaustive_placement(c, &policy, &cfg, &net, &Budget::steps(enum_limit))?;
     if ex.truncated {
         return None; // space too large for the reference
     }

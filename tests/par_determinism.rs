@@ -3,17 +3,14 @@
 //! Everything `gcomm-par` touches must be **bit-identical** between
 //! `--jobs 1` and `--jobs N`:
 //!
-//! * compiles fanned across the worker pool produce the same schedules,
-//!   and per-item stats registries merged in item order produce the same
-//!   counters, as a serial loop;
-//! * the parallel exhaustive placement search returns the same schedule,
-//!   cost bits, node/prune counts, and `truncated` flag for any worker count — the
-//!   shared best-cost bound only prunes, and ties resolve by assignment
-//!   index.
+//! * compiles fanned across the worker pool produce the same schedules as
+//!   a serial loop;
+//! * the branch-and-bound placement search returns the same schedule,
+//!   cost bits, node/prune counts, and `truncated` flag for any worker
+//!   count — workers share nothing mutable, and cost ties resolve by
+//!   subtree order.
 
-use std::collections::BTreeMap;
-
-use gcomm::core::{optimal_placement_jobs, CombinePolicy, Compiled, SimConfig};
+use gcomm::core::{optimal_placement_jobs, CombinePolicy, SimConfig};
 use gcomm::machine::{NetworkModel, ProcGrid};
 use gcomm::{compile, Budget, Strategy};
 use proptest::hpf;
@@ -24,67 +21,6 @@ const STRATEGIES: [Strategy; 4] = [
     Strategy::EarliestPartialRE,
     Strategy::Global,
 ];
-
-/// Counter snapshot with the wall-clock-valued entries stripped (any
-/// `*.wall_ns` accumulating timer varies run to run by construction).
-fn stable_counters(report: &gcomm::obs::StatsReport) -> BTreeMap<String, u64> {
-    report
-        .counters
-        .iter()
-        .filter(|(k, _)| !k.ends_with("wall_ns"))
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
-}
-
-/// Compiles every item on `jobs` workers, each under a fresh registry,
-/// and merges the snapshots in item order — the driver pattern of
-/// `gcomm_bench::reports::par_report`.
-fn compile_matrix(
-    jobs: usize,
-    work: &[(&str, Strategy)],
-) -> (Vec<Compiled>, BTreeMap<String, u64>) {
-    let merged = gcomm::obs::Registry::new();
-    let results = gcomm::par::map(jobs, work, |_, &(src, strategy)| {
-        let reg = gcomm::obs::Registry::new();
-        let c = {
-            let _scope = gcomm::obs::install(reg.clone());
-            compile(src, strategy).expect("kernel compiles")
-        };
-        (c, reg.snapshot())
-    });
-    let mut compiled = Vec::new();
-    for (c, snap) in results {
-        merged.absorb(&snap);
-        compiled.push(c);
-    }
-    (compiled, stable_counters(&merged.snapshot()))
-}
-
-/// Every kernel × strategy cell: schedules and merged counters from an
-/// 8-worker fan-out are bit-identical to the serial loop.
-#[test]
-fn kernel_matrix_is_jobs_invariant() {
-    let mut work = Vec::new();
-    for (_, _, src) in gcomm_kernels::all_kernels() {
-        for s in STRATEGIES {
-            work.push((src, s));
-        }
-    }
-    let (serial, serial_counters) = compile_matrix(1, &work);
-    let (parallel, parallel_counters) = compile_matrix(8, &work);
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            a, b,
-            "kernel cell {i} ({:?}) diverged between jobs 1 and 8",
-            work[i].1
-        );
-    }
-    assert_eq!(
-        serial_counters, parallel_counters,
-        "merged stats counters diverged between jobs 1 and 8"
-    );
-}
 
 /// The branch-and-bound search: same schedule, cost bits, node and prune
 /// counts, and truncated flag for any worker count, across complete and
