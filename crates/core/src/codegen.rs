@@ -355,13 +355,12 @@ pub(crate) fn entry_msg_bytes(
         (Mapping::Shift { offsets }, _) => {
             let local = (total / p_total as f64).max(1.0);
             let arr = prog.array(e.array);
-            let ddims = arr.distributed_dims();
             let mut ghost = local;
             for (axis, &off) in offsets.iter().enumerate() {
                 if off == 0 {
                     continue;
                 }
-                let dim = ddims.get(axis).copied().unwrap_or(0);
+                let dim = arr.distributed().nth(axis).unwrap_or(0);
                 let ext = sect
                     .dims
                     .get(dim)
@@ -421,7 +420,7 @@ pub(crate) fn group_pattern(
             let sect = &asd.section;
             let arr = prog.array(e.array);
             let mut owners: u64 = 1;
-            for (axis, &dim) in arr.distributed_dims().iter().enumerate() {
+            for (axis, dim) in arr.distributed().enumerate() {
                 let ext = sect
                     .dims
                     .get(dim)

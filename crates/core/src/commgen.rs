@@ -73,24 +73,19 @@ impl<'a> Generator<'a> {
             };
             match mapping {
                 Mapping::Local => {}
-                Mapping::Shift { offsets } => {
-                    let nonzero: Vec<usize> = offsets
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &o)| o != 0)
-                        .map(|(k, _)| k)
-                        .collect();
+                Mapping::Shift { offsets } if shifted_axes(&offsets) != 1 => {
                     // Diagonal subsumption: one axis-aligned entry per
                     // non-zero axis; the corner travels with the augmented
                     // axis exchanges.
-                    for &k in &nonzero {
+                    for (k, &o) in offsets.iter().enumerate().filter(|&(_, &o)| o != 0) {
                         let mut axis_off = vec![0i64; offsets.len()];
-                        axis_off[k] = offsets[k];
+                        axis_off[k] = o;
                         let m = Mapping::Shift { offsets: axis_off };
                         self.coalesce(&mut pending, sid, idx, read.access.array, m, &arr.name);
                     }
                 }
-                m @ Mapping::Broadcast | m @ Mapping::ToConstant => {
+                // An axis-aligned shift is its own entry as classified.
+                m @ (Mapping::Shift { .. } | Mapping::Broadcast | Mapping::ToConstant) => {
                     self.coalesce(&mut pending, sid, idx, read.access.array, m, &arr.name);
                 }
                 Mapping::General(_) => {
@@ -170,13 +165,12 @@ impl<'a> Generator<'a> {
             // distributed operand.
             return Mapping::Broadcast;
         }
-        let ldims = larr.distributed_dims();
-        let rdims = rarr.distributed_dims();
-        if ldims.len() != rdims.len() {
+        let grid_rank = larr.distributed().count();
+        if grid_rank != rarr.distributed().count() {
             return Mapping::General(0);
         }
-        let mut offsets = Vec::with_capacity(ldims.len());
-        for (&ld, &rd) in ldims.iter().zip(rdims.iter()) {
+        let mut offsets = Vec::with_capacity(grid_rank);
+        for (ld, rd) in larr.distributed().zip(rarr.distributed()) {
             if larr.dist[ld] != rarr.dist[rd] {
                 return Mapping::General(0);
             }
@@ -198,6 +192,11 @@ impl<'a> Generator<'a> {
             Mapping::Shift { offsets }
         }
     }
+}
+
+/// Number of grid axes a shift moves along.
+fn shifted_axes(offsets: &[i64]) -> usize {
+    offsets.iter().filter(|&&o| o != 0).count()
 }
 
 /// Constant element offset `read − lhs` along one dimension, when the two

@@ -116,7 +116,6 @@ pub fn rcount(
         }
         k => k
             .phi_args()
-            .into_iter()
             .map(|a| rcount(ctx, a, u_stmt, u_acc, l, visit))
             .sum(),
     }

@@ -14,7 +14,7 @@ use gcomm_ir::{
     AccessRef, Affine, ArrayId, IrProgram, LoopId, NodeId, NodeKind, Pos, StmtId, StmtKind,
     SubscriptIr, Var,
 };
-use gcomm_lang::{ArrayRef, BinOp, Expr, Subscript};
+use gcomm_lang::{ArrayRef, BinOp, Expr, Name, Subscript};
 
 /// An error raised during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,7 +194,7 @@ impl FinalState {
 pub struct Interp<'a> {
     prog: &'a IrProgram,
     st: State,
-    names: HashMap<String, ArrayId>,
+    names: HashMap<Name, ArrayId>,
     fuel: u64,
 }
 
@@ -517,7 +517,7 @@ impl<'a> Interp<'a> {
             Expr::Ref(r) => {
                 // Parameter or loop variable?
                 if r.subs.is_empty() {
-                    if let Some(v) = self.st.params.get(&r.array) {
+                    if let Some(v) = self.st.params.get(r.array.as_str()) {
                         return Ok(*v as f64);
                     }
                     if let Some((_, l)) = self
@@ -664,7 +664,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Expr::Ref(r) if r.subs.is_empty() => {
-                if let Some(v) = self.st.params.get(&r.array) {
+                if let Some(v) = self.st.params.get(r.array.as_str()) {
                     *v
                 } else if let Some(v) = self
                     .prog

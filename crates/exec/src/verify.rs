@@ -160,7 +160,7 @@ impl<'a> SchedMonitor<'a> {
         let info = prog.array(array);
         let data = &st.arrays[array.0 as usize];
         let mut coords = Vec::new();
-        for (axis, &d) in info.distributed_dims().iter().enumerate() {
+        for (axis, d) in info.distributed().enumerate() {
             let axis_size = self.grid.axis(axis.min(self.grid.rank() - 1));
             let extent = data.extents[d] as u64;
             let pos0 = (idx[d] + info.align_of(d) - data.lo[d]).max(0) as u64;

@@ -93,14 +93,14 @@ impl DomTree {
         // Dominance frontiers (Cytron et al.).
         let mut frontier: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for &node in &rpo {
-            let preds = cfg.node(node).preds.clone();
+            let preds = &cfg.node(node).preds;
             if preds.len() < 2 {
                 continue;
             }
             let Some(id) = idom[node.0 as usize] else {
                 continue;
             };
-            for p in preds {
+            for &p in preds {
                 if !reachable[p.0 as usize] {
                     continue;
                 }

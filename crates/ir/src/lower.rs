@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use gcomm_lang::{ArrayRef, Assign, Expr, Program, Stmt, Subscript};
+use gcomm_lang::{ArrayRef, Assign, Expr, Name, Program, Stmt, Subscript};
 
 use crate::affine::{Affine, Var};
 use crate::cfg::{Cfg, NodeId, NodeKind};
@@ -162,42 +163,34 @@ fn deeper_than(body: &[Stmt], limit: usize) -> Option<u32> {
     None
 }
 
-/// Borrows the AST for its whole run: names are looked up as `&'a str`
-/// slices of it and statement bodies are walked in place.
+/// Borrows the AST for its whole run: statement bodies are walked in place
+/// and a name resolves to its position in `ast.params` / `array_infos`
+/// (declaration order) — a handful of entries, and a parsed program's
+/// equal names are one shared `Name`, so most probes end on a pointer
+/// compare.
 struct Lowerer<'a> {
     ast: &'a Program,
-    params: HashMap<&'a str, ParamId>,
-    arrays: HashMap<&'a str, ArrayId>,
     array_infos: Vec<ArrayInfo>,
     loops: Vec<LoopInfo>,
-    loop_vars: Vec<(&'a str, LoopId)>,
+    loop_vars: Vec<(&'a Name, LoopId)>,
     stmts: Vec<StmtInfo>,
     cfg: Cfg,
     cur: NodeId,
-    branch_conds: std::collections::HashMap<NodeId, Expr>,
+    branch_conds: HashMap<NodeId, Arc<Expr>>,
     depth: usize,
 }
 
 impl<'a> Lowerer<'a> {
     fn new(ast: &'a Program) -> Result<Self, LowerError> {
-        let params: HashMap<&str, ParamId> = ast
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), ParamId(i as u32)))
-            .collect();
-
         let mut this = Lowerer {
             ast,
-            params,
-            arrays: HashMap::new(),
-            array_infos: Vec::new(),
+            array_infos: Vec::with_capacity(ast.arrays.len()),
             loops: Vec::new(),
             loop_vars: Vec::new(),
             stmts: Vec::new(),
             cfg: Cfg::new(),
             cur: NodeId(0),
-            branch_conds: std::collections::HashMap::new(),
+            branch_conds: HashMap::new(),
             depth: 0,
         };
 
@@ -207,17 +200,15 @@ impl<'a> Lowerer<'a> {
                 let lo = this
                     .param_affine(&d.lo)
                     .ok_or_else(|| LowerError::NonAffineBound {
-                        array: decl.name.clone(),
+                        array: decl.name.to_string(),
                     })?;
                 let hi = this
                     .param_affine(&d.hi)
                     .ok_or_else(|| LowerError::NonAffineBound {
-                        array: decl.name.clone(),
+                        array: decl.name.to_string(),
                     })?;
                 dims.push((lo, hi));
             }
-            let id = ArrayId(this.array_infos.len() as u32);
-            this.arrays.insert(&decl.name, id);
             this.array_infos.push(ArrayInfo {
                 name: decl.name.clone(),
                 dims,
@@ -242,14 +233,58 @@ impl<'a> Lowerer<'a> {
         self.cfg.exit = exit;
 
         Ok(IrProgram {
-            name: self.ast.name.clone(),
-            params: self.ast.params.clone(),
+            name: self.ast.name.to_string(),
+            params: self.ast.params.iter().map(Name::to_string).collect(),
             arrays: self.array_infos,
             loops: self.loops,
             stmts: self.stmts,
             cfg: self.cfg,
             branch_conds: self.branch_conds,
         })
+    }
+
+    /// The parameter `name` declares. A validated program declares a name
+    /// once; on a hand-built one the last declaration wins, as it did when
+    /// this was a map filled in declaration order (likewise for arrays).
+    fn param(&self, name: &Name) -> Option<ParamId> {
+        let i = self.ast.params.iter().rposition(|p| p == name)?;
+        Some(ParamId(i as u32))
+    }
+
+    fn array(&self, name: &Name) -> Option<ArrayId> {
+        let i = self.array_infos.iter().rposition(|a| a.name == *name)?;
+        Some(ArrayId(i as u32))
+    }
+
+    /// The innermost in-scope loop whose index variable is `name`.
+    fn loop_var(&self, name: &Name) -> Option<LoopId> {
+        let &(_, l) = self.loop_vars.iter().rev().find(|(v, _)| *v == name)?;
+        Some(l)
+    }
+
+    /// The array reads of `e` in textual order. Bare names that are loop
+    /// variables or parameters are not array reads.
+    fn lower_reads(&self, e: &Expr, line: u32) -> Result<Vec<Read>, LowerError> {
+        let mut reads = Vec::new();
+        let mut err = None;
+        e.for_each_ref(&mut |r, in_sum| {
+            if err.is_some() {
+                return;
+            }
+            if r.subs.is_empty()
+                && (self.param(&r.array).is_some() || self.loop_var(&r.array).is_some())
+            {
+                return;
+            }
+            match self.lower_ref(r, line) {
+                Ok(access) => reads.push(Read {
+                    access,
+                    reduction: in_sum,
+                }),
+                Err(e) => err = Some(e),
+            }
+        });
+        err.map_or(Ok(reads), Err)
     }
 
     fn cur_loop(&self) -> Option<LoopId> {
@@ -307,40 +342,15 @@ impl<'a> Lowerer<'a> {
 
     fn lower_assign(&mut self, a: &'a Assign) -> Result<(), LowerError> {
         let lhs = self.lower_ref(&a.lhs, a.line)?;
-        let mut reads = Vec::new();
-        let mut err = None;
         let mut flops = 0u32;
         count_flops(&a.rhs, &mut flops);
-        a.rhs.for_each_ref(&mut |r, in_sum| {
-            if err.is_some() {
-                return;
-            }
-            // Bare names that are loop variables or parameters are not array
-            // reads.
-            if r.subs.is_empty()
-                && (self.params.contains_key(r.array.as_str())
-                    || self.loop_vars.iter().any(|(v, _)| *v == r.array))
-            {
-                return;
-            }
-            match self.lower_ref(r, a.line) {
-                Ok(access) => reads.push(Read {
-                    access,
-                    reduction: in_sum,
-                }),
-                Err(e) => err = Some(e),
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        let rhs = a.rhs.clone();
+        let reads = self.lower_reads(&a.rhs, a.line)?;
         self.push_stmt(
             StmtKind::Assign {
                 lhs,
                 reads,
                 flops,
-                rhs,
+                rhs: Arc::clone(&a.rhs),
             },
             a.line,
         );
@@ -353,13 +363,13 @@ impl<'a> Lowerer<'a> {
         let lo = self
             .affine(&d.lo)
             .ok_or_else(|| LowerError::NonAffineLoopBound {
-                var: d.var.clone(),
+                var: d.var.to_string(),
                 which: "lower",
             })?;
         let hi = self
             .affine(&d.hi)
             .ok_or_else(|| LowerError::NonAffineLoopBound {
-                var: d.var.clone(),
+                var: d.var.to_string(),
                 which: "upper",
             })?;
 
@@ -409,35 +419,13 @@ impl<'a> Lowerer<'a> {
     fn lower_if(&mut self, i: &'a gcomm_lang::IfStmt) -> Result<(), LowerError> {
         // Lower the condition's array reads as a Cond pseudo-statement so the
         // branch point is a valid communication position.
-        let mut reads = Vec::new();
-        let mut err = None;
-        i.cond.for_each_ref(&mut |r, in_sum| {
-            if err.is_some() {
-                return;
-            }
-            if r.subs.is_empty()
-                && (self.params.contains_key(r.array.as_str())
-                    || self.loop_vars.iter().any(|(v, _)| *v == r.array))
-            {
-                return;
-            }
-            match self.lower_ref(r, 0) {
-                Ok(access) => reads.push(Read {
-                    access,
-                    reduction: in_sum,
-                }),
-                Err(e) => err = Some(e),
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
+        let reads = self.lower_reads(&i.cond, 0)?;
         if !reads.is_empty() {
             self.push_stmt(StmtKind::Cond { reads }, 0);
         }
 
         let branch = self.cur;
-        self.branch_conds.insert(branch, i.cond.clone());
+        self.branch_conds.insert(branch, Arc::clone(&i.cond));
         let enc = self.cur_loop();
         let lvl = self.cur_level();
 
@@ -463,11 +451,10 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_ref(&self, r: &ArrayRef, line: u32) -> Result<AccessRef, LowerError> {
-        let &array = self
-            .arrays
-            .get(r.array.as_str())
+        let array = self
+            .array(&r.array)
             .ok_or_else(|| LowerError::UnknownArray {
-                array: r.array.clone(),
+                array: r.array.to_string(),
                 line,
             })?;
         let info = &self.array_infos[array.0 as usize];
@@ -477,7 +464,7 @@ impl<'a> Lowerer<'a> {
             // subscripts than the declared rank is user input, not an
             // internal invariant.
             return Err(LowerError::RankMismatch {
-                array: r.array.clone(),
+                array: r.array.to_string(),
                 rank,
                 subs: r.subs.len(),
                 line,
@@ -543,14 +530,10 @@ impl<'a> Lowerer<'a> {
             Expr::Num(_) => None,
             Expr::Neg(a) => Some(self.affine_at(a, depth + 1)?.scale(-1)),
             Expr::Ref(r) if r.subs.is_empty() => {
-                if let Some(&p) = self.params.get(r.array.as_str()) {
+                if let Some(p) = self.param(&r.array) {
                     Some(Affine::var(Var::Param(p)))
                 } else {
-                    self.loop_vars
-                        .iter()
-                        .rev()
-                        .find(|(v, _)| *v == r.array)
-                        .map(|&(_, l)| Affine::var(Var::Loop(l)))
+                    self.loop_var(&r.array).map(|l| Affine::var(Var::Loop(l)))
                 }
             }
             Expr::Ref(_) | Expr::Sum(_) => None,
@@ -630,12 +613,12 @@ mod tests {
                 array: "s".into(),
                 subs: vec![],
             },
-            rhs: Expr::Int(1),
+            rhs: Expr::Int(1).into(),
             line: 7,
         })];
         for i in 0..10_000 {
             body = vec![Stmt::Do(DoLoop {
-                var: format!("i{i}"),
+                var: format!("i{i}").into(),
                 lo: Expr::Int(1),
                 hi: Expr::Int(4),
                 step: 1,

@@ -3,8 +3,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use gcomm_lang::Dist;
+use gcomm_lang::{Dist, Expr, Name};
 
 use crate::affine::Affine;
 use crate::cfg::{Cfg, NodeId};
@@ -44,8 +45,8 @@ impl fmt::Display for LoopId {
 /// A declared array (or scalar, when `dims` is empty) with resolved bounds.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayInfo {
-    /// Source name.
-    pub name: String,
+    /// Source name (the declaration's own [`Name`], shared).
+    pub name: Name,
     /// Per-dimension inclusive bounds `(lo, hi)`, affine over parameters.
     pub dims: Vec<(Affine, Affine)>,
     /// Per-dimension distribution; empty means replicated.
@@ -68,26 +69,30 @@ impl ArrayInfo {
 
     /// Indices of the distributed dimensions, in order (these map to the
     /// axes of the processor grid / HPF template).
-    pub fn distributed_dims(&self) -> Vec<usize> {
+    pub fn distributed(&self) -> impl Iterator<Item = usize> + '_ {
         self.dist
             .iter()
             .enumerate()
             .filter(|(_, d)| **d != Dist::Collapsed)
             .map(|(i, _)| i)
-            .collect()
+    }
+
+    /// [`Self::distributed`], collected.
+    pub fn distributed_dims(&self) -> Vec<usize> {
+        self.distributed().collect()
     }
 
     /// True if no dimension is distributed.
     pub fn is_replicated(&self) -> bool {
-        self.distributed_dims().is_empty()
+        self.distributed().next().is_none()
     }
 }
 
 /// A loop with resolved bounds and its place in the loop tree and CFG.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct LoopInfo {
-    /// Source index-variable name.
-    pub var: String,
+    /// Source index-variable name (the loop's own [`Name`], shared).
+    pub var: Name,
     /// Inclusive lower bound (affine over parameters and outer loop vars).
     pub lo: Affine,
     /// Inclusive upper bound.
@@ -177,9 +182,10 @@ pub enum StmtKind {
         /// Number of arithmetic operations per assigned element (a crude
         /// work estimate used by the machine simulator).
         flops: u32,
-        /// The right-hand-side expression (kept for the reference
-        /// interpreter and the dynamic schedule verifier).
-        rhs: gcomm_lang::Expr,
+        /// The right-hand-side expression, shared with the AST it was
+        /// lowered from (kept for the reference interpreter and the dynamic
+        /// schedule verifier).
+        rhs: Arc<Expr>,
     },
     /// Evaluation of an `if` condition (reads only).
     Cond {
@@ -238,9 +244,10 @@ pub struct IrProgram {
     pub stmts: Vec<StmtInfo>,
     /// The augmented control-flow graph.
     pub cfg: Cfg,
-    /// Branch conditions by branching node (every two-successor non-loop
-    /// node has one; used by the reference interpreter).
-    pub branch_conds: std::collections::HashMap<NodeId, gcomm_lang::Expr>,
+    /// Branch conditions by branching node, shared with the AST (every
+    /// two-successor non-loop node has one; used by the reference
+    /// interpreter).
+    pub branch_conds: std::collections::HashMap<NodeId, Arc<Expr>>,
 }
 
 /// Hand-written for one field: `branch_conds` is a `HashMap`, whose
@@ -291,7 +298,7 @@ impl IrProgram {
     /// of distributed dimensions among its arrays, at least 1 (a program
     /// of replicated data still runs on a line of processors).
     pub fn grid_rank(&self) -> usize {
-        let dims = self.arrays.iter().map(|a| a.distributed_dims().len());
+        let dims = self.arrays.iter().map(|a| a.distributed().count());
         dims.max().unwrap_or(1).max(1)
     }
 

@@ -1,20 +1,129 @@
 //! Abstract syntax tree for the mini-HPF language.
 //!
-//! Names are kept as (lowercased) strings at this level; the IR crate
-//! resolves them to dense ids. All nodes implement `Debug`, `Clone`, and
-//! `PartialEq` so tests can compare trees structurally, and `Hash` so the
-//! incremental engine can fingerprint a tree without rendering it.
+//! Names are kept as (lowercased) text at this level — one shared [`Name`]
+//! per distinct identifier of a parse; the IR crate resolves them to dense
+//! ids. All nodes implement `Debug`, `Clone`, and `PartialEq` so tests can
+//! compare trees structurally, and `Hash` so the incremental engine can
+//! fingerprint a tree without rendering it. A right-hand side or branch
+//! condition sits behind an `Arc` so the IR shares it instead of copying
+//! it; `Arc` prints, compares and hashes as its content, so neither the
+//! `Debug` text nor a fingerprint can tell.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An identifier's (lowercased) text, shared: the parser hands out one
+/// allocation per distinct name per parse, and `clone` bumps its count.
+///
+/// Transparent to everything that looks at it — `Debug`, `Display`, `Hash`
+/// and `Ord` are those of the `str`, so a tree of `Name`s prints and
+/// fingerprints exactly like the tree of `String`s it replaced. `==` tries
+/// the pointer first and falls back to the bytes: two `Name`s built
+/// separately (a hand-built AST, a transform's fresh loop variable) are
+/// equal whenever their text is.
+#[derive(Clone, Default)]
+pub struct Name(Arc<str>);
+
+impl Name {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Self {
+        Name(s.into())
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name(s.into())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
 
 /// A complete program: size parameters, array declarations, and a statement
 /// body.
 #[derive(Debug, Clone, PartialEq, Hash, Default)]
 pub struct Program {
     /// Program name from the `program` header.
-    pub name: String,
+    pub name: Name,
     /// Symbolic size parameters (e.g. `n`, `nx`), in declaration order.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Array (and scalar, rank-0) declarations.
     pub arrays: Vec<ArrayDecl>,
     /// Top-level statements.
@@ -48,7 +157,7 @@ impl Program {
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayDecl {
     /// Array name (lowercase).
-    pub name: String,
+    pub name: Name,
     /// Per-dimension bounds; empty for scalars.
     pub dims: Vec<DeclDim>,
     /// Per-dimension distribution; empty means fully replicated (scalars,
@@ -119,8 +228,8 @@ pub enum Stmt {
 pub struct Assign {
     /// Destination reference.
     pub lhs: ArrayRef,
-    /// Source expression.
-    pub rhs: Expr,
+    /// Source expression (shared with the lowered `StmtKind::Assign`).
+    pub rhs: Arc<Expr>,
     /// 1-based source line (0 when synthesized).
     pub line: u32,
 }
@@ -130,7 +239,7 @@ pub struct Assign {
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DoLoop {
     /// Loop index variable name.
-    pub var: String,
+    pub var: Name,
     /// Lower bound expression.
     pub lo: Expr,
     /// Upper bound expression (inclusive).
@@ -144,8 +253,8 @@ pub struct DoLoop {
 /// A conditional `if (cond) then ... [else ...] endif`.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct IfStmt {
-    /// Branch condition.
-    pub cond: Expr,
+    /// Branch condition (shared with the lowered `branch_conds`).
+    pub cond: Arc<Expr>,
     /// Statements of the `then` arm.
     pub then_body: Vec<Stmt>,
     /// Statements of the `else` arm (possibly empty).
@@ -156,7 +265,7 @@ pub struct IfStmt {
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayRef {
     /// Referenced array name.
-    pub array: String,
+    pub array: Name,
     /// One subscript per dimension; empty for scalars or whole-array refs
     /// written without parentheses.
     pub subs: Vec<Subscript>,
@@ -164,7 +273,7 @@ pub struct ArrayRef {
 
 impl ArrayRef {
     /// Builds a whole-array (or scalar) reference.
-    pub fn whole(array: impl Into<String>) -> Self {
+    pub fn whole(array: impl Into<Name>) -> Self {
         ArrayRef {
             array: array.into(),
             subs: Vec::new(),
@@ -261,7 +370,7 @@ impl Hash for Expr {
 
 impl Expr {
     /// Convenience constructor for a bare name reference.
-    pub fn name(n: impl Into<String>) -> Self {
+    pub fn name(n: impl Into<Name>) -> Self {
         Expr::Ref(ArrayRef::whole(n))
     }
 
@@ -289,7 +398,7 @@ mod tests {
     fn stmt_count_recurses() {
         let inner = Stmt::Assign(Assign {
             lhs: ArrayRef::whole("a"),
-            rhs: Expr::Int(1),
+            rhs: Expr::Int(1).into(),
             line: 0,
         });
         let prog = Program {

@@ -43,7 +43,7 @@ pub mod transform;
 pub mod validate;
 
 pub use ast::{
-    ArrayDecl, ArrayRef, Assign, BinOp, DeclDim, Dist, DoLoop, Expr, IfStmt, Program, Stmt,
+    ArrayDecl, ArrayRef, Assign, BinOp, DeclDim, Dist, DoLoop, Expr, IfStmt, Name, Program, Stmt,
     Subscript,
 };
 pub use error::LangError;

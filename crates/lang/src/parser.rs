@@ -1,5 +1,7 @@
 //! Recursive-descent parser for the mini-HPF language.
 
+use std::collections::BTreeSet;
+
 use crate::ast::*;
 use crate::error::LangError;
 use crate::lexer::lex;
@@ -19,6 +21,9 @@ pub struct Parser<'s> {
     toks: Vec<Token<'s>>,
     pos: usize,
     depth: usize,
+    /// Every identifier handed out so far: an occurrence of a name seen
+    /// before clones the [`Name`] made for the first.
+    names: BTreeSet<Name>,
 }
 
 impl<'s> Parser<'s> {
@@ -32,6 +37,7 @@ impl<'s> Parser<'s> {
             toks: lex(src)?,
             pos: 0,
             depth: 0,
+            names: BTreeSet::new(),
         })
     }
 
@@ -89,14 +95,26 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, LangError> {
-        match self.take() {
-            TokenKind::Ident(s) => Ok(s.into_owned()),
+    /// Consumes the current token, interning its text if it is an
+    /// identifier. An error carries the line of the offending token, which
+    /// is read before stepping past it (the token may end its line).
+    fn expect_ident(&mut self) -> Result<Name, LangError> {
+        let r = match &self.toks[self.pos].kind {
+            TokenKind::Ident(text) => match self.names.get(&**text) {
+                Some(name) => Ok(name.clone()),
+                None => {
+                    let name = Name::from(&**text);
+                    self.names.insert(name.clone());
+                    Ok(name)
+                }
+            },
             other => Err(LangError::at(
                 self.line(),
                 format!("expected identifier, found {other}"),
             )),
-        }
+        };
+        self.bump();
+        r
     }
 
     fn skip_newlines(&mut self) {
@@ -162,7 +180,7 @@ impl<'s> Parser<'s> {
         let mut prog = Program::default();
 
         self.skip_newlines();
-        match (|p: &mut Self| -> Result<String, LangError> {
+        match (|p: &mut Self| -> Result<Name, LangError> {
             p.expect(TokenKind::Program)?;
             let name = p.expect_ident()?;
             p.end_of_stmt()?;
@@ -382,12 +400,13 @@ impl<'s> Parser<'s> {
     }
 
     fn dist_format(&mut self) -> Result<Dist, LangError> {
+        let line = self.line();
         match self.take() {
             TokenKind::Star => Ok(Dist::Collapsed),
             TokenKind::Ident(s) if s == "block" => Ok(Dist::Block),
             TokenKind::Ident(s) if s == "cyclic" => Ok(Dist::Cyclic),
             other => Err(LangError::at(
-                self.line(),
+                line,
                 format!("expected `block`, `cyclic`, or `*`, found {other}"),
             )),
         }
@@ -463,7 +482,7 @@ impl<'s> Parser<'s> {
         self.expect_end_of("if", TokenKind::EndIf, TokenKind::If)?;
         self.end_of_stmt()?;
         Ok(Stmt::If(IfStmt {
-            cond,
+            cond: cond.into(),
             then_body,
             else_body,
         }))
@@ -496,7 +515,11 @@ impl<'s> Parser<'s> {
         self.expect(TokenKind::Assign)?;
         let rhs = self.expr()?;
         self.end_of_stmt()?;
-        Ok(Stmt::Assign(Assign { lhs, rhs, line }))
+        Ok(Stmt::Assign(Assign {
+            lhs,
+            rhs: rhs.into(),
+            line,
+        }))
     }
 
     fn array_ref(&mut self) -> Result<ArrayRef, LangError> {
@@ -550,10 +573,11 @@ impl<'s> Parser<'s> {
 
     fn const_int(&mut self) -> Result<i64, LangError> {
         let neg = self.eat(&TokenKind::Minus);
+        let line = self.line();
         match self.take() {
             TokenKind::Int(v) => Ok(if neg { -v } else { v }),
             other => Err(LangError::at(
-                self.line(),
+                line,
                 format!("expected integer constant, found {other}"),
             )),
         }
@@ -799,7 +823,7 @@ end
         )
         .unwrap();
         match &p.body[0] {
-            Stmt::Assign(a) => assert!(matches!(a.rhs, Expr::Sum(_))),
+            Stmt::Assign(a) => assert!(matches!(*a.rhs, Expr::Sum(_))),
             _ => panic!("expected assignment"),
         }
     }
@@ -875,7 +899,7 @@ end
     fn precedence_mul_over_add() {
         let p = parse_program("program t\nreal s, q\ns = 1 + q * 2\nend").unwrap();
         match &p.body[0] {
-            Stmt::Assign(a) => match &a.rhs {
+            Stmt::Assign(a) => match &*a.rhs {
                 Expr::Bin(BinOp::Add, _, rhs) => {
                     assert!(matches!(**rhs, Expr::Bin(BinOp::Mul, _, _)));
                 }

@@ -100,7 +100,7 @@ fn stmts(out: &mut String, body: &[Stmt], indent: usize) {
 /// Renders an array reference.
 pub fn aref(r: &ArrayRef) -> String {
     if r.subs.is_empty() {
-        return r.array.clone();
+        return r.array.to_string();
     }
     let subs: Vec<String> = r.subs.iter().map(sub).collect();
     format!("{}({})", r.array, subs.join(", "))

@@ -173,15 +173,15 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
     }
 
     // Fresh loop variables.
-    let vars: Vec<String> = (0..lhs_trips.len())
+    let vars: Vec<Name> = (0..lhs_trips.len())
         .map(|_| {
             *counter += 1;
             let mut name = format!("sc{counter}");
-            while prog.array(&name).is_some() || prog.params.contains(&name) {
+            while prog.array(&name).is_some() || prog.params.iter().any(|p| *p == name) {
                 *counter += 1;
                 name = format!("sc{counter}");
             }
-            name
+            name.into()
         })
         .collect();
 
@@ -234,7 +234,7 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
     // Build the loop nest, innermost = last range dimension.
     let mut nest = Stmt::Assign(Assign {
         lhs: new_lhs,
-        rhs: new_rhs,
+        rhs: new_rhs.into(),
         line: a.line,
     });
     for k in (0..lhs_trips.len()).rev() {
@@ -258,9 +258,9 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
 /// Constant difference of two bound expressions, when syntactically
 /// decidable (integer literals and matching names).
 fn const_diff(a: &Expr, b: &Expr) -> Option<i64> {
-    fn split(e: &Expr) -> Option<(String, i64)> {
+    fn split(e: &Expr) -> Option<(Name, i64)> {
         match e {
-            Expr::Int(v) => Some((String::new(), *v)),
+            Expr::Int(v) => Some((Name::default(), *v)),
             Expr::Ref(r) if r.subs.is_empty() => Some((r.array.clone(), 0)),
             Expr::Bin(BinOp::Add, x, y) => {
                 let (nx, kx) = split(x)?;
@@ -333,7 +333,7 @@ fn fuse_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
     out
 }
 
-fn touched_arrays(body: &[Stmt], acc: &mut Vec<String>) {
+fn touched_arrays(body: &[Stmt], acc: &mut Vec<Name>) {
     for s in body {
         match s {
             Stmt::Assign(a) => {
@@ -396,7 +396,7 @@ fn rename_var(body: &[Stmt], from: &str, to: &str) -> Vec<Stmt> {
         .map(|s| match s {
             Stmt::Assign(a) => Stmt::Assign(Assign {
                 lhs: rref(&a.lhs, from, to),
-                rhs: rex(&a.rhs, from, to),
+                rhs: rex(&a.rhs, from, to).into(),
                 line: a.line,
             }),
             Stmt::Do(d) if d.var != from => Stmt::Do(DoLoop {
@@ -408,7 +408,7 @@ fn rename_var(body: &[Stmt], from: &str, to: &str) -> Vec<Stmt> {
             }),
             Stmt::Do(d) => Stmt::Do(d.clone()), // inner shadowing: stop
             Stmt::If(i) => Stmt::If(IfStmt {
-                cond: rex(&i.cond, from, to),
+                cond: rex(&i.cond, from, to).into(),
                 then_body: rename_var(&i.then_body, from, to),
                 else_body: rename_var(&i.else_body, from, to),
             }),

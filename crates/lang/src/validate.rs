@@ -32,7 +32,7 @@ pub fn validate(prog: &Program) -> Result<(), LangError> {
 
 struct Validator<'a> {
     prog: &'a Program,
-    loop_vars: Vec<String>,
+    loop_vars: Vec<Name>,
 }
 
 impl<'a> Validator<'a> {

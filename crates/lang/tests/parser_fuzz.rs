@@ -170,3 +170,37 @@ fn stray_terminators_read_unmatched_from_both_entry_points() {
         assert_eq!(parse_program_diagnostics(&src), Err(vec![want]));
     }
 }
+
+/// A diagnostic about a token carries that token's line even when the
+/// token is the end of its line (the parser reads the line before it steps
+/// past the token, not after).
+#[test]
+fn a_missing_token_at_end_of_line_is_reported_on_that_line() {
+    for (src, line, message) in [
+        (
+            "program t\nparam\nreal a(4)\nend\n",
+            2,
+            "expected identifier, found end of line",
+        ),
+        (
+            "program t\ndo\nx = 1\nenddo\nend\n",
+            2,
+            "expected identifier, found end of line",
+        ),
+        (
+            "program t\nreal a(4) distribute (\nreal b(4)\nend\n",
+            2,
+            "expected `block`, `cyclic`, or `*`, found end of line",
+        ),
+        (
+            "program t\nparam n\ndo i = 1, n, \nenddo\nend\n",
+            3,
+            "expected integer constant, found end of line",
+        ),
+    ] {
+        let want = LangError::at(line, message);
+        assert_eq!(parse_program(src), Err(want.clone()), "on:\n{src}");
+        let errs = parse_program_diagnostics(src).expect_err("rejected");
+        assert_eq!(errs.first(), Some(&want), "on:\n{src}");
+    }
+}

@@ -57,7 +57,7 @@ fn rhs_expr() -> impl Strategy<Value = Expr> {
         )
             .prop_map(|(a, s1, s2)| {
                 Expr::Ref(ArrayRef {
-                    array: a.to_string(),
+                    array: a.into(),
                     subs: vec![s1, s2],
                 })
             })
@@ -81,10 +81,10 @@ fn stmt() -> impl Strategy<Value = Stmt> {
         .prop_map(|(a, s1, s2, rhs)| {
             Stmt::Assign(Assign {
                 lhs: ArrayRef {
-                    array: a.to_string(),
+                    array: a.into(),
                     subs: vec![s1, s2],
                 },
-                rhs,
+                rhs: rhs.into(),
                 line: 0,
             })
         })
@@ -113,7 +113,8 @@ fn program() -> impl Strategy<Value = Program> {
                         BinOp::Gt,
                         Box::new(Expr::name("ss")),
                         Box::new(Expr::Int(0)),
-                    ),
+                    )
+                    .into(),
                     then_body: stmts,
                     else_body: vec![],
                 })];
@@ -124,7 +125,7 @@ fn program() -> impl Strategy<Value = Program> {
                 arrays: ARRAYS
                     .iter()
                     .map(|a| gcomm_lang::ArrayDecl {
-                        name: a.to_string(),
+                        name: (*a).into(),
                         dims: vec![
                             DeclDim::extent(Expr::name("n")),
                             DeclDim::extent(Expr::name("n")),

@@ -40,8 +40,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
-
 use gcomm_ir::{ArrayId, DomTree, IrProgram, LoopId, NodeId, NodeKind, Pos, StmtId};
 
 /// Identifier of an SSA definition.
@@ -94,13 +92,15 @@ impl DefKind {
         )
     }
 
-    /// The φ parameters (empty for non-φ definitions).
-    pub fn phi_args(&self) -> Vec<DefId> {
-        match self {
-            DefKind::PhiEnter { r_pre, r_post, .. } => vec![*r_pre, *r_post],
-            DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } => args.clone(),
-            _ => Vec::new(),
-        }
+    /// The φ parameters (none for non-φ definitions): a φ-Enter's inline
+    /// pair or the stored argument list, without copying either.
+    pub fn phi_args(&self) -> impl Iterator<Item = DefId> + '_ {
+        let (pair, list): (Option<[DefId; 2]>, &[DefId]) = match self {
+            DefKind::PhiEnter { r_pre, r_post, .. } => (Some([*r_pre, *r_post]), &[]),
+            DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } => (None, args),
+            _ => (None, &[]),
+        };
+        pair.into_iter().flatten().chain(list.iter().copied())
     }
 }
 
@@ -123,15 +123,24 @@ pub struct DefInfo {
     pub level: u32,
 }
 
-/// SSA form of a program: definitions plus use→def and def-position maps.
+/// SSA form of a program: definitions plus use→def and def-position
+/// tables, all indexed by the IR's dense ids.
 #[derive(Debug, Clone)]
 pub struct SsaForm {
     defs: Vec<DefInfo>,
-    /// Reaching definition for each `(statement, read index)`.
-    use_defs: HashMap<(StmtId, usize), DefId>,
+    /// Reaching definition of read `i` of statement `s`, at
+    /// `read_base[s] + i`; [`UNREACHED`] where the renaming walk never came
+    /// (a statement in a node the entry does not reach).
+    use_defs: Vec<DefId>,
+    /// Per statement, where its reads start in `use_defs`; one past-the-end
+    /// entry closes the last statement.
+    read_base: Vec<u32>,
     /// φ definitions by node (in creation order).
-    phis_by_node: HashMap<NodeId, Vec<DefId>>,
+    phis_by_node: Vec<Vec<DefId>>,
 }
+
+/// Placeholder for a φ argument or use not (yet) filled in.
+const UNREACHED: DefId = DefId(u32::MAX);
 
 impl SsaForm {
     /// Builds SSA form for `prog` (dominators are computed internally).
@@ -159,12 +168,17 @@ impl SsaForm {
 
     /// The definition reaching read `idx` of statement `s`.
     pub fn use_def(&self, s: StmtId, idx: usize) -> Option<DefId> {
-        self.use_defs.get(&(s, idx)).copied()
+        let i = s.0 as usize;
+        let (&base, &end) = (self.read_base.get(i)?, self.read_base.get(i + 1)?);
+        let d = *self.use_defs[base as usize..end as usize].get(idx)?;
+        (d != UNREACHED).then_some(d)
     }
 
     /// φ definitions at a node.
     pub fn phis_at(&self, node: NodeId) -> &[DefId] {
-        self.phis_by_node.get(&node).map_or(&[], |v| v.as_slice())
+        self.phis_by_node
+            .get(node.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The program position of a definition: ENTRY and φs sit at the top of
@@ -224,11 +238,10 @@ struct Builder<'a> {
     prog: &'a IrProgram,
     dt: &'a DomTree,
     defs: Vec<DefInfo>,
-    use_defs: HashMap<(StmtId, usize), DefId>,
-    phis_by_node: HashMap<NodeId, Vec<DefId>>,
+    use_defs: Vec<DefId>,
+    read_base: Vec<u32>,
+    phis_by_node: Vec<Vec<DefId>>,
     entry_defs: Vec<DefId>,
-    /// For φ filling: per (node, var), the pending φ def and per-pred args.
-    phi_slots: HashMap<(NodeId, ArrayId), DefId>,
     /// Collected φ args: (phi def, pred node, incoming def).
     phi_args: Vec<(DefId, NodeId, DefId)>,
     stacks: Vec<Vec<DefId>>,
@@ -236,14 +249,21 @@ struct Builder<'a> {
 
 impl<'a> Builder<'a> {
     fn new(prog: &'a IrProgram, dt: &'a DomTree) -> Self {
+        let mut read_base = Vec::with_capacity(prog.stmts.len() + 1);
+        let mut reads = 0u32;
+        for s in &prog.stmts {
+            read_base.push(reads);
+            reads += s.kind.reads().len() as u32;
+        }
+        read_base.push(reads);
         Builder {
             prog,
             dt,
             defs: Vec::new(),
-            use_defs: HashMap::new(),
-            phis_by_node: HashMap::new(),
+            use_defs: vec![UNREACHED; reads as usize],
+            read_base,
+            phis_by_node: vec![Vec::new(); prog.cfg.len()],
             entry_defs: Vec::new(),
-            phi_slots: HashMap::new(),
             phi_args: Vec::new(),
             stacks: vec![Vec::new(); prog.arrays.len()],
         }
@@ -282,8 +302,7 @@ impl<'a> Builder<'a> {
         // a def at ENTRY, so the def-node seed per variable is {entry} ∪
         // {nodes with assignments to it}.
         let mut def_nodes: Vec<Vec<NodeId>> = vec![vec![prog.cfg.entry]; nvars];
-        for (sid, info) in prog.stmts.iter().enumerate() {
-            let _ = sid;
+        for info in &prog.stmts {
             if let Some(lhs) = info.kind.def() {
                 let list = &mut def_nodes[lhs.array.0 as usize];
                 if !list.contains(&info.node) {
@@ -291,11 +310,10 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..nvars {
+        let mut has_phi: Vec<bool> = vec![false; prog.cfg.len()];
+        for (v, mut work) in def_nodes.into_iter().enumerate() {
             let var = ArrayId(v as u32);
-            let mut work: Vec<NodeId> = def_nodes[v].clone();
-            let mut has_phi: Vec<bool> = vec![false; prog.cfg.len()];
+            has_phi.fill(false);
             while let Some(n) = work.pop() {
                 for &f in self.dt.frontier(n) {
                     if !has_phi[f.0 as usize] {
@@ -304,8 +322,8 @@ impl<'a> Builder<'a> {
                         let kind = match prog.cfg.node(f).kind {
                             NodeKind::Header(l) => DefKind::PhiEnter {
                                 in_loop: l,
-                                r_pre: DefId(u32::MAX),
-                                r_post: DefId(u32::MAX),
+                                r_pre: UNREACHED,
+                                r_post: UNREACHED,
                             },
                             NodeKind::PostExit(l) => DefKind::PhiExit {
                                 of_loop: l,
@@ -314,8 +332,7 @@ impl<'a> Builder<'a> {
                             _ => DefKind::PhiMerge { args: Vec::new() },
                         };
                         let d = self.add_def(var, kind, f, None);
-                        self.phis_by_node.entry(f).or_default().push(d);
-                        self.phi_slots.insert((f, var), d);
+                        self.phis_by_node[f.0 as usize].push(d);
                         work.push(f);
                     }
                 }
@@ -331,7 +348,7 @@ impl<'a> Builder<'a> {
         // 4. Fill φ argument lists in predecessor order.
         for (phi, pred, incoming) in std::mem::take(&mut self.phi_args) {
             let node = self.defs[phi.0 as usize].node;
-            let preds = prog.cfg.node(node).preds.clone();
+            let preds = &prog.cfg.node(node).preds;
             let pred_idx = preds.iter().position(|&p| p == pred).unwrap_or(0);
             match &mut self.defs[phi.0 as usize].kind {
                 DefKind::PhiEnter {
@@ -350,7 +367,7 @@ impl<'a> Builder<'a> {
                 }
                 DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } => {
                     if args.len() < preds.len() {
-                        args.resize(preds.len(), DefId(u32::MAX));
+                        args.resize(preds.len(), UNREACHED);
                     }
                     args[pred_idx] = incoming;
                 }
@@ -363,13 +380,14 @@ impl<'a> Builder<'a> {
         // Drop unfilled placeholder args (unreachable predecessor edges).
         for d in &mut self.defs {
             if let DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } = &mut d.kind {
-                args.retain(|a| a.0 != u32::MAX);
+                args.retain(|&a| a != UNREACHED);
             }
         }
 
         SsaForm {
             defs: self.defs,
             use_defs: self.use_defs,
+            read_base: self.read_base,
             phis_by_node: self.phis_by_node,
         }
     }
@@ -385,7 +403,9 @@ impl<'a> Builder<'a> {
     }
 
     fn rename(&mut self, root: NodeId) {
-        // Iterative DFS over the dominator tree, tracking pushes to undo.
+        // Iterative DFS over the dominator tree. Every push onto a rename
+        // stack schedules its own undo on the spot: the node's children go
+        // on the (LIFO) work stack after them, so are processed before them.
         enum Action {
             Visit(NodeId),
             Pop(ArrayId),
@@ -397,30 +417,23 @@ impl<'a> Builder<'a> {
                     self.stacks[var.0 as usize].pop();
                 }
                 Action::Visit(n) => {
-                    let mut pushes: Vec<ArrayId> = Vec::new();
-
                     // φ defs at the top of the node.
-                    for &phi in self
-                        .phis_by_node
-                        .get(&n)
-                        .cloned()
-                        .unwrap_or_default()
-                        .iter()
-                    {
+                    for i in 0..self.phis_by_node[n.0 as usize].len() {
+                        let phi = self.phis_by_node[n.0 as usize][i];
                         let var = self.defs[phi.0 as usize].var;
                         let top = self.top_def(var);
                         self.defs[phi.0 as usize].dom_prev = Some(top);
                         self.stacks[var.0 as usize].push(phi);
-                        pushes.push(var);
+                        stack.push(Action::Pop(var));
                     }
 
                     // Statements: reads first, then the def.
-                    for &sid in &self.prog.cfg.node(n).stmts.clone() {
-                        let info = self.prog.stmt(sid);
+                    let prog = self.prog;
+                    for &sid in &prog.cfg.node(n).stmts {
+                        let info = prog.stmt(sid);
+                        let base = self.read_base[sid.0 as usize] as usize;
                         for (i, read) in info.kind.reads().iter().enumerate() {
-                            let var = read.access.array;
-                            let top = self.top_def(var);
-                            self.use_defs.insert((sid, i), top);
+                            self.use_defs[base + i] = self.top_def(read.access.array);
                         }
                         if let Some(lhs) = info.kind.def() {
                             let var = lhs.array;
@@ -432,30 +445,18 @@ impl<'a> Builder<'a> {
                                 Some(prev),
                             );
                             self.stacks[var.0 as usize].push(d);
-                            pushes.push(var);
+                            stack.push(Action::Pop(var));
                         }
                     }
 
                     // Feed φ args of CFG successors.
-                    for &succ in &self.prog.cfg.node(n).succs.clone() {
-                        for &phi in self
-                            .phis_by_node
-                            .get(&succ)
-                            .cloned()
-                            .unwrap_or_default()
-                            .iter()
-                        {
+                    for &succ in &prog.cfg.node(n).succs {
+                        for &phi in &self.phis_by_node[succ.0 as usize] {
                             let var = self.defs[phi.0 as usize].var;
-                            let top = self.top_def(var);
-                            self.phi_args.push((phi, n, top));
+                            self.phi_args.push((phi, n, self.top_def(var)));
                         }
                     }
 
-                    // Schedule pops, then children (children processed before
-                    // pops since the stack is LIFO).
-                    for var in pushes.into_iter().rev() {
-                        stack.push(Action::Pop(var));
-                    }
                     for &c in self.dt.children(n) {
                         stack.push(Action::Visit(c));
                     }

@@ -26,8 +26,9 @@ serve, kernels, edit = metrics("serve"), metrics("kernels"), metrics("edit")
 gates = [
     # What a served cold compile costs over the compile it wraps, before
     # any cache or socket: fingerprints, render, sim. (2.2-2.7 before the
-    # structural fingerprints, 1.3-1.55 after; 1.45 on a 30 s run since the
-    # compile it is divided by lost a third and the wrapper did not.)
+    # structural fingerprints, 1.3-1.55 after; 1.4-1.5 on a 30 s run since
+    # the compile it is divided by lost a third, then another sixth of
+    # set-up, and the wrapper did not.)
     ("serve: cold_payload_us / compile_us",
      serve["serve.cold_payload_us"] / serve["core.compile_us"], 1.9),
     # What an installed gcomm-obs registry costs a compile. (serve 1.22,
@@ -45,9 +46,20 @@ gates = [
     # and SSA (serve's compile ladder is the 400 corpus programs): 1.85-1.9
     # while `lower_to_sim` rebuilt the analysis it is divided by, about 1.0
     # now that it needs only the section cache. A second SSA build per op
-    # cannot come back unnoticed.
+    # cannot come back unnoticed. (0.6 → 0.9 when the analysis it is
+    # divided by lost its hashed tables; a rebuild would now read 1.9.)
     ("serve: lower_to_sim_us / analysis_us",
      serve["core.lower_to_sim_us"] / serve["core.analysis_us"], 1.4),
+    # Per-compile set-up — lowering, dominators, SSA — as a share of the
+    # compile, same ladder: 0.26 while `lower` deep-copied every right-hand
+    # side and condition, cloned a `String` per name and probed two SipHash
+    # maps, and the SSA builder kept three more; 0.18 with shared
+    # `Arc<Expr>`s, interned names and dense tables (30 s readings of both
+    # commits, three times: 0.259-0.262 and 0.176-0.182; the limit sits
+    # midway). A deep `rhs` copy or a hashed
+    # SSA table cannot come back unnoticed.
+    ("serve: (lower_us + analysis_us) / compile_us",
+     (serve["ir.lower_us"] + serve["core.analysis_us"]) / serve["core.compile_us"], 0.22),
     # Two stops of a served one-routine edit that no routine's compile
     # needs, over the in-process edit: chunking the 64-routine module
     # (0.25 while every line was `trim_start`ed and every chunk walked

@@ -20,7 +20,7 @@ fn values_of(src_prog: &gcomm::lang::Program, n: i64) -> Vec<(String, Vec<f64>)>
     prog.arrays
         .iter()
         .enumerate()
-        .map(|(i, a)| (a.name.clone(), fs.state.arrays[i].vals.clone()))
+        .map(|(i, a)| (a.name.to_string(), fs.state.arrays[i].vals.clone()))
         .collect()
 }
 
