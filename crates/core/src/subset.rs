@@ -54,51 +54,62 @@ impl CandidateTable {
 /// to be minimal.
 pub fn subset_eliminate(table: &mut CandidateTable, dt: &DomTree, budget: &Budget) {
     let _s = gcomm_obs::span("core.subset");
-    let sets = table.comm_sets();
-    budget.note_mem(sets.values().map(|s| s.len() as u64).sum::<u64>() * 8);
-    let positions: Vec<Pos> = sets.keys().copied().collect();
-    let mut cleared: BTreeSet<Pos> = BTreeSet::new();
-
-    'outer: for &p in &positions {
-        let sp = &sets[&p];
-        if sp.is_empty() {
-            cleared.insert(p);
-            continue;
+    // Every candidate position once, ascending, and per position one bit
+    // per entry (in table order): its `CommSet`. `⊆` is then an AND per
+    // word and `len` a popcount, with no lookup inside the pair loop.
+    let mut positions: Vec<Pos> = table.cands.values().flatten().copied().collect();
+    budget.note_mem(positions.len() as u64 * 8);
+    positions.sort_unstable();
+    positions.dedup();
+    let index = |p: &Pos| positions.binary_search(p).expect("a collected position");
+    let words = table.cands.len().div_ceil(64);
+    let mut sets = vec![0u64; positions.len() * words];
+    for (e, ps) in table.cands.values().enumerate() {
+        for p in ps {
+            sets[index(p) * words + e / 64] |= 1 << (e % 64);
         }
-        for &q in &positions {
+    }
+    let set = |p: usize| &sets[p * words..(p + 1) * words];
+    let lens: Vec<u32> = (0..positions.len())
+        .map(|p| set(p).iter().map(|w| w.count_ones()).sum())
+        .collect();
+    let mut cleared = vec![false; positions.len()];
+
+    'outer: for (p, &pos_p) in positions.iter().enumerate() {
+        for (q, &pos_q) in positions.iter().enumerate() {
             if !budget.charge(1) {
                 gcomm_obs::count("core.degraded.subset", 1);
                 break 'outer;
             }
-            if p == q || cleared.contains(&p) {
+            if p == q {
                 continue;
             }
-            let sq = &sets[&q];
-            if sp.is_subset(sq) {
-                if sp.len() < sq.len() {
-                    cleared.insert(p);
+            if set(p).iter().zip(set(q)).all(|(sp, sq)| sp & !sq == 0) {
+                if lens[p] < lens[q] {
+                    cleared[p] = true;
                     break;
                 }
                 // Equal sets: keep the later position. All entries' candidate
                 // sets lie on a dominator chain, so p and q are comparable.
-                let p_earlier = p.dominates(&q, dt);
-                let q_earlier = q.dominates(&p, dt);
+                let p_earlier = pos_p.dominates(&pos_q, dt);
+                let q_earlier = pos_q.dominates(&pos_p, dt);
                 let p_loses = if p_earlier != q_earlier {
                     p_earlier // q is later: p is cleared
                 } else {
-                    p < q // deterministic fallback
+                    pos_p < pos_q // deterministic fallback
                 };
                 if p_loses {
-                    cleared.insert(p);
+                    cleared[p] = true;
                     break;
                 }
             }
         }
     }
 
-    gcomm_obs::count("core.subset.eliminated", cleared.len() as u64);
+    let eliminated = cleared.iter().filter(|&&c| c).count();
+    gcomm_obs::count("core.subset.eliminated", eliminated as u64);
     for ps in table.cands.values_mut() {
-        ps.retain(|p| !cleared.contains(p));
+        ps.retain(|p| !cleared[index(p)]);
     }
     debug_assert!(
         table.cands.values().all(|ps| !ps.is_empty()),

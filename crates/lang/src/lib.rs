@@ -67,7 +67,7 @@ pub fn parse_program(src: &str) -> Result<Program, LangError> {
         gcomm_obs::count("lang.parse_errors", 1);
     })?;
     gcomm_obs::count("lang.stmts", prog.stmt_count() as u64);
-    validate::validate(&prog)?;
+    validate::validate_at(&prog, parser.block_lines())?;
     Ok(prog)
 }
 
@@ -92,7 +92,7 @@ pub fn parse_program_diagnostics(src: &str) -> Result<Program, Vec<LangError>> {
     gcomm_obs::count("lang.stmts", prog.stmt_count() as u64);
     gcomm_obs::count("lang.parse_errors", errs.len() as u64);
     if errs.is_empty() {
-        if let Err(e) = validate::validate(&prog) {
+        if let Err(e) = validate::validate_at(&prog, parser.block_lines()) {
             errs.push(e);
         }
     }

@@ -1,43 +1,88 @@
 //! Recursive-descent parser for the mini-HPF language.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use crate::ast::*;
 use crate::error::LangError;
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 
-/// A recursive-descent parser over the token stream of one source file.
-///
-/// Most users should call [`crate::parse_program`] instead, which also runs
-/// semantic validation.
 /// Maximum grammar nesting depth (parenthesized/unary expression nesting
 /// and `do`/`if` block nesting combined). Recursive descent burns one call
 /// stack frame per level, so unbounded input would overflow the stack;
 /// past this limit the parser reports a spanned diagnostic instead.
 pub const MAX_NESTING: usize = 256;
 
+/// What a production returns: the error is boxed so that `Result<(), _>` is
+/// one word and a production that cannot fail costs no out-pointer.
+type Parse<T> = Result<T, Box<LangError>>;
+
+/// Every identifier handed out so far, by text. A name of at most eight
+/// bytes — every name of the paper's kernels — is keyed by those bytes
+/// packed into one integer, so finding it again compares integers and no
+/// strings; a longer one is found by its text. Both tiers are ordered
+/// maps: a probe stays logarithmic in the number of distinct names however
+/// a hostile source picks them, and needs no keyed hash per occurrence.
+#[derive(Default)]
+struct Names {
+    short: BTreeMap<u64, Name>,
+    long: BTreeSet<Name>,
+}
+
+impl Names {
+    fn intern(&mut self, text: &str) -> Name {
+        let bytes = text.as_bytes();
+        if bytes.len() <= 8 {
+            let key = bytes.iter().fold(0, |key, &b| key << 8 | u64::from(b));
+            return self
+                .short
+                .entry(key)
+                .or_insert_with(|| Name::from(text))
+                .clone();
+        }
+        match self.long.get(text) {
+            Some(name) => name.clone(),
+            None => {
+                let name = Name::from(text);
+                self.long.insert(name.clone());
+                name
+            }
+        }
+    }
+}
+
+/// A recursive-descent parser over the token stream of one source file.
+///
+/// Most users should call [`crate::parse_program`] instead, which also runs
+/// semantic validation.
 pub struct Parser<'s> {
-    toks: Vec<Token<'s>>,
+    src: &'s str,
+    toks: Vec<Token>,
     pos: usize,
     depth: usize,
-    /// Every identifier handed out so far: an occurrence of a name seen
-    /// before clones the [`Name`] made for the first.
-    names: BTreeSet<Name>,
+    /// An occurrence of a name seen before clones the [`Name`] made for
+    /// the first.
+    names: Names,
+    /// Source line of every `do` / `if` met so far, in the order met — the
+    /// pre-order of the block statements of a tree parsed without errors.
+    block_lines: Vec<u32>,
 }
 
 impl<'s> Parser<'s> {
-    /// Lexes `src` and prepares a parser borrowing token text from it.
+    /// Lexes `src` and prepares a parser reading identifier text from it.
     ///
     /// # Errors
     ///
     /// Returns [`LangError`] if lexing fails.
     pub fn new(src: &'s str) -> Result<Self, LangError> {
         Ok(Parser {
+            src,
             toks: lex(src)?,
             pos: 0,
             depth: 0,
-            names: BTreeSet::new(),
+            names: Names::default(),
+            block_lines: Vec::new(),
         })
     }
 
@@ -46,13 +91,20 @@ impl<'s> Parser<'s> {
         self.toks.len()
     }
 
-    fn peek(&self) -> &TokenKind<'s> {
-        &self.toks[self.pos].kind
+    /// Source line of each `do` / `if` statement of the parsed program, in
+    /// pre-order: what [`crate::validate::validate_at`] reports a bad loop
+    /// bound or branch condition at. Meaningful after an error-free parse.
+    pub fn block_lines(&self) -> &[u32] {
+        &self.block_lines
     }
 
-    fn peek2(&self) -> &TokenKind<'s> {
+    fn peek(&self) -> TokenKind {
+        self.toks[self.pos].kind
+    }
+
+    fn peek2(&self) -> TokenKind {
         let i = (self.pos + 1).min(self.toks.len() - 1);
-        &self.toks[i].kind
+        self.toks[i].kind
     }
 
     fn line(&self) -> u32 {
@@ -66,15 +118,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    /// [`bump`](Self::bump) for the few callers that consume the token's
-    /// payload.
-    fn take(&mut self) -> TokenKind<'s> {
-        let k = self.peek().clone();
-        self.bump();
-        k
-    }
-
-    fn eat(&mut self, k: &TokenKind<'_>) -> bool {
+    fn eat(&mut self, k: TokenKind) -> bool {
         if self.peek() == k {
             self.bump();
             true
@@ -83,42 +127,43 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn expect(&mut self, k: TokenKind<'_>) -> Result<(), LangError> {
-        if self.peek() == &k {
-            self.bump();
+    /// "expected `wanted`, found <the current token>", at its line.
+    #[cold]
+    fn expected(&self, wanted: impl fmt::Display) -> Box<LangError> {
+        let found = self.toks[self.pos].display(self.src);
+        self.error(format!("expected {wanted}, found {found}"))
+    }
+
+    /// `message`, at the current token's line.
+    #[cold]
+    fn error(&self, message: impl Into<String>) -> Box<LangError> {
+        Box::new(LangError::at(self.line(), message))
+    }
+
+    fn expect(&mut self, k: TokenKind) -> Parse<()> {
+        if self.eat(k) {
             Ok(())
         } else {
-            Err(LangError::at(
-                self.line(),
-                format!("expected {k}, found {}", self.peek()),
-            ))
+            Err(self.expected(k))
         }
     }
 
     /// Consumes the current token, interning its text if it is an
     /// identifier. An error carries the line of the offending token, which
     /// is read before stepping past it (the token may end its line).
-    fn expect_ident(&mut self) -> Result<Name, LangError> {
-        let r = match &self.toks[self.pos].kind {
-            TokenKind::Ident(text) => match self.names.get(&**text) {
-                Some(name) => Ok(name.clone()),
-                None => {
-                    let name = Name::from(&**text);
-                    self.names.insert(name.clone());
-                    Ok(name)
-                }
-            },
-            other => Err(LangError::at(
-                self.line(),
-                format!("expected identifier, found {other}"),
-            )),
+    fn expect_ident(&mut self) -> Parse<Name> {
+        let tok = self.toks[self.pos];
+        let r = if tok.kind == TokenKind::Ident {
+            Ok(self.names.intern(&tok.ident_text(self.src)))
+        } else {
+            Err(self.expected("identifier"))
         };
         self.bump();
         r
     }
 
     fn skip_newlines(&mut self) {
-        while self.eat(&TokenKind::Newline) {}
+        while self.eat(TokenKind::Newline) {}
     }
 
     /// Enters one grammar nesting level; errors out (with the offending
@@ -127,25 +172,21 @@ impl<'s> Parser<'s> {
     /// production returns (error or not) — the recovering parser keeps
     /// parsing after errors, so a leaked level would poison subsequent
     /// statements. On failure the depth is left untouched.
-    fn enter(&mut self, what: &str) -> Result<(), LangError> {
+    fn enter(&mut self, what: &str) -> Parse<()> {
         if self.depth >= MAX_NESTING {
-            return Err(LangError::at(
-                self.line(),
-                format!("{what} nesting exceeds the supported depth of {MAX_NESTING}"),
-            ));
+            return Err(self.error(format!(
+                "{what} nesting exceeds the supported depth of {MAX_NESTING}"
+            )));
         }
         self.depth += 1;
         Ok(())
     }
 
-    fn end_of_stmt(&mut self) -> Result<(), LangError> {
-        if self.peek() == &TokenKind::Eof || self.eat(&TokenKind::Newline) {
+    fn end_of_stmt(&mut self) -> Parse<()> {
+        if self.peek() == TokenKind::Eof || self.eat(TokenKind::Newline) {
             Ok(())
         } else {
-            Err(LangError::at(
-                self.line(),
-                format!("expected end of statement, found {}", self.peek()),
-            ))
+            Err(self.expected("end of statement"))
         }
     }
 
@@ -180,7 +221,7 @@ impl<'s> Parser<'s> {
         let mut prog = Program::default();
 
         self.skip_newlines();
-        match (|p: &mut Self| -> Result<Name, LangError> {
+        match (|p: &mut Self| -> Parse<Name> {
             p.expect(TokenKind::Program)?;
             let name = p.expect_ident()?;
             p.end_of_stmt()?;
@@ -189,7 +230,7 @@ impl<'s> Parser<'s> {
         {
             Ok(name) => prog.name = name,
             Err(e) => {
-                errs.push(e);
+                errs.push(*e);
                 self.sync_to_newline();
             }
         }
@@ -197,44 +238,40 @@ impl<'s> Parser<'s> {
 
         loop {
             let before = self.pos;
-            match self.peek() {
+            let r = match self.peek() {
                 TokenKind::Param => {
                     self.bump();
                     let params = &mut prog.params;
-                    let r = (|p: &mut Self| -> Result<(), LangError> {
+                    (|p: &mut Self| -> Parse<()> {
                         loop {
                             params.push(p.expect_ident()?);
-                            if !p.eat(&TokenKind::Comma) {
+                            if !p.eat(TokenKind::Comma) {
                                 break;
                             }
                         }
                         p.end_of_stmt()
-                    })(self);
-                    if let Err(e) = r {
-                        errs.push(e);
-                        self.sync_to_newline();
-                    }
-                    self.skip_newlines();
+                    })(self)
                 }
                 TokenKind::Real => {
                     self.bump();
-                    let r = (|p: &mut Self| -> Result<Vec<ArrayDecl>, LangError> {
-                        let decls = p.array_decl_group()?;
-                        p.end_of_stmt()?;
-                        Ok(decls)
-                    })(self);
-                    match r {
-                        Ok(decls) => prog.arrays.extend(decls),
-                        Err(e) => {
-                            errs.push(e);
-                            self.sync_to_newline();
-                        }
+                    // A group that fails leaves no declaration behind.
+                    let group = prog.arrays.len();
+                    let r = self
+                        .array_decl_group(&mut prog.arrays)
+                        .and_then(|()| self.end_of_stmt());
+                    if r.is_err() {
+                        prog.arrays.truncate(group);
                     }
-                    self.skip_newlines();
+                    r
                 }
                 _ => break,
+            };
+            if let Err(e) = r {
+                errs.push(*e);
+                self.sync_to_newline();
             }
-            if self.pos == before && self.peek() == &TokenKind::Eof {
+            self.skip_newlines();
+            if self.pos == before && self.peek() == TokenKind::Eof {
                 break;
             }
             if errs.len() >= Self::MAX_ERRORS {
@@ -247,11 +284,8 @@ impl<'s> Parser<'s> {
             let before = self.pos;
             let r = match self.peek() {
                 TokenKind::End | TokenKind::Eof => break,
-                TokenKind::EndDo | TokenKind::EndIf | TokenKind::Else => {
-                    errs.push(LangError::at(
-                        self.line(),
-                        format!("unmatched {}", self.peek()),
-                    ));
+                k @ (TokenKind::EndDo | TokenKind::EndIf | TokenKind::Else) => {
+                    errs.push(LangError::at(self.line(), format!("unmatched {k}")));
                     self.bump();
                     self.sync_to_newline();
                     if errs.len() >= Self::MAX_ERRORS {
@@ -259,23 +293,18 @@ impl<'s> Parser<'s> {
                     }
                     continue;
                 }
-                TokenKind::Do => self.do_loop(),
-                TokenKind::If => self.if_stmt(),
-                _ => self.assign(),
+                _ => self.stmt().map(|s| prog.body.push(s)),
             };
-            match r {
-                Ok(s) => prog.body.push(s),
-                Err(e) => {
-                    errs.push(e);
-                    self.sync_to_newline();
-                    if errs.len() >= Self::MAX_ERRORS {
-                        return (prog, errs);
-                    }
+            if let Err(e) = r {
+                errs.push(*e);
+                self.sync_to_newline();
+                if errs.len() >= Self::MAX_ERRORS {
+                    return (prog, errs);
                 }
             }
             // Guarantee forward progress even on a zero-consumption error.
             if self.pos == before {
-                if self.peek() == &TokenKind::Eof {
+                if self.peek() == TokenKind::Eof {
                     break;
                 }
                 self.bump();
@@ -283,16 +312,17 @@ impl<'s> Parser<'s> {
         }
 
         if let Err(e) = self.expect(TokenKind::End) {
-            errs.push(e);
+            errs.push(*e);
         } else {
-            if let TokenKind::Ident(_) | TokenKind::Program = self.peek() {
+            if let TokenKind::Ident | TokenKind::Program = self.peek() {
                 self.bump();
             }
             self.skip_newlines();
-            if self.peek() != &TokenKind::Eof {
+            if self.peek() != TokenKind::Eof {
+                let found = self.toks[self.pos].display(self.src);
                 errs.push(LangError::at(
                     self.line(),
-                    format!("unexpected {} after `end`", self.peek()),
+                    format!("unexpected {found} after `end`"),
                 ));
             }
         }
@@ -308,90 +338,86 @@ impl<'s> Parser<'s> {
         while !matches!(self.peek(), TokenKind::Newline | TokenKind::Eof) {
             self.bump();
         }
-        self.eat(&TokenKind::Newline);
+        self.eat(TokenKind::Newline);
     }
 
-    /// `adecl ("," adecl)* ["distribute" "(" dist,... ")"]`
-    fn array_decl_group(&mut self) -> Result<Vec<ArrayDecl>, LangError> {
-        let mut decls = Vec::new();
+    /// `adecl ("," adecl)* ["distribute" "(" dist,... ")"]`, pushed onto
+    /// `arrays` (a `Vec` of its own per `real` line measured 1.4 % of a
+    /// parse).
+    fn array_decl_group(&mut self, arrays: &mut Vec<ArrayDecl>) -> Parse<()> {
+        let group = arrays.len();
         loop {
             let name = self.expect_ident()?;
             let mut dims = Vec::new();
-            if self.eat(&TokenKind::LParen) {
+            if self.eat(TokenKind::LParen) {
                 loop {
                     dims.push(self.decl_dim()?);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
                 self.expect(TokenKind::RParen)?;
             }
-            decls.push(ArrayDecl {
+            arrays.push(ArrayDecl {
                 name,
                 dims,
                 dist: Vec::new(),
                 align: Vec::new(),
             });
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        if self.eat(&TokenKind::Distribute) {
+        if self.eat(TokenKind::Distribute) {
             self.expect(TokenKind::LParen)?;
             let mut dist = Vec::new();
             loop {
                 dist.push(self.dist_format()?);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(TokenKind::RParen)?;
-            for d in &mut decls {
+            for d in &mut arrays[group..] {
                 if d.dims.len() != dist.len() {
-                    return Err(LangError::at(
-                        self.line(),
-                        format!(
-                            "array `{}` has rank {} but distribute clause has {} entries",
-                            d.name,
-                            d.dims.len(),
-                            dist.len()
-                        ),
-                    ));
+                    return Err(self.error(format!(
+                        "array `{}` has rank {} but distribute clause has {} entries",
+                        d.name,
+                        d.dims.len(),
+                        dist.len()
+                    )));
                 }
                 d.dist = dist.clone();
             }
         }
-        if self.eat(&TokenKind::Align) {
+        if self.eat(TokenKind::Align) {
             self.expect(TokenKind::LParen)?;
             let mut align = Vec::new();
             loop {
                 align.push(self.const_int()?);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(TokenKind::RParen)?;
-            for d in &mut decls {
+            for d in &mut arrays[group..] {
                 if d.dims.len() != align.len() {
-                    return Err(LangError::at(
-                        self.line(),
-                        format!(
-                            "array `{}` has rank {} but align clause has {} entries",
-                            d.name,
-                            d.dims.len(),
-                            align.len()
-                        ),
-                    ));
+                    return Err(self.error(format!(
+                        "array `{}` has rank {} but align clause has {} entries",
+                        d.name,
+                        d.dims.len(),
+                        align.len()
+                    )));
                 }
                 d.align = align.clone();
             }
         }
-        Ok(decls)
+        Ok(())
     }
 
-    fn decl_dim(&mut self) -> Result<DeclDim, LangError> {
+    fn decl_dim(&mut self) -> Parse<DeclDim> {
         let first = self.expr()?;
-        if self.eat(&TokenKind::Colon) {
+        if self.eat(TokenKind::Colon) {
             let hi = self.expr()?;
             Ok(DeclDim { lo: first, hi })
         } else {
@@ -399,47 +425,53 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn dist_format(&mut self) -> Result<Dist, LangError> {
-        let line = self.line();
-        match self.take() {
+    fn dist_format(&mut self) -> Parse<Dist> {
+        let tok = self.toks[self.pos];
+        let r = match tok.kind {
             TokenKind::Star => Ok(Dist::Collapsed),
-            TokenKind::Ident(s) if s == "block" => Ok(Dist::Block),
-            TokenKind::Ident(s) if s == "cyclic" => Ok(Dist::Cyclic),
-            other => Err(LangError::at(
-                line,
-                format!("expected `block`, `cyclic`, or `*`, found {other}"),
-            )),
-        }
+            TokenKind::Ident if tok.ident_text(self.src) == "block" => Ok(Dist::Block),
+            TokenKind::Ident if tok.ident_text(self.src) == "cyclic" => Ok(Dist::Cyclic),
+            _ => Err(self.expected("`block`, `cyclic`, or `*`")),
+        };
+        self.bump();
+        r
     }
 
-    /// Parses statements until a block terminator (`end`, `enddo`, `endif`,
-    /// `else`, or end of input) is seen (the terminator is not consumed).
-    fn stmts(&mut self) -> Result<Vec<Stmt>, LangError> {
+    /// Parses statements onto `out` until a block terminator (`end`,
+    /// `enddo`, `endif`, `else`, or end of input) is seen (the terminator
+    /// is not consumed).
+    fn block(&mut self, out: &mut Vec<Stmt>) -> Parse<()> {
         self.enter("block")?;
-        let r = self.stmts_tail();
+        let r = loop {
+            self.skip_newlines();
+            if let TokenKind::End
+            | TokenKind::EndDo
+            | TokenKind::EndIf
+            | TokenKind::Else
+            | TokenKind::Eof = self.peek()
+            {
+                break Ok(());
+            }
+            match self.stmt() {
+                Ok(s) => out.push(s),
+                Err(e) => break Err(e),
+            }
+        };
         self.depth -= 1;
         r
     }
 
-    fn stmts_tail(&mut self) -> Result<Vec<Stmt>, LangError> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_newlines();
-            match self.peek() {
-                TokenKind::End
-                | TokenKind::EndDo
-                | TokenKind::EndIf
-                | TokenKind::Else
-                | TokenKind::Eof => break,
-                TokenKind::Do => out.push(self.do_loop()?),
-                TokenKind::If => out.push(self.if_stmt()?),
-                _ => out.push(self.assign()?),
-            }
+    /// One statement, pushed onto `out` once all of it has parsed.
+    fn stmt(&mut self) -> Parse<Stmt> {
+        match self.peek() {
+            TokenKind::Do => self.do_loop(),
+            TokenKind::If => self.if_stmt(),
+            _ => self.assign(),
         }
-        Ok(out)
     }
 
-    fn do_loop(&mut self) -> Result<Stmt, LangError> {
+    fn do_loop(&mut self) -> Parse<Stmt> {
+        self.block_lines.push(self.line());
         self.expect(TokenKind::Do)?;
         let var = self.expect_ident()?;
         self.expect(TokenKind::Assign)?;
@@ -447,14 +479,15 @@ impl<'s> Parser<'s> {
         self.expect(TokenKind::Comma)?;
         let hi = self.expr()?;
         let mut step = 1i64;
-        if self.eat(&TokenKind::Comma) {
+        if self.eat(TokenKind::Comma) {
             step = self.const_int()?;
             if step == 0 {
-                return Err(LangError::at(self.line(), "loop step must be non-zero"));
+                return Err(self.error("loop step must be non-zero"));
             }
         }
         self.end_of_stmt()?;
-        let body = self.stmts()?;
+        let mut body = Vec::new();
+        self.block(&mut body)?;
         self.expect_end_of("do", TokenKind::EndDo, TokenKind::Do)?;
         self.end_of_stmt()?;
         Ok(Stmt::Do(DoLoop {
@@ -466,18 +499,20 @@ impl<'s> Parser<'s> {
         }))
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, LangError> {
+    fn if_stmt(&mut self) -> Parse<Stmt> {
+        self.block_lines.push(self.line());
         self.expect(TokenKind::If)?;
         self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
         self.expect(TokenKind::RParen)?;
         self.expect(TokenKind::Then)?;
         self.end_of_stmt()?;
-        let then_body = self.stmts()?;
+        let mut then_body = Vec::new();
+        self.block(&mut then_body)?;
         let mut else_body = Vec::new();
-        if self.eat(&TokenKind::Else) {
+        if self.eat(TokenKind::Else) {
             self.end_of_stmt()?;
-            else_body = self.stmts()?;
+            self.block(&mut else_body)?;
         }
         self.expect_end_of("if", TokenKind::EndIf, TokenKind::If)?;
         self.end_of_stmt()?;
@@ -492,24 +527,21 @@ impl<'s> Parser<'s> {
     fn expect_end_of(
         &mut self,
         what: &str,
-        fused: TokenKind<'_>,
-        split_second: TokenKind<'_>,
-    ) -> Result<(), LangError> {
-        if self.eat(&fused) {
+        fused: TokenKind,
+        split_second: TokenKind,
+    ) -> Parse<()> {
+        if self.eat(fused) {
             return Ok(());
         }
-        if self.peek() == &TokenKind::End && self.peek2() == &split_second {
+        if self.peek() == TokenKind::End && self.peek2() == split_second {
             self.bump();
             self.bump();
             return Ok(());
         }
-        Err(LangError::at(
-            self.line(),
-            format!("expected `end {what}`, found {}", self.peek()),
-        ))
+        Err(self.expected(format_args!("`end {what}`")))
     }
 
-    fn assign(&mut self) -> Result<Stmt, LangError> {
+    fn assign(&mut self) -> Parse<Stmt> {
         let line = self.line();
         let lhs = self.array_ref()?;
         self.expect(TokenKind::Assign)?;
@@ -522,34 +554,32 @@ impl<'s> Parser<'s> {
         }))
     }
 
-    fn array_ref(&mut self) -> Result<ArrayRef, LangError> {
-        let array = self.expect_ident()?;
-        let mut subs = Vec::new();
-        if self.eat(&TokenKind::LParen) {
+    /// `name ["(" sub ("," sub)* ")"]`
+    fn array_ref(&mut self) -> Parse<ArrayRef> {
+        let mut r = ArrayRef::whole(self.expect_ident()?);
+        if self.eat(TokenKind::LParen) {
             loop {
-                subs.push(self.subscript()?);
-                if !self.eat(&TokenKind::Comma) {
+                r.subs.push(self.subscript()?);
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(TokenKind::RParen)?;
         }
-        Ok(ArrayRef { array, subs })
+        Ok(r)
     }
 
-    /// `sub := [expr] [":" [expr] [":" const]]`
-    fn subscript(&mut self) -> Result<Subscript, LangError> {
-        let lo = if matches!(self.peek(), TokenKind::Colon) {
-            None
-        } else {
-            Some(self.expr()?)
-        };
-        if !self.eat(&TokenKind::Colon) {
-            return match lo {
-                Some(e) => Ok(Subscript::Index(e)),
-                None => Err(LangError::at(self.line(), "expected subscript")),
-            };
+    /// `sub := [expr] [":" [expr] [":" const]]`, pushed onto `subs`.
+    fn subscript(&mut self) -> Parse<Subscript> {
+        let mut lo = None;
+        if self.peek() != TokenKind::Colon {
+            let e = self.expr()?;
+            if self.peek() != TokenKind::Colon {
+                return Ok(Subscript::Index(e));
+            }
+            lo = Some(e);
         }
+        self.bump();
         let hi = if matches!(
             self.peek(),
             TokenKind::Comma | TokenKind::RParen | TokenKind::Colon
@@ -559,88 +589,74 @@ impl<'s> Parser<'s> {
             Some(self.expr()?)
         };
         let mut step = 1i64;
-        if self.eat(&TokenKind::Colon) {
+        if self.eat(TokenKind::Colon) {
             step = self.const_int()?;
             if step == 0 {
-                return Err(LangError::at(
-                    self.line(),
-                    "section stride must be non-zero",
-                ));
+                return Err(self.error("section stride must be non-zero"));
             }
         }
         Ok(Subscript::Range { lo, hi, step })
     }
 
-    fn const_int(&mut self) -> Result<i64, LangError> {
-        let neg = self.eat(&TokenKind::Minus);
-        let line = self.line();
-        match self.take() {
-            TokenKind::Int(v) => Ok(if neg { -v } else { v }),
-            other => Err(LangError::at(
-                line,
-                format!("expected integer constant, found {other}"),
-            )),
-        }
+    fn const_int(&mut self) -> Parse<i64> {
+        let neg = self.eat(TokenKind::Minus);
+        let tok = self.toks[self.pos];
+        let r = match tok.kind {
+            TokenKind::Int if neg => Ok(-tok.int_value()),
+            TokenKind::Int => Ok(tok.int_value()),
+            _ => Err(self.expected("integer constant")),
+        };
+        self.bump();
+        r
     }
 
     /// Full expression (comparisons allowed; the validator restricts where).
-    fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> Parse<Expr> {
         self.enter("expression")?;
-        let r = self.expr_tail();
+        let r = self.expr_bp(0);
         self.depth -= 1;
         r
     }
 
-    fn expr_tail(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Ge => BinOp::Ge,
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::Ne => BinOp::Ne,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    /// Precedence climbing: an operand, then every binary operator binding
+    /// at least as tightly as `min_prec`, each with the tighter-binding run
+    /// to its right as its right operand — so `+ -` and `* /` associate to
+    /// the left. A comparison (the loosest level) ends the expression: it
+    /// takes one sum on each side and does not chain.
+    fn expr_bp(&mut self, min_prec: u8) -> Parse<Expr> {
+        const COMPARE: u8 = 1;
         let mut lhs = self.unary_expr()?;
         loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
+            let (op, prec) = match self.peek() {
+                TokenKind::Lt => (BinOp::Lt, COMPARE),
+                TokenKind::Gt => (BinOp::Gt, COMPARE),
+                TokenKind::Le => (BinOp::Le, COMPARE),
+                TokenKind::Ge => (BinOp::Ge, COMPARE),
+                TokenKind::EqEq => (BinOp::Eq, COMPARE),
+                TokenKind::Ne => (BinOp::Ne, COMPARE),
+                TokenKind::Plus => (BinOp::Add, 2),
+                TokenKind::Minus => (BinOp::Sub, 2),
+                TokenKind::Star => (BinOp::Mul, 3),
+                TokenKind::Slash => (BinOp::Div, 3),
+                _ => return Ok(lhs),
             };
+            if prec < min_prec {
+                return Ok(lhs);
+            }
             self.bump();
-            let rhs = self.unary_expr()?;
+            let rhs = self.expr_bp(prec + 1)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            if prec == COMPARE {
+                return Ok(lhs);
+            }
         }
-        Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
+    /// Unary minus binds tighter than any binary operator.
+    fn unary_expr(&mut self) -> Parse<Expr> {
         // A chain of unary minuses recurses without passing through
         // `expr`, so it needs its own depth guard.
-        if self.eat(&TokenKind::Minus) {
+        if self.eat(TokenKind::Minus) {
             self.enter("expression")?;
             let r = self.unary_expr().map(|e| Expr::Neg(Box::new(e)));
             self.depth -= 1;
@@ -649,15 +665,16 @@ impl<'s> Parser<'s> {
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Expr, LangError> {
-        match *self.peek() {
-            TokenKind::Int(v) => {
+    fn atom(&mut self) -> Parse<Expr> {
+        let tok = self.toks[self.pos];
+        match tok.kind {
+            TokenKind::Int => {
                 self.bump();
-                Ok(Expr::Int(v))
+                Ok(Expr::Int(tok.int_value()))
             }
-            TokenKind::Float(v) => {
+            TokenKind::Float => {
                 self.bump();
-                Ok(Expr::Num(v))
+                Ok(Expr::Num(tok.float_value()))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -672,11 +689,8 @@ impl<'s> Parser<'s> {
                 self.expect(TokenKind::RParen)?;
                 Ok(Expr::Sum(r))
             }
-            TokenKind::Ident(_) => Ok(Expr::Ref(self.array_ref()?)),
-            ref other => Err(LangError::at(
-                self.line(),
-                format!("expected expression, found {other}"),
-            )),
+            TokenKind::Ident => Ok(Expr::Ref(self.array_ref()?)),
+            _ => Err(self.expected("expression")),
         }
     }
 }
@@ -893,6 +907,40 @@ end
         src.push_str("end");
         let errs = crate::parse_program_diagnostics(&src).unwrap_err();
         assert!(errs.len() <= Parser::MAX_ERRORS);
+    }
+
+    /// The trees the precedence-climbing loop builds: `* /` over `+ -`,
+    /// both left-associative, unary minus tightest, one comparison loosest.
+    #[test]
+    fn expression_trees_by_precedence_and_associativity() {
+        for (src, tree) in [
+            ("a - b - c", "Bin(Sub, Bin(Sub, a, b), c)"),
+            ("a - b * c / d", "Bin(Sub, a, Bin(Div, Bin(Mul, b, c), d))"),
+            ("-a * b", "Bin(Mul, Neg(a), b)"),
+            ("a * -b", "Bin(Mul, a, Neg(b))"),
+            ("- -a - b", "Bin(Sub, Neg(Neg(a)), b)"),
+            ("a + b < c * d", "Bin(Lt, Bin(Add, a, b), Bin(Mul, c, d))"),
+            ("a * (b + c)", "Bin(Mul, a, Bin(Add, b, c))"),
+            ("(a < b) + c", "Bin(Add, Bin(Lt, a, b), c)"),
+        ] {
+            fn show(e: &Expr) -> String {
+                match e {
+                    Expr::Ref(r) => r.array.to_string(),
+                    Expr::Neg(a) => format!("Neg({})", show(a)),
+                    Expr::Bin(op, a, b) => format!("Bin({op:?}, {}, {})", show(a), show(b)),
+                    other => format!("{other:?}"),
+                }
+            }
+            let p =
+                parse_program(&format!("program t\nreal s, a, b, c, d\ns = {src}\nend")).unwrap();
+            match &p.body[0] {
+                Stmt::Assign(a) => assert_eq!(show(&a.rhs), tree, "{src}"),
+                _ => panic!("expected assignment"),
+            }
+        }
+        // A comparison does not chain: the second operator is left over.
+        let e = parse_program("program t\nreal s, a, b, c\ns = a < b < c\nend").unwrap_err();
+        assert_eq!(e.message, "expected end of statement, found `<`");
     }
 
     #[test]

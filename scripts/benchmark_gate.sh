@@ -28,7 +28,8 @@ gates = [
     # any cache or socket: fingerprints, render, sim. (2.2-2.7 before the
     # structural fingerprints, 1.3-1.55 after; 1.4-1.5 on a 30 s run since
     # the compile it is divided by lost a third, then another sixth of
-    # set-up, and the wrapper did not.)
+    # set-up, and the wrapper did not; 1.56 since it lost a fifth more to
+    # the parser and subset elimination.)
     ("serve: cold_payload_us / compile_us",
      serve["serve.cold_payload_us"] / serve["core.compile_us"], 1.9),
     # What an installed gcomm-obs registry costs a compile. (serve 1.22,
@@ -54,12 +55,24 @@ gates = [
     # compile, same ladder: 0.26 while `lower` deep-copied every right-hand
     # side and condition, cloned a `String` per name and probed two SipHash
     # maps, and the SSA builder kept three more; 0.18 with shared
-    # `Arc<Expr>`s, interned names and dense tables (30 s readings of both
-    # commits, three times: 0.259-0.262 and 0.176-0.182; the limit sits
-    # midway). A deep `rhs` copy or a hashed
-    # SSA table cannot come back unnoticed.
+    # `Arc<Expr>`s, interned names and dense tables. Re-based when the
+    # parser and subset elimination took 10 us out of the compile it is
+    # divided by, the numerator unmoved (30 s readings: 4.52 + 4.17 of
+    # 48.6 us = 0.179 before, 4.23 + 3.92 of 38.6 us = 0.211 after): the
+    # 7.3 us a deep `rhs` copy and hashed SSA tables cost would now read
+    # 0.34, and the limit sits midway. Neither can come back unnoticed.
     ("serve: (lower_us + analysis_us) / compile_us",
-     (serve["ir.lower_us"] + serve["core.analysis_us"]) / serve["core.compile_us"], 0.22),
+     (serve["ir.lower_us"] + serve["core.analysis_us"]) / serve["core.compile_us"], 0.27),
+    # The front end — lexing, parsing, `validate` — as a share of the
+    # compile, same ladder: 0.277 (13.5 of 48.6 us) while every identifier
+    # occurrence was string-compared against a B-tree node's keys and the
+    # declarations, every atom returned through six expression productions
+    # and every token carried a `Cow`; 0.224 (8.7 of 38.6 us) since (30 s
+    # readings of both commits; the limit sits midway — and the old
+    # front end over the new compile would read 0.31). A tree probe per
+    # identifier or a six-deep expression chain cannot come back unnoticed.
+    ("serve: parse_us / compile_us",
+     serve["lang.parse_us"] / serve["core.compile_us"], 0.25),
     # Two stops of a served one-routine edit that no routine's compile
     # needs, over the in-process edit: chunking the 64-routine module
     # (0.25 while every line was `trim_start`ed and every chunk walked

@@ -165,17 +165,23 @@ fn check(pool: &str, programs: &[(String, Strategy)], op_limit: f64, stage_limit
 
 #[test]
 fn corpus_op_stays_within_its_allocation_budget() {
+    // `parse` is all of `parse_program` — lexing (one vector), the parser
+    // and `validate`: 85.7 a program, from 90.3 since a `real` line pushes
+    // its declarations where they stay and `validate` sizes its set once.
+    // Limits sit 10 % above the readings (365.8 for the op).
     let limits = [
+        ("parse", 94.0),
         ("lower", 75.0),
         ("AnalysisCtx", 95.0),
         ("lower_to_sim", 100.0),
     ];
-    check("corpus", &corpus_programs(), 500.0, &limits);
+    check("corpus", &corpus_programs(), 402.0, &limits);
 }
 
 #[test]
 fn kernels_op_stays_within_its_allocation_budget() {
-    check("kernels", &kernel_programs(), 1300.0, &[]);
+    // 915.4 measured; the limit sits 10 % above.
+    check("kernels", &kernel_programs(), 1007.0, &[]);
 }
 
 /// A served edit of the benchmark's first `edit` module (64 routines, 50

@@ -86,11 +86,11 @@ fn missing_input_file_is_a_clean_error() {
     assert!(stderr.contains("gcommc:"), "stderr: {stderr}");
 }
 
-#[test]
-fn valid_budget_spec_compiles_from_stdin() {
+/// Runs `gcommc` with `input` on its standard input.
+fn gcommc_stdin(args: &[&str], input: &str) -> Output {
     use std::io::Write;
     let mut child = Command::new(env!("CARGO_BIN_EXE_gcommc"))
-        .args(["--strategy", "comb", "--budget", "steps=50000", "-"])
+        .args(args)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -100,16 +100,56 @@ fn valid_budget_spec_compiles_from_stdin() {
         .stdin
         .take()
         .unwrap()
-        .write_all(
-            b"\nprogram t\nparam n\nreal a(n,n), b(n,n) distribute (block,block)\n\
-              b(2:n, 1:n) = a(1:n-1, 1:n)\nend\n",
-        )
+        .write_all(input.as_bytes())
         .unwrap();
-    let out = child.wait_with_output().unwrap();
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn valid_budget_spec_compiles_from_stdin() {
+    let out = gcommc_stdin(
+        &["--strategy", "comb", "--budget", "steps=50000", "-"],
+        "\nprogram t\nparam n\nreal a(n,n), b(n,n) distribute (block,block)\n\
+         b(2:n, 1:n) = a(1:n-1, 1:n)\nend\n",
+    );
     assert_eq!(
         out.status.code(),
         Some(0),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// `gcommc` quotes the source line of each diagnostic under it. A bad loop
+/// bound used to be reported at the enclosing block's first assignment
+/// (quoting the wrong line) and a bad `if` condition at no line (quoting
+/// nothing): both carry the line of their own `do` / `if`.
+#[test]
+fn loop_bound_and_condition_diagnostics_quote_their_own_line() {
+    let bound = "program t\nparam n\nreal a(n) distribute (block)\na(1) = 0\n\n\
+                 do i = 1, m\n  a(i) = 1\nenddo\nend\n";
+    let cond = "program t\nparam n\nreal a(n) distribute (block)\nreal q\na(1) = 0\n\
+                if (p > 0) then\n  a(1) = 1\nendif\nend\n";
+    for (src, diagnostic, quoted) in [
+        (
+            bound,
+            "gcommc: line 6: reference to undeclared name `m`",
+            "     6 | do i = 1, m",
+        ),
+        (
+            cond,
+            "gcommc: line 6: reference to undeclared name `p`",
+            "     6 | if (p > 0) then",
+        ),
+    ] {
+        let out = gcommc_stdin(&["-"], src);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(
+            lines,
+            [diagnostic, quoted, "gcommc: 1 error(s), no output"],
+            "on:\n{src}"
+        );
+    }
 }

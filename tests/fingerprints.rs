@@ -23,20 +23,10 @@ use std::sync::Arc;
 use gcomm::lang::{ArrayDecl, ArrayRef, Assign, DeclDim, DoLoop, Expr, IfStmt, Name};
 use gcomm::lang::{Program, Stmt, Subscript};
 use gcomm::query::Fingerprinter;
-use proptest::hpf;
 
-/// The benchmark's pinned corpus pool (`benchmark/src/inputs.rs`).
-const CORPUS_BASE: u64 = 0x6763_1996;
-
-/// The six paper kernels and the first 40 corpus programs, labelled.
-fn pinned_sources() -> Vec<(String, String)> {
-    let mut sources: Vec<(String, String)> = gcomm::kernels::all_kernels()
-        .into_iter()
-        .map(|(bench, routine, src)| (format!("{bench}:{routine}"), src.to_string()))
-        .collect();
-    sources.extend((0..40).map(|i| (format!("corpus:{i}"), hpf::generate(CORPUS_BASE + i))));
-    sources
-}
+#[path = "support/pinned_sources.rs"]
+mod pinned_sources;
+use pinned_sources::pinned_sources;
 
 #[test]
 fn persisted_fingerprints_match_golden() {
