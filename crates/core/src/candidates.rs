@@ -5,38 +5,33 @@
 //! encountered walking the dominator tree from `Latest(u)`'s block up to
 //! `Earliest(u)`'s block.
 
-use std::collections::BTreeSet;
-
 use gcomm_ir::Pos;
 
-use crate::ctx::AnalysisCtx;
+use crate::ctx::{defensive, AnalysisCtx};
 use crate::entry::CommEntry;
 
 /// Marks all candidate positions for an entry, given its `Latest` and
-/// `Earliest` positions. Reductions get the single `Latest` position (§6.2).
+/// `Earliest` positions: a [`CandidateTable`](crate::subset::CandidateTable)
+/// row, ascending and duplicate-free. Reductions get the single `Latest`
+/// position (§6.2).
 ///
 /// Degradation: once the analysis budget is exhausted the window collapses
 /// to the single `Latest` position — the `Strategy::Original` placement,
 /// which always dominates the use and is therefore legal; the entry merely
 /// loses its hoisting/elimination opportunities
 /// (`core.degraded.candidates` counts these).
-pub fn candidates(
-    ctx: &AnalysisCtx<'_>,
-    e: &CommEntry,
-    earliest: Pos,
-    latest: Pos,
-) -> BTreeSet<Pos> {
-    let mut out = BTreeSet::new();
+pub fn candidates(ctx: &AnalysisCtx<'_>, e: &CommEntry, earliest: Pos, latest: Pos) -> Vec<Pos> {
     if e.is_reduction() {
-        out.insert(latest);
-        return out;
+        return vec![latest];
     }
     if ctx.budget.exhausted() {
         gcomm_obs::count("core.degraded.candidates", 1);
-        out.insert(latest);
-        return out;
+        return vec![latest];
     }
+    let mut out = Vec::new();
     window(ctx, earliest, latest, &mut out);
+    out.sort_unstable();
+    out.dedup();
     // Candidate windows are the unit of super-linear cost downstream
     // (subset elimination and combining are pairwise over positions), so
     // their size is what the budget meters.
@@ -46,48 +41,43 @@ pub fn candidates(
     out
 }
 
-/// The unbudgeted dominator-tree walk of §4.4.
-fn window(ctx: &AnalysisCtx<'_>, earliest: Pos, latest: Pos, out: &mut BTreeSet<Pos>) {
+/// The unbudgeted dominator-tree walk of §4.4, appending block by block
+/// from `Latest`'s up.
+fn window(ctx: &AnalysisCtx<'_>, earliest: Pos, latest: Pos, out: &mut Vec<Pos>) {
+    let slots = |node, lo, hi| (lo..=hi).map(move |slot| Pos { node, slot });
     if !earliest.dominates(&latest, &ctx.dt) {
-        // Defensive: fall back to the single safe point.
-        out.insert(latest);
+        // An inverted window: both dominate the use, so Latest lies above
+        // Earliest. Fig. 8's `Test` can block at a φ whose parameters
+        // reach one dependence-bearing definition by two paths, below the
+        // loop `DepLevel` already hoists out of (2 of 2 000 generated
+        // programs; no kernel or corpus program). The single `Latest`
+        // point is legal, and the higher of the two. Counted, not
+        // asserted: real input reaches it.
+        gcomm_obs::count("core.defensive.earliest_not_dominating", 1);
+        out.push(latest);
         return;
     }
     if earliest.node == latest.node {
-        for slot in earliest.slot..=latest.slot {
-            out.insert(Pos {
-                node: latest.node,
-                slot,
-            });
-        }
+        out.extend(slots(latest.node, earliest.slot, latest.slot));
         return;
     }
     // Mark the tail of Latest's block up to Latest(u).
-    for slot in 0..=latest.slot {
-        out.insert(Pos {
-            node: latest.node,
-            slot,
-        });
-    }
+    out.extend(slots(latest.node, 0, latest.slot));
     // Walk dominator parents, marking whole blocks, until Earliest's block.
     let mut c = ctx.dt.parent(latest.node);
     while let Some(n) = c {
+        let bottom = Pos::bottom(ctx.prog, n).slot;
         if n == earliest.node {
-            let bottom = Pos::bottom(ctx.prog, n);
-            for slot in earliest.slot..=bottom.slot {
-                out.insert(Pos { node: n, slot });
-            }
+            out.extend(slots(n, earliest.slot, bottom));
             return;
         }
-        let bottom = Pos::bottom(ctx.prog, n);
-        for slot in 0..=bottom.slot {
-            out.insert(Pos { node: n, slot });
-        }
+        out.extend(slots(n, 0, bottom));
         c = ctx.dt.parent(n);
     }
     // Earliest's block was not an ancestor (cannot happen when earliest
     // dominates latest); keep what we have plus the safe point.
-    out.insert(latest);
+    defensive("core.defensive.earliest_not_ancestor");
+    out.push(latest);
 }
 
 #[cfg(test)]

@@ -8,18 +8,15 @@
 //! have to be communicated on multiple incoming paths, so the φ itself is
 //! the earliest *single dominating* point (Claim 4.1).
 
-use std::collections::HashSet;
+use gcomm_ir::{Pos, StmtId};
+use gcomm_ssa::{DefId, DefKind, DefWalk};
 
-use gcomm_ir::{AccessRef, Pos, StmtId};
-use gcomm_ssa::{DefId, DefKind};
-
-use crate::ctx::AnalysisCtx;
+use crate::ctx::{ext_dep_at, AnalysisCtx, DepState, PairTable};
 use crate::entry::CommEntry;
 
 /// `Earliest(u)` for one read: the first definition on the upward chain
 /// whose `Test` is true (the ENTRY pseudo-definition always is).
 pub fn earliest_def_for_read(ctx: &AnalysisCtx<'_>, stmt: StmtId, idx: usize) -> DefId {
-    let u_acc = ctx.read_access(stmt, idx);
     // invariant: SSA construction gives every read a reaching definition
     // (the ENTRY pseudo-def backstops uses with no prior write), so a miss
     // here is a builder bug, not a property of any source program.
@@ -27,10 +24,10 @@ pub fn earliest_def_for_read(ctx: &AnalysisCtx<'_>, stmt: StmtId, idx: usize) ->
         .ssa
         .use_def(stmt, idx)
         .expect("every read has a reaching definition");
-    // One visit buffer for the whole walk; `test` clears it per φ-parameter.
-    let mut visit = HashSet::new();
+    let mut state = ctx.dep_state();
+    let DepState { pairs, walk, .. } = &mut *state;
     loop {
-        if test(ctx, d, stmt, u_acc, &mut visit) {
+        if test(ctx, pairs, walk, d, stmt, idx) {
             return d;
         }
         match ctx.ssa.def(d).dom_prev {
@@ -40,25 +37,28 @@ pub fn earliest_def_for_read(ctx: &AnalysisCtx<'_>, stmt: StmtId, idx: usize) ->
     }
 }
 
-/// The paper's `Test(d, u)` (Fig. 8b). `visit` is scratch space for
+/// The paper's `Test(d, u)` (Fig. 8b) for read `idx` of `u_stmt`, reading
+/// direction analyses from `pairs`. `visit` is scratch space for
 /// [`rcount`]; its contents on entry are ignored.
-pub fn test(
+pub(crate) fn test(
     ctx: &AnalysisCtx<'_>,
+    pairs: &mut PairTable,
+    visit: &mut DefWalk,
     d: DefId,
     u_stmt: StmtId,
-    u_acc: &AccessRef,
-    visit: &mut HashSet<DefId>,
+    idx: usize,
 ) -> bool {
     gcomm_obs::count("core.earliest.tests", 1);
     let info = ctx.ssa.def(d);
     match &info.kind {
         DefKind::Entry => true,
         DefKind::Regular { .. } => {
-            let Some((d_acc, d_stmt)) = ctx.def_access(d) else {
-                return true; // defensive: unknown def blocks motion
+            let Some(def) = ctx.def_access(d) else {
+                return true; // defensive (counted): unknown def blocks motion
             };
-            let l = ctx.prog.cnl(d_stmt, u_stmt);
-            ctx.ext_dep(d_stmt, d_acc, u_stmt, u_acc, l)
+            // At the common nesting level: one direction set per level.
+            let res = pairs.get(ctx, d, def, u_stmt, idx);
+            ext_dep_at(res, def.1, u_stmt, res.allowed.len() as u32)
         }
         k => {
             let l = ctx.prog.cnl_node_stmt(info.node, u_stmt);
@@ -68,8 +68,8 @@ pub fn test(
                 // (`visit[] = 0, visit[d] = 1`); only the φ being tested
                 // stays marked, so the walk cannot cycle through it.
                 visit.clear();
-                visit.insert(d);
-                if rcount(ctx, arg, u_stmt, u_acc, l, visit) > 0 {
+                visit.visit(d);
+                if rcount(ctx, pairs, visit, arg, u_stmt, idx, l) > 0 {
                     positives += 1;
                     if positives >= 2 {
                         return true;
@@ -83,40 +83,37 @@ pub fn test(
 
 /// The paper's `Rcount` (Fig. 8c): counts dependence-bearing definitions
 /// reachable through a φ-parameter, visiting each definition once.
-pub fn rcount(
+pub(crate) fn rcount(
     ctx: &AnalysisCtx<'_>,
+    pairs: &mut PairTable,
+    visit: &mut DefWalk,
     d: DefId,
     u_stmt: StmtId,
-    u_acc: &AccessRef,
+    idx: usize,
     l: u32,
-    visit: &mut HashSet<DefId>,
 ) -> u32 {
-    if !visit.insert(d) {
+    if !visit.visit(d) {
         return 0;
     }
     let info = ctx.ssa.def(d);
     match &info.kind {
         DefKind::Entry => 1, // the ENTRY pseudo-def is always dependent
         DefKind::Regular { prev, .. } => {
-            let Some((d_acc, d_stmt)) = ctx.def_access(d) else {
-                return 1;
+            let Some(def) = ctx.def_access(d) else {
+                return 1; // defensive (counted)
             };
-            if ctx.ext_dep(
-                d_stmt,
-                d_acc,
-                u_stmt,
-                u_acc,
-                l.min(ctx.prog.cnl(d_stmt, u_stmt)),
-            ) {
+            let res = pairs.get(ctx, d, def, u_stmt, idx);
+            let cnl = res.allowed.len() as u32;
+            if ext_dep_at(res, def.1, u_stmt, l.min(cnl)) {
                 1
             } else {
                 // Preserving definition: earlier values shine through.
-                rcount(ctx, *prev, u_stmt, u_acc, l, visit)
+                rcount(ctx, pairs, visit, *prev, u_stmt, idx, l)
             }
         }
         k => k
             .phi_args()
-            .map(|a| rcount(ctx, a, u_stmt, u_acc, l, visit))
+            .map(|a| rcount(ctx, pairs, visit, a, u_stmt, idx, l))
             .sum(),
     }
 }

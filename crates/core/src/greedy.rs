@@ -6,8 +6,6 @@
 //! motion heuristic. Each group is then placed at the latest position
 //! common to its members (buffer/cache folk truism for the SP2).
 
-use std::collections::BTreeMap;
-
 use gcomm_ir::Pos;
 
 use crate::ctx::AnalysisCtx;
@@ -133,44 +131,48 @@ pub fn choose(
     policy: &CombinePolicy,
 ) -> Vec<PlacedGroup> {
     let _s = gcomm_obs::span("core.greedy");
-    let mut order: Vec<EntryId> = table.cands.keys().copied().collect();
+    let mut order: Vec<EntryId> = table.cands.ids().collect();
     gcomm_obs::count("core.greedy.rounds", order.len() as u64);
+    let cands = &table.cands;
     match policy.order {
-        GreedyOrder::MostConstrained => order.sort_by_key(|e| (table.cands[e].len(), *e)),
-        GreedyOrder::LeastConstrained => {
-            order.sort_by_key(|e| (usize::MAX - table.cands[e].len(), *e))
-        }
+        GreedyOrder::MostConstrained => order.sort_by_key(|&e| (cands[e].len(), e)),
+        GreedyOrder::LeastConstrained => order.sort_by_key(|&e| (usize::MAX - cands[e].len(), e)),
         GreedyOrder::ProgramOrder => order.sort(),
     }
+    // Position → entries, ascending, built once. Entries only ever leave
+    // a position (a pin keeps one of an entry's candidates), so the index
+    // stays a superset of the live table and is read against it.
+    let mut index: Vec<(Pos, EntryId)> = cands
+        .iter()
+        .flat_map(|(e, row)| row.iter().map(move |&p| (p, e)))
+        .collect();
+    index.sort_unstable();
 
     for &eid in &order {
         let e = &entries[eid.0 as usize];
-        let cands: Vec<Pos> = table.cands[&eid].iter().copied().collect();
+        let row = &table.cands[eid];
         // Pre-charge the whole compatibility scan for this entry (one unit
         // per candidate × entry pair). If it doesn't fit, degrade: pin to
         // the latest remaining candidate — still inside the (possibly
         // refined) window, hence legal — and skip the combining search.
-        let scan_cost = (cands.len() as u64).saturating_mul(table.cands.len() as u64);
+        let scan_cost = (row.len() as u64).saturating_mul(table.cands.len() as u64);
         if !ctx.budget.charge(scan_cost) {
             gcomm_obs::count("core.degraded.greedy", 1);
-            if let Some(&p) = cands.last() {
-                // invariant: eid came from iterating this map's keys and
-                // nothing removes entries inside the loop.
-                let set = table.cands.get_mut(&eid).expect("entry alive");
-                set.clear();
-                set.insert(p);
+            if let Some(&p) = row.last() {
+                table.cands.pin(eid, p);
             }
             continue;
         }
         let mut best: Option<(usize, Pos)> = None;
-        for &p in &cands {
+        for &p in row {
             let level = p.level(ctx.prog);
-            let count = table
-                .cands
+            let from = index.partition_point(|&(q, _)| q < p);
+            let count = index[from..]
                 .iter()
-                .filter(|&(&oid, ps)| {
+                .take_while(|&&(q, _)| q == p)
+                .filter(|&&(_, oid)| {
                     oid != eid
-                        && ps.contains(&p)
+                        && table.cands.contains(oid, p)
                         && compatible(ctx, e, &entries[oid.0 as usize], level, policy)
                 })
                 .count();
@@ -186,18 +188,14 @@ pub fn choose(
             });
         }
         if let Some((_, p)) = best {
-            // invariant: eid came from iterating this map's keys and
-            // nothing removes entries inside the loop.
-            let set = table.cands.get_mut(&eid).expect("entry alive");
-            set.clear();
-            set.insert(p);
+            table.cands.pin(eid, p);
         }
     }
 
     let pinned = table
         .cands
         .iter()
-        .filter_map(|(&eid, ps)| ps.first().map(|&p| (eid, p)));
+        .filter_map(|(eid, row)| row.first().map(|&p| (eid, p)));
     partition(ctx, entries, pinned, policy)
 }
 
@@ -217,15 +215,16 @@ pub(crate) fn partition(
     pinned: impl IntoIterator<Item = (EntryId, Pos)>,
     policy: &CombinePolicy,
 ) -> Vec<PlacedGroup> {
-    let mut by_pos: BTreeMap<Pos, Vec<EntryId>> = BTreeMap::new();
-    for (eid, p) in pinned {
-        by_pos.entry(p).or_default().push(eid);
-    }
+    // By position, each position's entries in the order given (the sort
+    // is stable).
+    let mut by_pos: Vec<(Pos, EntryId)> = pinned.into_iter().map(|(e, p)| (p, e)).collect();
+    by_pos.sort_by_key(|&(p, _)| p);
     let mut groups = Vec::new();
-    for (pos, ids) in by_pos {
+    for at in by_pos.chunk_by(|a, b| a.0 == b.0) {
+        let pos = at[0].0;
         let level = pos.level(ctx.prog);
         let mut parts: Vec<Vec<EntryId>> = Vec::new();
-        for id in ids {
+        for &(_, id) in at {
             let e = &entries[id.0 as usize];
             let slot = if ctx.budget.exhausted() {
                 gcomm_obs::count("core.degraded.greedy", 1);

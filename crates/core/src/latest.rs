@@ -7,29 +7,36 @@
 
 use gcomm_ir::Pos;
 
-use crate::ctx::{ext_dep_at, AnalysisCtx};
+use crate::ctx::{ext_dep_at, AnalysisCtx, DepState};
 use crate::entry::CommEntry;
 
 /// `CommLevel(u)` (§4.2): `max_d DepLevel(d, u)` over the reaching regular
 /// definitions of the entry's reads (ENTRY pseudo-defs excluded). One
-/// direction analysis per `(definition, use)` pair answers every level.
+/// direction analysis per `(definition, use)` pair answers every level,
+/// and the context's pair table shares it with `Earliest`.
 pub fn comm_level(ctx: &AnalysisCtx<'_>, e: &CommEntry) -> u32 {
     let u_stmt = e.stmt;
     let mut level = 0u32;
+    let mut state = ctx.dep_state();
+    let DepState {
+        pairs,
+        walk,
+        reaching,
+    } = &mut *state;
     for &r in &e.reads {
-        let u_acc = ctx.read_access(u_stmt, r);
-        for d in ctx.ssa.reaching_regular_defs(u_stmt, r) {
-            let Some((d_acc, d_stmt)) = ctx.def_access(d) else {
+        ctx.ssa.reaching_regular_defs(u_stmt, r, walk, reaching);
+        for &d in reaching.iter() {
+            let Some(def) = ctx.def_access(d) else {
                 continue;
             };
-            let cnl = ctx.prog.cnl(d_stmt, u_stmt);
+            let cnl = ctx.prog.cnl(def.1, u_stmt);
             if cnl <= level {
                 continue; // this pair cannot raise the level
             }
-            let res = ctx.dep().analyze(d_stmt, d_acc, u_stmt, u_acc);
+            let res = pairs.get(ctx, d, def, u_stmt, r);
             if let Some(l) = (level + 1..=cnl)
                 .rev()
-                .find(|&l| ext_dep_at(&res, d_stmt, u_stmt, l))
+                .find(|&l| ext_dep_at(res, def.1, u_stmt, l))
             {
                 level = l;
             }

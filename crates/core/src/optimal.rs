@@ -157,25 +157,26 @@ fn front_half(compiled: &Compiled) -> Option<(AnalysisCtx<'_>, SearchSpace)> {
     }
     let ctx = AnalysisCtx::new(prog);
     let mut table = CandidateTable::default();
-    let mut earliest_of: HashMap<EntryId, Pos> = HashMap::new();
+    let mut earliest_of: Vec<Pos> = Vec::with_capacity(entries.len());
     for e in &entries {
         let ep = earliest_pos(&ctx, e);
         let lp = latest(&ctx, e);
-        earliest_of.insert(e.id, ep);
+        earliest_of.push(ep);
         table.cands.insert(e.id, candidates(&ctx, e, ep, lp));
     }
     let absorptions = redundancy::eliminate(&ctx, &entries, &mut table);
 
     // Dominator-tree order: sort by (dominator depth of the earliest
     // point, slot, id) — the same key the heuristics scan in.
-    let mut ids: Vec<EntryId> = table.cands.keys().copied().collect();
-    ids.sort_by_key(|id| {
-        let ep = earliest_of[id];
-        (ctx.dt.depth(ep.node), ep.slot, *id)
+    let mut ids: Vec<EntryId> = table.cands.ids().collect();
+    ids.sort_by_key(|&id| {
+        let ep = earliest_of[id.0 as usize];
+        (ctx.dt.depth(ep.node), ep.slot, id)
     });
+    // The choice sets are the surviving rows themselves.
     let choice_sets: Vec<Vec<Pos>> = ids
         .iter()
-        .map(|e| table.cands[e].iter().copied().collect())
+        .map(|&e| table.cands.remove(e).expect("a surviving entry's row"))
         .collect();
     let space: u64 = choice_sets
         .iter()

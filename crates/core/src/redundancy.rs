@@ -9,10 +9,7 @@
 //! this is how choosing a *later-than-earliest* placement for `b1` in the
 //! paper's running example eliminates that communication completely.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-use gcomm_ir::{ArrayId, Pos};
-use gcomm_sections::Mapping;
+use gcomm_ir::Pos;
 
 use crate::ctx::AnalysisCtx;
 use crate::entry::{CommEntry, EntryId};
@@ -33,16 +30,19 @@ pub struct Absorption {
 /// [`Mapping::subset_of`] is equality except for `Local` — which
 /// [`commgen::number`](crate::commgen::number) asserts no entry carries —
 /// so entries of different classes never subsume one another and the pair
-/// scans skip them on one integer compare.
+/// scans skip them on one integer compare. The ids number the classes in
+/// `(array, mapping)` order: entries are sorted by that key, not hashed.
 pub(crate) fn subsumption_classes(entries: &[CommEntry]) -> Vec<u32> {
-    let mut ids: HashMap<(ArrayId, &Mapping), u32> = HashMap::new();
-    entries
-        .iter()
-        .map(|e| {
-            let fresh = ids.len() as u32;
-            *ids.entry((e.array, &e.mapping)).or_insert(fresh)
-        })
-        .collect()
+    let key = |i: &usize| (entries[*i].array, &entries[*i].mapping);
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+    let mut class = vec![0u32; entries.len()];
+    for (id, run) in order.chunk_by(|a, b| key(a) == key(b)).enumerate() {
+        for &i in run {
+            class[i] = id as u32;
+        }
+    }
+    class
 }
 
 /// Runs redundancy elimination to a fixpoint. Returns the absorptions.
@@ -83,7 +83,7 @@ pub fn eliminate(
     let mut index: Vec<(Pos, EntryId)> = table
         .cands
         .iter()
-        .flat_map(|(&e, ps)| ps.iter().map(move |&p| (p, e)))
+        .flat_map(|(e, row)| row.iter().map(move |&p| (p, e)))
         .collect();
     index.sort_unstable();
 
@@ -91,8 +91,8 @@ pub fn eliminate(
         ctx,
         entries,
         table,
-        obligations: HashMap::new(),
-        banned: HashSet::new(),
+        obligations: Vec::new(),
+        banned: Vec::new(),
         absorptions: Vec::new(),
         attempts: 0,
     };
@@ -150,20 +150,35 @@ struct Sweep<'a, 'p> {
     ctx: &'a AnalysisCtx<'p>,
     entries: &'a [CommEntry],
     table: &'a mut CandidateTable,
-    /// Per surviving entry: the uses (and level caps) of everything it has
-    /// absorbed, directly or transitively.
-    obligations: HashMap<EntryId, Vec<(Pos, u32)>>,
-    /// `(winner, loser)` pairs rejected because the winner could not keep
-    /// a candidate satisfying every inherited obligation.
-    banned: HashSet<(EntryId, EntryId)>,
+    /// Per surviving entry, by id: the uses (and level caps) of everything
+    /// it has absorbed, directly or transitively. Empty until the first
+    /// absorption.
+    obligations: Vec<Vec<(Pos, u32)>>,
+    /// Per winner, by id: the losers it was refused because it could not
+    /// keep a candidate satisfying every inherited obligation. Empty until
+    /// the first refusal.
+    banned: Vec<Vec<EntryId>>,
     absorptions: Vec<Absorption>,
     attempts: u64,
+}
+
+/// The row of `v` at `e`, empty when `v` has none yet.
+fn row<T>(v: &[Vec<T>], e: EntryId) -> &[T] {
+    v.get(e.0 as usize).map_or(&[], Vec::as_slice)
+}
+
+/// The row of `v` at `e`, growing `v` to one row per entry on first use.
+fn row_mut<T>(v: &mut Vec<Vec<T>>, entries: usize, e: EntryId) -> &mut Vec<T> {
+    if v.is_empty() {
+        v.resize_with(entries, Vec::new);
+    }
+    &mut v[e.0 as usize]
 }
 
 impl Sweep<'_, '_> {
     /// True while `pos` is still a candidate of the (unabsorbed) entry `e`.
     fn is_at(&self, e: EntryId, pos: Pos) -> bool {
-        self.table.cands.get(&e).is_some_and(|ps| ps.contains(&pos))
+        self.table.cands.contains(e, pos)
     }
 
     /// Absorbs `loser` into `winner` at a shared position of nesting level
@@ -174,20 +189,19 @@ impl Sweep<'_, '_> {
     fn absorb(&mut self, winner: EntryId, loser: EntryId, level: u32) -> bool {
         let (ctx, entries) = (self.ctx, self.entries);
         let (win, lose) = (&entries[winner.0 as usize], &entries[loser.0 as usize]);
-        if self.banned.contains(&(winner, loser)) || !ctx.subsumed_within(lose, win, level) {
+        if row(&self.banned, winner).contains(&loser) || !ctx.subsumed_within(lose, win, level) {
             return false;
         }
         self.attempts += 1;
 
         // The loser's own use, plus every obligation it had accumulated.
-        let mut obs = self.obligations.get(&loser).cloned().unwrap_or_default();
-        obs.push((Pos::before(ctx.prog, lose.stmt), level));
-
-        let refined: BTreeSet<Pos> = self.table.cands[&winner]
+        let own = (Pos::before(ctx.prog, lose.stmt), level);
+        let inherited = row(&self.obligations, loser);
+        let refined: Vec<Pos> = self.table.cands[winner]
             .iter()
             .copied()
             .filter(|p| {
-                obs.iter().all(|(before_use, cap)| {
+                inherited.iter().chain([&own]).all(|(before_use, cap)| {
                     p.dominates(before_use, &ctx.dt) && p.level(ctx.prog) <= *cap
                 })
             })
@@ -195,14 +209,15 @@ impl Sweep<'_, '_> {
         if refined.is_empty() {
             // No placement of the winner can cover everything the loser
             // stands for: reject this absorption.
-            self.banned.insert((winner, loser));
+            row_mut(&mut self.banned, entries.len(), winner).push(loser);
             return false;
         }
 
-        self.table.remove_entry(loser);
-        self.obligations.remove(&loser);
+        self.table.cands.remove(loser);
+        let mut obs = std::mem::take(row_mut(&mut self.obligations, entries.len(), loser));
+        obs.push(own);
         self.table.cands.insert(winner, refined);
-        self.obligations.entry(winner).or_default().extend(obs);
+        row_mut(&mut self.obligations, entries.len(), winner).extend(obs);
         self.absorptions.push(Absorption {
             absorbed: loser,
             by: winner,
@@ -282,7 +297,7 @@ end",
         assert_eq!(abs[0].absorbed, entries[0].id);
         // And the winner's surviving candidates still dominate b1's use.
         let b1_use = Pos::before(&prog, entries[0].stmt);
-        for p in &table.cands[&entries[1].id] {
+        for p in &table.cands[entries[1].id] {
             assert!(p.dominates(&b1_use, &ctx.dt));
         }
     }

@@ -6,10 +6,11 @@
 //! precedes the use's — a forward-carried dependence). Per-dimension
 //! subscript constraints are intersected conservatively across dimensions.
 
-use gcomm_ir::{AccessRef, Affine, IrProgram, StmtId, Var};
+use gcomm_ir::{AccessRef, IrProgram, StmtId, SubscriptIr, Term, Var};
+use gcomm_sections::section::{bounds_overlap, Bounds};
 use gcomm_sections::{DimSect, SymCtx};
 
-use crate::widen::widen_sub;
+use crate::widen::widen_sub_if_needed;
 
 /// A dependence direction at one loop level, for a definition→use pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,6 +69,66 @@ impl DirSet {
     }
 }
 
+/// Common loop levels whose directions [`Dirs`] holds without a heap
+/// block; a deeper nest (`MAX_NESTING` is 256) spills, like `Affine`'s
+/// terms.
+const INLINE_LEVELS: usize = 16;
+
+/// The allowed directions per common loop level, read as a `[DirSet]`.
+#[derive(Clone)]
+pub struct Dirs(DirStore);
+
+#[derive(Clone)]
+enum DirStore {
+    Inline(u8, [DirSet; INLINE_LEVELS]),
+    Heap(Vec<DirSet>),
+}
+
+impl Dirs {
+    /// `levels` copies of `s`.
+    pub fn filled(levels: usize, s: DirSet) -> Dirs {
+        Dirs(if levels <= INLINE_LEVELS {
+            DirStore::Inline(levels as u8, [s; INLINE_LEVELS])
+        } else {
+            DirStore::Heap(vec![s; levels])
+        })
+    }
+}
+
+impl std::ops::Deref for Dirs {
+    type Target = [DirSet];
+
+    fn deref(&self) -> &[DirSet] {
+        match &self.0 {
+            DirStore::Inline(n, buf) => &buf[..*n as usize],
+            DirStore::Heap(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Dirs {
+    fn deref_mut(&mut self) -> &mut [DirSet] {
+        match &mut self.0 {
+            DirStore::Inline(n, buf) => &mut buf[..*n as usize],
+            DirStore::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Dirs {
+    fn eq(&self, other: &Dirs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Dirs {}
+
+impl std::fmt::Debug for Dirs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The outcome of a direction analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepResult {
@@ -75,7 +136,7 @@ pub struct DepResult {
     pub possible: bool,
     /// Per common-loop-level allowed directions (length = CNL). Meaningless
     /// when `possible` is false.
-    pub allowed: Vec<DirSet>,
+    pub allowed: Dirs,
 }
 
 impl DepResult {
@@ -83,7 +144,7 @@ impl DepResult {
     pub fn none(levels: usize) -> Self {
         DepResult {
             possible: false,
-            allowed: vec![DirSet::EMPTY; levels],
+            allowed: Dirs::filled(levels, DirSet::EMPTY),
         }
     }
 
@@ -120,10 +181,16 @@ pub fn analyze(
     // Widen both accesses down to the common nest, one dimension at a
     // time: deeper loop variables are expanded to their ranges, so only
     // common-loop variables remain.
-    let mut allowed = vec![DirSet::ALL; cnl as usize];
+    let mut allowed = Dirs::filled(cnl as usize, DirSet::ALL);
+    // A statement no deeper than the common nest has nothing to widen.
+    let deeper = |s: StmtId| prog.stmt(s).level > cnl;
+    let (d_deeper, u_deeper) = (deeper(d_stmt), deeper(u_stmt));
     for (ds, us) in d_acc.subs.iter().zip(u_acc.subs.iter()) {
-        let (dd, ud) = (widen_sub(prog, ds, cnl), widen_sub(prog, us, cnl));
-        match dim_constraint(prog, &dd, &ud, cnl, &ctx) {
+        let (dd, ud) = (
+            Dim::of(prog, ds, cnl, d_deeper),
+            Dim::of(prog, us, cnl, u_deeper),
+        );
+        match dim_constraint(prog, &dd, &ud, &ctx) {
             DimOutcome::Impossible => return DepResult::none(cnl as usize),
             DimOutcome::Unconstrained => {}
             DimOutcome::Level(k, set) => {
@@ -162,62 +229,85 @@ enum DimOutcome {
     Level(usize, DirSet),
 }
 
-/// A window `lin(loops) + [lo_rest, hi_rest]`: `lin` holds the
-/// common-loop terms (constant 0), the rests are parameter-only.
-struct Window {
-    lin: Affine,
-    lo_rest: Affine,
-    hi_rest: Affine,
+/// One subscript as the common nest sees it: the subscript itself when no
+/// loop deeper than the nest occurs in it (widening would return it
+/// unchanged, so it is read in place), else its widening.
+enum Dim<'a> {
+    Kept(&'a SubscriptIr),
+    Widened(DimSect),
 }
 
-/// Splits `e` into its common-loop terms and the rest.
-fn strip_loops(prog: &IrProgram, e: &Affine, cnl: u32) -> Option<(Affine, Affine)> {
-    // Any loop variable deeper than the common nest defeats the window
-    // analysis.
-    if e.loop_vars().any(|l| prog.loop_info(l).level > cnl) {
-        return None;
-    }
-    let is_loop = |t: &&(Var, i64)| matches!(t.0, Var::Loop(_));
-    let lin = Affine::new(0, e.terms().iter().filter(is_loop).copied());
-    let rest = Affine::new(e.k, e.terms().iter().filter(|t| !is_loop(t)).copied());
-    Some((lin, rest))
-}
-
-fn window_of(prog: &IrProgram, d: &DimSect, cnl: u32) -> Option<Window> {
-    let (lin, lo_rest) = strip_loops(prog, d.lo()?, cnl)?;
-    let hi_rest = match d {
-        DimSect::Range { hi, .. } => {
-            let (lin_hi, hi_rest) = strip_loops(prog, hi, cnl)?;
-            if lin != lin_hi {
-                return None; // triangular window: bounds move differently
-            }
-            hi_rest
+impl<'a> Dim<'a> {
+    /// `sub` seen from the common nest `cnl`; `deeper` says whether its
+    /// statement is nested deeper than `cnl` — when it is not, no loop the
+    /// subscript can mention is deeper, and it is kept as is.
+    fn of(prog: &IrProgram, sub: &'a SubscriptIr, cnl: u32, deeper: bool) -> Self {
+        match deeper
+            .then(|| widen_sub_if_needed(prog, sub, cnl))
+            .flatten()
+        {
+            Some(d) => Dim::Widened(d),
+            None => Dim::Kept(sub),
         }
-        _ => lo_rest.clone(),
-    };
-    Some(Window {
+    }
+
+    /// `lo : hi : step` (an element is its own both bounds, stride 1), or
+    /// `None` for an unknown extent.
+    fn bounds(&self) -> Option<Bounds<'_>> {
+        match self {
+            Dim::Kept(SubscriptIr::Elem(e)) | Dim::Widened(DimSect::Elem(e)) => Some((e, e, 1)),
+            Dim::Kept(SubscriptIr::Range { lo, hi, step })
+            | Dim::Widened(DimSect::Range { lo, hi, step }) => Some((lo, hi, *step)),
+            Dim::Kept(SubscriptIr::NonAffine) | Dim::Widened(DimSect::Any) => None,
+        }
+    }
+}
+
+/// A window `lin(loops) + [lo_rest, hi_rest]`, borrowed from the bounds:
+/// `lin` holds the loop terms, each rest a constant and parameter terms.
+struct Window<'a> {
+    lin: &'a [Term],
+    lo_rest: Rest<'a>,
+    hi_rest: Rest<'a>,
+}
+
+/// The loop-free part of a bound: its constant and its parameter terms.
+type Rest<'a> = (i64, &'a [Term]);
+
+/// `a - b` when it is a constant, i.e. when the parameter terms agree.
+fn rest_diff(a: Rest<'_>, b: Rest<'_>) -> Option<i64> {
+    (a.1 == b.1).then(|| a.0 - b.0)
+}
+
+/// Coefficient of `v` among the loop terms `lin` (0 if absent).
+fn coeff(lin: &[Term], v: Var) -> i64 {
+    lin.iter().find(|t| t.0 == v).map_or(0, |t| t.1)
+}
+
+/// The window of one dimension. Every loop variable left in its bounds is
+/// a common one ([`Dim::of`] widened the deeper ones away), so a bound
+/// splits into loop terms and rest with no check and no copy.
+fn window_of<'d>(d: &'d Dim<'_>) -> Option<Window<'d>> {
+    let (lo, hi, _) = d.bounds()?;
+    let ((lo_params, lin), (hi_params, lin_hi)) = (lo.split_loops(), hi.split_loops());
+    // A triangular window (bounds moving differently) defeats the test.
+    (lin == lin_hi).then_some(Window {
         lin,
-        lo_rest,
-        hi_rest,
+        lo_rest: (lo.k, lo_params),
+        hi_rest: (hi.k, hi_params),
     })
 }
 
-fn dim_constraint(
-    prog: &IrProgram,
-    dd: &DimSect,
-    ud: &DimSect,
-    cnl: u32,
-    ctx: &SymCtx,
-) -> DimOutcome {
-    let (Some(wd), Some(wu)) = (window_of(prog, dd, cnl), window_of(prog, ud, cnl)) else {
+fn dim_constraint(prog: &IrProgram, dd: &Dim<'_>, ud: &Dim<'_>, ctx: &SymCtx) -> DimOutcome {
+    let (Some(wd), Some(wu)) = (window_of(dd), window_of(ud)) else {
         return DimOutcome::Unconstrained;
     };
 
     // The active loops: those either window moves with.
-    let mut active = wd.lin.terms().iter().chain(wu.lin.terms()).map(|t| t.0);
+    let mut active = wd.lin.iter().chain(wu.lin).map(|t| t.0);
     let Some(first) = active.next() else {
         // Loop-invariant windows: plain (stride-aware) overlap test.
-        return if dd.overlaps(ud, ctx) {
+        return if bounds_overlap(dd.bounds(), ud.bounds(), ctx) {
             DimOutcome::Unconstrained
         } else {
             DimOutcome::Impossible
@@ -226,12 +316,10 @@ fn dim_constraint(
 
     // Overlap condition: lin_d(id) - lin_u(iu) ∈ [L, U] with
     // L = u.lo - d.hi, U = u.hi - d.lo.
-    let l_expr = wu.lo_rest.sub(&wd.hi_rest);
-    let u_expr = wu.hi_rest.sub(&wd.lo_rest);
-    let bounds = l_expr.as_const().zip(u_expr.as_const());
+    let bounds = rest_diff(wu.lo_rest, wd.hi_rest).zip(rest_diff(wu.hi_rest, wd.lo_rest));
 
     if active.all(|v| v == first) {
-        let (cd, cu) = (wd.lin.coeff(first), wu.lin.coeff(first));
+        let (cd, cu) = (coeff(wd.lin, first), coeff(wu.lin, first));
         if cd == cu {
             // Strong SIV with a window: c·(id - iu) ∈ [L, U], i.e.
             // c·δ ∈ [-U, -L] with δ = iu - id.
@@ -256,9 +344,8 @@ fn dim_constraint(
         if lc == uc {
             let g = wd
                 .lin
-                .terms()
                 .iter()
-                .chain(wu.lin.terms())
+                .chain(wu.lin)
                 .fold(0, |g, t| gcd(g, t.1.unsigned_abs()));
             if g != 0 && lc.unsigned_abs() % g != 0 {
                 return DimOutcome::Impossible;

@@ -19,7 +19,7 @@
 pub mod direction;
 pub mod widen;
 
-pub use direction::{DepResult, Dir, DirSet};
+pub use direction::{DepResult, Dir, DirSet, Dirs};
 
 use gcomm_ir::{AccessRef, IrProgram, StmtId};
 

@@ -58,12 +58,31 @@ pub fn widen_access_within(
 }
 
 /// Widens one subscript (see [`widen_access`]).
-pub(crate) fn widen_sub(prog: &IrProgram, sub: &SubscriptIr, keep_level: u32) -> DimSect {
+fn widen_sub(prog: &IrProgram, sub: &SubscriptIr, keep_level: u32) -> DimSect {
     match sub {
         SubscriptIr::NonAffine => DimSect::Any,
         SubscriptIr::Elem(e) => widen_elem(prog, e, keep_level),
         SubscriptIr::Range { lo, hi, step } => widen_range(prog, lo, hi, *step, keep_level),
     }
+}
+
+/// [`widen_sub`] for a caller that can read the subscript itself: `None`
+/// when no loop deeper than `keep_level` occurs in it, which widening
+/// would return unchanged (a non-affine subscript stays as unknown as
+/// `Any`), so nothing is copied.
+pub(crate) fn widen_sub_if_needed(
+    prog: &IrProgram,
+    sub: &SubscriptIr,
+    keep_level: u32,
+) -> Option<DimSect> {
+    let clean = match sub {
+        SubscriptIr::NonAffine => true,
+        SubscriptIr::Elem(e) => is_clean(prog, e, keep_level),
+        SubscriptIr::Range { lo, hi, .. } => {
+            is_clean(prog, lo, keep_level) && is_clean(prog, hi, keep_level)
+        }
+    };
+    (!clean).then(|| widen_sub(prog, sub, keep_level))
 }
 
 /// Variables to eliminate: loop vars deeper than `keep_level`.

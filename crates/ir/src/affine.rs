@@ -24,7 +24,8 @@ pub enum Var {
     Loop(LoopId),
 }
 
-type Term = (Var, i64);
+/// One scaled variable of an expression: `(variable, coefficient)`.
+pub type Term = (Var, i64);
 
 /// Terms held without a heap block.
 const INLINE: usize = 3;
@@ -42,6 +43,7 @@ enum Terms {
 impl Terms {
     const EMPTY: Terms = Terms::Inline(0, [NIL; INLINE]);
 
+    #[inline]
     fn as_slice(&self) -> &[Term] {
         match self {
             Terms::Inline(n, buf) => &buf[..*n as usize],
@@ -127,11 +129,13 @@ impl Affine {
     }
 
     /// The terms, sorted by variable.
+    #[inline]
     pub fn terms(&self) -> &[(Var, i64)] {
         self.terms.as_slice()
     }
 
     /// Coefficient of `v` (0 if absent).
+    #[inline]
     pub fn coeff(&self, v: Var) -> i64 {
         self.terms()
             .iter()
@@ -140,11 +144,13 @@ impl Affine {
     }
 
     /// True if the expression is a plain constant.
+    #[inline]
     pub fn is_const(&self) -> bool {
         self.terms().is_empty()
     }
 
     /// Returns the constant value if the expression is constant.
+    #[inline]
     pub fn as_const(&self) -> Option<i64> {
         self.is_const().then_some(self.k)
     }
@@ -160,6 +166,16 @@ impl Affine {
             Var::Loop(l) => Some(*l),
             Var::Param(_) => None,
         })
+    }
+
+    /// The terms in two: the size parameters', then the loop variables'.
+    /// `Var` orders every parameter before every loop variable, so this
+    /// is a split of the sorted, zero-free list — borrowed, and canonical
+    /// on both sides with no sort and no fold.
+    #[inline]
+    pub fn split_loops(&self) -> (&[Term], &[Term]) {
+        let terms = self.terms();
+        terms.split_at(terms.partition_point(|t| matches!(t.0, Var::Param(_))))
     }
 
     /// `self` without its `skip` term, plus `c · other`: one linear merge
@@ -249,6 +265,7 @@ impl Affine {
     }
 
     /// Difference `self - other` if it is a compile-time constant.
+    #[inline]
     pub fn const_diff(&self, other: &Affine) -> Option<i64> {
         (self.terms() == other.terms()).then(|| self.k - other.k)
     }

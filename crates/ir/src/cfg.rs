@@ -112,6 +112,7 @@ impl Cfg {
     }
 
     /// Node by id.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
     }

@@ -128,6 +128,7 @@ impl DomTree {
     }
 
     /// Immediate dominator (dominator-tree parent); `None` for the entry.
+    #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
         self.idom[n.0 as usize]
     }
@@ -160,6 +161,7 @@ impl DomTree {
     }
 
     /// True if `a` strictly dominates `b`.
+    #[inline]
     pub fn strictly_dominates(&self, a: NodeId, b: NodeId) -> bool {
         a != b && self.dominates(a, b)
     }
@@ -170,6 +172,7 @@ impl DomTree {
     }
 
     /// Depth of `n` in the dominator tree.
+    #[inline]
     pub fn depth(&self, n: NodeId) -> u32 {
         self.depth[n.0 as usize]
     }

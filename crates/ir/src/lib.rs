@@ -42,7 +42,7 @@ pub mod lower;
 pub mod pos;
 pub mod program;
 
-pub use affine::{Affine, Var};
+pub use affine::{Affine, Term, Var};
 pub use cfg::{Cfg, Node, NodeId, NodeKind};
 pub use dom::DomTree;
 pub use lower::{lower, LowerError};

@@ -55,6 +55,7 @@ impl Pos {
     /// True if code at `self` executes before `other` on every path to
     /// `other` (reflexive): node-level dominance refined by slot order
     /// within a node.
+    #[inline]
     pub fn dominates(&self, other: &Pos, dt: &DomTree) -> bool {
         if self.node == other.node {
             self.slot <= other.slot
@@ -64,6 +65,7 @@ impl Pos {
     }
 
     /// Nesting level of the position (the level of its node).
+    #[inline]
     pub fn level(&self, prog: &IrProgram) -> u32 {
         prog.cfg.node(self.node).level
     }

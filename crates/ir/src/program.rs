@@ -277,11 +277,13 @@ impl IrProgram {
     }
 
     /// Loop info by id.
+    #[inline]
     pub fn loop_info(&self, id: LoopId) -> &LoopInfo {
         &self.loops[id.0 as usize]
     }
 
     /// Statement info by id.
+    #[inline]
     pub fn stmt(&self, id: StmtId) -> &StmtInfo {
         &self.stmts[id.0 as usize]
     }

@@ -153,6 +153,14 @@ mod reference {
         pub fn const_diff(&self, other: &Affine) -> Option<i64> {
             self.sub(other).as_const()
         }
+
+        /// The split `dep::direction` made before `Affine::split_loops`:
+        /// both halves rebuilt through `new`.
+        pub fn partition(&self, first: impl Fn(Var) -> bool) -> (Affine, Affine) {
+            let yes = Affine::new(0, self.terms.iter().copied().filter(|t| first(t.0)));
+            let no = Affine::new(self.k, self.terms.iter().copied().filter(|t| !first(t.0)));
+            (yes, no)
+        }
     }
 
     impl From<i64> for Affine {
@@ -298,6 +306,33 @@ fn inline_affine_matches_the_btreemap_reference() {
         }
     }
     assert!(spilled > 1000, "spill path barely ran: {spilled} results");
+}
+
+/// `split_loops` borrows the sorted list where the direction test used to
+/// rebuild both halves through `new`: against the reference's rebuild, on
+/// inline and spilled inputs.
+#[test]
+fn split_loops_matches_the_rebuild_through_new() {
+    let mut spilled = 0u32;
+    for seed in 0..400u64 {
+        let mut rng = TestRng::new(0x5917_7000 + seed);
+        let (a, b) = (fresh(&mut rng), fresh(&mut rng));
+        let x = Pair(a.0.add(&b.0), a.1.add(&b.1));
+        let (params, loops) = x.0.split_loops();
+        let (ref_loops, ref_rest) = x.1.partition(|v| matches!(v, Var::Loop(_)));
+        assert_eq!(loops, ref_loops.terms(), "seed {seed}: loop terms");
+        assert_eq!(params, ref_rest.terms(), "seed {seed}: parameter terms");
+        assert!(
+            params.iter().all(|t| matches!(t.0, Var::Param(_))),
+            "seed {seed}"
+        );
+        assert!(
+            loops.iter().all(|t| matches!(t.0, Var::Loop(_))),
+            "seed {seed}"
+        );
+        spilled += u32::from(x.0.terms().len() > 3);
+    }
+    assert!(spilled > 50, "spill path barely ran: {spilled} inputs");
 }
 
 #[test]

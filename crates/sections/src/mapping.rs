@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// Reduction operators supported by `sum(...)`-style communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReduceOp {
     /// Global addition.
     Sum,
@@ -22,8 +22,9 @@ impl fmt::Display for ReduceOp {
     }
 }
 
-/// The sender→receiver relationship of one communication.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The sender→receiver relationship of one communication. The order is
+/// arbitrary but total: it groups equal mappings by sorting.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Mapping {
     /// Data is already local; no communication needed.
     Local,

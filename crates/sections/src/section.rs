@@ -141,32 +141,14 @@ impl DimSect {
         sst == ost && slo.sub(olo).as_const().is_some_and(|d| d % ost == 0)
     }
 
+    /// `lo : hi : step`, or `None` for an unknown extent.
+    pub fn bounds(&self) -> Option<Bounds<'_>> {
+        Some((self.lo()?, self.hi()?, self.step()?))
+    }
+
     /// True unless the dimensions are provably disjoint (stride-blind).
     pub fn overlaps(&self, other: &DimSect, ctx: &SymCtx) -> bool {
-        let (Some(slo), Some(shi)) = (self.lo(), self.hi()) else {
-            return true;
-        };
-        let (Some(olo), Some(ohi)) = (other.lo(), other.hi()) else {
-            return true;
-        };
-        // Disjoint iff shi < olo or ohi < slo (provably).
-        if ctx.lt(shi, olo) || ctx.lt(ohi, slo) {
-            return false;
-        }
-        // Equal strides with provably different phase are disjoint
-        // (e.g. 1:n:2 vs 2:n:2).
-        if let (Some(a), Some(b)) = (self.step(), other.step()) {
-            if a == b && a > 1 {
-                if let (Some(l1), Some(l2)) = (self.lo(), other.lo()) {
-                    if let Some(d) = l1.sub(l2).as_const() {
-                        if d.rem_euclid(a) != 0 {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
+        bounds_overlap(self.bounds(), other.bounds(), ctx)
     }
 
     /// Smallest regular dimension containing both (`None` when bounds are
@@ -222,6 +204,25 @@ impl DimSect {
         }
         Some(((hi - lo) / step + 1) as u64)
     }
+}
+
+/// One dimension's `(lo, hi, step)`: inclusive bounds and stride.
+pub type Bounds<'a> = (&'a Affine, &'a Affine, i64);
+
+/// [`DimSect::overlaps`] on bare bounds (`None`: unknown extent), for a
+/// caller that holds a subscript rather than a section: true unless the
+/// two are provably disjoint.
+pub fn bounds_overlap(a: Option<Bounds<'_>>, b: Option<Bounds<'_>>, ctx: &SymCtx) -> bool {
+    let (Some((slo, shi, sst)), Some((olo, ohi, ost))) = (a, b) else {
+        return true;
+    };
+    // Disjoint iff shi < olo or ohi < slo (provably).
+    if ctx.lt(shi, olo) || ctx.lt(ohi, slo) {
+        return false;
+    }
+    // Equal strides with provably different phase are disjoint
+    // (e.g. 1:n:2 vs 2:n:2).
+    !(sst == ost && sst > 1 && slo.const_diff(olo).is_some_and(|d| d.rem_euclid(sst) != 0))
 }
 
 /// A multi-dimensional regular section (one [`DimSect`] per array

@@ -37,10 +37,11 @@ impl SymCtx {
     /// surviving loop-variable term makes the result `None` — unless the
     /// difference is identically zero).
     pub fn cmp(&self, a: &Affine, b: &Affine) -> Option<Ordering> {
-        let d = a.sub(b);
-        if let Some(k) = d.as_const() {
+        // Equal terms: a constant difference, read without a subtraction.
+        if let Some(k) = a.const_diff(b) {
             return Some(k.cmp(&0));
         }
+        let d = a.sub(b);
         if d.has_loop_vars() {
             return None;
         }
@@ -60,13 +61,10 @@ impl SymCtx {
 
     /// True if `a ≤ b` provably.
     pub fn le(&self, a: &Affine, b: &Affine) -> bool {
-        if a == b {
-            return true;
-        }
-        let d = b.sub(a);
-        if let Some(k) = d.as_const() {
+        if let Some(k) = b.const_diff(a) {
             return k >= 0;
         }
+        let d = b.sub(a);
         if d.has_loop_vars() {
             return false;
         }

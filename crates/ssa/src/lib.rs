@@ -157,6 +157,7 @@ impl SsaForm {
     }
 
     /// Definition info by id.
+    #[inline]
     pub fn def(&self, d: DefId) -> &DefInfo {
         &self.defs[d.0 as usize]
     }
@@ -168,10 +169,24 @@ impl SsaForm {
 
     /// The definition reaching read `idx` of statement `s`.
     pub fn use_def(&self, s: StmtId, idx: usize) -> Option<DefId> {
+        let d = self.use_defs[self.use_slot(s, idx)?];
+        (d != UNREACHED).then_some(d)
+    }
+
+    /// The dense index of read `idx` of statement `s` among all the
+    /// program's reads (statement order, then read order): what per-use
+    /// tables are indexed by. `None` when there is no such read.
+    #[inline]
+    pub fn use_slot(&self, s: StmtId, idx: usize) -> Option<usize> {
         let i = s.0 as usize;
         let (&base, &end) = (self.read_base.get(i)?, self.read_base.get(i + 1)?);
-        let d = *self.use_defs[base as usize..end as usize].get(idx)?;
-        (d != UNREACHED).then_some(d)
+        let slot = base as usize + idx;
+        (slot < end as usize).then_some(slot)
+    }
+
+    /// Number of use slots (reads in the program).
+    pub fn use_count(&self) -> usize {
+        self.use_defs.len()
     }
 
     /// φ definitions at a node.
@@ -203,22 +218,30 @@ impl SsaForm {
         out
     }
 
-    /// All regular reaching definitions of a use, found by walking the SSA
-    /// graph from the use's reaching definition through φs (each φ explored
-    /// once). This is the set "d ranges over the reaching regular defs of u"
-    /// in §4.2 — the ENTRY pseudo-def is excluded.
-    pub fn reaching_regular_defs(&self, s: StmtId, idx: usize) -> Vec<DefId> {
+    /// All regular reaching definitions of a use, ascending, into `out`:
+    /// found by walking the SSA graph from the use's reaching definition
+    /// through φs (each definition explored once). This is the set "d
+    /// ranges over the reaching regular defs of u" in §4.2 — the ENTRY
+    /// pseudo-def is excluded. `walk` is scratch space; a warm one makes
+    /// the walk allocation-free.
+    pub fn reaching_regular_defs(
+        &self,
+        s: StmtId,
+        idx: usize,
+        walk: &mut DefWalk,
+        out: &mut Vec<DefId>,
+    ) {
+        out.clear();
+        walk.clear();
         let Some(start) = self.use_def(s, idx) else {
-            return Vec::new();
+            return;
         };
-        let mut seen = vec![false; self.defs.len()];
-        let mut out = Vec::new();
-        let mut stack = vec![start];
+        let mut stack = std::mem::take(&mut walk.stack);
+        stack.push(start);
         while let Some(d) = stack.pop() {
-            if seen[d.0 as usize] {
+            if !walk.visit(d) {
                 continue;
             }
-            seen[d.0 as usize] = true;
             match &self.def(d).kind {
                 DefKind::Entry => {}
                 DefKind::Regular { prev, .. } => {
@@ -226,11 +249,53 @@ impl SsaForm {
                     // Preserving def: earlier values may still be visible.
                     stack.push(*prev);
                 }
-                k => stack.extend(k.phi_args()),
+                DefKind::PhiEnter { r_pre, r_post, .. } => stack.extend([*r_pre, *r_post]),
+                DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } => {
+                    stack.extend_from_slice(args)
+                }
             }
         }
-        out.sort();
-        out
+        walk.stack = stack;
+        out.sort_unstable();
+    }
+}
+
+/// Scratch space for walks over the SSA graph, kept across walks so that a
+/// warm one allocates nothing: a visited set over [`DefId`]s — a bitset,
+/// since the ids are dense, cleared in time proportional to what was
+/// marked — and a work stack.
+#[derive(Debug, Clone, Default)]
+pub struct DefWalk {
+    words: Vec<u64>,
+    /// Indices of the words of `words` that may be non-zero.
+    dirty: Vec<u32>,
+    stack: Vec<DefId>,
+}
+
+impl DefWalk {
+    /// Marks `d` visited; false when it already was.
+    #[inline]
+    pub fn visit(&mut self, d: DefId) -> bool {
+        let (w, bit) = (d.0 as usize / 64, 1u64 << (d.0 % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let word = &mut self.words[w];
+        if *word & bit != 0 {
+            return false;
+        }
+        if *word == 0 {
+            self.dirty.push(w as u32);
+        }
+        *word |= bit;
+        true
+    }
+
+    /// Unmarks every definition.
+    pub fn clear(&mut self) {
+        for w in self.dirty.drain(..) {
+            self.words[w as usize] = 0;
+        }
     }
 }
 
@@ -618,9 +683,14 @@ endif
 c(:, :) = a(:, :)
 end",
         );
-        let defs = ssa.reaching_regular_defs(StmtId(3), 0);
+        let (mut walk, mut defs) = (DefWalk::default(), Vec::new());
+        ssa.reaching_regular_defs(StmtId(3), 0, &mut walk, &mut defs);
         // Both branch assignments reach the use.
         assert_eq!(defs.len(), 2);
+        // A reused scratch gives the same answer.
+        let again = defs.clone();
+        ssa.reaching_regular_defs(StmtId(3), 0, &mut walk, &mut defs);
+        assert_eq!(defs, again);
     }
 
     #[test]
@@ -635,7 +705,37 @@ end",
         );
         let d = ssa.use_def(StmtId(0), 0).unwrap();
         assert!(matches!(ssa.def(d).kind, DefKind::Entry));
-        assert!(ssa.reaching_regular_defs(StmtId(0), 0).is_empty());
+        let mut defs = vec![d];
+        ssa.reaching_regular_defs(StmtId(0), 0, &mut DefWalk::default(), &mut defs);
+        assert!(defs.is_empty());
+    }
+
+    #[test]
+    fn def_walk_marks_once_and_clears() {
+        let mut w = DefWalk::default();
+        assert!(w.visit(DefId(3)) && w.visit(DefId(200)));
+        assert!(!w.visit(DefId(3)) && !w.visit(DefId(200)));
+        w.clear();
+        assert!(w.visit(DefId(200)) && w.visit(DefId(64)) && !w.visit(DefId(64)));
+    }
+
+    #[test]
+    fn use_slots_are_dense_in_statement_then_read_order() {
+        let (ir, ssa) = build(
+            "
+program t
+param n
+real a(n), b(n), c(n) distribute (block)
+a(1:n) = b(1:n)
+c(2:n) = a(1:n-1) + b(2:n)
+end",
+        );
+        assert_eq!(ssa.use_count(), 3);
+        assert_eq!(ssa.use_slot(StmtId(0), 0), Some(0));
+        assert_eq!(ssa.use_slot(StmtId(1), 1), Some(2));
+        assert_eq!(ssa.use_slot(StmtId(1), 2), None);
+        assert_eq!(ssa.use_slot(StmtId(2), 0), None);
+        let _ = ir;
     }
 
     #[test]

@@ -29,13 +29,15 @@ gates = [
     # structural fingerprints, 1.3-1.55 after; 1.4-1.5 on a 30 s run since
     # the compile it is divided by lost a third, then another sixth of
     # set-up, and the wrapper did not; 1.56 since it lost a fifth more to
-    # the parser and subset elimination.)
+    # the parser and subset elimination, 1.6-1.7 since placement's tables
+    # took another sixth.)
     ("serve: cold_payload_us / compile_us",
      serve["serve.cold_payload_us"] / serve["core.compile_us"], 1.9),
     # What an installed gcomm-obs registry costs a compile. (serve 1.22,
     # kernels 2.4-2.5 before the allocation-free ticks; 1.08, 1.57 after;
     # kernels 1.05 since the redundancy sweep stopped ticking per rescanned
-    # pair.)
+    # pair, 1.07 once the `dep.query` timer wrapped a query a fifth as
+    # long.)
     ("serve: obs.on_over_off_ratio", serve["obs.on_over_off_ratio"], 1.15),
     ("kernels: obs.on_over_off_ratio", kernels["obs.on_over_off_ratio"], 1.15),
     # Redundancy elimination's share of a kernel compile: 0.28 while the
@@ -55,24 +57,38 @@ gates = [
     # compile, same ladder: 0.26 while `lower` deep-copied every right-hand
     # side and condition, cloned a `String` per name and probed two SipHash
     # maps, and the SSA builder kept three more; 0.18 with shared
-    # `Arc<Expr>`s, interned names and dense tables. Re-based when the
-    # parser and subset elimination took 10 us out of the compile it is
-    # divided by, the numerator unmoved (30 s readings: 4.52 + 4.17 of
-    # 48.6 us = 0.179 before, 4.23 + 3.92 of 38.6 us = 0.211 after): the
-    # 7.3 us a deep `rhs` copy and hashed SSA tables cost would now read
-    # 0.34, and the limit sits midway. Neither can come back unnoticed.
+    # `Arc<Expr>`s, interned names and dense tables. Re-based twice with
+    # the numerator unmoved, each time the compile it is divided by lost
+    # time elsewhere: the parser and subset elimination (30 s readings:
+    # 0.179 → 0.211), then placement's tables (4.93 + 4.60 of 44.85 us =
+    # 0.212 → 4.85 + 4.62 of 37.19 us = 0.255). The 7.3 us a deep `rhs`
+    # copy and hashed SSA tables cost would now read 0.38, and the limit
+    # sits midway. Neither can come back unnoticed.
     ("serve: (lower_us + analysis_us) / compile_us",
-     (serve["ir.lower_us"] + serve["core.analysis_us"]) / serve["core.compile_us"], 0.27),
+     (serve["ir.lower_us"] + serve["core.analysis_us"]) / serve["core.compile_us"], 0.31),
     # The front end — lexing, parsing, `validate` — as a share of the
     # compile, same ladder: 0.277 (13.5 of 48.6 us) while every identifier
     # occurrence was string-compared against a B-tree node's keys and the
     # declarations, every atom returned through six expression productions
-    # and every token carried a `Cow`; 0.224 (8.7 of 38.6 us) since (30 s
-    # readings of both commits; the limit sits midway — and the old
-    # front end over the new compile would read 0.31). A tree probe per
-    # identifier or a six-deep expression chain cannot come back unnoticed.
+    # and every token carried a `Cow`; 0.224 (8.7 of 38.6 us) after. Re-based
+    # when placement's tables took 7.7 us out of the compile, the numerator
+    # unmoved (30 s readings of both commits: 9.93 of 44.85 us = 0.221 →
+    # 9.98 of 37.19 us = 0.268): the old front end (a parse 1.5x as long)
+    # over the new compile would read 0.35, and the limit sits midway. A
+    # tree probe per identifier or a six-deep expression chain cannot come
+    # back unnoticed.
     ("serve: parse_us / compile_us",
-     serve["lang.parse_us"] / serve["core.compile_us"], 0.25),
+     serve["lang.parse_us"] / serve["core.compile_us"], 0.31),
+    # Placement's candidate phase — `Latest`, `Earliest` and the windows —
+    # as a share of the compile, same ladder: 0.225 (10.08 of 44.85 us)
+    # while every ask re-ran a direction analysis that rebuilt its windows
+    # through `Affine::new` and the windows were `BTreeSet`s; 0.117 (4.35
+    # of 37.19 us) with one analysis per (definition, use) pair and dense
+    # rows (30 s readings of both commits; the limit sits midway). A
+    # per-ask re-analysis, or B-tree / SipHash tables on the path, cannot
+    # come back unnoticed.
+    ("serve: candidates_us / compile_us",
+     serve["core.candidates_us"] / serve["core.compile_us"], 0.17),
     # Two stops of a served one-routine edit that no routine's compile
     # needs, over the in-process edit: chunking the 64-routine module
     # (0.25 while every line was `trim_start`ed and every chunk walked

@@ -19,7 +19,7 @@
 //! * a structural guard that needs no clock: `hydflo:flux` under `comb`
 //!   makes at most 64 subsumption checks (17 512 with the dense scan).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use gcomm::core::candidates::candidates;
 use gcomm::core::earliest::earliest_pos;
@@ -79,9 +79,9 @@ fn ref_eliminate(
         let mut obs = obligations.get(&loser).cloned().unwrap_or_default();
         obs.push((Pos::before(ctx.prog, loser_stmt), level_at));
 
-        let refined: BTreeSet<Pos> = table
+        let refined: Vec<Pos> = table
             .cands
-            .get(&winner)
+            .get(winner)
             .map(|ps| {
                 ps.iter()
                     .copied()
@@ -100,7 +100,7 @@ fn ref_eliminate(
             continue;
         }
 
-        table.remove_entry(loser);
+        table.cands.remove(loser);
         obligations.remove(&loser);
         table.cands.insert(winner, refined);
         obligations.entry(winner).or_default().extend(obs);
@@ -118,7 +118,7 @@ fn ref_find_pair(
     table: &CandidateTable,
     banned: &std::collections::HashSet<(EntryId, EntryId)>,
 ) -> Option<(EntryId, EntryId, Pos)> {
-    let sets = table.comm_sets();
+    let sets = comm_sets(table);
     for (&pos, set) in &sets {
         let level = pos.level(ctx.prog);
         let ids: Vec<EntryId> = set.iter().copied().collect();
@@ -141,6 +141,18 @@ fn ref_find_pair(
         }
     }
     None
+}
+
+/// Inverts the table: entries per position (`CommSet`), as
+/// `CandidateTable::comm_sets` did for the dense scan.
+fn comm_sets(table: &CandidateTable) -> BTreeMap<Pos, BTreeSet<EntryId>> {
+    let mut out: BTreeMap<Pos, BTreeSet<EntryId>> = BTreeMap::new();
+    for (e, ps) in table.cands.iter() {
+        for &p in ps {
+            out.entry(p).or_default().insert(e);
+        }
+    }
+    out
 }
 
 /// Reference: `strategy::earliest_re`'s placement and all-pairs scan as
