@@ -39,7 +39,7 @@ use std::sync::Arc;
 use gcomm_guard::{Budget, BudgetSpec};
 use gcomm_ir::IrProgram;
 use gcomm_lang::Program;
-use gcomm_query::{fingerprint, mix, Computed, Fingerprinter, Input, QueryEngine};
+use gcomm_query::{fingerprint, mix, Computed, Fingerprinter, Input, QueryEngine, SeededState};
 
 use crate::greedy::CombinePolicy;
 use crate::pipeline::{compile_program_budgeted, CoreError};
@@ -168,15 +168,27 @@ pub fn split_routines(src: &str) -> Vec<RoutineChunk<'_>> {
         found: 0,
     };
     while line < src.len() {
-        let word = skip_blanks(src, line);
-        if name.is_none() && first_word_is(&bytes[word..], b"program") {
-            let at = skip_blanks(src, word + "program".len());
-            let len = bytes[at..].iter().take_while(|b| is_word_byte(b)).count();
-            name = (len > 0).then(|| &src[at..at + len]);
-        }
+        // Most lines open with their first word: only a blank or a
+        // non-ASCII byte sends the line through `skip_blanks`.
+        let word = match bytes[line] {
+            b'\t' | 0x0b | 0x0c | b'\r' | b' ' | 0x80.. => skip_blanks(src, line),
+            _ => line,
+        };
+        // The first byte picks the one word the line can open with.
+        let ends = match bytes.get(word) {
+            Some(b'e' | b'E') => first_word_is(&bytes[word..], b"end"),
+            Some(b'p' | b'P') if name.is_none() && first_word_is(&bytes[word..], b"program") => {
+                let at = skip_blanks(src, word + "program".len());
+                let len = bytes[at..].iter().position(|b| !is_word_byte(b));
+                let len = len.unwrap_or(src.len() - at);
+                name = (len > 0).then(|| &src[at..at + len]);
+                false
+            }
+            _ => false,
+        };
         line = newlines.next().map_or(src.len(), |nl| nl + 1);
         line_no += 1;
-        if first_word_is(&bytes[word..], b"end") {
+        if ends {
             spans.push((start..line, line_offset, name.take()));
             (start, line_offset) = (line, line_no);
         }
@@ -370,17 +382,24 @@ impl<P> Borrow<P> for Product<P> {
 /// The engine inputs of a module's chunks under `frame`: slot = the
 /// routine's name and its occurrence among same-named chunks (two
 /// `program one` routines are two slots, not one that flips between
-/// them), key = the chunk bytes under the frame.
+/// them; the first is the name's fingerprint itself), key = the chunk
+/// bytes under the frame.
 fn inputs(chunks: &[RoutineChunk], frame: u64) -> Vec<Input> {
-    // The default hasher: routine names come from clients.
-    let mut seen: HashMap<&str, u64> = HashMap::with_capacity(chunks.len());
+    // Occurrences by name fingerprint, in a seeded map: names come from
+    // clients.
+    let mut seen: HashMap<u64, u64, SeededState> =
+        HashMap::with_capacity_and_hasher(chunks.len(), SeededState::new());
     chunks
         .iter()
         .map(|chunk| {
-            let occurrence = seen.entry(&chunk.name).or_default();
+            let name = fingerprint(chunk.name.as_bytes());
+            let occurrence = seen.entry(name).or_default();
             *occurrence += 1;
             Input {
-                slot: mix(fingerprint(chunk.name.as_bytes()), *occurrence),
+                slot: match *occurrence {
+                    1 => name,
+                    n => mix(name, n),
+                },
                 fp: chunk.fp,
                 key: mix(chunk.fp, frame),
             }
@@ -461,21 +480,26 @@ impl IncrCompiler {
         let eng = &self.engine;
         let frame = mix(frame, Fingerprinter::of(&(strategy, spec)));
         let inputs = inputs(chunks, frame);
-        let same_bytes = |i: usize, stored: &Stored<P>| *stored.src == *chunks[i].src;
-        let hits = eng.present(ROUTINE, &inputs, same_bytes);
-        let mut products = Vec::with_capacity(chunks.len());
-        for (i, (chunk, hit)) in chunks.iter().zip(hits).enumerate() {
+        // A hit is the stored product when the stored bytes are the chunk's.
+        let reuse = |i: usize, stored: &Stored<P>| {
+            (*stored.src == *chunks[i].src).then(|| Product {
+                value: Arc::clone(&stored.product),
+                reparsed: false,
+                reused: true,
+            })
+        };
+        let mut products = eng.present(ROUTINE, &inputs, reuse);
+        for (i, (chunk, product)) in chunks.iter().zip(&mut products).enumerate() {
+            if product.is_some() {
+                continue;
+            }
             let key = inputs[i].key;
             // A miss probes again: an earlier chunk of this module may have
             // stored the same bytes.
-            let again = || eng.probe(ROUTINE, key).filter(|s| same_bytes(i, s));
-            if let Some(stored) = hit.or_else(|| again().inspect(|_| eng.count(1, 0, 0))) {
-                let value = Arc::clone(&stored.product);
-                products.push(Product {
-                    value,
-                    reparsed: false,
-                    reused: true,
-                });
+            let again = eng.probe(ROUTINE, key).and_then(|s| reuse(i, &s));
+            if again.is_some() {
+                eng.count(1, 0, 0);
+                *product = again;
                 continue;
             }
             let parsed = run_parse(chunk.src);
@@ -515,14 +539,16 @@ impl IncrCompiler {
                 eng.store(ROUTINE, key, Arc::new(stored), charged);
                 eng.store(AST, ast_key, Arc::new(key), 0);
             }
-            let reused = cut_off.is_some();
-            products.push(Product {
+            *product = Some(Product {
                 value,
                 reparsed: true,
-                reused,
+                reused: cut_off.is_some(),
             });
         }
         products
+            .into_iter()
+            .map(|p| p.expect("every chunk has a product"))
+            .collect()
     }
 }
 

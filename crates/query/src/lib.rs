@@ -10,12 +10,13 @@
 //! property of the key derivation rather than bookkeeping in the engine
 //! (DESIGN.md §14).
 //!
-//! The engine is one byte-capped LRU ([`ByteLru`]) of `Arc<dyn Any>`
-//! values keyed by `(query name, fingerprint)`: [`QueryEngine::memo`]
-//! probes, computes *outside* the lock and stores; [`QueryEngine::note_input`]
-//! records the fingerprint last presented for an input slot (a routine) so
-//! an edit that changed it counts `query.invalidate`;
-//! [`QueryEngine::present`] does both for a whole module under one lock.
+//! The engine is one byte-capped LRU ([`ByteLru`]) keyed by `(query name,
+//! fingerprint)`, holding `Arc<dyn Any>` values and, as plain `u64`s, input
+//! slots' fingerprints: [`QueryEngine::memo`] probes, computes *outside*
+//! the lock and stores; [`QueryEngine::note_input`] records the fingerprint
+//! last presented for an input slot (a routine) so an edit that changed it
+//! counts `query.invalidate`; [`QueryEngine::present`] does both for a
+//! whole module under one lock, handing each hit to the caller as a borrow.
 //! A caller that probes and computes across more than one key uses the
 //! pieces of `memo` — `probe`, `store`, `count` — itself.
 //!
@@ -33,7 +34,7 @@ use std::sync::{Arc, Mutex};
 
 mod lru;
 
-pub use lru::ByteLru;
+pub use lru::{ByteLru, SeededState};
 
 // ---------------------------------------------------------------------------
 // Fingerprinting
@@ -55,7 +56,8 @@ fn fold(a: u64, b: u64) -> u64 {
 /// folded-multiply step (wyhash/rapidhash family), so a value hashed
 /// through `#[derive(Hash)]` costs a few steps instead of a byte loop over
 /// a rendered `String`. No per-process seed: fingerprints agree across
-/// runs and machines.
+/// runs and machines. (A map's hasher is the same fold started from a
+/// per-map seed: [`SeededState`].)
 ///
 /// * Integer writes are one step each and `usize` hashes as `u64` (no
 ///   pointer-width dependence). Integer *slices* reach [`Hasher::write`]
@@ -75,6 +77,11 @@ impl Fingerprinter {
         let mut h = Fingerprinter::default();
         value.hash(&mut h);
         h.finish()
+    }
+
+    /// A hasher whose state starts `seed` away from the default's.
+    pub(crate) fn seeded(seed: u64) -> Self {
+        Fingerprinter { state: K1 ^ seed }
     }
 
     #[inline]
@@ -182,25 +189,59 @@ pub struct EngineStats {
     pub evictions: u64,
 }
 
-type MemoKey = (&'static str, u64);
-type MemoValue = Arc<dyn Any + Send + Sync>;
+/// A memo key: a query name and a fingerprint. Only the fingerprint is
+/// hashed — equal keys have equal fingerprints, and the few query names
+/// are told apart by the comparison — so a probe hashes one word, and
+/// compares one before it looks at a name (by address first: every name
+/// is a constant).
+#[derive(Debug, Clone, Copy)]
+struct MemoKey {
+    query: &'static str,
+    key: u64,
+}
+
+impl PartialEq for MemoKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+            && (std::ptr::eq(self.query, other.query) || self.query == other.query)
+    }
+}
+
+impl Eq for MemoKey {}
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.key);
+    }
+}
+
+/// What the engine holds under one key.
+enum Held {
+    /// The last fingerprint presented for an input slot.
+    Input(u64),
+    /// A memoized value.
+    Value(Arc<dyn Any + Send + Sync>),
+}
 
 /// Everything the engine holds, under one byte cap: memoized values keyed
 /// by (query name, content fingerprint), each charged its reported
 /// footprint plus [`ENTRY_OVERHEAD`], and — under [`INPUT`] — the last
 /// fingerprint presented per input slot, charged [`ENTRY_OVERHEAD`].
-type Memo = ByteLru<MemoKey, MemoValue>;
+type Memo = ByteLru<MemoKey, Held>;
 
 /// The query name input slots are recorded under.
 const INPUT: &str = "query.input";
 
 /// The value memoized under `(query, key)`, made the most recent.
-fn touch<T: Send + Sync + 'static>(
-    memo: &mut Memo,
+fn touch<'m>(
+    memo: &'m mut Memo,
     query: &'static str,
     key: u64,
-) -> Option<Arc<T>> {
-    Arc::clone(memo.get(&(query, key))?).downcast::<T>().ok()
+) -> Option<&'m Arc<dyn Any + Send + Sync>> {
+    match memo.get(&MemoKey { query, key })? {
+        Held::Value(value) => Some(value),
+        Held::Input(_) => None,
+    }
 }
 
 /// Records `fp` as the latest fingerprint of input slot `slot`; returns
@@ -209,14 +250,18 @@ fn touch<T: Send + Sync + 'static>(
 /// it reads `Fresh` the next time it does change — one `query.invalidate`
 /// short, never a wrong answer.
 fn note(memo: &mut Memo, slot: u64, fp: u64) -> (InputChange, u64) {
-    let prev = memo
-        .peek(&(INPUT, slot))
-        .and_then(|v| v.downcast_ref::<u64>())
-        .copied();
+    let key = MemoKey {
+        query: INPUT,
+        key: slot,
+    };
+    let prev = match memo.peek(&key) {
+        Some(&Held::Input(prev)) => Some(prev),
+        _ => None,
+    };
     if prev == Some(fp) {
         return (InputChange::Unchanged, 0);
     }
-    let evicted = memo.insert((INPUT, slot), Arc::new(fp), ENTRY_OVERHEAD);
+    let evicted = memo.insert(key, Held::Input(fp), ENTRY_OVERHEAD);
     let change = match prev {
         Some(_) => InputChange::Changed,
         None => InputChange::Fresh,
@@ -297,37 +342,41 @@ impl QueryEngine {
     where
         T: Send + Sync + 'static,
     {
-        touch(&mut self.memo.lock().unwrap(), query, key)
+        let mut memo = self.memo.lock().unwrap();
+        Arc::clone(touch(&mut memo, query, key)?).downcast().ok()
     }
 
     /// Presents a whole module's inputs in **one** critical section: per
     /// input, in order, [`QueryEngine::note_input`] and a probe of `query`
-    /// whose value is a hit only if `accept(index, value)` holds. Hits are
-    /// counted here; a `None` is not — the caller probes again (a value an
-    /// earlier miss of the batch stored still hits) and counts the miss when
-    /// it computes, so every total equals the one-at-a-time loop's.
-    pub fn present<T: Send + Sync + 'static>(
+    /// whose value is a hit only if `take(index, value)` makes something of
+    /// it — under the lock, from a borrow. Hits are counted here; a `None`
+    /// is not — the caller probes again (a value an earlier miss of the
+    /// batch stored still hits) and counts the miss when it computes, so
+    /// every total equals the one-at-a-time loop's.
+    pub fn present<T: Send + Sync + 'static, R>(
         &self,
         query: &'static str,
         inputs: &[Input],
-        accept: impl Fn(usize, &T) -> bool,
-    ) -> Vec<Option<Arc<T>>> {
-        let (mut changed, mut evicted) = (0, 0);
+        mut take: impl FnMut(usize, &T) -> Option<R>,
+    ) -> Vec<Option<R>> {
+        let (mut changed, mut evicted, mut hits) = (0, 0, 0);
         let mut memo = self.memo.lock().unwrap();
-        let values: Vec<Option<Arc<T>>> = inputs
+        let values: Vec<Option<R>> = inputs
             .iter()
             .enumerate()
             .map(|(i, input)| {
                 let (change, out) = note(&mut memo, input.slot, input.fp);
                 changed += u64::from(change == InputChange::Changed);
                 evicted += out;
-                touch(&mut memo, query, input.key).filter(|v| accept(i, v))
+                let taken = take(i, touch(&mut memo, query, input.key)?.downcast_ref()?);
+                hits += u64::from(taken.is_some());
+                taken
             })
             .collect();
         drop(memo);
         bump(&self.invalidations, "query.invalidate", changed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.count(values.iter().flatten().count() as u64, 0, 0);
+        self.count(hits, 0, 0);
         values
     }
 
@@ -342,7 +391,8 @@ impl QueryEngine {
         bytes: u64,
     ) {
         let mut memo = self.memo.lock().unwrap();
-        let evicted = memo.insert((query, key), value, bytes.saturating_add(ENTRY_OVERHEAD));
+        let charged = bytes.saturating_add(ENTRY_OVERHEAD);
+        let evicted = memo.insert(MemoKey { query, key }, Held::Value(value), charged);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
@@ -365,11 +415,6 @@ impl QueryEngine {
         bump(&self.hits, "query.hit", hits);
         bump(&self.misses, "query.miss", misses);
         bump(&self.cutoffs, "query.cutoff", cutoffs);
-    }
-
-    /// Records that early cutoff observably fired (see [`QueryEngine::count`]).
-    pub fn count_cutoff(&self, n: u64) {
-        self.count(0, 0, n);
     }
 
     /// Monotonic totals since construction.

@@ -111,7 +111,7 @@ impl Pipe {
             }
         });
         if !h1 && h2 {
-            self.eng.count_cutoff(1);
+            self.eng.count(0, 0, 1);
         }
         let upper_fp = fingerprint(upper.as_bytes());
         let (sum, h3) = self.eng.memo("s.sum", upper_fp, || {
@@ -124,7 +124,7 @@ impl Pipe {
             }
         });
         if !h2 && h3 {
-            self.eng.count_cutoff(1);
+            self.eng.count(0, 0, 1);
         }
         ((*sum).clone(), change)
     }
@@ -263,10 +263,10 @@ fn present_counts_like_the_one_at_a_time_loop() {
             })
             .collect();
         let got: Vec<u64> = batched
-            .present("t.q", &inputs, |_, _: &u64| true)
+            .present("t.q", &inputs, |_, v: &u64| Some(*v))
             .into_iter()
             .zip(&inputs)
-            .map(|(hit, i)| *hit.unwrap_or_else(|| batched.memo("t.q", i.key, || compute(i.key)).0))
+            .map(|(hit, i)| hit.unwrap_or_else(|| *batched.memo("t.q", i.key, || compute(i.key)).0))
             .collect();
         let want: Vec<u64> = inputs
             .iter()

@@ -284,6 +284,11 @@ impl<'a> Parser<'a> {
             match stop {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => return Ok(out),
+                // A source text's line breaks inline; the rest in `escape`.
+                Some(b'\\') if self.peek() == Some(b'n') => {
+                    self.pos += 1;
+                    out.push('\n');
+                }
                 Some(b'\\') => out.push(self.escape()?),
                 Some(b) => {
                     return Err(format!(

@@ -487,6 +487,8 @@ fn frame_payload<R: Borrow<RoutineRender>>(rendered: &[R], req: &CompileReq) -> 
         escape(req.strategy.name()),
         any_degraded
     );
+    // One allocation for the whole payload, not one per doubling.
+    p.reserve(rendered.iter().map(|r| r.borrow().payload.len() + 1).sum());
     for (i, r) in rendered.iter().enumerate() {
         if i > 0 {
             p.push(',');
