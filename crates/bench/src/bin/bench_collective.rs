@@ -8,9 +8,9 @@
 //! bulk, and the crossover point moves with the topology.
 //!
 //! A second section prices the paper's seven kernels end-to-end under
-//! `--coll auto` versus `--coll p2p` on each topology: auto must never
-//! lose (the selection sweeps the exact per-message cost with ties to
-//! p2p).
+//! `--coll auto` versus `--coll p2p` on each topology at each processor
+//! count of [`KERNEL_PROCS`]: auto must never lose (the selection sweeps
+//! the exact per-message cost with ties to p2p).
 //!
 //! Usage:
 //!   bench_collective                 # text tables
@@ -30,6 +30,9 @@ use gcomm_machine::{simulate, NetworkModel, ProcGrid};
 const SIZES: [f64; 9] = [
     64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0, 4194304.0,
 ];
+
+/// Processor counts the kernel matrix is priced at.
+const KERNEL_PROCS: [u32; 4] = [4, 16, 25, 64];
 
 struct TopoCase {
     topo: Topology,
@@ -110,8 +113,8 @@ fn paper_programs() -> Vec<(String, &'static str)> {
     v
 }
 
-fn comm_us(c: &Compiled, net: &NetworkModel, topo: &Topology, choice: CollChoice) -> f64 {
-    let cfg = SimConfig::uniform(c, ProcGrid::balanced(25, c.prog.grid_rank()), 64)
+fn comm_us(c: &Compiled, p: u32, net: &NetworkModel, topo: &Topology, choice: CollChoice) -> f64 {
+    let cfg = SimConfig::uniform(c, ProcGrid::balanced(p, c.prog.grid_rank()), 64)
         .with("nsteps", 2)
         .with_coll(CollConfig::new(topo.clone(), choice, net.clone()));
     simulate(&lower_to_sim(c, &cfg), net).comm_us
@@ -237,31 +240,29 @@ fn main() {
         ));
     }
 
-    println!("== Paper kernels: --coll auto vs --coll p2p (sp2, P=25, n=64) ==");
+    println!("== Paper kernels: --coll auto vs --coll p2p (sp2, n=64) ==");
     let mut kernel_docs = Vec::new();
     for (name, src) in paper_programs() {
         let c = compile(src, Strategy::Global).expect("paper kernel compiles");
-        for case in topo_cases() {
-            let p2p = comm_us(&c, &net, &case.topo, CollChoice::Fixed(Algo::P2p));
-            let auto = comm_us(&c, &net, &case.topo, CollChoice::Auto);
-            assert!(
-                auto <= p2p + 1e-9 * p2p.abs() + 1e-6,
-                "{name} on {}: auto ({auto} us) lost to p2p ({p2p} us)",
-                case.topo.describe()
-            );
-            println!(
-                "{name:<18} {:<13} comm p2p {:>12.1} us   auto {:>12.1} us   ({:.3}x)",
-                case.topo.describe(),
-                p2p,
-                auto,
-                if auto > 0.0 { p2p / auto } else { 1.0 }
-            );
-            kernel_docs.push(format!(
-                "{{\"kernel\":\"{name}\",\"topo\":\"{}\",\"p2p_us\":{:.3},\"auto_us\":{:.3}}}",
-                case.topo.describe(),
-                p2p,
-                auto
-            ));
+        for p in KERNEL_PROCS {
+            for case in topo_cases() {
+                let topo = case.topo.describe();
+                let p2p = comm_us(&c, p, &net, &case.topo, CollChoice::Fixed(Algo::P2p));
+                let auto = comm_us(&c, p, &net, &case.topo, CollChoice::Auto);
+                assert!(
+                    auto <= p2p + 1e-9 * p2p.abs() + 1e-6,
+                    "{name} on {topo} at P={p}: auto ({auto} us) lost to p2p ({p2p} us)"
+                );
+                println!(
+                    "{name:<18} {topo:<13} P={p:<3} comm p2p {p2p:>12.1} us   auto {auto:>12.1} us   \
+                     ({:.3}x)",
+                    if auto > 0.0 { p2p / auto } else { 1.0 }
+                );
+                kernel_docs.push(format!(
+                    "{{\"kernel\":\"{name}\",\"topo\":\"{topo}\",\"p\":{p},\
+                     \"p2p_us\":{p2p:.3},\"auto_us\":{auto:.3}}}"
+                ));
+            }
         }
     }
 

@@ -78,8 +78,8 @@ pub use greedy::{CombinePolicy, GreedyOrder};
 pub use optimal::{exhaustive_placement, optimal_placement_jobs, OptimalResult};
 pub use pipeline::{
     compile, compile_budgeted, compile_budgeted_with_policy, compile_diagnostics,
-    compile_diagnostics_budgeted, compile_program, compile_program_budgeted, compile_stats,
-    compile_with_policy, CompileStats, Compiled, CompiledRef, CoreError, PassTimer,
+    compile_diagnostics_budgeted, compile_program_budgeted, compile_stats, compile_with_policy,
+    CompileStats, Compiled, CompiledRef, CoreError, PassTimer,
 };
 pub use schedule::{PlacedGroup, Schedule};
 pub use strategy::Strategy;

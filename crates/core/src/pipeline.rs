@@ -274,11 +274,6 @@ pub fn compile_diagnostics_budgeted(
     compile_ast(&ast, strategy, &CombinePolicy::default(), budget).map_err(|e| vec![e])
 }
 
-/// Runs a strategy over an already-lowered program.
-pub fn compile_program(prog: &IrProgram, strategy: Strategy, policy: &CombinePolicy) -> Schedule {
-    compile_program_budgeted(prog, strategy, policy, gcomm_guard::Budget::unlimited())
-}
-
 /// Runs a strategy over an already-lowered program under a resource
 /// budget. Communication *generation* is never budgeted (dropping an entry
 /// would be unsound); only the placement analyses degrade.

@@ -118,23 +118,6 @@ impl RetryPolicy {
     pub fn attempts(&self) -> u32 {
         self.max_attempts.max(1)
     }
-
-    /// Wall-clock backoff after the `attempt`-th consecutive failure
-    /// (1-based): the same exponential-plus-jitter curve as
-    /// [`RetryPolicy::backoff_us`], grown from a real base interval and
-    /// capped so a misconfigured policy can never park a caller for more
-    /// than `cap`. This is the form the cluster router points at real
-    /// sockets — the simulator path stays in microsecond floats.
-    pub fn backoff_wall(
-        &self,
-        base: std::time::Duration,
-        cap: std::time::Duration,
-        attempt: u32,
-        rng: &mut Rng64,
-    ) -> std::time::Duration {
-        let us = self.backoff_us(base.as_secs_f64() * 1e6, attempt, rng);
-        std::time::Duration::from_secs_f64((us / 1e6).min(cap.as_secs_f64()))
-    }
 }
 
 /// A reproducible description of the faults injected into one simulation.
@@ -416,27 +399,6 @@ mod tests {
             }
             prev = b;
         }
-    }
-
-    #[test]
-    fn backoff_wall_grows_and_respects_the_cap() {
-        use std::time::Duration;
-        let rp = RetryPolicy::default();
-        let mut rng = Rng64::new(7);
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(120);
-        let mut prev = Duration::ZERO;
-        for attempt in 1..=8 {
-            let b = rp.backoff_wall(base, cap, attempt, &mut rng);
-            assert!(b > Duration::ZERO);
-            assert!(b <= cap, "attempt {attempt}: {b:?} exceeds cap");
-            // Monotone until the cap clamps the curve.
-            if attempt > 1 && prev < cap.mul_f64(0.5) {
-                assert!(b > prev, "attempt {attempt}: {b:?} ≤ {prev:?}");
-            }
-            prev = b;
-        }
-        assert_eq!(prev, cap, "deep attempts saturate at the cap");
     }
 
     #[test]

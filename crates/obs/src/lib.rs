@@ -122,23 +122,11 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "serve.compiles",
     "serve.errors",
     "serve.overloaded",
-    "serve.unavailable",
     "serve.degraded",
     "cache.hit",
     "cache.miss",
     "cache.evict",
     "cache.bypass",
-    // cluster: the sharded router (DESIGN.md §13) — routing volume, the
-    // failure/recovery path (retries with wall-clock backoff, failover to
-    // the ring replica), and shard health transitions.
-    "cluster.requests",
-    "cluster.retry",
-    "cluster.failover",
-    "cluster.replica_hit",
-    "cluster.conn_lost",
-    "cluster.marked_down",
-    "cluster.marked_up",
-    "cluster.respawn",
     // store: the crash-safe persistent cache (DESIGN.md §15) — appends
     // and fsyncs on the write path, recovery-scan outcomes on open
     // (clean records warmed, torn tails truncated, checksum failures

@@ -170,53 +170,6 @@ pub fn take_persist_fsync_flag(
     }
 }
 
-/// Extracts a repeatable-count flag like `--shards <n>` (n ≥ 1).
-///
-/// # Errors
-///
-/// On a missing value, a non-integer, or zero.
-pub fn take_count_flag(args: &mut Vec<String>, name: &str) -> Result<Option<usize>, String> {
-    match take_value_flag(args, name)? {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!("{name} expects a positive integer, got '{v}'")),
-        },
-    }
-}
-
-/// Extracts every occurrence of `name <value>` (a repeatable flag, e.g.
-/// `--attach <addr> --attach <addr>`), preserving order.
-///
-/// # Errors
-///
-/// When any occurrence is missing its value.
-pub fn take_repeated_flag(args: &mut Vec<String>, name: &str) -> Result<Vec<String>, String> {
-    let mut values = Vec::new();
-    let mut kept = Vec::with_capacity(args.len());
-    let mut it = args.drain(..);
-    let mut err = None;
-    while let Some(a) = it.next() {
-        if a == name {
-            match it.next() {
-                Some(v) if !v.starts_with("--") => values.push(v),
-                _ => {
-                    err = Some(format!("{name} expects a value"));
-                    break;
-                }
-            }
-        } else {
-            kept.push(a);
-        }
-    }
-    drop(it);
-    *args = kept;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(values),
-    }
-}
-
 /// Stats options parsed out of a binary's argument list (`--stats`,
 /// `--stats-json <path>`).
 #[derive(Debug, Default)]
@@ -374,7 +327,7 @@ mod tests {
         assert!(take_persist_flag(&mut bad).is_err());
         let mut bad = argv(&["--persist-fsync", "sometimes"]);
         assert!(take_persist_fsync_flag(&mut bad).is_err());
-        // `gcommc cluster` forwards the flag to its shards as text.
+        // A policy prints as the text it parses from.
         use gcomm_store::FsyncPolicy;
         for p in [
             FsyncPolicy::Always,
@@ -383,28 +336,6 @@ mod tests {
         ] {
             assert_eq!(FsyncPolicy::parse(&p.to_string()), Ok(p));
         }
-    }
-
-    #[test]
-    fn count_and_repeated_flags() {
-        let mut args = argv(&["--shards", "4", "rest"]);
-        assert_eq!(take_count_flag(&mut args, "--shards").unwrap(), Some(4));
-        assert_eq!(args, argv(&["rest"]));
-        let mut none = argv(&["rest"]);
-        assert_eq!(take_count_flag(&mut none, "--shards").unwrap(), None);
-        for bad in [&["--shards", "0"][..], &["--shards", "x"], &["--shards"]] {
-            let mut bad = argv(bad);
-            assert!(take_count_flag(&mut bad, "--shards").is_err());
-        }
-
-        let mut args = argv(&["--attach", "a:1", "keep", "--attach", "b:2"]);
-        assert_eq!(
-            take_repeated_flag(&mut args, "--attach").unwrap(),
-            argv(&["a:1", "b:2"])
-        );
-        assert_eq!(args, argv(&["keep"]));
-        let mut bad = argv(&["--attach"]);
-        assert!(take_repeated_flag(&mut bad, "--attach").is_err());
     }
 
     #[test]

@@ -72,18 +72,6 @@ impl Client {
         s.set_write_timeout(timeout)
     }
 
-    /// Liveness probe: one `ping` round-trip on a fresh connection to
-    /// `addr`, with `timeout` as the connect deadline and as each I/O
-    /// deadline. True only for a `pong`.
-    pub fn ping(addr: &SocketAddr, timeout: Duration) -> bool {
-        Client::connect_timeout(addr, timeout)
-            .and_then(|mut c| {
-                c.set_io_timeout(Some(timeout))?;
-                c.request(r#"{"op":"ping","id":0}"#)
-            })
-            .is_ok_and(|resp| resp.contains("\"pong\":true"))
-    }
-
     /// Sends one request and waits for one response. Only valid when no
     /// other responses are pending on this connection (for pipelining,
     /// pair [`Client::send`] with [`Client::recv`] and match by id).

@@ -16,9 +16,8 @@
 //!   LRU eviction. A cache hit is **bit-identical** to a cold compile —
 //!   the cache stores the rendered response payload itself.
 //! * **One listener** ([`server`]): accept loop, frame reader, dispatch,
-//!   response writer and drain exist once, generic over a crate-private
-//!   backend seam with two implementors — the [`Service`] and the
-//!   cluster router.
+//!   response writer and drain exist once, calling the [`Service`]
+//!   directly.
 //! * **Batching & backpressure** ([`service`], [`server`]): requests feed
 //!   a bounded queue in front of a `gcomm-par` worker pool
 //!   (`--jobs`/`GCOMM_JOBS`); a full queue rejects with `overloaded`
@@ -29,22 +28,16 @@
 //! * **Graceful drain** ([`server::ShutdownFlag`]): a `shutdown` request
 //!   or SIGTERM/SIGINT stops accepting, finishes every accepted job,
 //!   flushes its response, and exits cleanly.
-//! * **Cluster mode** ([`cluster`]): a router — the listener's second
-//!   backend — consistent-hashes cache keys over N shard processes,
-//!   health-checks them, retries with real wall-clock backoff and fails
-//!   over to ring replicas — while responses stay bit-identical to a
-//!   single-node server.
 //! * **Crash-safe persistence** (`--persist`, DESIGN.md §15): cache
 //!   inserts write through to a `gcomm-store` segmented log; a restarted
-//!   service (or a supervisor-respawned shard) recovers it — truncating
-//!   torn records, quarantining anything failing its checksum — and
-//!   warms the in-memory cache before accepting its first request.
+//!   service recovers it — truncating torn records, quarantining anything
+//!   failing its checksum — and warms the in-memory cache before accepting
+//!   its first request.
 //!
 //! Everything here is `std`-only, like the rest of the workspace.
 
 pub mod cli;
 pub mod client;
-pub mod cluster;
 pub mod frame;
 pub mod json;
 pub mod protocol;
@@ -52,7 +45,6 @@ pub mod server;
 pub mod service;
 
 pub use client::{compile_request, Client};
-pub use cluster::{spawn_router, ClusterConfig, RouterHandle};
 pub use frame::DEFAULT_MAX_FRAME;
 pub use protocol::{CompileReq, Request, SimSpec, PROTOCOL};
 pub use server::{serve_lines, spawn, ServerHandle, ShutdownFlag};

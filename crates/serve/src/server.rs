@@ -1,9 +1,7 @@
 //! The transport layer, and the only one: a TCP accept loop
 //! (length-delimited frames) and a stdio loop (NDJSON), both dispatching
-//! into a [`Backend`] and one bounded [`Pool`]. The compile service
-//! ([`Service`]) and the cluster router ([`crate::cluster::router`]) are
-//! the two backends; everything below the seam — framing, request
-//! parsing, management ops, backpressure, drain — exists once.
+//! into the [`Service`] and one bounded [`Pool`]. Framing, request
+//! parsing, management ops, backpressure and drain exist once.
 //!
 //! ## Concurrency shape
 //!
@@ -29,11 +27,9 @@
 //! woken by a loopback connection — after which the pool is drained
 //! (**every accepted job still runs and its response is written**), the
 //! live connections' sockets are shut down to unblock their readers, and
-//! all threads — the backend's background threads last — are joined
-//! before [`ServerHandle::wait`] returns.
+//! all threads are joined before [`ServerHandle::wait`] returns.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,7 +37,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::Duration;
 
-use gcomm_obs::StatsReport;
 use gcomm_par::{Pool, PoolHandle, SubmitError};
 
 use crate::frame::{
@@ -50,7 +45,7 @@ use crate::frame::{
 };
 use crate::json::{escape, Json};
 use crate::protocol::{assemble, error_response, CompileReq, Request, PROTOCOL};
-use crate::service::{stats_payload, Service, ServiceConfig};
+use crate::service::{stats_payload, CacheKey, Service, ServiceConfig};
 use crate::VERSION;
 
 /// A clonable request-to-stop handle shared by the accept loop, the
@@ -117,132 +112,118 @@ impl ResponseWriter {
     }
 }
 
-/// What differs between the servers behind the listener, and nothing
-/// else: how a `compile` / `sleep` is answered, how a request's counters
-/// reach the lifetime registry, the extra field of `version`, and the
-/// threads that live as long as the listener does.
-pub(crate) trait Backend: Send + Sync + 'static {
-    /// What a request carries from arrival to completion so that its
-    /// counters can reach the lifetime registry.
-    type Ticket: Copy + Send + 'static;
-    /// A compile or sleep, prepared on the reader thread for a pool worker.
-    type Work: Send + 'static;
-
-    /// Called once per request (malformed ones included) as it arrives.
-    /// The ticket is then completed exactly once: by [`Backend::settle`],
-    /// by an inline [`Backend::compile`] answer, or by [`Backend::run`] —
-    /// and by `settle` when the pool refuses the work `run` was meant for.
-    fn admit(&self) -> Self::Ticket;
-
-    /// Completes a request the transport answers itself, counting
-    /// `serve.requests` and `extra`.
-    fn settle(&self, ticket: Self::Ticket, extra: &[(&'static str, u64)]);
-
-    /// The reader-thread half of a compile (`text` is the request as
-    /// received): answer now, or hand the rest to a pool worker.
-    fn compile(&self, ticket: Self::Ticket, req: CompileReq, text: &str) -> Plan<Self::Work>;
-
-    /// The reader-thread half of a `sleep` (never answered inline).
-    fn sleep(&self, id: Option<u64>, ms: u64, text: &str) -> Self::Work;
-
-    /// The pool-worker half: does the work and returns the response.
-    fn run(&self, ticket: Self::Ticket, work: Self::Work) -> String;
-
-    /// The lifetime registry, for a `stats` request.
-    fn stats(&self) -> StatsReport;
-
-    /// `Some(n)` adds `"shards":n` to the `version` response.
-    fn shards(&self) -> Option<usize> {
-        None
-    }
-
-    /// Runs `serve` — the accept loop through the end of the drain — with
-    /// this backend's background threads alive around it.
-    fn with_background(&self, _shutdown: &ShutdownFlag, serve: impl FnOnce()) {
-        serve();
-    }
+/// A compile or sleep on its way from a reader thread to a pool worker.
+enum Work {
+    /// A cache miss (or bypass) with the key the reader already hashed.
+    Compile(CompileReq, Option<CacheKey>),
+    /// The load-testing aid: park a worker for `ms`.
+    Sleep { id: Option<u64>, ms: u64 },
 }
 
-/// What [`Backend::compile`] decided on the reader thread.
-pub(crate) enum Plan<W> {
-    /// The complete response; the ticket is already completed.
-    Answered(String),
-    /// Work for [`Backend::run`] on a pool worker.
-    Pooled(W),
+/// Completes sequence number `seq` for a request the transport answers
+/// itself, counting `serve.requests` and `extra`.
+fn settle(svc: &Service, seq: u64, extra: &[(&'static str, u64)]) {
+    let mut counters = vec![("serve.requests", 1)];
+    counters.extend_from_slice(extra);
+    svc.finish(seq, svc.counter_report(&counters));
+}
+
+/// The pool-worker half of a compile or sleep: does the work, completes
+/// `seq`, and returns the response.
+fn execute(svc: &Service, seq: u64, work: Work) -> String {
+    match work {
+        Work::Compile(req, key) => {
+            let (resp, report) = svc.compile_keyed(&req, key);
+            svc.finish(seq, report);
+            resp
+        }
+        Work::Sleep { id, ms } => {
+            std::thread::sleep(Duration::from_millis(ms));
+            settle(svc, seq, &[]);
+            assemble(id, &format!("\"ok\":true,\"slept_ms\":{ms}"))
+        }
+    }
 }
 
 /// Handles one request text: parses it, answers management ops inline,
 /// and submits compile/sleep work to the pool. Never panics on malformed
 /// input — every failure becomes an error response on `writer`.
-fn dispatch<B: Backend>(
-    backend: &Arc<B>,
+///
+/// Every request (malformed ones included) draws its sequence number as
+/// it arrives, and completes it exactly once: inline here, or on the pool
+/// worker that runs its work — or here when the pool refuses that work.
+fn dispatch(
+    svc: &Arc<Service>,
     pool: &PoolHandle,
     writer: &Arc<ResponseWriter>,
     shutdown: &ShutdownFlag,
     text: &str,
 ) {
-    let ticket = backend.admit();
+    let seq = svc.begin();
     let parsed = Json::parse(text)
         .map_err(|e| (None, format!("invalid JSON: {e}")))
         .and_then(|v| Request::parse(&v));
     let (id, work) = match parsed {
         Err((id, msg)) => {
-            backend.settle(ticket, &[("serve.errors", 1)]);
+            settle(svc, seq, &[("serve.errors", 1)]);
             writer.send(&error_response(id, "bad_request", &msg));
             return;
         }
-        Ok(Request::Compile(c)) => {
-            let id = c.id;
-            match backend.compile(ticket, c, text) {
-                Plan::Answered(resp) => {
-                    writer.send(&resp);
-                    return;
-                }
-                Plan::Pooled(work) => (id, work),
+        Ok(Request::Compile(req)) => {
+            // Cache hits are answered inline by the reader: no worker slot,
+            // no queue capacity, no backpressure — a warm request costs a
+            // hash and a map probe even when the pool is busy. The key is
+            // hashed once; the pooled compile inherits it.
+            let key = svc.cache_key(&req);
+            if let Some((resp, report)) = key.as_ref().and_then(|k| svc.cached(req.id, k)) {
+                svc.finish(seq, report);
+                writer.send(&resp);
+                return;
             }
+            (req.id, Work::Compile(req, key))
         }
-        Ok(Request::Sleep { id, ms }) => (id, backend.sleep(id, ms, text)),
+        Ok(Request::Sleep { id, ms }) => (id, Work::Sleep { id, ms }),
         Ok(Request::Stats { id, stable }) => {
-            // Settle our own ticket first so a stats request issued after
-            // a set of *completed* requests observes all of them (plus
-            // itself); stats racing in-flight compiles see only what has
-            // drained, by design.
-            backend.settle(ticket, &[]);
-            writer.send(&assemble(id, &stats_payload(&backend.stats(), stable)));
+            // Settle our own sequence number first so a stats request
+            // issued after a set of *completed* requests observes all of
+            // them (plus itself); stats racing in-flight compiles see only
+            // what has drained, by design.
+            settle(svc, seq, &[]);
+            writer.send(&assemble(
+                id,
+                &stats_payload(&svc.lifetime_report(), stable),
+            ));
             return;
         }
         Ok(Request::Version { id }) => {
-            backend.settle(ticket, &[]);
-            let mut payload = format!(
+            settle(svc, seq, &[]);
+            let payload = format!(
                 "\"ok\":true,\"version\":{},\"protocol\":{}",
                 escape(VERSION),
                 escape(PROTOCOL)
             );
-            if let Some(n) = backend.shards() {
-                let _ = write!(payload, ",\"shards\":{n}");
-            }
             writer.send(&assemble(id, &payload));
             return;
         }
         Ok(Request::Ping { id }) => {
-            backend.settle(ticket, &[]);
+            settle(svc, seq, &[]);
             writer.send(&assemble(id, "\"ok\":true,\"pong\":true"));
             return;
         }
         Ok(Request::Shutdown { id }) => {
-            backend.settle(ticket, &[]);
+            settle(svc, seq, &[]);
             writer.send(&assemble(id, "\"ok\":true,\"shutting_down\":true"));
             shutdown.request();
             return;
         }
     };
-    let (worker, wr) = (Arc::clone(backend), Arc::clone(writer));
-    // A refused job is dropped unrun, so its ticket is settled here: the
-    // backend never waits on a request the pool did not take.
-    match pool.try_submit(move || wr.send(&worker.run(ticket, work))) {
+    let (worker, wr) = (Arc::clone(svc), Arc::clone(writer));
+    // A refused job is dropped unrun, so its sequence number is completed
+    // here: the absorber never waits on a request the pool did not take.
+    match pool.try_submit(move || wr.send(&execute(&worker, seq, work))) {
         Ok(()) => {}
         Err(SubmitError::Full) => {
-            backend.settle(ticket, &[("serve.overloaded", 1)]);
+            settle(svc, seq, &[("serve.overloaded", 1)]);
             writer.send(&error_response(
                 id,
                 "overloaded",
@@ -250,7 +231,7 @@ fn dispatch<B: Backend>(
             ));
         }
         Err(SubmitError::Closed) => {
-            backend.settle(ticket, &[]);
+            settle(svc, seq, &[]);
             writer.send(&error_response(id, "shutting_down", "server is draining"));
         }
     }
@@ -258,9 +239,8 @@ fn dispatch<B: Backend>(
 
 /// Answers a frame or line over [`DEFAULT_MAX_FRAME`], which never
 /// reaches [`dispatch`] but counts as a (failed) request all the same.
-fn reject_too_large<B: Backend>(backend: &Arc<B>, writer: &ResponseWriter, message: &str) {
-    let ticket = backend.admit();
-    backend.settle(ticket, &[("serve.errors", 1)]);
+fn reject_too_large(svc: &Service, writer: &ResponseWriter, message: &str) {
+    settle(svc, svc.begin(), &[("serve.errors", 1)]);
     writer.send(&error_response(None, "too_large", message));
 }
 
@@ -268,8 +248,8 @@ fn reject_too_large<B: Backend>(backend: &Arc<B>, writer: &ResponseWriter, messa
 /// socket shutdown. Oversized frames are rejected *and resynchronized*;
 /// garbage JSON is rejected per-frame; the loop itself never panics and
 /// never exits on a malformed request.
-fn serve_connection<B: Backend>(
-    backend: &Arc<B>,
+fn serve_connection(
+    svc: &Arc<Service>,
     pool: &PoolHandle,
     stream: TcpStream,
     shutdown: &ShutdownFlag,
@@ -285,12 +265,12 @@ fn serve_connection<B: Backend>(
     loop {
         match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
             Ok(Some(payload)) => {
-                dispatch(backend, pool, &writer, shutdown, &into_text(payload));
+                dispatch(svc, pool, &writer, shutdown, &into_text(payload));
             }
             Ok(None) => break,
             Err(FrameError::TooLarge { declared }) => {
                 reject_too_large(
-                    backend,
+                    svc,
                     &writer,
                     &format!("declared frame of {declared} bytes exceeds {DEFAULT_MAX_FRAME}"),
                 );
@@ -310,72 +290,73 @@ const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Accepts and serves connections until shutdown is requested, then
 /// drains and joins everything (see the module docs).
-fn run<B: Backend>(listener: &TcpListener, backend: &Arc<B>, shutdown: &ShutdownFlag, pool: Pool) {
+fn run(listener: &TcpListener, svc: &Arc<Service>, shutdown: &ShutdownFlag, pool: Pool) {
     // A duplicate of every *live* connection's socket, so the drain can
     // unblock its reader. A connection that ends removes its own entry:
     // the listener's descriptors track open connections, not accepted ones.
     let conns: Mutex<HashMap<usize, TcpStream>> = Mutex::new(HashMap::new());
-    backend.with_background(shutdown, || {
-        // Scoped, so the readers borrow the listener's state. They are
-        // still joined by hand — an ended one at the next accept, the rest
-        // after the drain — because a thread the scope merely waits for is
-        // detached, and a detached thread gives its stack and allocator
-        // arena back on its own time, not before `run` returns.
-        std::thread::scope(|scope| {
-            let mut readers = Vec::new();
-            for (n, incoming) in listener.incoming().enumerate() {
-                if shutdown.is_set() {
-                    break;
-                }
-                for ended in readers.extract_if(.., |r: &mut ScopedJoinHandle<_>| r.is_finished()) {
-                    let _ = ended.join();
-                }
-                let Ok(stream) = incoming else {
-                    std::thread::sleep(ACCEPT_RETRY);
-                    continue;
-                };
-                // Responses must not sit in Nagle's buffer waiting for an ACK.
-                let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    conns.lock().unwrap().insert(n, clone);
-                }
-                let (handle, conns) = (pool.handle(), &conns);
-                readers.push(scope.spawn(move || {
-                    serve_connection(backend, &handle, stream, shutdown);
-                    conns.lock().unwrap().remove(&n);
-                }));
+    // Scoped, so the readers borrow the listener's state. They are still
+    // joined by hand — an ended one at the next accept, the rest after the
+    // drain — because a thread the scope merely waits for is detached, and
+    // a detached thread gives its stack and allocator arena back on its own
+    // time, not before `run` returns.
+    std::thread::scope(|scope| {
+        let mut readers = Vec::new();
+        for (n, incoming) in listener.incoming().enumerate() {
+            if shutdown.is_set() {
+                break;
             }
-            // Drain: every job accepted before the close still runs and its
-            // response is written (the sockets are still open here).
-            pool.shutdown();
-            // Unblock any reader still waiting on its socket, then join.
-            for s in conns.lock().unwrap().values() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
+            for ended in readers.extract_if(.., |r: &mut ScopedJoinHandle<_>| r.is_finished()) {
+                let _ = ended.join();
             }
-            for reader in readers {
-                let _ = reader.join();
+            let Ok(stream) = incoming else {
+                std::thread::sleep(ACCEPT_RETRY);
+                continue;
+            };
+            // Responses must not sit in Nagle's buffer waiting for an ACK.
+            let _ = stream.set_nodelay(true);
+            if let Ok(clone) = stream.try_clone() {
+                conns.lock().unwrap().insert(n, clone);
             }
-        });
+            let (handle, conns) = (pool.handle(), &conns);
+            readers.push(scope.spawn(move || {
+                serve_connection(svc, &handle, stream, shutdown);
+                conns.lock().unwrap().remove(&n);
+            }));
+        }
+        // Drain: every job accepted before the close still runs and its
+        // response is written (the sockets are still open here).
+        pool.shutdown();
+        // Unblock any reader still waiting on its socket, then join.
+        for s in conns.lock().unwrap().values() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+        for reader in readers {
+            let _ = reader.join();
+        }
     });
 }
 
-/// A running server on its own thread: the compile service by default,
-/// the cluster router as [`crate::cluster::RouterHandle`].
-pub struct ServerHandle<B = Service> {
+/// A running compile service on its own thread.
+pub struct ServerHandle {
     addr: SocketAddr,
-    pub(crate) backend: Arc<B>,
+    /// Held so the service is freed by whoever drops the handle, after the
+    /// server thread is joined, not by the exiting server thread: freeing
+    /// the cache and query engine there read ~5 % slower on the next
+    /// server's edits (the `edit` benchmark starts a server a round).
+    _service: Arc<Service>,
     shutdown: ShutdownFlag,
     thread: JoinHandle<()>,
 }
 
-impl<B> ServerHandle<B> {
+impl ServerHandle {
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// A handle that stops this server when requested (the `gcommc` binary
-    /// hands it to the signal watcher, the cluster to its supervisor).
+    /// hands it to the signal watcher).
     pub fn shutdown_flag(&self) -> ShutdownFlag {
         self.shutdown.clone()
     }
@@ -408,53 +389,34 @@ impl<B> ServerHandle<B> {
     }
 }
 
-impl ServerHandle {
-    /// The shared service state (cache, lifetime stats).
-    pub fn service(&self) -> &Arc<Service> {
-        &self.backend
-    }
-}
-
-/// Binds `addr` (e.g. `127.0.0.1:7070`, port 0 for ephemeral), then builds
-/// the backend — in that order, so whatever `backend` opens (a persisting
-/// [`Service`] scans and repairs its log) is opened behind a port no second
-/// instance can hold — and serves it on a background thread behind a pool
-/// of `jobs` workers and `queue_cap` waiting jobs.
-pub(crate) fn spawn_backend<B: Backend>(
-    addr: &str,
-    jobs: usize,
-    queue_cap: usize,
-    backend: impl FnOnce() -> io::Result<B>,
-) -> io::Result<ServerHandle<B>> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let shutdown = ShutdownFlag::new();
-    shutdown.set_wake_addr(addr);
-    let backend = Arc::new(backend()?);
-    let thread = {
-        let (backend, shutdown) = (Arc::clone(&backend), shutdown.clone());
-        std::thread::spawn(move || {
-            run(&listener, &backend, &shutdown, Pool::new(jobs, queue_cap));
-        })
-    };
-    Ok(ServerHandle {
-        addr,
-        backend,
-        shutdown,
-        thread,
-    })
-}
-
-/// Binds `addr` and runs the compile service on a background thread. When
-/// the config persists, the recovery scan runs here — a server whose
-/// `spawn` returned has finished warming from disk.
+/// Binds `addr` (e.g. `127.0.0.1:7070`, port 0 for ephemeral), then opens
+/// the compile service — in that order, so a persisting service scans and
+/// repairs its log behind a port no second instance can hold — and serves
+/// it on a background thread behind a pool of `config.jobs` workers and
+/// `config.queue_cap` waiting jobs. A server whose `spawn` returned has
+/// finished warming from disk.
 ///
 /// # Errors
 ///
 /// Propagates the bind failure or a persistent-cache recovery error.
 pub fn spawn(addr: &str, config: ServiceConfig) -> io::Result<ServerHandle> {
-    spawn_backend(addr, config.jobs, config.queue_cap, || {
-        Service::open(config)
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
+    let shutdown = ShutdownFlag::new();
+    shutdown.set_wake_addr(addr);
+    let (jobs, queue_cap) = (config.jobs, config.queue_cap);
+    let service = Arc::new(Service::open(config)?);
+    let thread = {
+        let (service, shutdown) = (Arc::clone(&service), shutdown.clone());
+        std::thread::spawn(move || {
+            run(&listener, &service, &shutdown, Pool::new(jobs, queue_cap));
+        })
+    };
+    Ok(ServerHandle {
+        addr,
+        _service: service,
+        shutdown,
+        thread,
     })
 }
 
@@ -555,7 +517,6 @@ pub mod signal {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::cluster::{spawn_router, ClusterConfig};
 
     fn test_config() -> ServiceConfig {
         ServiceConfig {
@@ -564,38 +525,26 @@ mod tests {
         }
     }
 
-    /// Runs `session` against a listener's address once per backend — the
-    /// compile service, then a router over one shard (the flag is true
-    /// for the router) — and returns what each run returned.
-    fn over_both_backends<T>(session: impl Fn(SocketAddr, bool) -> T) -> [T; 2] {
+    /// Runs `session` against a fresh server's address, then stops it.
+    fn against_a_server(session: impl FnOnce(SocketAddr)) {
         let server = spawn("127.0.0.1:0", test_config()).unwrap();
-        let direct = session(server.addr(), false);
+        session(server.addr());
         server.stop().unwrap();
-
-        let shard = spawn("127.0.0.1:0", test_config()).unwrap();
-        let router =
-            spawn_router("127.0.0.1:0", &[shard.addr()], ClusterConfig::default()).unwrap();
-        let routed = session(router.addr(), true);
-        router.stop().unwrap();
-        shard.stop().unwrap();
-        [direct, routed]
     }
 
     #[test]
     fn tcp_roundtrip_ping_version_shutdown() {
-        over_both_backends(|addr, routed| {
+        against_a_server(|addr| {
             let mut client = Client::connect(addr).unwrap();
             assert_eq!(
                 client.request(r#"{"op":"ping","id":1}"#).unwrap(),
                 r#"{"id":1,"ok":true,"pong":true}"#
             );
-            // Identical but for the router's extra field.
-            let shards = if routed { ",\"shards\":1" } else { "" };
             assert_eq!(
                 client.request(r#"{"op":"version","id":2}"#).unwrap(),
                 format!(
                     "{{\"id\":2,\"ok\":true,\"version\":\"{VERSION}\",\
-                     \"protocol\":\"{PROTOCOL}\"{shards}}}"
+                     \"protocol\":\"{PROTOCOL}\"}}"
                 )
             );
             assert_eq!(
@@ -607,21 +556,17 @@ mod tests {
 
     #[test]
     fn malformed_frames_do_not_kill_the_connection() {
-        let [direct, routed] = over_both_backends(|addr, _| {
+        against_a_server(|addr| {
             let mut client = Client::connect(addr).unwrap();
-            let mut got = Vec::new();
             // Garbage JSON.
             let resp = client.request("{not json").unwrap();
             assert!(resp.contains("\"error\":\"bad_request\""));
-            got.push(resp);
             // Not an object.
             let resp = client.request("[1,2,3]").unwrap();
             assert!(resp.contains("\"error\":\"bad_request\""));
-            got.push(resp);
             // Unknown op with an id — the id is echoed.
             let resp = client.request(r#"{"op":"frobnicate","id":7}"#).unwrap();
             assert!(resp.starts_with(r#"{"id":7,"#), "{resp}");
-            got.push(resp);
             // An oversized frame: declared > max. The server rejects it,
             // skips the payload, and the connection still works.
             let huge = vec![b'x'; DEFAULT_MAX_FRAME + 1];
@@ -631,7 +576,6 @@ mod tests {
             client.send_raw(&huge).unwrap();
             let resp = client.recv().unwrap().unwrap();
             assert!(resp.contains("\"error\":\"too_large\""), "{resp}");
-            got.push(resp);
             // The stream resynchronized.
             assert_eq!(
                 client.request(r#"{"op":"ping","id":9}"#).unwrap(),
@@ -643,9 +587,7 @@ mod tests {
                 .unwrap();
             assert!(stats.contains("\"serve.errors\":4"), "{stats}");
             assert!(stats.contains("\"serve.requests\":6"), "{stats}");
-            got
         });
-        assert_eq!(direct, routed, "one transport, one answer");
     }
 
     #[test]

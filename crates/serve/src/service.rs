@@ -32,7 +32,6 @@ use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
 use crate::json::escape;
 use crate::protocol::{assemble, cache_key_material, CompileReq, SimSpec};
-use crate::server::{Backend, Plan};
 
 /// Tuning knobs of a service instance.
 #[derive(Debug, Clone)]
@@ -382,68 +381,6 @@ impl Service {
     pub fn engine_usage(&self) -> (usize, u64) {
         let eng = self.incr.engine();
         (eng.len(), eng.used_bytes())
-    }
-}
-
-/// A compile or sleep on its way from a reader thread to a pool worker.
-pub(crate) enum Work {
-    /// A cache miss (or bypass) with the key the reader already hashed.
-    Compile(CompileReq, Option<CacheKey>),
-    /// The load-testing aid: park a worker for `ms`.
-    Sleep { id: Option<u64>, ms: u64 },
-}
-
-/// The compile service behind the shared listener ([`crate::server`]):
-/// tickets are sequence numbers, drawn as a request arrives and finished
-/// exactly once, so the lifetime merge stays in arrival order.
-impl Backend for Service {
-    type Ticket = u64;
-    type Work = Work;
-
-    fn admit(&self) -> u64 {
-        self.begin()
-    }
-
-    fn settle(&self, seq: u64, extra: &[(&'static str, u64)]) {
-        let mut counters = vec![("serve.requests", 1)];
-        counters.extend_from_slice(extra);
-        self.finish(seq, self.counter_report(&counters));
-    }
-
-    /// Cache hits are answered inline by the reader: no worker slot, no
-    /// queue capacity, no backpressure — a warm request costs a hash and a
-    /// map probe even when the pool is busy. The key is hashed once; the
-    /// pooled compile inherits it.
-    fn compile(&self, seq: u64, req: CompileReq, _text: &str) -> Plan<Work> {
-        let key = self.cache_key(&req);
-        if let Some((resp, report)) = key.as_ref().and_then(|k| self.cached(req.id, k)) {
-            self.finish(seq, report);
-            return Plan::Answered(resp);
-        }
-        Plan::Pooled(Work::Compile(req, key))
-    }
-
-    fn sleep(&self, id: Option<u64>, ms: u64, _text: &str) -> Work {
-        Work::Sleep { id, ms }
-    }
-
-    fn run(&self, seq: u64, work: Work) -> String {
-        match work {
-            Work::Compile(req, key) => {
-                let (resp, report) = self.compile_keyed(&req, key);
-                self.finish(seq, report);
-                resp
-            }
-            Work::Sleep { id, ms } => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                self.settle(seq, &[]);
-                assemble(id, &format!("\"ok\":true,\"slept_ms\":{ms}"))
-            }
-        }
-    }
-
-    fn stats(&self) -> StatsReport {
-        self.lifetime_report()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Crash-safe segmented append-only record log.
 //!
 //! `gcomm-store` persists compile-cache entries so a restarted `gcommc
-//! serve` process (or a respawned cluster shard) warms from disk instead
-//! of recompiling its whole working set. The design goals, in order:
+//! serve` process warms from disk instead of recompiling its whole
+//! working set. The design goals, in order:
 //!
 //! 1. **Never serve a corrupt record.** Every record carries a checksum
 //!    over its lengths, key, and value (FNV-1a with a SplitMix64

@@ -3,7 +3,6 @@
 //! ```text
 //! gcommc [OPTIONS] <file.hpf | - >      compile one program
 //! gcommc serve [OPTIONS]                run the persistent compile service
-//! gcommc cluster --addr <host:port> ... run a sharded compile cluster
 //! gcommc client --addr <host:port> ...  talk to a running service
 //! gcommc --version                      print the toolchain version
 //!
@@ -46,23 +45,6 @@
 //!                                warms from it
 //!   --persist-fsync <policy>     always | off | interval:N (default: always)
 //!
-//! Cluster options (DESIGN.md §13):
-//!   --addr <host:port>           router listen address (required)
-//!   --shards <n>                 shard processes to spawn (default: 2)
-//!   --replicas <n>               ring successors a request may fail over to
-//!                                (default: 1)
-//!   --attach <host:port>         attach a running serve instead of spawning
-//!                                (repeatable; overrides --shards)
-//!   --jobs <n>                   router workers and per-shard workers
-//!   --cache-bytes <size>         per-shard compile-cache capacity
-//!   --budget <spec>              default budget — forwarded to shards and
-//!                                used for router-side key hashing
-//!   --persist <dir>              per-shard persistent caches: spawned shard
-//!                                N gets --persist <dir>/shard-N, and a
-//!                                crashed shard is respawned by a supervisor
-//!                                and readmitted to the ring warm
-//!   --persist-fsync <policy>     forwarded to spawned shards
-//!
 //! Client options:
 //!   --addr <host:port>           the server to talk to (required)
 //!   --op ping|version|stats|shutdown|compile
@@ -94,7 +76,7 @@ use std::sync::Arc;
 use gcomm::core::{commgen, compile_diagnostics_budgeted, lower_to_sim, SimConfig};
 use gcomm::machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
 use gcomm::serve::cli;
-use gcomm::serve::{Client, ServerHandle, ServiceConfig};
+use gcomm::serve::{Client, ServiceConfig};
 use gcomm::{Budget, BudgetSpec, Strategy};
 
 struct Opts {
@@ -121,9 +103,6 @@ fn usage() -> ! {
          [--stats-json <path>] <file | ->\n\
          \x20      gcommc serve [--addr <host:port>] [--jobs <n>] [--cache-bytes <size>] \
          [--budget <spec>] [--persist <dir>] [--persist-fsync <policy>]\n\
-         \x20      gcommc cluster --addr <host:port> [--shards <n>] [--replicas <n>] \
-         [--attach <host:port>]... [--jobs <n>] [--cache-bytes <size>] [--budget <spec>] \
-         [--persist <dir>] [--persist-fsync <policy>]\n\
          \x20      gcommc client --addr <host:port> [--op ping|version|stats|shutdown|compile] \
          [--strategy <s>] [--budget <spec>] [--sim <profile[:n]>] [--machine <topo>] \
          [--coll <alg>] [--stable] [<file | ->]\n\
@@ -249,7 +228,6 @@ fn main() -> ExitCode {
     }
     match args.first().map(String::as_str) {
         Some("serve") => serve_main(args.split_off(1)),
-        Some("cluster") => cluster_main(args.split_off(1)),
         Some("client") => client_main(args.split_off(1)),
         _ => compile_main(args),
     }
@@ -281,9 +259,19 @@ fn serve_main(mut args: Vec<String>) -> ExitCode {
     }
     match addr {
         Some(addr) => {
-            let spawned = gcomm::serve::spawn(&addr, config);
-            let banner = |a| format!("serving on {a} ({jobs} jobs)");
-            serve_to_exit(&addr, spawned, banner, ServerHandle::wait)
+            let handle = match gcomm::serve::spawn(&addr, config) {
+                Ok(handle) => handle,
+                Err(e) => {
+                    eprintln!("gcommc: bind {addr}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            // Signals are wired and the banner printed only now: a
+            // persisting server has recovered by the time it exists.
+            watch_signals(handle.shutdown_flag());
+            eprintln!("gcommc: serving on {} ({jobs} jobs)", handle.addr());
+            handle.wait();
+            ExitCode::SUCCESS
         }
         None => {
             let svc = match gcomm::serve::Service::open(config) {
@@ -316,154 +304,6 @@ fn watch_signals(flag: gcomm::serve::ShutdownFlag) {
         gcomm::serve::server::signal::install();
         gcomm::serve::server::signal::watch(flag);
     }
-}
-
-/// The tail `serve --addr` and `cluster` share: a bind failure reported, or
-/// signals wired to the listener, its banner printed (only now — a
-/// persisting server has recovered by the time it exists), and `wait` run
-/// to the end of the drain.
-fn serve_to_exit<B>(
-    addr: &str,
-    spawned: std::io::Result<ServerHandle<B>>,
-    banner: impl FnOnce(std::net::SocketAddr) -> String,
-    wait: impl FnOnce(ServerHandle<B>),
-) -> ExitCode {
-    let handle = match spawned {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("gcommc: bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    watch_signals(handle.shutdown_flag());
-    eprintln!("gcommc: {}", banner(handle.addr()));
-    wait(handle);
-    ExitCode::SUCCESS
-}
-
-/// `gcommc cluster`: the sharded compile service (DESIGN.md §13). Spawns
-/// `--shards` child `gcommc serve` processes (or attaches to running ones
-/// via `--attach`) and routes the unchanged protocol across them with
-/// health checks, retry/backoff, and failover to ring successors.
-/// SIGINT/SIGTERM drain the router's in-flight requests, then shut the
-/// spawned shards down gracefully.
-fn cluster_main(mut args: Vec<String>) -> ExitCode {
-    let jobs = cli::or_exit2("gcommc", gcomm::par::take_jobs_flag(&mut args));
-    let addr = cli::or_exit2("gcommc", cli::take_addr_flag(&mut args));
-    let cache_bytes = cli::or_exit2("gcommc", cli::take_cache_bytes_flag(&mut args));
-    let default_budget = cli::or_exit2("gcommc", cli::take_budget_flag(&mut args));
-    let shards = cli::or_exit2("gcommc", cli::take_count_flag(&mut args, "--shards")).unwrap_or(2);
-    let replicas =
-        cli::or_exit2("gcommc", cli::take_count_flag(&mut args, "--replicas")).unwrap_or(1);
-    let attach = cli::or_exit2("gcommc", cli::take_repeated_flag(&mut args, "--attach"));
-    let persist = cli::or_exit2("gcommc", cli::take_persist_flag(&mut args));
-    let persist_fsync = cli::or_exit2("gcommc", cli::take_persist_fsync_flag(&mut args));
-    if let Some(extra) = args.first() {
-        bad_args(format_args!("cluster: unexpected argument '{extra}'"));
-    }
-    let Some(addr) = addr else {
-        bad_args("cluster: --addr <host:port> is required");
-    };
-    if persist.is_some() && !attach.is_empty() {
-        bad_args("cluster: --persist applies to spawned shards, not --attach'ed ones");
-    }
-
-    // Attached shards are trusted as-is; otherwise spawn our own children
-    // running the same binary, so the cluster needs no external setup.
-    let mut procs: Vec<gcomm::serve::cluster::ShardProc> = Vec::new();
-    let shard_addrs: Vec<std::net::SocketAddr> = if attach.is_empty() {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("gcommc: cluster: cannot locate own binary: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let jobs_arg = jobs.to_string();
-        let mut extra: Vec<String> = vec!["--jobs".into(), jobs_arg];
-        if let Some(bytes) = cache_bytes {
-            extra.push("--cache-bytes".into());
-            extra.push(bytes.to_string());
-        }
-        if !default_budget.is_unlimited() {
-            extra.push("--budget".into());
-            extra.push(default_budget.to_string());
-        }
-        if let Some(policy) = persist_fsync {
-            extra.push("--persist-fsync".into());
-            extra.push(policy.to_string());
-        }
-        for i in 0..shards {
-            // Each spawned shard gets its own persistence directory, so a
-            // respawned shard i always recovers shard i's cache.
-            let mut shard_args = extra.clone();
-            if let Some(dir) = &persist {
-                shard_args.push("--persist".into());
-                shard_args.push(format!("{dir}/shard-{i}"));
-            }
-            let refs: Vec<&str> = shard_args.iter().map(String::as_str).collect();
-            match gcomm::serve::cluster::ShardProc::spawn(&exe.to_string_lossy(), &refs) {
-                Ok(p) => procs.push(p),
-                Err(e) => {
-                    eprintln!("gcommc: cluster: spawning shard {i}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        procs
-            .iter()
-            .map(gcomm::serve::cluster::ShardProc::addr)
-            .collect()
-    } else {
-        let mut addrs = Vec::new();
-        for a in &attach {
-            match a.parse() {
-                Ok(sa) => addrs.push(sa),
-                Err(_) => bad_args(format_args!(
-                    "cluster: --attach expects host:port, got '{a}'"
-                )),
-            }
-        }
-        addrs
-    };
-
-    let config = gcomm::serve::ClusterConfig {
-        replicas,
-        jobs,
-        default_budget,
-        ..gcomm::serve::ClusterConfig::default()
-    };
-    let spawned = gcomm::serve::spawn_router(&addr, &shard_addrs, config);
-    let banner = |a| {
-        let shards = shard_addrs.len();
-        format!("cluster on {a} ({shards} shards, {replicas} replica(s), {jobs} jobs)")
-    };
-    serve_to_exit(&addr, spawned, banner, |router| {
-        // Spawned children are supervised: a crashed shard is respawned on
-        // its original command line (same --persist directory), probed, and
-        // readmitted to its ring slot. The supervisor shares the router's
-        // shutdown flag, so the router's exit winds it down and hands the
-        // children back for the graceful drain below.
-        let supervisor = (!procs.is_empty()).then(|| {
-            gcomm::serve::cluster::supervise(
-                std::mem::take(&mut procs),
-                router.admission(),
-                gcomm::serve::cluster::SupervisePolicy::default(),
-                router.shutdown_flag(),
-            )
-        });
-        router.wait();
-        if let Some(s) = supervisor {
-            procs = s.join();
-        }
-        // The router drained first, so the shards see no more forwards; now
-        // drain and stop the children we own (attached shards stay up).
-        for (i, p) in procs.iter_mut().enumerate() {
-            if let Err(e) = p.shutdown_graceful(std::time::Duration::from_secs(5)) {
-                eprintln!("gcommc: cluster: stopping shard {i}: {e}");
-            }
-        }
-    })
 }
 
 /// `gcommc client`: sends one request to a running service and prints the

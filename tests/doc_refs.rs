@@ -1,8 +1,8 @@
 //! Drift guard for the docs: every `*.rs`/`*.json`/`*.txt`/`*.sh` file and
 //! every `--bin <name>` that README, DESIGN, EXPERIMENTS or the verify skill
 //! mention must exist, so a deleted instrument cannot stay quoted. A mention
-//! is a path with a `/` (matched as a suffix of some file: `cluster/router.rs`
-//! finds `crates/serve/src/cluster/router.rs`) or a bare name starting
+//! is a path with a `/` (matched as a suffix of some file: `src/lru.rs`
+//! finds `crates/query/src/lru.rs`) or a bare name starting
 //! upper-case (`BENCH_optimal.json`). `GENERATED` prefixes are skipped:
 //! what running things leaves behind is not the repo.
 

@@ -1,20 +1,19 @@
-//! Process-level crash/restart chaos tests against the real `gcommc`
-//! binary (DESIGN.md §15): a SIGKILLed persisting server restarts warm
-//! and bit-identical, and a supervised cluster shard is respawned —
-//! not just failed over — rejoining the ring answering from the cache
-//! it recovered off disk.
+//! Process-level tests against the real `gcommc` binary: a SIGKILLed
+//! persisting server restarts warm and bit-identical (DESIGN.md §15), and
+//! SIGTERM drains every in-flight request before the server exits 0
+//! (DESIGN.md §12).
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gcomm::query::fingerprint;
-use gcomm::serve::cluster::{
-    supervise, ClusterConfig, Ring, RouterHandle, ShardProc, SupervisePolicy,
-};
-use gcomm::serve::protocol::{cache_key_material, CompileReq};
 use gcomm::serve::{compile_request, Client};
 use gcomm::Strategy;
+
+#[path = "support/serve_proc.rs"]
+mod serve_proc;
+
+use serve_proc::ServeProc;
 
 const GCOMMC: &str = env!("CARGO_BIN_EXE_gcommc");
 
@@ -47,22 +46,7 @@ fn sigkill(pid: u32) {
     assert!(status.success(), "kill -9 {pid} failed");
 }
 
-fn counter(router: &RouterHandle, name: &str) -> u64 {
-    router.registry().snapshot().counter(name)
-}
-
-fn wait_for_counter(router: &RouterHandle, name: &str, want: u64) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let got = counter(router, name);
-        if got >= want || Instant::now() >= deadline {
-            return got;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Pulls one counter value out of a shard's `stats` response (stable
+/// Pulls one counter value out of a server's `stats` response (stable
 /// form renders sorted `"name":value` pairs).
 fn shard_counter(addr: &SocketAddr, name: &str) -> u64 {
     let mut c = Client::connect_timeout(addr, Duration::from_secs(2)).unwrap();
@@ -82,7 +66,7 @@ fn sigkilled_persisting_server_restarts_warm_and_bit_identical() {
     let dir = tmp_dir("serve");
     let persist = dir.to_string_lossy().into_owned();
     let args = ["--persist", persist.as_str(), "--jobs", "2"];
-    let mut proc = ShardProc::spawn(GCOMMC, &args).unwrap();
+    let mut proc = ServeProc::spawn(GCOMMC, &args).unwrap();
 
     let srcs = sources(8);
     let mut cold: Vec<String> = Vec::new();
@@ -123,112 +107,35 @@ fn sigkilled_persisting_server_restarts_warm_and_bit_identical() {
 }
 
 #[test]
-fn supervised_cluster_shard_respawns_and_answers_from_warmed_cache() {
-    let dir = tmp_dir("cluster");
-    let mut procs = Vec::new();
-    for i in 0..2 {
-        let persist = dir
-            .join(format!("shard-{i}"))
-            .to_string_lossy()
-            .into_owned();
-        let args = ["--persist", persist.as_str(), "--jobs", "2"];
-        procs.push(ShardProc::spawn(GCOMMC, &args).unwrap());
+fn sigterm_drains_in_flight_requests_and_serve_exits_zero() {
+    let mut server = ServeProc::spawn(GCOMMC, &["--jobs", "2"]).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // In-flight work at the moment the signal lands.
+    const N: u64 = 5;
+    for id in 0..N {
+        client
+            .send(&format!("{{\"op\":\"sleep\",\"id\":{id},\"ms\":200}}"))
+            .unwrap();
     }
-    let pids: Vec<u32> = procs.iter().map(ShardProc::pid).collect();
-    let addrs: Vec<SocketAddr> = procs.iter().map(ShardProc::addr).collect();
+    std::thread::sleep(Duration::from_millis(50));
+    let term = std::process::Command::new("kill")
+        .args(["-TERM", &server.pid().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(term.success());
 
-    let cfg = ClusterConfig {
-        jobs: 4,
-        retry_base: Duration::from_millis(5),
-        retry_cap: Duration::from_millis(50),
-        // Fast probes so the kill is detected (and the slot marked down)
-        // well before the supervisor's slower poll respawns it.
-        check_interval: Duration::from_millis(30),
-        ..ClusterConfig::default()
-    };
-    let default_budget = cfg.default_budget;
-    let router = gcomm::serve::spawn_router("127.0.0.1:0", &addrs, cfg.clone()).unwrap();
-    let supervisor = supervise(
-        procs,
-        router.admission(),
-        SupervisePolicy {
-            poll_interval: Duration::from_millis(500),
-        },
-        router.shutdown_flag(),
-    );
-
-    let srcs = sources(16);
-    let primary = |src: &str| {
-        let req = CompileReq {
-            id: None,
-            source: src.to_string(),
-            strategy: Strategy::Global,
-            budget: None,
-            sim: None,
-        };
-        Ring::new(2, cfg.vnodes).primary(fingerprint(
-            cache_key_material(&req, &default_budget).as_bytes(),
-        ))
-    };
-    assert!(
-        srcs.iter().any(|s| primary(s) == 0),
-        "no source routes to shard 0"
-    );
-
-    let mut client = Client::connect(router.addr()).unwrap();
-    let mut cold: Vec<String> = Vec::new();
-    for (i, src) in srcs.iter().enumerate() {
-        let req = compile_request(i as u64, src, Strategy::Global, None, None);
-        cold.push(client.request(&req).unwrap());
+    // Every accepted request drains before the server exits.
+    let mut got = 0;
+    while got < N {
+        match client.recv() {
+            Ok(Some(resp)) => {
+                assert!(resp.contains("\"slept_ms\":200"), "{resp}");
+                got += 1;
+            }
+            other => panic!("lost {} in-flight responses ({other:?})", N - got),
+        }
     }
-
-    // Chaos: SIGKILL shard 0. The prober marks it down, the supervisor
-    // respawns it on its original command line (same --persist dir),
-    // probes it, and readmits it; the router's prober re-ups the slot.
-    sigkill(pids[0]);
-    assert!(wait_for_counter(&router, "cluster.marked_down", 1) >= 1);
-    assert!(
-        wait_for_counter(&router, "cluster.respawn", 1) >= 1,
-        "supervisor never respawned the killed shard"
-    );
-    assert!(
-        wait_for_counter(&router, "cluster.marked_up", 1) >= 1,
-        "respawned shard was never marked up again"
-    );
-
-    // The respawned shard warmed from its own log before its banner.
-    let new_addr = router.admission().shard_addr(0);
-    assert_ne!(new_addr, addrs[0], "respawn should bind a fresh port");
-    assert!(shard_counter(&new_addr, "store.recover_ok") >= 1);
-    assert_eq!(shard_counter(&new_addr, "store.quarantined"), 0);
-
-    // Full corpus again, through the ring: bit-identical to the cold
-    // run, and the respawned shard answers its keyspace from the cache
-    // it recovered — zero compiles since the respawn.
-    for (i, src) in srcs.iter().enumerate() {
-        let req = compile_request(i as u64, src, Strategy::Global, None, None);
-        assert_eq!(
-            client.request(&req).unwrap(),
-            cold[i],
-            "source {i}: respawned cluster changed bytes"
-        );
-    }
-    assert_eq!(counter(&router, "serve.unavailable"), 0);
-    assert!(
-        shard_counter(&new_addr, "cache.hit") >= 1,
-        "the respawned shard served nothing from its warmed cache"
-    );
-    assert_eq!(
-        shard_counter(&new_addr, "serve.compiles"),
-        0,
-        "the respawned shard recompiled instead of serving warm"
-    );
-
     drop(client);
-    router.stop().unwrap();
-    let mut procs = supervisor.join();
-    for p in &mut procs {
-        let _ = p.shutdown_graceful(Duration::from_secs(5));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let status = server.wait_exit(Duration::from_secs(20));
+    assert_eq!(status, Some(0), "SIGTERM must exit 0 after the drain");
 }

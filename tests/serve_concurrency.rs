@@ -8,9 +8,13 @@
 //! * shutdown drains: every accepted job's response is written before the
 //!   server exits;
 //! * a connection that ends gives its descriptors back then, not at
-//!   shutdown — behind either backend of the one listener.
+//!   shutdown;
+//! * a peer that dies mid-frame is a clean client error, never a partial
+//!   payload.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 
 use gcomm::serve::json::Json;
 use gcomm::serve::{compile_request, Client, ServiceConfig};
@@ -160,56 +164,76 @@ fn shutdown_drains_accepted_jobs() {
 mod descriptors {
     use std::time::{Duration, Instant};
 
-    use gcomm::serve::{Client, ClusterConfig};
+    use gcomm::serve::Client;
 
     /// Connects, pings and hangs up, `CYCLES` times, then waits for the
     /// process's open-descriptor count to come back to where it started.
     /// Polled with slack, because the other tests of this binary open and
     /// close sockets of their own meanwhile; a leak of one descriptor per
     /// connection is far outside it.
-    fn assert_descriptors_return(what: &str, addr: std::net::SocketAddr, idle: Duration) {
+    #[test]
+    fn ended_connections_release_their_descriptors() {
         const CYCLES: usize = 300;
         const SLACK: usize = 24;
+        let server = gcomm::serve::spawn("127.0.0.1:0", super::config(2)).unwrap();
         let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
         let before = open_fds();
         for _ in 0..CYCLES {
-            let mut client = Client::connect(addr).unwrap();
+            let mut client = Client::connect(server.addr()).unwrap();
             let pong = client.request(r#"{"op":"ping","id":1}"#).unwrap();
             assert!(pong.contains("\"pong\":true"));
         }
-        std::thread::sleep(idle);
         let deadline = Instant::now() + Duration::from_secs(20);
         while open_fds() > before + SLACK {
             assert!(
                 Instant::now() < deadline,
-                "{what}: {before} descriptors open before {CYCLES} connections, {} after",
+                "{before} descriptors open before {CYCLES} connections, {} after",
                 open_fds()
             );
             std::thread::sleep(Duration::from_millis(50));
         }
-    }
-
-    #[test]
-    fn ended_connections_release_their_descriptors() {
-        let server = gcomm::serve::spawn("127.0.0.1:0", super::config(2)).unwrap();
-        assert_descriptors_return("server", server.addr(), Duration::ZERO);
-
-        // The same through a router, which also probes its shard on a fresh
-        // socket every interval: left idle for fifty of them (twice the
-        // slack), neither side may keep what a finished connection or probe
-        // held.
-        let check_interval = Duration::from_millis(20);
-        let router = gcomm::serve::spawn_router(
-            "127.0.0.1:0",
-            &[server.addr()],
-            ClusterConfig {
-                check_interval,
-                ..ClusterConfig::default()
-            },
-        )
-        .unwrap();
-        assert_descriptors_return("router", router.addr(), 50 * check_interval);
-        router.stop().unwrap();
         server.stop().unwrap();
     }
+}
+
+/// A peer that reads one request, then declares a 100-byte response
+/// frame, delivers 10 bytes of it and hangs up.
+fn spawn_mid_write_killer() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut s) = stream else { break };
+            let mut header = [0u8; 4];
+            if s.read_exact(&mut header).is_err() {
+                continue;
+            }
+            let len = u32::from_be_bytes(header) as usize;
+            let mut payload = vec![0u8; len];
+            if s.read_exact(&mut payload).is_err() {
+                continue;
+            }
+            // Declare 100 payload bytes, deliver 10, die.
+            let _ = s.write_all(&100u32.to_be_bytes());
+            let _ = s.write_all(b"0123456789");
+            let _ = s.flush();
+            // Dropping the stream closes it mid-frame.
+        }
+    });
+    addr
+}
+
+/// A peer dying mid-frame surfaces as a clean `ConnectionAborted` error,
+/// never a partial payload.
+#[test]
+fn client_reports_connection_lost_on_mid_frame_death() {
+    let killer = spawn_mid_write_killer();
+    let mut client = Client::connect(killer).unwrap();
+    client.send(r#"{"op":"ping","id":1}"#).unwrap();
+    let err = client.recv().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
+    assert!(
+        err.to_string().contains("connection lost"),
+        "unexpected error text: {err}"
+    );
 }

@@ -4,9 +4,9 @@
 //!   combined_away` holds for every kernel × strategy,
 //! * a stats-enabled compile is bit-identical in program and schedule to a
 //!   stats-disabled compile (collection never influences placement),
-//! * every canonical taxonomy counter — including the serve/cluster
-//!   robustness counters, the incremental-query counters, and the
-//!   persistent-store counters — is zero-filled in every emitted report,
+//! * every canonical taxonomy counter — including the serve robustness
+//!   counters, the incremental-query counters, and the persistent-store
+//!   counters — is zero-filled in every emitted report,
 //! * the incremental path (DESIGN.md §14) produces programs and
 //!   schedules bit-identical to a stats-enabled cold compile — memo
 //!   reuse, like stats collection, never influences placement.
@@ -18,8 +18,7 @@ use gcomm::{compile, compile_stats, Strategy as Opt};
 /// The canonical counter taxonomy is a contract: every report carries the
 /// full key set (zero-filled), so dashboards and diffs never miss a key
 /// because a run happened not to exercise it. This pins both halves: the
-/// zero-fill mechanism, and membership of the cluster robustness counters
-/// added with gcomm-cluster (DESIGN.md §13).
+/// zero-fill mechanism, and membership of the counters each layer owns.
 #[test]
 fn canonical_taxonomy_is_zero_filled_in_every_report() {
     let empty = gcomm::obs::Registry::new().snapshot().to_json();
@@ -32,15 +31,6 @@ fn canonical_taxonomy_is_zero_filled_in_every_report() {
     }
     for required in [
         "serve.overloaded",
-        "serve.unavailable",
-        "cluster.requests",
-        "cluster.retry",
-        "cluster.failover",
-        "cluster.replica_hit",
-        "cluster.conn_lost",
-        "cluster.marked_down",
-        "cluster.marked_up",
-        "cluster.respawn",
         "query.hit",
         "query.miss",
         "query.cutoff",
