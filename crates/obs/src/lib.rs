@@ -22,6 +22,10 @@
 //!   (dependence queries, section algebra) that feed only the per-name
 //!   aggregation, never the raw span list.
 //!
+//! Beside them, a [`Histogram`] counts samples (latencies) in fixed
+//! log-scale buckets with relaxed atomic adds; histograms recorded on
+//! different threads merge by addition.
+//!
 //! Collection is *opt-in per thread*: nothing is recorded unless a
 //! registry is [`install`]ed on the current thread, so library users and
 //! tests that never ask for stats pay one thread-local read per
@@ -56,6 +60,9 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+mod hist;
+pub use hist::Histogram;
 
 /// Maximum raw span records kept per registry; closes beyond the cap are
 /// still aggregated into the per-pass table and counted under the

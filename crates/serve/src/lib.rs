@@ -22,9 +22,11 @@
 //!   a bounded queue in front of a `gcomm-par` worker pool
 //!   (`--jobs`/`GCOMM_JOBS`); a full queue rejects with `overloaded`
 //!   instead of buffering. Per-request budgets ride on `gcomm-guard`.
-//! * **Observability**: every request records into its own `gcomm-obs`
-//!   registry, merged into the server-lifetime registry in request order,
-//!   so `stats` output is invariant under the worker count.
+//! * **Observability**: a request ticks the `gcomm-obs` registry of the
+//!   connection or pool job answering it — registries that outlive
+//!   requests, summed per `stats` request — so the stable `stats` form is
+//!   invariant under the worker count; latency histograms of the server's
+//!   stops ride in the unstable form.
 //! * **Graceful drain** ([`server::ShutdownFlag`]): a `shutdown` request
 //!   or SIGTERM/SIGINT stops accepting, finishes every accepted job,
 //!   flushes its response, and exits cleanly.

@@ -12,6 +12,8 @@
 //! a cache hit bit-identical to a cold compile regardless of the id the
 //! hitting request used.
 
+use std::fmt::Write as _;
+
 use gcomm_core::Strategy;
 use gcomm_guard::BudgetSpec;
 
@@ -270,45 +272,49 @@ impl Request {
 /// raw source bytes, NUL-separated (NUL cannot occur inside any of the
 /// components, so the encoding is injective).
 pub fn cache_key_material(req: &CompileReq, effective_budget: &BudgetSpec) -> String {
-    let sim = match &req.sim {
-        None => "-".to_string(),
+    // One allocation: the source plus room for the short components.
+    let mut m = String::with_capacity(req.source.len() + 128);
+    let _ = write!(
+        m,
+        "{PROTOCOL}\0{}\0{effective_budget}\0",
+        req.strategy.name()
+    );
+    match &req.sim {
+        None => m.push('-'),
         // `machine` may itself contain ':' (dims); it sits between the
         // colon-free `n` and `coll` components, so the encoding stays
         // injective.
-        Some(s) => format!("{}:{}:{}:{}", s.profile, s.n, s.machine, s.coll),
-    };
-    format!(
-        "{PROTOCOL}\0{}\0{}\0{}\0{}",
-        req.strategy.name(),
-        effective_budget,
-        sim,
-        req.source
-    )
-}
-
-/// Renders the `"id":<id>` member (JSON `null` when absent).
-pub fn id_json(id: Option<u64>) -> String {
-    match id {
-        Some(n) => n.to_string(),
-        None => "null".to_string(),
+        Some(s) => {
+            let _ = write!(m, "{}:{}:{}:{}", s.profile, s.n, s.machine, s.coll);
+        }
     }
+    m.push('\0');
+    m.push_str(&req.source);
+    m
 }
 
 /// Assembles a full response from an id and a cached or freshly rendered
-/// payload (the members after `"id"`).
+/// payload (the members after `"id"`); the id is JSON `null` when the
+/// request carried none.
 pub fn assemble(id: Option<u64>, payload: &str) -> String {
-    format!("{{\"id\":{},{payload}}}", id_json(id))
+    let mut out = String::with_capacity(payload.len() + 28);
+    match id {
+        Some(n) => {
+            let _ = write!(out, "{{\"id\":{n},");
+        }
+        None => out.push_str("{\"id\":null,"),
+    }
+    out.push_str(payload);
+    out.push('}');
+    out
 }
 
-/// Renders an error response.
-pub fn error_response(id: Option<u64>, code: &str, message: &str) -> String {
-    assemble(
-        id,
-        &format!(
-            "\"ok\":false,\"error\":{},\"message\":{}",
-            escape(code),
-            escape(message)
-        ),
+/// The payload of an error response (everything after `"id":…,`).
+pub fn error_payload(code: &str, message: &str) -> String {
+    format!(
+        "\"ok\":false,\"error\":{},\"message\":{}",
+        escape(code),
+        escape(message)
     )
 }
 
@@ -455,9 +461,9 @@ mod tests {
     #[test]
     fn responses_assemble_with_and_without_ids() {
         assert_eq!(
-            error_response(Some(4), "overloaded", "queue full"),
+            assemble(Some(4), &error_payload("overloaded", "queue full")),
             r#"{"id":4,"ok":false,"error":"overloaded","message":"queue full"}"#
         );
-        assert!(error_response(None, "bad_request", "x").starts_with(r#"{"id":null,"#));
+        assert!(assemble(None, &error_payload("bad_request", "x")).starts_with(r#"{"id":null,"#));
     }
 }

@@ -14,6 +14,15 @@
 //! A connection that ends takes its thread and its descriptors with it;
 //! the listener holds state only for connections that are live.
 //!
+//! ## Stats and latency
+//!
+//! A reader holds one of the service's registries ([`Service::record`])
+//! for its connection's life, a pool job for its run; a request is counted
+//! on the registry of the thread that answers it, before its response is
+//! written. Latency histograms (unstable `stats` form only) take the cache
+//! probe — the two clock reads a warm hit pays — and, for pooled work,
+//! the queue wait, the compile and the write.
+//!
 //! ## Backpressure
 //!
 //! The pool queue is bounded; a submission finding it full is answered
@@ -35,17 +44,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, ScopedJoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gcomm_par::{Pool, PoolHandle, SubmitError};
 
 use crate::frame::{
-    into_text, read_frame, read_line_capped, skip_payload, write_frame, FrameError, Line,
-    DEFAULT_MAX_FRAME,
+    into_text, read_frame, read_line_capped, skip_payload, FrameError, Line, DEFAULT_MAX_FRAME,
 };
 use crate::json::{escape, Json};
-use crate::protocol::{assemble, error_response, CompileReq, Request, PROTOCOL};
-use crate::service::{stats_payload, CacheKey, Service, ServiceConfig};
+use crate::protocol::{error_payload, CompileReq, Request, PROTOCOL};
+use crate::service::{CacheKey, Service, ServiceConfig};
 use crate::VERSION;
 
 /// A clonable request-to-stop handle shared by the accept loop, the
@@ -94,21 +102,45 @@ enum Framing {
     Lines,
 }
 
-/// A shared, mutex-serialized response sink. Write failures are swallowed:
+/// A shared, mutex-serialized response sink: the connection's write half
+/// and the buffer every response is framed in — one buffer, so one `write`
+/// a response (DESIGN.md §12's Nagle note). Write failures are swallowed:
 /// they mean the peer went away, and the reader side of the connection
 /// will notice on its next read.
 struct ResponseWriter {
     framing: Framing,
-    w: Mutex<Box<dyn Write + Send>>,
+    out: Mutex<(Box<dyn Write + Send>, Vec<u8>)>,
 }
 
 impl ResponseWriter {
-    fn send(&self, response: &str) {
-        let mut w = self.w.lock().unwrap();
-        let _ = match self.framing {
-            Framing::Frames => write_frame(&mut *w, response.as_bytes()),
-            Framing::Lines => writeln!(w, "{response}").and_then(|()| w.flush()),
+    fn new(framing: Framing, w: Box<dyn Write + Send>) -> ResponseWriter {
+        let out = Mutex::new((w, Vec::new()));
+        ResponseWriter { framing, out }
+    }
+
+    /// Writes the response `{"id":<id>,<payload>}`: the id prefix and the
+    /// payload are copied once, into the connection's buffer.
+    fn send(&self, id: Option<u64>, payload: &str) {
+        let mut out = self.out.lock().expect("no response write panics");
+        let (w, buf) = &mut *out;
+        buf.clear();
+        if let Framing::Frames = self.framing {
+            buf.extend_from_slice(&[0; 4]);
+        }
+        let _ = match id {
+            Some(n) => write!(buf, "{{\"id\":{n},"),
+            None => buf.write_all(b"{\"id\":null,"),
         };
+        buf.extend_from_slice(payload.as_bytes());
+        buf.push(b'}');
+        match self.framing {
+            Framing::Frames => match u32::try_from(buf.len() - 4) {
+                Ok(len) => buf[..4].copy_from_slice(&len.to_be_bytes()),
+                Err(_) => return,
+            },
+            Framing::Lines => buf.push(b'\n'),
+        }
+        let _ = w.write_all(buf).and_then(|()| w.flush());
     }
 }
 
@@ -120,38 +152,52 @@ enum Work {
     Sleep { id: Option<u64>, ms: u64 },
 }
 
-/// Completes sequence number `seq` for a request the transport answers
-/// itself, counting `serve.requests` and `extra`.
-fn settle(svc: &Service, seq: u64, extra: &[(&'static str, u64)]) {
-    let mut counters = vec![("serve.requests", 1)];
-    counters.extend_from_slice(extra);
-    svc.finish(seq, svc.counter_report(&counters));
+/// Nanoseconds from `from` to `to`.
+fn ns(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_nanos() as u64
 }
 
-/// The pool-worker half of a compile or sleep: does the work, completes
-/// `seq`, and returns the response.
-fn execute(svc: &Service, seq: u64, work: Work) -> String {
-    match work {
+/// The pool-worker half of a compile or sleep, submitted at `submitted`:
+/// does the work under a shard of the service's, writes the response, and
+/// records the queue wait, the compile and the write.
+fn execute(svc: &Service, writer: &ResponseWriter, submitted: Instant, work: Work) {
+    let _rec = svc.record();
+    let latency = &svc.latency;
+    let started = Instant::now();
+    latency.queue_wait.record(ns(submitted, started));
+    let ready = match work {
         Work::Compile(req, key) => {
-            let (resp, report) = svc.compile_keyed(&req, key);
-            svc.finish(seq, report);
-            resp
+            let payload = svc.respond(&req, key);
+            let compiled = Instant::now();
+            latency.compile.record(ns(started, compiled));
+            writer.send(req.id, &payload);
+            compiled
         }
         Work::Sleep { id, ms } => {
             std::thread::sleep(Duration::from_millis(ms));
-            settle(svc, seq, &[]);
-            assemble(id, &format!("\"ok\":true,\"slept_ms\":{ms}"))
+            gcomm_obs::count("serve.requests", 1);
+            let slept = Instant::now();
+            writer.send(id, &format!("\"ok\":true,\"slept_ms\":{ms}"));
+            slept
         }
+    };
+    latency.write.record(ns(ready, Instant::now()));
+}
+
+/// Counts a request the transport answers itself: `serve.requests` and
+/// `extra`, on the installed shard.
+fn count_answered(extra: Option<&'static str>) {
+    gcomm_obs::count("serve.requests", 1);
+    if let Some(name) = extra {
+        gcomm_obs::count(name, 1);
     }
 }
 
-/// Handles one request text: parses it, answers management ops inline,
-/// and submits compile/sleep work to the pool. Never panics on malformed
-/// input — every failure becomes an error response on `writer`.
-///
-/// Every request (malformed ones included) draws its sequence number as
-/// it arrives, and completes it exactly once: inline here, or on the pool
-/// worker that runs its work — or here when the pool refuses that work.
+/// Handles one request text on a thread holding a shard: parses it, answers
+/// management ops and cache hits inline, and submits compile/sleep work
+/// to the pool. Never panics on malformed input — every failure becomes an
+/// error response on `writer`. Every request is counted once: here, or on
+/// the pool worker that runs its work.
 fn dispatch(
     svc: &Arc<Service>,
     pool: &PoolHandle,
@@ -159,89 +205,84 @@ fn dispatch(
     shutdown: &ShutdownFlag,
     text: &str,
 ) {
-    let seq = svc.begin();
     let parsed = Json::parse(text)
         .map_err(|e| (None, format!("invalid JSON: {e}")))
         .and_then(|v| Request::parse(&v));
     let (id, work) = match parsed {
         Err((id, msg)) => {
-            settle(svc, seq, &[("serve.errors", 1)]);
-            writer.send(&error_response(id, "bad_request", &msg));
+            count_answered(Some("serve.errors"));
+            writer.send(id, &error_payload("bad_request", &msg));
             return;
         }
         Ok(Request::Compile(req)) => {
             // Cache hits are answered inline by the reader: no worker slot,
             // no queue capacity, no backpressure — a warm request costs a
             // hash and a map probe even when the pool is busy. The key is
-            // hashed once; the pooled compile inherits it.
+            // hashed once; the pooled compile inherits it. Two clock reads
+            // time the probe.
+            let probing = Instant::now();
             let key = svc.cache_key(&req);
-            if let Some((resp, report)) = key.as_ref().and_then(|k| svc.cached(req.id, k)) {
-                svc.finish(seq, report);
-                writer.send(&resp);
+            let hit = key.as_ref().and_then(|k| svc.cached(k));
+            svc.latency.probe.record(ns(probing, Instant::now()));
+            if let Some(payload) = hit {
+                writer.send(req.id, &payload);
                 return;
             }
             (req.id, Work::Compile(req, key))
         }
         Ok(Request::Sleep { id, ms }) => (id, Work::Sleep { id, ms }),
         Ok(Request::Stats { id, stable }) => {
-            // Settle our own sequence number first so a stats request
-            // issued after a set of *completed* requests observes all of
-            // them (plus itself); stats racing in-flight compiles see only
-            // what has drained, by design.
-            settle(svc, seq, &[]);
-            writer.send(&assemble(
-                id,
-                &stats_payload(&svc.lifetime_report(), stable),
-            ));
+            // Counted first, so a stats request observes every request
+            // whose response arrived before it was sent, plus itself.
+            count_answered(None);
+            writer.send(id, &svc.stats(stable));
             return;
         }
         Ok(Request::Version { id }) => {
-            settle(svc, seq, &[]);
+            count_answered(None);
             let payload = format!(
                 "\"ok\":true,\"version\":{},\"protocol\":{}",
                 escape(VERSION),
                 escape(PROTOCOL)
             );
-            writer.send(&assemble(id, &payload));
+            writer.send(id, &payload);
             return;
         }
         Ok(Request::Ping { id }) => {
-            settle(svc, seq, &[]);
-            writer.send(&assemble(id, "\"ok\":true,\"pong\":true"));
+            count_answered(None);
+            writer.send(id, "\"ok\":true,\"pong\":true");
             return;
         }
         Ok(Request::Shutdown { id }) => {
-            settle(svc, seq, &[]);
-            writer.send(&assemble(id, "\"ok\":true,\"shutting_down\":true"));
+            count_answered(None);
+            writer.send(id, "\"ok\":true,\"shutting_down\":true");
             shutdown.request();
             return;
         }
     };
-    let (worker, wr) = (Arc::clone(svc), Arc::clone(writer));
-    // A refused job is dropped unrun, so its sequence number is completed
-    // here: the absorber never waits on a request the pool did not take.
-    match pool.try_submit(move || wr.send(&execute(&worker, seq, work))) {
+    let (worker, wr, submitted) = (Arc::clone(svc), Arc::clone(writer), Instant::now());
+    // A refused job is dropped unrun, so it is counted here.
+    match pool.try_submit(move || execute(&worker, &wr, submitted, work)) {
         Ok(()) => {}
         Err(SubmitError::Full) => {
-            settle(svc, seq, &[("serve.overloaded", 1)]);
-            writer.send(&error_response(
+            count_answered(Some("serve.overloaded"));
+            writer.send(
                 id,
-                "overloaded",
-                "request queue is full, retry later",
-            ));
+                &error_payload("overloaded", "request queue is full, retry later"),
+            );
         }
         Err(SubmitError::Closed) => {
-            settle(svc, seq, &[]);
-            writer.send(&error_response(id, "shutting_down", "server is draining"));
+            count_answered(None);
+            writer.send(id, &error_payload("shutting_down", "server is draining"));
         }
     }
 }
 
 /// Answers a frame or line over [`DEFAULT_MAX_FRAME`], which never
 /// reaches [`dispatch`] but counts as a (failed) request all the same.
-fn reject_too_large(svc: &Service, writer: &ResponseWriter, message: &str) {
-    settle(svc, svc.begin(), &[("serve.errors", 1)]);
-    writer.send(&error_response(None, "too_large", message));
+fn reject_too_large(writer: &ResponseWriter, message: &str) {
+    count_answered(Some("serve.errors"));
+    writer.send(None, &error_payload("too_large", message));
 }
 
 /// Reads frames off one TCP connection until EOF, a fatal frame error, or
@@ -257,10 +298,8 @@ fn serve_connection(
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(ResponseWriter {
-        framing: Framing::Frames,
-        w: Mutex::new(Box::new(write_half)),
-    });
+    let writer = Arc::new(ResponseWriter::new(Framing::Frames, Box::new(write_half)));
+    let _rec = svc.record();
     let mut reader = BufReader::new(stream);
     loop {
         match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
@@ -270,7 +309,6 @@ fn serve_connection(
             Ok(None) => break,
             Err(FrameError::TooLarge { declared }) => {
                 reject_too_large(
-                    svc,
                     &writer,
                     &format!("declared frame of {declared} bytes exceeds {DEFAULT_MAX_FRAME}"),
                 );
@@ -436,18 +474,14 @@ pub fn serve_lines(
 ) -> io::Result<()> {
     let pool = Pool::new(svc.config().jobs, svc.config().queue_cap);
     let handle = pool.handle();
-    let writer = Arc::new(ResponseWriter {
-        framing: Framing::Lines,
-        w: Mutex::new(output),
-    });
+    let writer = Arc::new(ResponseWriter::new(Framing::Lines, output));
+    let _rec = svc.record();
     while !shutdown.is_set() {
         match read_line_capped(input, DEFAULT_MAX_FRAME)? {
             None => break,
-            Some(Line::TooLong) => reject_too_large(
-                svc,
-                &writer,
-                &format!("line exceeds {DEFAULT_MAX_FRAME} bytes"),
-            ),
+            Some(Line::TooLong) => {
+                reject_too_large(&writer, &format!("line exceeds {DEFAULT_MAX_FRAME} bytes"));
+            }
             Some(Line::Text(text)) => {
                 if text.trim().is_empty() {
                     continue;

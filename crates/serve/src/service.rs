@@ -1,32 +1,36 @@
 //! The transport-independent service core: request execution, the compile
-//! cache, per-request observability, and the in-order stats absorber.
+//! cache, and the registries a request's stats are counted in.
 //!
 //! A [`Service`] is shared (behind an `Arc`) between every connection
 //! thread and every pool worker. It owns:
 //!
 //! * the content-addressed response cache, a [`ByteLru`] under a mutex
 //!   (the critical section is a hash plus a map probe, orders of
-//!   magnitude cheaper than a compile);
-//! * the **lifetime registry** all per-request stats merge into, and the
-//!   sequencing machinery that keeps that merge *jobs-invariant*: every
-//!   request draws a sequence number at submission ([`Service::begin`])
-//!   and its snapshot is absorbed strictly in sequence order
-//!   ([`Service::finish`] holds out-of-order reports in a reorder
-//!   buffer), so a `stats` report taken after a set of requests completed
-//!   is identical whether the pool ran 1 worker or 8.
+//!   magnitude cheaper than a compile), whose payloads are `Arc<str>`: a
+//!   hit bumps a reference count;
+//! * the **shards** a request's stats are counted in: `gcomm-obs`
+//!   registries, each held by one thread at a time — a connection's reader
+//!   for the connection's life, a pool job for its run
+//!   ([`Service::record`]). A request ticks its shard in place; nothing
+//!   per request is built, snapshotted or absorbed. A `stats` request sums
+//!   the shards ([`Service::lifetime_report`]). Counters are sums, so that
+//!   total is a function of the *set* of requests that have completed,
+//!   whatever the worker count or completion order: a `stats` request
+//!   issued after a set of responses arrived counts exactly those requests
+//!   (and itself). A request still in flight may show part of its counts;
+//! * the server-side latency histograms (DESIGN.md §12).
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use gcomm_core::incr::{self, IncrCompiler, RoutineArtifacts, RoutineOutcome};
 use gcomm_core::{lower_to_sim, CompiledRef, SimConfig};
 use gcomm_guard::BudgetSpec;
 use gcomm_machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
-use gcomm_obs::{Registry, StatsReport};
+use gcomm_obs::{Histogram, Registry, StatsReport};
 use gcomm_query::{fingerprint, ByteLru, Computed, Fingerprinter};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
@@ -101,7 +105,7 @@ impl CacheKey {
 /// A rendered response payload with the key material it was stored under.
 struct CachedResponse {
     material: String,
-    payload: String,
+    payload: Arc<str>,
 }
 
 /// The response cache: key hash → rendered payload of a cold compile,
@@ -119,13 +123,13 @@ struct ResponseCache(ByteLru<u64, CachedResponse>);
 
 impl ResponseCache {
     /// The payload stored under `key`, made the most recently used.
-    fn get(&mut self, key: &CacheKey) -> Option<String> {
+    fn get(&mut self, key: &CacheKey) -> Option<Arc<str>> {
         let entry = self.0.get(&key.hash)?;
-        (entry.material == key.material).then(|| entry.payload.clone())
+        (entry.material == key.material).then(|| Arc::clone(&entry.payload))
     }
 
     /// Stores `payload` under `key`; returns the number of entries evicted.
-    fn insert(&mut self, key: CacheKey, payload: String) -> u64 {
+    fn insert(&mut self, key: CacheKey, payload: Arc<str>) -> u64 {
         let CacheKey { material, hash } = key;
         let bytes = (material.len() + payload.len()) as u64;
         self.0
@@ -133,11 +137,21 @@ impl ResponseCache {
     }
 }
 
-/// Reorder buffer absorbing per-request reports in sequence order.
+/// Server-side latency in nanoseconds: the cache probe of every compile
+/// request, and the queue wait, compile and write of pooled work.
 #[derive(Debug, Default)]
-struct Absorber {
-    next_expected: u64,
-    pending: std::collections::BTreeMap<u64, StatsReport>,
+pub(crate) struct Latency {
+    pub(crate) probe: Histogram,
+    pub(crate) queue_wait: Histogram,
+    pub(crate) compile: Histogram,
+    pub(crate) write: Histogram,
+}
+
+/// One of the service's registries, installed as this thread's `gcomm-obs`
+/// registry until dropped (see [`Service::record`]).
+pub(crate) struct Recording {
+    reg: Arc<Registry>,
+    _installed: gcomm_obs::ScopeGuard,
 }
 
 /// The shared state of one running compile service.
@@ -148,9 +162,12 @@ pub struct Service {
     /// Write-through persistent log shadowing the cache (DESIGN.md §15).
     store: Option<Mutex<Store>>,
     incr: IncrCompiler,
-    lifetime: Registry,
-    absorber: Mutex<Absorber>,
-    next_seq: AtomicU64,
+    shards: Mutex<Vec<Arc<Registry>>>,
+    pub(crate) latency: Latency,
+    /// What opening the persistent cache found, reported by every `stats`
+    /// (zeros included): `store.recover_ok`, `store.recover_torn`,
+    /// `store.quarantined`.
+    recovered: Vec<(&'static str, u64)>,
 }
 
 impl Service {
@@ -172,7 +189,7 @@ impl Service {
     /// ones — see [`gcomm_store::Store::open`]), surviving entries warm
     /// the in-memory LRU in last-write order, and the
     /// `store.recover_ok`/`store.recover_torn`/`store.quarantined`
-    /// counters land in the lifetime registry. By the time `open`
+    /// counts are kept for every `stats` report. By the time `open`
     /// returns, every recovered entry is servable and bit-identical to
     /// the cold compile that produced it.
     ///
@@ -181,8 +198,8 @@ impl Service {
     /// Any I/O error creating, scanning, or repairing the persist
     /// directory. Infallible when `config.persist` is `None`.
     pub fn open(config: ServiceConfig) -> io::Result<Service> {
-        let lifetime = Registry::new();
         let mut cache = ResponseCache(ByteLru::new(config.cache_bytes));
+        let mut recovered = Vec::new();
         let store = match &config.persist {
             None => None,
             Some(dir) => {
@@ -191,20 +208,23 @@ impl Service {
                     ..StoreConfig::default()
                 };
                 let (store, recovery) = Store::open(dir, store_cfg)?;
-                lifetime.add("store.recover_ok", recovery.records_ok);
-                lifetime.add("store.recover_torn", recovery.torn);
-                lifetime.add("store.quarantined", recovery.quarantined);
+                let mut quarantined = recovery.quarantined;
                 for (key, value) in recovery.entries {
                     // The log stores opaque bytes, but every record we
                     // write is UTF-8 (key material and JSON payloads). A
                     // non-UTF-8 record is foreign — quarantine it too.
                     match (String::from_utf8(key), String::from_utf8(value)) {
                         (Ok(k), Ok(v)) => {
-                            cache.insert(CacheKey::new(k), v);
+                            cache.insert(CacheKey::new(k), v.into());
                         }
-                        _ => lifetime.add("store.quarantined", 1),
+                        _ => quarantined += 1,
                     }
                 }
+                recovered = vec![
+                    ("store.recover_ok", recovery.records_ok),
+                    ("store.recover_torn", recovery.torn),
+                    ("store.quarantined", quarantined),
+                ];
                 Some(Mutex::new(store))
             }
         };
@@ -213,9 +233,9 @@ impl Service {
             config,
             cache: Mutex::new(cache),
             store,
-            lifetime,
-            absorber: Mutex::new(Absorber::default()),
-            next_seq: AtomicU64::new(0),
+            shards: Mutex::new(Vec::new()),
+            latency: Latency::default(),
+            recovered,
         })
     }
 
@@ -224,56 +244,110 @@ impl Service {
         &self.config
     }
 
-    /// Draws the sequence number for a request **at submission time**.
-    /// Every `begin` must be paired with exactly one [`Service::finish`]
-    /// (even for rejected or failed requests), or later reports stall in
-    /// the reorder buffer.
+    /// Installs one of the service's registries (its *shards*) as this
+    /// thread's `gcomm-obs` registry until the returned guard drops — an
+    /// idle one, or a new one when every shard is held. A connection's
+    /// reader holds one for the connection's life, a pool job for its run;
+    /// [`Service::compile`] and [`Service::try_cached`] take one per call.
+    pub(crate) fn record(&self) -> Recording {
+        let reg = {
+            let mut shards = self.shards();
+            match shards.iter().find(|s| Arc::strong_count(s) == 1) {
+                Some(idle) => Arc::clone(idle),
+                None => {
+                    shards.push(Arc::default());
+                    Arc::clone(&shards[shards.len() - 1])
+                }
+            }
+        };
+        Recording {
+            _installed: gcomm_obs::install(Registry::clone(&reg)),
+            reg,
+        }
+    }
+
+    /// Every shard ever made; one that only this list holds is idle.
+    fn shards(&self) -> MutexGuard<'_, Vec<Arc<Registry>>> {
+        self.shards.lock().expect("no shard list update panics")
+    }
+
+    /// Kept for callers of the sequenced API this service used to have;
+    /// returns 0. Stats are counted in place (see the module docs), so
+    /// there is no order to keep.
     pub fn begin(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed)
+        0
     }
 
-    /// Completes sequence number `seq` with the request's stats snapshot.
-    /// Reports are absorbed into the lifetime registry strictly in
-    /// sequence order; an out-of-order completion parks in the reorder
-    /// buffer until its predecessors arrive.
-    pub fn finish(&self, seq: u64, report: StatsReport) {
-        let mut ab = self.absorber.lock().unwrap();
-        ab.pending.insert(seq, report);
-        loop {
-            let next = ab.next_expected;
-            let Some(rep) = ab.pending.remove(&next) else {
-                break;
-            };
-            self.lifetime.absorb(&rep);
-            ab.next_expected += 1;
+    /// Kept beside [`Service::begin`]: adds `report` to the lifetime
+    /// stats as it is. The reports [`Service::compile`] and
+    /// [`Service::try_cached`] return are empty — their counts are already
+    /// recorded.
+    pub fn finish(&self, _seq: u64, report: StatsReport) {
+        if report != StatsReport::default() {
+            self.record().reg.absorb(&report);
         }
     }
 
-    /// A one-off report carrying only the given counters — the completion
-    /// shape for requests that never execute (rejections, parse errors).
-    pub fn counter_report(&self, counters: &[(&str, u64)]) -> StatsReport {
-        StatsReport {
-            counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-            ..StatsReport::default()
-        }
-    }
-
-    /// Snapshot of the lifetime registry (completed requests only — an
-    /// in-flight request's stats appear once it finishes and its turn in
-    /// the sequence order comes up).
+    /// Everything the service has counted: the recovery counts, then every
+    /// shard, summed.
     pub fn lifetime_report(&self) -> StatsReport {
-        self.lifetime.snapshot()
+        let total = Registry::new();
+        for &(name, n) in &self.recovered {
+            total.add(name, n);
+        }
+        for reg in self.shards().iter() {
+            total.absorb(&reg.snapshot());
+        }
+        total.snapshot()
     }
 
-    /// Executes a compile request, returning the full response and the
-    /// request's stats snapshot (pass it to [`Service::finish`]).
+    /// The payload of a `stats` response. `stable` keeps only
+    /// scheduling-invariant counters (drops `*.wall_ns`, the pass table,
+    /// the spans, the events and the latency), which is the diffable form;
+    /// otherwise the lifetime report is followed by the latency histograms.
+    pub fn stats(&self, stable: bool) -> String {
+        let report = self.lifetime_report();
+        if !stable {
+            let l = &self.latency;
+            return format!(
+                "\"ok\":true,\"stats\":{},\"latency\":{{\"unit\":\"ns\",\"probe\":{},\
+                 \"queue_wait\":{},\"compile\":{},\"write\":{}}}",
+                report.to_json(),
+                l.probe.to_json(),
+                l.queue_wait.to_json(),
+                l.compile.to_json(),
+                l.write.to_json()
+            );
+        }
+        let mut p = String::from(
+            "\"ok\":true,\"stats\":{\"schema\":\"gcomm-serve-stats/v1\",\"counters\":{",
+        );
+        let counters = report
+            .counters
+            .iter()
+            .filter(|(k, _)| !k.ends_with(".wall_ns"));
+        for (i, (k, v)) in counters.enumerate() {
+            if i > 0 {
+                p.push(',');
+            }
+            let _ = write!(p, "{}:{v}", escape(k));
+        }
+        p.push_str("}}");
+        p
+    }
+
+    /// Executes a compile request, returning the full response and an
+    /// empty report (its counts are recorded in the service already).
     pub fn compile(&self, req: &CompileReq) -> (String, StatsReport) {
-        self.compile_keyed(req, self.cache_key(req))
+        let key = self.cache_key(req);
+        let _rec = self.record();
+        let payload = self.respond(req, key);
+        (assemble(req.id, &payload), StatsReport::default())
     }
 
     /// The request's content address, hashed here once: the transports
     /// build it, probe with it ([`Service::cached`]) and hand it on to the
-    /// pooled compile ([`Service::compile_keyed`]), so a source-sized key
+    /// pooled compile ([`Service::respond`]), so a source-sized key
     /// is rendered and fingerprinted once per request. `None` for a
     /// wall-clock (`ms=`) budget — its degradation depends on the clock,
     /// so the payload is not a pure function of any key.
@@ -282,32 +356,18 @@ impl Service {
         (effective.ms.is_none()).then(|| CacheKey::new(cache_key_material(req, &effective)))
     }
 
-    /// [`Service::compile`] under `key`, which must be
-    /// [`Service::cache_key`] of `req`.
-    pub(crate) fn compile_keyed(
-        &self,
-        req: &CompileReq,
-        key: Option<CacheKey>,
-    ) -> (String, StatsReport) {
-        let reg = Registry::new();
-        let payload = {
-            let _g = gcomm_obs::install(reg.clone());
-            gcomm_obs::count("serve.requests", 1);
-            self.compile_payload(req, key)
-        };
-        (assemble(req.id, &payload), reg.snapshot())
-    }
-
     /// The response payload (everything after `"id":…,`) for a compile
-    /// request: served from the cache when possible, compiled cold
-    /// otherwise. Requests without a key (wall-clock budgets) bypass the
-    /// cache.
-    fn compile_payload(&self, req: &CompileReq, key: Option<CacheKey>) -> String {
+    /// request under `key`, which must be [`Service::cache_key`] of `req`:
+    /// served from the cache when possible, compiled cold otherwise.
+    /// Requests without a key (wall-clock budgets) bypass the cache.
+    /// Counts the request on the installed registry.
+    pub(crate) fn respond(&self, req: &CompileReq, key: Option<CacheKey>) -> Arc<str> {
+        gcomm_obs::count("serve.requests", 1);
         let effective = req.budget.unwrap_or(self.config.default_budget);
         let Some(key) = key else {
             gcomm_obs::count("cache.bypass", 1);
             gcomm_obs::count("serve.compiles", 1);
-            return cold_compile_payload(req, &effective);
+            return cold_compile_payload(req, &effective).into();
         };
         if let Some(hit) = self.cache.lock().unwrap().get(&key) {
             gcomm_obs::count("cache.hit", 1);
@@ -318,9 +378,9 @@ impl Service {
         // The warm-edit path: a near-miss (an edited source) recompiles
         // only the routines whose bytes and AST are both new; everything
         // else is reused bit-identically (DESIGN.md §14).
-        let payload = incremental_payload(&self.incr, req, &effective);
+        let payload: Arc<str> = incremental_payload(&self.incr, req, &effective).into();
         self.persist_entry(key.material(), &payload);
-        let evicted = self.cache.lock().unwrap().insert(key, payload.clone());
+        let evicted = self.cache.lock().unwrap().insert(key, Arc::clone(&payload));
         if evicted > 0 {
             gcomm_obs::count("cache.evict", evicted);
         }
@@ -356,19 +416,23 @@ impl Service {
     /// answers directly — the request never consumes a worker slot or
     /// queue capacity, so warm latency stays flat under compile load and
     /// backpressure never rejects a request the cache could have served.
-    /// Counts exactly what the pooled hit path would have counted
-    /// (`serve.requests` + `cache.hit`), keeping stats jobs-invariant.
+    /// A hit is counted (`serve.requests` + `cache.hit`, what the pooled
+    /// hit path counts) and answered with an empty report; a miss counts
+    /// nothing.
     pub fn try_cached(&self, req: &CompileReq) -> Option<(String, StatsReport)> {
-        self.cached(req.id, &self.cache_key(req)?)
+        let key = self.cache_key(req)?;
+        let _rec = self.record();
+        let payload = self.cached(&key)?;
+        Some((assemble(req.id, &payload), StatsReport::default()))
     }
 
-    /// [`Service::try_cached`] under an already built key.
-    pub(crate) fn cached(&self, id: Option<u64>, key: &CacheKey) -> Option<(String, StatsReport)> {
+    /// [`Service::try_cached`] under an already built key, counting a hit
+    /// on the installed registry.
+    pub(crate) fn cached(&self, key: &CacheKey) -> Option<Arc<str>> {
         let payload = self.cache.lock().unwrap().get(key)?;
-        Some((
-            assemble(id, &payload),
-            self.counter_report(&[("serve.requests", 1), ("cache.hit", 1)]),
-        ))
+        gcomm_obs::count("serve.requests", 1);
+        gcomm_obs::count("cache.hit", 1);
+        Some(payload)
     }
 
     /// Cache occupancy `(entries, used_bytes)` (for reports and tests).
@@ -622,30 +686,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Renders a stats response payload from a report. `stable` keeps only
-/// scheduling-invariant counters (drops `*.wall_ns`, the pass table, the
-/// spans, and the events), which is the diffable form.
-pub fn stats_payload(report: &StatsReport, stable: bool) -> String {
-    if !stable {
-        return format!("\"ok\":true,\"stats\":{}", report.to_json());
-    }
-    let mut p =
-        String::from("\"ok\":true,\"stats\":{\"schema\":\"gcomm-serve-stats/v1\",\"counters\":{");
-    let mut first = true;
-    for (k, v) in &report.counters {
-        if k.ends_with(".wall_ns") {
-            continue;
-        }
-        if !first {
-            p.push(',');
-        }
-        first = false;
-        let _ = write!(p, "{}:{v}", escape(k));
-    }
-    p.push_str("}}");
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,12 +709,10 @@ mod tests {
     fn cache_hit_is_bit_identical_and_counted() {
         let svc = Service::new(ServiceConfig::default());
         let req = compile_req(OK_SRC);
-        let (cold, rep0) = svc.compile(&req);
-        svc.finish(svc.begin(), rep0);
+        let (cold, _) = svc.compile(&req);
         let mut warm_req = req.clone();
         warm_req.id = Some(99); // a different id must not defeat the cache
-        let (warm, rep1) = svc.compile(&warm_req);
-        svc.finish(svc.begin(), rep1);
+        let (warm, _) = svc.compile(&warm_req);
         // Identical payloads behind the echoed ids.
         assert_eq!(
             cold.strip_prefix("{\"id\":1,").unwrap(),
@@ -709,10 +747,8 @@ mod tests {
         let svc = Service::new(ServiceConfig::default());
         let mut req = compile_req(OK_SRC);
         req.budget = Some(BudgetSpec::parse("ms=10000").unwrap());
-        let (_, r0) = svc.compile(&req);
-        let (_, r1) = svc.compile(&req);
-        svc.finish(svc.begin(), r0);
-        svc.finish(svc.begin(), r1);
+        svc.compile(&req);
+        svc.compile(&req);
         let life = svc.lifetime_report();
         assert_eq!(life.counter("cache.bypass"), 2);
         assert_eq!(life.counter("cache.hit"), 0);
@@ -724,15 +760,13 @@ mod tests {
     fn compile_errors_are_rendered_and_cached() {
         let svc = Service::new(ServiceConfig::default());
         let req = compile_req("program p\nthis is not hpf\nend\n");
-        let (resp, rep) = svc.compile(&req);
-        svc.finish(svc.begin(), rep);
+        let (resp, _) = svc.compile(&req);
         assert!(resp.contains("\"ok\":false"));
         assert!(resp.contains("\"error\":\"compile_error\""));
         let v = Json::parse(&resp).expect("error responses are valid JSON");
         assert!(v.get("errors").unwrap().as_str().is_none());
         // Diagnostics are deterministic, so they cache like successes.
-        let (resp2, rep2) = svc.compile(&req);
-        svc.finish(svc.begin(), rep2);
+        let (resp2, _) = svc.compile(&req);
         assert_eq!(resp, resp2);
         assert_eq!(svc.lifetime_report().counter("cache.hit"), 1);
     }
@@ -753,25 +787,53 @@ mod tests {
     }
 
     #[test]
-    fn finish_reorders_out_of_order_completions() {
+    fn finish_absorbs_what_it_is_given() {
         let svc = Service::new(ServiceConfig::default());
-        let s0 = svc.begin();
-        let s1 = svc.begin();
-        let s2 = svc.begin();
-        svc.finish(s2, svc.counter_report(&[("t.c", 4)]));
-        assert_eq!(svc.lifetime_report().counter("t.c"), 0, "parked");
-        svc.finish(s0, svc.counter_report(&[("t.c", 1)]));
-        assert_eq!(svc.lifetime_report().counter("t.c"), 1);
-        svc.finish(s1, svc.counter_report(&[("t.c", 2)]));
-        assert_eq!(svc.lifetime_report().counter("t.c"), 7, "drained in order");
+        let report = |n| {
+            let reg = Registry::new();
+            reg.add("t.c", n);
+            reg.snapshot()
+        };
+        // Any order, no sequence: counters are sums.
+        svc.finish(svc.begin(), report(4));
+        assert_eq!(svc.lifetime_report().counter("t.c"), 4);
+        svc.finish(svc.begin(), StatsReport::default());
+        svc.finish(svc.begin(), report(3));
+        assert_eq!(svc.lifetime_report().counter("t.c"), 7);
+    }
+
+    #[test]
+    fn shards_are_reused_and_summed() {
+        let svc = Service::new(ServiceConfig::default());
+        {
+            let _outer = svc.record();
+            gcomm_obs::count("t.c", 1);
+            // A second holder on the same thread takes a shard of its own.
+            let _inner = svc.record();
+            gcomm_obs::count("t.c", 2);
+        }
+        for _ in 0..3 {
+            let _again = svc.record();
+            gcomm_obs::count("t.c", 10);
+        }
+        assert_eq!(
+            svc.shards.lock().unwrap().len(),
+            2,
+            "idle shards are reused"
+        );
+        assert_eq!(svc.lifetime_report().counter("t.c"), 33);
+        assert!(!gcomm_obs::enabled(), "a released shard is uninstalled");
     }
 
     #[test]
     fn stable_stats_filter_wall_counters() {
-        let reg = Registry::new();
-        reg.add("cache.hit", 3);
-        reg.add("dep.query.wall_ns", 123456);
-        let p = stats_payload(&reg.snapshot(), true);
+        let svc = Service::new(ServiceConfig::default());
+        {
+            let _rec = svc.record();
+            gcomm_obs::count("cache.hit", 3);
+            gcomm_obs::count("dep.query.wall_ns", 123456);
+        }
+        let p = svc.stats(true);
         assert!(p.contains("\"cache.hit\":3"));
         assert!(!p.contains("wall_ns"));
         let v = Json::parse(&format!("{{{p}}}")).unwrap();

@@ -25,11 +25,9 @@ fn cache_hits_are_bit_identical_across_fuzzed_programs() {
     for seed in 0..200u64 {
         let source = proptest::hpf::generate(seed);
         // Cold through the service (fills the cache) …
-        let (cold, r0) = svc.compile(&req(source.clone(), 1));
-        svc.finish(svc.begin(), r0);
+        let (cold, _) = svc.compile(&req(source.clone(), 1));
         // … warm through the service (must hit) …
-        let (warm, r1) = svc.compile(&req(source.clone(), 2));
-        svc.finish(svc.begin(), r1);
+        let (warm, _) = svc.compile(&req(source.clone(), 2));
         // … and a cache-free reference compile.
         let reference = cold_compile_payload(&req(source, 0), &BudgetSpec::default());
         let cold_payload = cold.strip_prefix("{\"id\":1,").unwrap();
@@ -60,31 +58,25 @@ fn byte_capped_service_evicts_in_lru_order() {
     // real service at exactly that.
     let probe = Service::new(ServiceConfig::default());
     for s in &sources[..2] {
-        let (_, r) = probe.compile(&req(s.clone(), 1));
-        probe.finish(probe.begin(), r);
+        probe.compile(&req(s.clone(), 1));
     }
     let svc = Service::new(ServiceConfig {
         cache_bytes: probe.cache_usage().1,
         ..ServiceConfig::default()
     });
     for s in &sources[..2] {
-        let (_, r) = svc.compile(&req(s.clone(), 1));
-        svc.finish(svc.begin(), r);
+        svc.compile(&req(s.clone(), 1));
     }
     assert_eq!(svc.cache_usage().0, 2);
     // Touch the older entry so the *newer* one becomes the LRU victim.
-    let (_, r) = svc.compile(&req(sources[0].clone(), 1));
-    svc.finish(svc.begin(), r);
-    let (_, r) = svc.compile(&req(sources[2].clone(), 1));
-    svc.finish(svc.begin(), r);
+    svc.compile(&req(sources[0].clone(), 1));
+    svc.compile(&req(sources[2].clone(), 1));
     let life = svc.lifetime_report();
     assert!(life.counter("cache.evict") >= 1, "third insert must evict");
     // The touched entry survived; the untouched one was evicted.
-    let (_, r) = svc.compile(&req(sources[0].clone(), 1));
-    svc.finish(svc.begin(), r);
+    svc.compile(&req(sources[0].clone(), 1));
     assert_eq!(svc.lifetime_report().counter("cache.hit"), 2);
-    let (_, r) = svc.compile(&req(sources[1].clone(), 1));
-    svc.finish(svc.begin(), r);
+    svc.compile(&req(sources[1].clone(), 1));
     assert_eq!(
         svc.lifetime_report().counter("cache.miss"),
         4,
@@ -110,9 +102,7 @@ fn machine_and_coll_are_part_of_the_cache_identity() {
             sim: Some(sim),
             ..req(source.clone(), id)
         };
-        let (resp, work) = svc.compile(&r);
-        svc.finish(svc.begin(), work);
-        resp
+        svc.compile(&r).0
     };
     let specs = [
         ("flat", "p2p"),

@@ -48,8 +48,7 @@ fn persist_config(dir: &Path) -> ServiceConfig {
 /// the id prefix stripped (ids are excluded from the cache key, so this
 /// is the byte sequence the persistence layer must preserve).
 fn payload(svc: &Service, source: &str, id: u64) -> String {
-    let (resp, r) = svc.compile(&req(source.to_string(), id));
-    svc.finish(svc.begin(), r);
+    let (resp, _) = svc.compile(&req(source.to_string(), id));
     resp.strip_prefix(&format!("{{\"id\":{id},"))
         .unwrap_or_else(|| panic!("unexpected response shape: {resp}"))
         .to_string()

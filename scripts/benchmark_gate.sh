@@ -35,6 +35,15 @@ gates = [
     # only the query engine's dropped pass memos read.)
     ("serve: cold_payload_us / compile_us",
      serve["serve.cold_payload_us"] / serve["core.compile_us"], 1.9),
+    # What the service adds around a cold payload in process — key,
+    # cache probe and insert, the engine's bookkeeping, stats, assembling
+    # the response: 1.25-1.28 while every request built, snapshotted and
+    # absorbed a gcomm-obs registry of its own through a reorder buffer,
+    # 1.03-1.04 since it ticks a registry that outlives it (5 s traces of
+    # both commits, alternated); the limit sits 10 % above. A per-request
+    # registry cannot come back unnoticed.
+    ("serve: miss_inproc_us / cold_payload_us",
+     serve["serve.miss_inproc_us"] / serve["serve.cold_payload_us"], 1.14),
     # What an installed gcomm-obs registry costs a compile. (serve 1.22,
     # kernels 2.4-2.5 before the allocation-free ticks; 1.08, 1.57 after;
     # kernels 1.05 since the redundancy sweep stopped ticking per rescanned

@@ -233,9 +233,7 @@ fn served_edit_storm_matches_cold_payloads() {
                 budget: None,
                 sim: sim.clone(),
             };
-            let seq = svc.begin();
-            let (served, report) = svc.compile(&req);
-            svc.finish(seq, report);
+            let (served, _) = svc.compile(&req);
             let cold = assemble(req.id, &cold_compile_payload(&req, &BudgetSpec::default()));
             assert_eq!(
                 served, cold,

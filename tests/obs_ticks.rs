@@ -9,8 +9,10 @@
 //!   (`*.wall_ns` excluded — wall time is not reproducible). Re-bless an
 //!   intentional change with `GCOMM_BLESS=1 cargo test --test obs_ticks`.
 //!
-//! The jobs-invariance of `stats --stable` under sequence-ordered
-//! absorption is covered by `tests/serve_concurrency.rs`.
+//! The served path ticks registries that outlive requests (one per
+//! connection or pool job, summed per `stats` request); that the stable
+//! `stats` form is jobs-invariant, and counts a request as soon as its
+//! response arrived, is covered by `tests/serve_concurrency.rs`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

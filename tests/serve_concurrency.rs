@@ -2,7 +2,8 @@
 //!
 //! * responses are a pure function of the request — identical for 1 or 4
 //!   workers and under any client-thread interleaving;
-//! * the deterministic (`stable`) stats form is jobs-invariant;
+//! * the deterministic (`stable`) stats form is jobs-invariant, and a
+//!   `stats` request sees every request whose response arrived before it;
 //! * a full queue answers `overloaded` immediately instead of
 //!   deadlocking or buffering without bound;
 //! * shutdown drains: every accepted job's response is written before the
@@ -89,6 +90,85 @@ fn responses_and_stable_stats_are_jobs_invariant() {
     // the whole stable form must match byte-for-byte (ids match too).
     assert_eq!(stats_one, stats_four);
     assert!(stats_one.contains("\"serve.requests\":25"), "{stats_one}");
+}
+
+/// The stable counters of one `stats` request on `client`.
+fn stable_counters(client: &mut Client) -> BTreeMap<String, u64> {
+    let resp = client
+        .request(r#"{"op":"stats","id":0,"stable":true}"#)
+        .unwrap();
+    let stats = Json::parse(&resp).expect("stats parse");
+    let Some(Json::Obj(counters)) = stats.get("stats").and_then(|s| s.get("counters")) else {
+        panic!("no counters in {resp}");
+    };
+    counters
+        .iter()
+        .map(|(name, v)| (name.clone(), v.as_u64().expect("a count")))
+        .collect()
+}
+
+/// Every request is counted before its response is written, so a `stats`
+/// request sent after a response arrived sees exactly that request's
+/// counts — on the same connection, with four workers, whichever thread
+/// answered it. One connection alternates compiles (a miss, a hit, a
+/// compile error and its hit) with `stats --stable`, and every `stats`
+/// must show the one request before it plus itself, nothing more and
+/// nothing less.
+#[test]
+fn stats_after_a_response_counts_exactly_that_request() {
+    let server = gcomm::serve::spawn("127.0.0.1:0", config(4)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let bad = "program p\nthis is not hpf\nend\n";
+    let mut before = stable_counters(&mut client);
+    for round in 0..4u64 {
+        let good = proptest::hpf::generate(round);
+        // The error program compiles cold in round 0 and hits after that.
+        let bad_cold = u64::from(round == 0);
+        // (source, cache.hit, cache.miss, serve.errors)
+        let steps = [
+            (good.as_str(), 0, 1, 0),
+            (good.as_str(), 1, 0, 0),
+            (bad, 1 - bad_cold, bad_cold, bad_cold),
+            (bad, 1, 0, 0),
+        ];
+        for (step, &(source, hit, miss, errors)) in steps.iter().enumerate() {
+            let id = round * 10 + step as u64;
+            let resp = client
+                .request(&compile_request(id, source, Strategy::Global, None, None))
+                .unwrap();
+            assert_eq!(response_id(&resp), id);
+            let after = stable_counters(&mut client);
+            let delta = |name: &str| {
+                after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0)
+            };
+            let want = [
+                ("serve.requests", 2), // the compile and this stats request
+                ("serve.compiles", miss),
+                ("serve.errors", errors),
+                ("cache.hit", hit),
+                ("cache.miss", miss),
+                ("cache.evict", 0),
+                ("cache.bypass", 0),
+            ];
+            for (name, n) in want {
+                assert_eq!(delta(name), n, "round {round} step {step}: {name}");
+            }
+            before = after;
+        }
+    }
+    // The unstable form adds the latency histograms: a probe per compile
+    // request, and queue wait, compile and write per pooled miss.
+    let resp = client.request(r#"{"op":"stats","id":1}"#).unwrap();
+    let latency = Json::parse(&resp).unwrap().get("latency").cloned();
+    let count = |stop: &str| {
+        let h = latency.as_ref().and_then(|l| l.get(stop));
+        h.and_then(|h| h.get("count")).and_then(Json::as_u64)
+    };
+    assert_eq!(count("probe"), Some(16), "{resp}");
+    for stop in ["queue_wait", "compile", "write"] {
+        assert_eq!(count(stop), Some(5), "{stop}: {resp}");
+    }
+    server.stop().unwrap();
 }
 
 #[test]
