@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use gcomm::lang::{ArrayDecl, ArrayRef, Assign, DeclDim, DoLoop, Expr, IfStmt, Name};
 use gcomm::lang::{Program, Stmt, Subscript};
-use gcomm::query::Fingerprinter;
+use gcomm::query::{mix, Fingerprinter};
 
 #[path = "support/pinned_sources.rs"]
 mod pinned_sources;
@@ -160,4 +160,42 @@ fn sharing_is_invisible_to_eq_debug_hash_and_lowering() {
     // Unequal text stays unequal whichever way it is held.
     assert_ne!(Name::from("a"), Name::from("b"));
     assert_eq!(Name::from("a"), Name::from(String::from("a")));
+}
+
+/// Folds `ast_fp` and `ir_fp` (0 when the tree does not lower) into
+/// `digest`.
+fn fold_tree(digest: u64, ast: &Program) -> u64 {
+    let ir_fp = gcomm::ir::lower(ast).map_or(0, |ir| Fingerprinter::of(&ir));
+    mix(mix(digest, Fingerprinter::of(ast)), ir_fp)
+}
+
+/// One digest over shapes the 46 pinned programs do not all reach: 2 000
+/// generated programs, the paper's figure sources, and trees built by
+/// `scalarize` and `fuse_loops` rather than by the parser. A change to how
+/// an AST or IR is held must leave it as it is.
+#[test]
+fn broad_fingerprint_digest_is_pinned() {
+    let mut digest = 0;
+    let generated = (0..2_000u64).map(|i| proptest::hpf::generate(0x9c077 + i));
+    let figures = [
+        gcomm::kernels::FIG3_F90,
+        gcomm::kernels::FIG3_SCALARIZED,
+        gcomm::kernels::FIG4_RUNNING,
+    ];
+    for src in generated.chain(figures.iter().map(|s| s.to_string())) {
+        digest = match gcomm::parse_program(&src) {
+            Ok(ast) => fold_tree(digest, &ast),
+            Err(_) => mix(digest, 1),
+        };
+    }
+    for (_, _, src) in gcomm::kernels::all_kernels() {
+        let ast = gcomm::parse_program(src).expect("kernels parse");
+        for tree in [gcomm::lang::scalarize(&ast), gcomm::lang::fuse_loops(&ast)] {
+            digest = fold_tree(digest, &tree);
+        }
+    }
+    assert_eq!(
+        digest, 0x997f_1d36_e5ae_6f97,
+        "ast_fp / ir_fp moved on the broad digest"
+    );
 }
