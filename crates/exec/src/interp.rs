@@ -14,7 +14,7 @@ use gcomm_ir::{
     AccessRef, Affine, ArrayId, IrProgram, LoopId, NodeId, NodeKind, Pos, StmtId, StmtKind,
     SubscriptIr, Var,
 };
-use gcomm_lang::{ArrayRef, BinOp, Expr, Name, Subscript};
+use gcomm_lang::{Arena, ArrayRef, BinOp, ExprId, ExprNode, Name, Subscript};
 
 /// An error raised during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,34 +115,43 @@ impl State {
                     let hi = self
                         .eval_affine(prog, hi)
                         .ok_or_else(|| ExecError::new("unbound variable in section bound"))?;
-                    let mut v = Vec::new();
-                    let mut i = lo;
-                    while (*step > 0 && i <= hi) || (*step < 0 && i >= hi) {
-                        v.push(i);
-                        i += step;
-                    }
-                    dims.push(v);
+                    dims.push(triplet(lo, hi, *step));
                 }
                 SubscriptIr::NonAffine => {
                     return Err(ExecError::new("non-affine subscript in execution"));
                 }
             }
         }
-        // Cartesian product, row-major.
-        let mut out: Vec<Vec<i64>> = vec![Vec::new()];
-        for d in &dims {
-            let mut next = Vec::with_capacity(out.len() * d.len());
-            for pre in &out {
-                for &x in d {
-                    let mut e = pre.clone();
-                    e.push(x);
-                    next.push(e);
-                }
-            }
-            out = next;
-        }
-        Ok(out)
+        Ok(product(&dims))
     }
+}
+
+/// The indices of the section `lo : hi : step`.
+fn triplet(lo: i64, hi: i64, step: i64) -> Vec<i64> {
+    let mut v = Vec::new();
+    let mut i = lo;
+    while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
+        v.push(i);
+        i += step;
+    }
+    v
+}
+
+/// The cartesian product of per-dimension indices, row-major.
+fn product(dims: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    let mut out: Vec<Vec<i64>> = vec![Vec::new()];
+    for d in dims {
+        let mut next = Vec::with_capacity(out.len() * d.len());
+        for pre in &out {
+            for &x in d {
+                let mut e = pre.clone();
+                e.push(x);
+                next.push(e);
+            }
+        }
+        out = next;
+    }
+    out
 }
 
 /// Observer of execution events (the schedule verifier implements this).
@@ -378,12 +387,11 @@ impl<'a> Interp<'a> {
             }
             _ => {
                 // Branch: successor 0 is the then-arm by construction.
-                let cond = prog
-                    .branch_conds
-                    .get(&node)
-                    .ok_or_else(|| ExecError::new("branch without condition"))?
-                    .clone();
-                let v = self.eval_scalar(&cond)?;
+                let conds = &prog.branch_conds;
+                let i = conds
+                    .binary_search_by_key(&node, |&(n, _)| n)
+                    .map_err(|_| ExecError::new("branch without condition"))?;
+                let v = self.eval_scalar(conds[i].1)?;
                 let next = if v != 0.0 { succs[0] } else { succs[1] };
                 self.maybe_advance_backedge(node, next);
                 Ok(next)
@@ -406,14 +414,14 @@ impl<'a> Interp<'a> {
     }
 
     fn exec_stmt(&mut self, sid: StmtId) -> Result<(), ExecError> {
-        let info = self.prog.stmt(sid).clone();
-        match &info.kind {
+        let prog = self.prog;
+        match &prog.stmt(sid).kind {
             StmtKind::Cond { .. } => Ok(()), // evaluated at the branch
-            StmtKind::Assign { lhs, rhs, .. } => self.exec_assign(lhs, rhs),
+            StmtKind::Assign { lhs, rhs, .. } => self.exec_assign(lhs, *rhs),
         }
     }
 
-    fn exec_assign(&mut self, lhs: &AccessRef, rhs: &Expr) -> Result<(), ExecError> {
+    fn exec_assign(&mut self, lhs: &AccessRef, rhs: ExprId) -> Result<(), ExecError> {
         let space = self.st.enumerate_access(self.prog, lhs)?;
         // Shape of the lhs section: positions of range dimensions.
         let lhs_ranges: Vec<usize> = lhs
@@ -474,12 +482,13 @@ impl<'a> Interp<'a> {
 
     /// Evaluates an expression at conformable offset `k0` (0-based offsets
     /// into each section range, outermost first).
-    fn eval_expr(&mut self, e: &Expr, k0: &[i64]) -> Result<f64, ExecError> {
-        Ok(match e {
-            Expr::Int(v) => *v as f64,
-            Expr::Num(v) => *v,
-            Expr::Neg(a) => -self.eval_expr(a, k0)?,
-            Expr::Bin(op, a, b) => {
+    fn eval_expr(&mut self, e: ExprId, k0: &[i64]) -> Result<f64, ExecError> {
+        let arena = &*self.prog.arena;
+        Ok(match arena.expr(e) {
+            ExprNode::Int(v) => v as f64,
+            ExprNode::Num(v) => v,
+            ExprNode::Neg(a) => -self.eval_expr(a, k0)?,
+            ExprNode::Bin(op, a, b) => {
                 let x = self.eval_expr(a, k0)?;
                 let y = self.eval_expr(b, k0)?;
                 match op {
@@ -501,8 +510,8 @@ impl<'a> Interp<'a> {
                     BinOp::Ne => f64::from(x != y),
                 }
             }
-            Expr::Sum(r) => {
-                let (arr, elems) = self.resolve_full(r)?;
+            ExprNode::Sum(r) => {
+                let (arr, elems) = self.resolve_full(arena.aref(r))?;
                 self.spend(elems.len() as u64)?;
                 let data = &self.st.arrays[arr.0 as usize];
                 let mut acc = 0.0;
@@ -514,43 +523,52 @@ impl<'a> Interp<'a> {
                 }
                 acc
             }
-            Expr::Ref(r) => {
+            ExprNode::Ref(r) => {
+                let r = arena.aref(r);
+                let name = arena.name(r.array);
                 // Parameter or loop variable?
-                if r.subs.is_empty() {
-                    if let Some(v) = self.st.params.get(r.array.as_str()) {
-                        return Ok(*v as f64);
-                    }
-                    if let Some((_, l)) = self
-                        .prog
-                        .loops
-                        .iter()
-                        .enumerate()
-                        .map(|(i, li)| (li, LoopId(i as u32)))
-                        .rfind(|(li, l)| li.var == r.array && self.st.loop_vals.contains_key(l))
-                    {
-                        return Ok(self.st.loop_vals[&l] as f64);
+                if arena.subs(r).is_empty() {
+                    if let Some(v) = self.int_var(name) {
+                        return Ok(v as f64);
                     }
                 }
-                let arr = *self
-                    .names
-                    .get(&r.array)
-                    .ok_or_else(|| ExecError::new(format!("unknown name `{}`", r.array)))?;
+                let arr = self.array_named(name)?;
                 let idx = self.element_at(arr, r, k0)?;
                 let data = &self.st.arrays[arr.0 as usize];
                 let flat = data
                     .flat(&idx)
-                    .ok_or_else(|| ExecError::new(format!("`{}` index out of bounds", r.array)))?;
+                    .ok_or_else(|| ExecError::new(format!("`{name}` index out of bounds")))?;
                 data.vals[flat]
             }
         })
     }
 
+    /// The value of parameter `name`, or else of the innermost live loop
+    /// whose variable is `name`.
+    fn int_var(&self, name: &Name) -> Option<i64> {
+        if let Some(&v) = self.st.params.get(name.as_str()) {
+            return Some(v);
+        }
+        let loops = self.prog.loops.iter().enumerate();
+        let live = loops.filter(|(_, li)| li.var == *name);
+        live.rev()
+            .find_map(|(i, _)| self.st.loop_vals.get(&LoopId(i as u32)).copied())
+    }
+
+    /// The array called `name`.
+    fn array_named(&self, name: &Name) -> Result<ArrayId, ExecError> {
+        let arr = self.names.get(name);
+        arr.copied()
+            .ok_or_else(|| ExecError::new(format!("unknown name `{name}`")))
+    }
+
     /// The concrete element a reference touches at conformable offset `k0`.
-    fn element_at(&self, arr: ArrayId, r: &ArrayRef, k0: &[i64]) -> Result<Vec<i64>, ExecError> {
+    fn element_at(&self, arr: ArrayId, r: ArrayRef, k0: &[i64]) -> Result<Vec<i64>, ExecError> {
         let info = self.prog.array(arr);
+        let subs = self.prog.arena.subs(r);
         let mut idx = Vec::with_capacity(info.rank());
         let mut ki = 0;
-        if r.subs.is_empty() {
+        if subs.is_empty() {
             // Whole-array reference: ranges over every dimension.
             for (d, (lo, _)) in info.dims.iter().enumerate() {
                 let lo = self
@@ -562,7 +580,7 @@ impl<'a> Interp<'a> {
             }
             return Ok(idx);
         }
-        for s in &r.subs {
+        for &s in subs {
             match s {
                 Subscript::Index(e) => idx.push(self.eval_int(e)?),
                 Subscript::Range { lo, step, .. } => {
@@ -585,19 +603,20 @@ impl<'a> Interp<'a> {
     }
 
     /// Resolves a `sum(...)` argument to its full element list.
-    fn resolve_full(&self, r: &ArrayRef) -> Result<(ArrayId, Vec<Vec<i64>>), ExecError> {
-        let arr = *self
-            .names
-            .get(&r.array)
-            .ok_or_else(|| ExecError::new(format!("unknown name `{}`", r.array)))?;
+    fn resolve_full(&self, r: ArrayRef) -> Result<(ArrayId, Vec<Vec<i64>>), ExecError> {
+        let arena = &*self.prog.arena;
+        let arr = self.array_named(arena.name(r.array))?;
         let info = self.prog.array(arr);
         let mut dims: Vec<Vec<i64>> = Vec::new();
-        let subs: Vec<Subscript> = if r.subs.is_empty() {
-            vec![Subscript::full(); info.rank()]
-        } else {
-            r.subs.clone()
+        let full;
+        let subs = match arena.subs(r) {
+            [] => {
+                full = vec![Subscript::full(); info.rank()];
+                &full[..]
+            }
+            subs => subs,
         };
-        for (d, s) in subs.iter().enumerate() {
+        for (d, &s) in subs.iter().enumerate() {
             match s {
                 Subscript::Index(e) => dims.push(vec![self.eval_int(e)?]),
                 Subscript::Range { lo, hi, step } => {
@@ -616,38 +635,21 @@ impl<'a> Interp<'a> {
                             .eval_affine(self.prog, dhi)
                             .ok_or_else(|| ExecError::new("unbound bound"))?,
                     };
-                    let mut v = Vec::new();
-                    let mut i = lo;
-                    while (*step > 0 && i <= hi) || (*step < 0 && i >= hi) {
-                        v.push(i);
-                        i += step;
-                    }
-                    dims.push(v);
+                    dims.push(triplet(lo, hi, step));
                 }
             }
         }
-        let mut out: Vec<Vec<i64>> = vec![Vec::new()];
-        for d in &dims {
-            let mut next = Vec::with_capacity(out.len() * d.len());
-            for pre in &out {
-                for &x in d {
-                    let mut e = pre.clone();
-                    e.push(x);
-                    next.push(e);
-                }
-            }
-            out = next;
-        }
-        Ok((arr, out))
+        Ok((arr, product(&dims)))
     }
 
     /// Integer evaluation of a subscript / bound expression.
-    fn eval_int(&self, e: &Expr) -> Result<i64, ExecError> {
-        Ok(match e {
-            Expr::Int(v) => *v,
-            Expr::Num(v) => *v as i64,
-            Expr::Neg(a) => -self.eval_int(a)?,
-            Expr::Bin(op, a, b) => {
+    fn eval_int(&self, e: ExprId) -> Result<i64, ExecError> {
+        let arena: &Arena = &self.prog.arena;
+        Ok(match arena.expr(e) {
+            ExprNode::Int(v) => v,
+            ExprNode::Num(v) => v as i64,
+            ExprNode::Neg(a) => -self.eval_int(a)?,
+            ExprNode::Bin(op, a, b) => {
                 let x = self.eval_int(a)?;
                 let y = self.eval_int(b)?;
                 match op {
@@ -663,32 +665,17 @@ impl<'a> Interp<'a> {
                     _ => return Err(ExecError::new("comparison in subscript")),
                 }
             }
-            Expr::Ref(r) if r.subs.is_empty() => {
-                if let Some(v) = self.st.params.get(r.array.as_str()) {
-                    *v
-                } else if let Some(v) = self
-                    .prog
-                    .loops
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, li)| li.var == r.array)
-                    .filter_map(|(i, _)| self.st.loop_vals.get(&LoopId(i as u32)))
-                    .next_back()
-                {
-                    *v
-                } else {
-                    return Err(ExecError::new(format!(
-                        "`{}` is not an integer variable",
-                        r.array
-                    )));
-                }
+            ExprNode::Ref(r) if arena.subs(arena.aref(r)).is_empty() => {
+                let name = arena.name(arena.aref(r).array);
+                self.int_var(name)
+                    .ok_or_else(|| ExecError::new(format!("`{name}` is not an integer variable")))?
             }
             _ => return Err(ExecError::new("unsupported subscript expression")),
         })
     }
 
     /// Scalar (rank-0) evaluation, used for branch conditions.
-    fn eval_scalar(&mut self, e: &Expr) -> Result<f64, ExecError> {
+    fn eval_scalar(&mut self, e: ExprId) -> Result<f64, ExecError> {
         self.eval_expr(e, &[])
     }
 }

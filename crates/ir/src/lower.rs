@@ -1,10 +1,9 @@
 //! Lowering from the AST to the IR + augmented CFG.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use gcomm_lang::{ArrayRef, Assign, Expr, Name, Program, Stmt, Subscript};
+use gcomm_lang::{Arena, ArrayRef, Assign, ExprId, ExprNode, NameId, Program, Stmt, Subscript};
 
 use crate::affine::{Affine, Var};
 use crate::cfg::{Cfg, NodeId, NodeKind};
@@ -164,53 +163,49 @@ fn deeper_than(body: &[Stmt], limit: usize) -> Option<u32> {
 }
 
 /// Borrows the AST for its whole run: statement bodies are walked in place
-/// and a name resolves to its position in `ast.params` / `array_infos`
-/// (declaration order) — a handful of entries, and a parsed program's
-/// equal names are one shared `Name`, so most probes end on a pointer
-/// compare.
+/// and a name id resolves to its position in `ast.params` / `ast.arrays`
+/// (declaration order) — a handful of integer compares.
 struct Lowerer<'a> {
     ast: &'a Program,
+    arena: &'a Arena,
     array_infos: Vec<ArrayInfo>,
     loops: Vec<LoopInfo>,
-    loop_vars: Vec<(&'a Name, LoopId)>,
+    loop_vars: Vec<(NameId, LoopId)>,
     stmts: Vec<StmtInfo>,
     cfg: Cfg,
     cur: NodeId,
-    branch_conds: HashMap<NodeId, Arc<Expr>>,
+    branch_conds: Vec<(NodeId, ExprId)>,
     depth: usize,
 }
 
 impl<'a> Lowerer<'a> {
     fn new(ast: &'a Program) -> Result<Self, LowerError> {
+        let arena = &*ast.arena;
         let mut this = Lowerer {
             ast,
+            arena,
             array_infos: Vec::with_capacity(ast.arrays.len()),
             loops: Vec::new(),
             loop_vars: Vec::new(),
             stmts: Vec::new(),
             cfg: Cfg::new(),
             cur: NodeId(0),
-            branch_conds: HashMap::new(),
+            branch_conds: Vec::new(),
             depth: 0,
         };
 
         for decl in &ast.arrays {
             let mut dims = Vec::with_capacity(decl.dims.len());
+            let non_affine = || LowerError::NonAffineBound {
+                array: arena.name(decl.name).to_string(),
+            };
             for d in &decl.dims {
-                let lo = this
-                    .param_affine(&d.lo)
-                    .ok_or_else(|| LowerError::NonAffineBound {
-                        array: decl.name.to_string(),
-                    })?;
-                let hi = this
-                    .param_affine(&d.hi)
-                    .ok_or_else(|| LowerError::NonAffineBound {
-                        array: decl.name.to_string(),
-                    })?;
+                let lo = this.param_affine(d.lo).ok_or_else(non_affine)?;
+                let hi = this.param_affine(d.hi).ok_or_else(non_affine)?;
                 dims.push((lo, hi));
             }
             this.array_infos.push(ArrayInfo {
-                name: decl.name.clone(),
+                name: arena.name(decl.name).clone(),
                 dims,
                 dist: decl.dist.clone(),
                 align: decl.align.clone(),
@@ -231,48 +226,54 @@ impl<'a> Lowerer<'a> {
         let exit = self.cfg.add_node(NodeKind::Exit, None, 0);
         self.cfg.add_edge(self.cur, exit);
         self.cfg.exit = exit;
+        // An `if` in an `else` arm branches from a node made after the
+        // join that a later `if` branches from.
+        self.branch_conds.sort_unstable_by_key(|&(node, _)| node);
 
         Ok(IrProgram {
             name: self.ast.name.to_string(),
-            params: self.ast.params.iter().map(Name::to_string).collect(),
+            params: (self.ast.params.iter())
+                .map(|&p| self.arena.name(p).to_string())
+                .collect(),
             arrays: self.array_infos,
             loops: self.loops,
             stmts: self.stmts,
             cfg: self.cfg,
             branch_conds: self.branch_conds,
+            arena: Arc::clone(&self.ast.arena),
         })
     }
 
     /// The parameter `name` declares. A validated program declares a name
     /// once; on a hand-built one the last declaration wins, as it did when
     /// this was a map filled in declaration order (likewise for arrays).
-    fn param(&self, name: &Name) -> Option<ParamId> {
-        let i = self.ast.params.iter().rposition(|p| p == name)?;
+    fn param(&self, name: NameId) -> Option<ParamId> {
+        let i = self.ast.params.iter().rposition(|&p| p == name)?;
         Some(ParamId(i as u32))
     }
 
-    fn array(&self, name: &Name) -> Option<ArrayId> {
-        let i = self.array_infos.iter().rposition(|a| a.name == *name)?;
+    fn array(&self, name: NameId) -> Option<ArrayId> {
+        let i = self.ast.arrays.iter().rposition(|a| a.name == name)?;
         Some(ArrayId(i as u32))
     }
 
     /// The innermost in-scope loop whose index variable is `name`.
-    fn loop_var(&self, name: &Name) -> Option<LoopId> {
-        let &(_, l) = self.loop_vars.iter().rev().find(|(v, _)| *v == name)?;
+    fn loop_var(&self, name: NameId) -> Option<LoopId> {
+        let &(_, l) = self.loop_vars.iter().rev().find(|&&(v, _)| v == name)?;
         Some(l)
     }
 
     /// The array reads of `e` in textual order. Bare names that are loop
     /// variables or parameters are not array reads.
-    fn lower_reads(&self, e: &Expr, line: u32) -> Result<Vec<Read>, LowerError> {
+    fn lower_reads(&self, e: ExprId, line: u32) -> Result<Vec<Read>, LowerError> {
         let mut reads = Vec::new();
         let mut err = None;
-        e.for_each_ref(&mut |r, in_sum| {
+        self.arena.for_each_ref(e, &mut |r, in_sum| {
             if err.is_some() {
                 return;
             }
-            if r.subs.is_empty()
-                && (self.param(&r.array).is_some() || self.loop_var(&r.array).is_some())
+            if self.arena.subs(r).is_empty()
+                && (self.param(r.array).is_some() || self.loop_var(r.array).is_some())
             {
                 return;
             }
@@ -341,16 +342,16 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_assign(&mut self, a: &'a Assign) -> Result<(), LowerError> {
-        let lhs = self.lower_ref(&a.lhs, a.line)?;
+        let lhs = self.lower_ref(self.arena.aref(a.lhs), a.line)?;
         let mut flops = 0u32;
-        count_flops(&a.rhs, &mut flops);
-        let reads = self.lower_reads(&a.rhs, a.line)?;
+        count_flops(self.arena, a.rhs, &mut flops);
+        let reads = self.lower_reads(a.rhs, a.line)?;
         self.push_stmt(
             StmtKind::Assign {
                 lhs,
                 reads,
                 flops,
-                rhs: Arc::clone(&a.rhs),
+                rhs: a.rhs,
             },
             a.line,
         );
@@ -360,18 +361,13 @@ impl<'a> Lowerer<'a> {
     fn lower_do(&mut self, d: &'a gcomm_lang::DoLoop) -> Result<(), LowerError> {
         let outer = self.cur_loop();
         let outer_level = self.cur_level();
-        let lo = self
-            .affine(&d.lo)
-            .ok_or_else(|| LowerError::NonAffineLoopBound {
-                var: d.var.to_string(),
-                which: "lower",
-            })?;
-        let hi = self
-            .affine(&d.hi)
-            .ok_or_else(|| LowerError::NonAffineLoopBound {
-                var: d.var.to_string(),
-                which: "upper",
-            })?;
+        let var = self.arena.name(d.var);
+        let non_affine = |which| LowerError::NonAffineLoopBound {
+            var: var.to_string(),
+            which,
+        };
+        let lo = self.affine(d.lo).ok_or_else(|| non_affine("lower"))?;
+        let hi = self.affine(d.hi).ok_or_else(|| non_affine("upper"))?;
 
         let l = LoopId(self.loops.len() as u32);
         let preheader = self
@@ -381,7 +377,7 @@ impl<'a> Lowerer<'a> {
             .cfg
             .add_node(NodeKind::Header(l), Some(l), outer_level + 1);
         self.loops.push(LoopInfo {
-            var: d.var.clone(),
+            var: var.clone(),
             lo,
             hi,
             step: d.step,
@@ -398,7 +394,7 @@ impl<'a> Lowerer<'a> {
         let body = self.cfg.add_node(NodeKind::Block, Some(l), outer_level + 1);
         self.cfg.add_edge(header, body);
         self.cur = body;
-        self.loop_vars.push((&d.var, l));
+        self.loop_vars.push((d.var, l));
         self.lower_stmts(&d.body)?;
         self.loop_vars.pop();
         // Backedge.
@@ -419,13 +415,13 @@ impl<'a> Lowerer<'a> {
     fn lower_if(&mut self, i: &'a gcomm_lang::IfStmt) -> Result<(), LowerError> {
         // Lower the condition's array reads as a Cond pseudo-statement so the
         // branch point is a valid communication position.
-        let reads = self.lower_reads(&i.cond, 0)?;
+        let reads = self.lower_reads(i.cond, 0)?;
         if !reads.is_empty() {
             self.push_stmt(StmtKind::Cond { reads }, 0);
         }
 
         let branch = self.cur;
-        self.branch_conds.insert(branch, Arc::clone(&i.cond));
+        self.branch_conds.push((branch, i.cond));
         let enc = self.cur_loop();
         let lvl = self.cur_level();
 
@@ -450,29 +446,31 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn lower_ref(&self, r: &ArrayRef, line: u32) -> Result<AccessRef, LowerError> {
+    fn lower_ref(&self, r: ArrayRef, line: u32) -> Result<AccessRef, LowerError> {
+        let name = || self.arena.name(r.array).to_string();
         let array = self
-            .array(&r.array)
+            .array(r.array)
             .ok_or_else(|| LowerError::UnknownArray {
-                array: r.array.to_string(),
+                array: name(),
                 line,
             })?;
         let info = &self.array_infos[array.0 as usize];
         let rank = info.rank();
-        if !r.subs.is_empty() && r.subs.len() != rank {
+        let r_subs = self.arena.subs(r);
+        if !r_subs.is_empty() && r_subs.len() != rank {
             // Guard the `info.dims[i]` indexing below: a reference with more
             // subscripts than the declared rank is user input, not an
             // internal invariant.
             return Err(LowerError::RankMismatch {
-                array: r.array.to_string(),
+                array: name(),
                 rank,
-                subs: r.subs.len(),
+                subs: r_subs.len(),
                 line,
             });
         }
 
         let mut subs = Vec::with_capacity(rank);
-        if r.subs.is_empty() {
+        if r_subs.is_empty() {
             // Whole-array reference: full declared section per dimension.
             for (lo, hi) in &info.dims {
                 subs.push(SubscriptIr::Range {
@@ -482,7 +480,7 @@ impl<'a> Lowerer<'a> {
                 });
             }
         } else {
-            for (i, s) in r.subs.iter().enumerate() {
+            for (i, &s) in r_subs.iter().enumerate() {
                 let (dlo, dhi) = &info.dims[i];
                 subs.push(match s {
                     Subscript::Index(e) => match self.affine(e) {
@@ -499,11 +497,7 @@ impl<'a> Lowerer<'a> {
                             None => Some(dhi.clone()),
                         };
                         match (lo_a, hi_a) {
-                            (Some(lo), Some(hi)) => SubscriptIr::Range {
-                                lo,
-                                hi,
-                                step: *step,
-                            },
+                            (Some(lo), Some(hi)) => SubscriptIr::Range { lo, hi, step },
                             _ => SubscriptIr::NonAffine,
                         }
                     }
@@ -517,27 +511,28 @@ impl<'a> Lowerer<'a> {
     /// loop variables. Returns `None` for non-affine expressions — and for
     /// expressions nested past [`MAX_NESTING`], which degrade to the same
     /// conservative non-affine treatment rather than overflowing the stack.
-    fn affine(&self, e: &Expr) -> Option<Affine> {
+    fn affine(&self, e: ExprId) -> Option<Affine> {
         self.affine_at(e, 0)
     }
 
-    fn affine_at(&self, e: &Expr, depth: usize) -> Option<Affine> {
+    fn affine_at(&self, e: ExprId, depth: usize) -> Option<Affine> {
         if depth >= MAX_NESTING {
             return None;
         }
-        match e {
-            Expr::Int(v) => Some(Affine::constant(*v)),
-            Expr::Num(_) => None,
-            Expr::Neg(a) => Some(self.affine_at(a, depth + 1)?.scale(-1)),
-            Expr::Ref(r) if r.subs.is_empty() => {
-                if let Some(p) = self.param(&r.array) {
+        match self.arena.expr(e) {
+            ExprNode::Int(v) => Some(Affine::constant(v)),
+            ExprNode::Num(_) => None,
+            ExprNode::Neg(a) => Some(self.affine_at(a, depth + 1)?.scale(-1)),
+            ExprNode::Ref(r) if self.arena.subs(self.arena.aref(r)).is_empty() => {
+                let name = self.arena.aref(r).array;
+                if let Some(p) = self.param(name) {
                     Some(Affine::var(Var::Param(p)))
                 } else {
-                    self.loop_var(&r.array).map(|l| Affine::var(Var::Loop(l)))
+                    self.loop_var(name).map(|l| Affine::var(Var::Loop(l)))
                 }
             }
-            Expr::Ref(_) | Expr::Sum(_) => None,
-            Expr::Bin(op, a, b) => {
+            ExprNode::Ref(_) | ExprNode::Sum(_) => None,
+            ExprNode::Bin(op, a, b) => {
                 let fa = self.affine_at(a, depth + 1);
                 let fb = self.affine_at(b, depth + 1);
                 match op {
@@ -559,24 +554,24 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Affine over parameters only (declared array bounds).
-    fn param_affine(&self, e: &Expr) -> Option<Affine> {
+    fn param_affine(&self, e: ExprId) -> Option<Affine> {
         let a = self.affine(e)?;
         (!a.has_loop_vars()).then_some(a)
     }
 }
 
-fn count_flops(e: &Expr, acc: &mut u32) {
-    match e {
-        Expr::Int(_) | Expr::Num(_) | Expr::Ref(_) => {}
-        Expr::Sum(_) => *acc += 1,
-        Expr::Neg(a) => {
+fn count_flops(arena: &Arena, e: ExprId, acc: &mut u32) {
+    match arena.expr(e) {
+        ExprNode::Int(_) | ExprNode::Num(_) | ExprNode::Ref(_) => {}
+        ExprNode::Sum(_) => *acc += 1,
+        ExprNode::Neg(a) => {
             *acc += 1;
-            count_flops(a, acc);
+            count_flops(arena, a, acc);
         }
-        Expr::Bin(_, a, b) => {
+        ExprNode::Bin(_, a, b) => {
             *acc += 1;
-            count_flops(a, acc);
-            count_flops(b, acc);
+            count_flops(arena, a, acc);
+            count_flops(arena, b, acc);
         }
     }
 }
@@ -607,20 +602,21 @@ mod tests {
         // The parser bounds source-derived nesting, but an AST built
         // programmatically can be arbitrarily deep; the lowerer must
         // refuse it with a diagnostic instead of recursing off the stack.
-        use gcomm_lang::{ArrayDecl, ArrayRef, Assign, DoLoop, Program};
+        use gcomm_lang::{ArrayDecl, Assign, DoLoop, Program};
+        let mut arena = Arena::default();
+        let (s, i) = (arena.intern("s"), arena.intern("i"));
+        let lhs = arena.push_ref(s, &[]);
+        let (one, four) = (arena.push(ExprNode::Int(1)), arena.push(ExprNode::Int(4)));
         let mut body = vec![Stmt::Assign(Assign {
-            lhs: ArrayRef {
-                array: "s".into(),
-                subs: vec![],
-            },
-            rhs: Expr::Int(1).into(),
+            lhs,
+            rhs: one,
             line: 7,
         })];
-        for i in 0..10_000 {
+        for _ in 0..10_000 {
             body = vec![Stmt::Do(DoLoop {
-                var: format!("i{i}").into(),
-                lo: Expr::Int(1),
-                hi: Expr::Int(4),
+                var: i,
+                lo: one,
+                hi: four,
                 step: 1,
                 body,
             })];
@@ -629,12 +625,13 @@ mod tests {
             name: "t".into(),
             params: vec![],
             arrays: vec![ArrayDecl {
-                name: "s".into(),
+                name: s,
                 dims: vec![],
                 dist: vec![],
                 align: vec![],
             }],
             body,
+            arena: Arc::new(arena),
         };
         let e = lower(&ast).unwrap_err();
         assert!(matches!(e, LowerError::NestingTooDeep { .. }), "{e}");

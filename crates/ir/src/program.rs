@@ -1,11 +1,18 @@
 //! Resolved program representation: arrays, loops, statements.
+//!
+//! A lowered program keeps the expressions it was lowered from — each
+//! right-hand side and branch condition is an [`ExprId`] into the AST's
+//! arena, which the IR shares through one `Arc` per program. `Debug`,
+//! `Hash` and `PartialEq` of an [`IrProgram`] read those ids in the arena
+//! ([`gcomm_lang::Walk`]), so they print, hash and compare the expression
+//! trees, as they did when each was an `Arc<Expr>` of its own.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
 use std::sync::Arc;
 
-use gcomm_lang::{Dist, Expr, Name};
+use gcomm_lang::{walk_struct, Arena, Dist, ExprId, In, Name, Walk};
 
 use crate::affine::Affine;
 use crate::cfg::{Cfg, NodeId};
@@ -171,7 +178,7 @@ pub struct Read {
 }
 
 /// Statement payload.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone)]
 pub enum StmtKind {
     /// `lhs = f(reads...)`.
     Assign {
@@ -182,10 +189,9 @@ pub enum StmtKind {
         /// Number of arithmetic operations per assigned element (a crude
         /// work estimate used by the machine simulator).
         flops: u32,
-        /// The right-hand-side expression, shared with the AST it was
-        /// lowered from (kept for the reference interpreter and the dynamic
-        /// schedule verifier).
-        rhs: Arc<Expr>,
+        /// The right-hand-side expression in [`IrProgram::arena`] (kept for
+        /// the reference interpreter and the dynamic schedule verifier).
+        rhs: ExprId,
     },
     /// Evaluation of an `if` condition (reads only).
     Cond {
@@ -213,7 +219,7 @@ impl StmtKind {
 }
 
 /// A statement with its CFG location.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone)]
 pub struct StmtInfo {
     /// Payload.
     pub kind: StmtKind,
@@ -229,8 +235,48 @@ pub struct StmtInfo {
     pub line: u32,
 }
 
+/// As the derived impls of the `StmtKind` whose `rhs` was an `Arc<Expr>`.
+impl Walk for StmtKind {
+    fn fmt_in(&self, a: &Arena, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StmtKind::Assign {
+                lhs,
+                reads,
+                flops,
+                rhs,
+            } => f
+                .debug_struct("Assign")
+                .field("lhs", lhs)
+                .field("reads", reads)
+                .field("flops", flops)
+                .field("rhs", &In(a, rhs))
+                .finish(),
+            StmtKind::Cond { reads } => f.debug_struct("Cond").field("reads", reads).finish(),
+        }
+    }
+    fn hash_in<H: Hasher>(&self, a: &Arena, h: &mut H) {
+        discriminant(self).hash(h);
+        match self {
+            StmtKind::Assign {
+                lhs,
+                reads,
+                flops,
+                rhs,
+            } => {
+                (lhs, reads, flops).hash(h);
+                In(a, rhs).hash(h);
+            }
+            StmtKind::Cond { reads } => reads.hash(h),
+        }
+    }
+}
+
+walk_struct! { StmtInfo {
+    kind: walk, node: plain, index: plain, enclosing: plain, level: plain, line: plain,
+} }
+
 /// A lowered program: the unit of analysis (one procedure).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct IrProgram {
     /// Program name.
     pub name: String,
@@ -244,18 +290,57 @@ pub struct IrProgram {
     pub stmts: Vec<StmtInfo>,
     /// The augmented control-flow graph.
     pub cfg: Cfg,
-    /// Branch conditions by branching node, shared with the AST (every
+    /// The condition of each branching node, sorted by node (every
     /// two-successor non-loop node has one; used by the reference
     /// interpreter).
-    pub branch_conds: std::collections::HashMap<NodeId, Arc<Expr>>,
+    pub branch_conds: Vec<(NodeId, ExprId)>,
+    /// The AST's arena, which `rhs` and `branch_conds` index.
+    pub arena: Arc<Arena>,
 }
 
-/// Hand-written for one field: `branch_conds` is a `HashMap`, whose
-/// iteration order differs between runs, so it is hashed in `NodeId`
-/// order. The destructuring is exhaustive on purpose — a new field fails
-/// to compile here until it is hashed too.
-impl Hash for IrProgram {
-    fn hash<H: Hasher>(&self, state: &mut H) {
+/// `branch_conds` as the node-ordered map it was: its length, then each
+/// node and its condition.
+struct Conds<'a>(&'a Arena, &'a [(NodeId, ExprId)]);
+
+impl fmt::Debug for Conds<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = self.1.iter().map(|(n, e)| (n, In(self.0, e)));
+        f.debug_map().entries(entries).finish()
+    }
+}
+
+impl Hash for Conds<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.1.len());
+        for (node, cond) in self.1 {
+            node.hash(h);
+            In(self.0, cond).hash(h);
+        }
+    }
+}
+
+impl PartialEq for Conds<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |((n, e), (m, d)): (&(NodeId, ExprId), &(NodeId, ExprId))| {
+            n == m && In(self.0, e) == In(other.0, d)
+        };
+        self.1.len() == other.1.len() && self.1.iter().zip(other.1).all(same)
+    }
+}
+
+/// Every field but the arena, whose ids are read through it. The
+/// destructuring is exhaustive on purpose — a new field fails to compile
+/// here until it is printed, hashed and compared too.
+impl IrProgram {
+    #[allow(clippy::type_complexity)]
+    fn parts(
+        &self,
+    ) -> (
+        (&String, &Vec<String>, &Vec<ArrayInfo>, &Vec<LoopInfo>),
+        In<'_, [StmtInfo]>,
+        &Cfg,
+        Conds<'_>,
+    ) {
         let IrProgram {
             name,
             params,
@@ -264,9 +349,41 @@ impl Hash for IrProgram {
             stmts,
             cfg,
             branch_conds,
+            arena,
         } = self;
-        (name, params, arrays, loops, stmts, cfg).hash(state);
-        BTreeMap::from_iter(branch_conds).hash(state);
+        (
+            (name, params, arrays, loops),
+            In(arena, &stmts[..]),
+            cfg,
+            Conds(arena, branch_conds),
+        )
+    }
+}
+
+impl fmt::Debug for IrProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ((name, params, arrays, loops), stmts, cfg, conds) = self.parts();
+        f.debug_struct("IrProgram")
+            .field("name", name)
+            .field("params", params)
+            .field("arrays", arrays)
+            .field("loops", loops)
+            .field("stmts", &stmts)
+            .field("cfg", cfg)
+            .field("branch_conds", &conds)
+            .finish()
+    }
+}
+
+impl Hash for IrProgram {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.parts().hash(h);
+    }
+}
+
+impl PartialEq for IrProgram {
+    fn eq(&self, other: &IrProgram) -> bool {
+        self.parts() == other.parts()
     }
 }
 

@@ -43,8 +43,8 @@ pub mod transform;
 pub mod validate;
 
 pub use ast::{
-    ArrayDecl, ArrayRef, Assign, BinOp, DeclDim, Dist, DoLoop, Expr, IfStmt, Name, Program, Stmt,
-    Subscript,
+    Arena, ArrayDecl, ArrayRef, Assign, BinOp, DeclDim, Dist, DoLoop, ExprId, ExprNode, IfStmt, In,
+    Name, NameId, Program, RefId, Stmt, Subscript, Walk,
 };
 pub use error::LangError;
 pub use parser::Parser;

@@ -1,7 +1,9 @@
-//! Recursive-descent parser for the mini-HPF language.
+//! Recursive-descent parser for the mini-HPF language. A production
+//! pushes its nodes onto the program's [`Arena`] and returns an id.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::error::LangError;
@@ -18,7 +20,7 @@ pub const MAX_NESTING: usize = 256;
 /// one word and a production that cannot fail costs no out-pointer.
 type Parse<T> = Result<T, Box<LangError>>;
 
-/// Every identifier handed out so far, by text. A name of at most eight
+/// The id of every identifier met so far, by text. A name of at most eight
 /// bytes — every name of the paper's kernels — is keyed by those bytes
 /// packed into one integer, so finding it again compares integers and no
 /// strings; a longer one is found by its text. Both tiers are ordered
@@ -26,27 +28,27 @@ type Parse<T> = Result<T, Box<LangError>>;
 /// a hostile source picks them, and needs no keyed hash per occurrence.
 #[derive(Default)]
 struct Names {
-    short: BTreeMap<u64, Name>,
-    long: BTreeSet<Name>,
+    short: BTreeMap<u64, NameId>,
+    long: BTreeMap<Name, NameId>,
 }
 
 impl Names {
-    fn intern(&mut self, text: &str) -> Name {
+    fn intern(&mut self, arena: &mut Arena, text: &str) -> NameId {
         let bytes = text.as_bytes();
         if bytes.len() <= 8 {
             let key = bytes.iter().fold(0, |key, &b| key << 8 | u64::from(b));
-            return self
+            return *self
                 .short
                 .entry(key)
-                .or_insert_with(|| Name::from(text))
-                .clone();
+                .or_insert_with(|| arena.push_name(Name::from(text)));
         }
         match self.long.get(text) {
-            Some(name) => name.clone(),
+            Some(&id) => id,
             None => {
                 let name = Name::from(text);
-                self.long.insert(name.clone());
-                name
+                let id = arena.push_name(name.clone());
+                self.long.insert(name, id);
+                id
             }
         }
     }
@@ -61,9 +63,13 @@ pub struct Parser<'s> {
     toks: Vec<Token>,
     pos: usize,
     depth: usize,
-    /// An occurrence of a name seen before clones the [`Name`] made for
-    /// the first.
+    /// An occurrence of a name seen before gets the id made for the first.
     names: Names,
+    /// Where the nodes go.
+    arena: Arena,
+    /// The subscripts of the references being parsed, innermost last: a
+    /// reference's run moves to the arena once all of it has parsed.
+    subs: Vec<Subscript>,
     /// Source line of every `do` / `if` met so far, in the order met — the
     /// pre-order of the block statements of a tree parsed without errors.
     block_lines: Vec<u32>,
@@ -82,6 +88,8 @@ impl<'s> Parser<'s> {
             pos: 0,
             depth: 0,
             names: Names::default(),
+            arena: Arena::default(),
+            subs: Vec::new(),
             block_lines: Vec::new(),
         })
     }
@@ -151,10 +159,12 @@ impl<'s> Parser<'s> {
     /// Consumes the current token, interning its text if it is an
     /// identifier. An error carries the line of the offending token, which
     /// is read before stepping past it (the token may end its line).
-    fn expect_ident(&mut self) -> Parse<Name> {
+    fn expect_ident(&mut self) -> Parse<NameId> {
         let tok = self.toks[self.pos];
         let r = if tok.kind == TokenKind::Ident {
-            Ok(self.names.intern(&tok.ident_text(self.src)))
+            Ok(self
+                .names
+                .intern(&mut self.arena, &tok.ident_text(self.src)))
         } else {
             Err(self.expected("identifier"))
         };
@@ -218,114 +228,117 @@ impl<'s> Parser<'s> {
     /// [`Self::MAX_ERRORS`].
     pub fn parse_program_recovering(&mut self) -> (Program, Vec<LangError>) {
         let mut errs: Vec<LangError> = Vec::new();
-        let mut prog = Program::default();
-
-        self.skip_newlines();
-        match (|p: &mut Self| -> Parse<Name> {
-            p.expect(TokenKind::Program)?;
-            let name = p.expect_ident()?;
-            p.end_of_stmt()?;
-            Ok(name)
-        })(self)
-        {
-            Ok(name) => prog.name = name,
-            Err(e) => {
-                errs.push(*e);
-                self.sync_to_newline();
-            }
-        }
-        self.skip_newlines();
-
-        loop {
-            let before = self.pos;
-            let r = match self.peek() {
-                TokenKind::Param => {
-                    self.bump();
-                    let params = &mut prog.params;
-                    (|p: &mut Self| -> Parse<()> {
-                        loop {
-                            params.push(p.expect_ident()?);
-                            if !p.eat(TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        p.end_of_stmt()
-                    })(self)
-                }
-                TokenKind::Real => {
-                    self.bump();
-                    // A group that fails leaves no declaration behind.
-                    let group = prog.arrays.len();
-                    let r = self
-                        .array_decl_group(&mut prog.arrays)
-                        .and_then(|()| self.end_of_stmt());
-                    if r.is_err() {
-                        prog.arrays.truncate(group);
-                    }
-                    r
-                }
-                _ => break,
-            };
-            if let Err(e) = r {
-                errs.push(*e);
-                self.sync_to_newline();
-            }
+        let (mut name, mut params, mut arrays, mut body) =
+            (Name::default(), Vec::new(), Vec::new(), Vec::new());
+        'parse: {
             self.skip_newlines();
-            if self.pos == before && self.peek() == TokenKind::Eof {
-                break;
-            }
-            if errs.len() >= Self::MAX_ERRORS {
-                return (prog, errs);
-            }
-        }
-
-        loop {
-            self.skip_newlines();
-            let before = self.pos;
-            let r = match self.peek() {
-                TokenKind::End | TokenKind::Eof => break,
-                k @ (TokenKind::EndDo | TokenKind::EndIf | TokenKind::Else) => {
-                    errs.push(LangError::at(self.line(), format!("unmatched {k}")));
-                    self.bump();
+            match (|p: &mut Self| -> Parse<NameId> {
+                p.expect(TokenKind::Program)?;
+                let name = p.expect_ident()?;
+                p.end_of_stmt()?;
+                Ok(name)
+            })(self)
+            {
+                Ok(id) => name = self.arena.name(id).clone(),
+                Err(e) => {
+                    errs.push(*e);
                     self.sync_to_newline();
-                    if errs.len() >= Self::MAX_ERRORS {
-                        return (prog, errs);
-                    }
-                    continue;
-                }
-                _ => self.stmt().map(|s| prog.body.push(s)),
-            };
-            if let Err(e) = r {
-                errs.push(*e);
-                self.sync_to_newline();
-                if errs.len() >= Self::MAX_ERRORS {
-                    return (prog, errs);
                 }
             }
-            // Guarantee forward progress even on a zero-consumption error.
-            if self.pos == before {
-                if self.peek() == TokenKind::Eof {
+            self.skip_newlines();
+
+            loop {
+                let before = self.pos;
+                let r = match self.peek() {
+                    TokenKind::Param => {
+                        self.bump();
+                        self.comma_list(&mut params, Self::expect_ident)
+                            .and_then(|()| self.end_of_stmt())
+                    }
+                    TokenKind::Real => {
+                        self.bump();
+                        // A group that fails leaves no declaration behind.
+                        let group = arrays.len();
+                        let r = self
+                            .array_decl_group(&mut arrays)
+                            .and_then(|()| self.end_of_stmt());
+                        if r.is_err() {
+                            arrays.truncate(group);
+                        }
+                        r
+                    }
+                    _ => break,
+                };
+                if let Err(e) = r {
+                    errs.push(*e);
+                    self.sync_to_newline();
+                }
+                self.skip_newlines();
+                if self.pos == before && self.peek() == TokenKind::Eof {
                     break;
                 }
-                self.bump();
+                if errs.len() >= Self::MAX_ERRORS {
+                    break 'parse;
+                }
             }
-        }
 
-        if let Err(e) = self.expect(TokenKind::End) {
-            errs.push(*e);
-        } else {
-            if let TokenKind::Ident | TokenKind::Program = self.peek() {
-                self.bump();
+            loop {
+                self.skip_newlines();
+                let before = self.pos;
+                let r = match self.peek() {
+                    TokenKind::End | TokenKind::Eof => break,
+                    k @ (TokenKind::EndDo | TokenKind::EndIf | TokenKind::Else) => {
+                        errs.push(LangError::at(self.line(), format!("unmatched {k}")));
+                        self.bump();
+                        self.sync_to_newline();
+                        if errs.len() >= Self::MAX_ERRORS {
+                            break 'parse;
+                        }
+                        continue;
+                    }
+                    _ => self.stmt().map(|s| body.push(s)),
+                };
+                if let Err(e) = r {
+                    errs.push(*e);
+                    self.sync_to_newline();
+                    if errs.len() >= Self::MAX_ERRORS {
+                        break 'parse;
+                    }
+                }
+                // Guarantee forward progress even on a zero-consumption error.
+                if self.pos == before {
+                    if self.peek() == TokenKind::Eof {
+                        break;
+                    }
+                    self.bump();
+                }
             }
-            self.skip_newlines();
-            if self.peek() != TokenKind::Eof {
-                let found = self.toks[self.pos].display(self.src);
-                errs.push(LangError::at(
-                    self.line(),
-                    format!("unexpected {found} after `end`"),
-                ));
+
+            if let Err(e) = self.expect(TokenKind::End) {
+                errs.push(*e);
+            } else {
+                if let TokenKind::Ident | TokenKind::Program = self.peek() {
+                    self.bump();
+                }
+                self.skip_newlines();
+                if self.peek() != TokenKind::Eof {
+                    let found = self.toks[self.pos].display(self.src);
+                    errs.push(LangError::at(
+                        self.line(),
+                        format!("unexpected {found} after `end`"),
+                    ));
+                }
             }
         }
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.shrink_to_fit();
+        let prog = Program {
+            name,
+            params,
+            arrays,
+            body,
+            arena: Arc::new(arena),
+        };
         (prog, errs)
     }
 
@@ -350,12 +363,7 @@ impl<'s> Parser<'s> {
             let name = self.expect_ident()?;
             let mut dims = Vec::new();
             if self.eat(TokenKind::LParen) {
-                loop {
-                    dims.push(self.decl_dim()?);
-                    if !self.eat(TokenKind::Comma) {
-                        break;
-                    }
-                }
+                self.comma_list(&mut dims, Self::decl_dim)?;
                 self.expect(TokenKind::RParen)?;
             }
             arrays.push(ArrayDecl {
@@ -369,50 +377,55 @@ impl<'s> Parser<'s> {
             }
         }
         if self.eat(TokenKind::Distribute) {
-            self.expect(TokenKind::LParen)?;
-            let mut dist = Vec::new();
-            loop {
-                dist.push(self.dist_format()?);
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
-            }
-            self.expect(TokenKind::RParen)?;
-            for d in &mut arrays[group..] {
-                if d.dims.len() != dist.len() {
-                    return Err(self.error(format!(
-                        "array `{}` has rank {} but distribute clause has {} entries",
-                        d.name,
-                        d.dims.len(),
-                        dist.len()
-                    )));
-                }
-                d.dist = dist.clone();
-            }
+            let dist = self.clause(&arrays[group..], "distribute", Self::dist_format)?;
+            arrays[group..]
+                .iter_mut()
+                .for_each(|d| d.dist = dist.clone());
         }
         if self.eat(TokenKind::Align) {
-            self.expect(TokenKind::LParen)?;
-            let mut align = Vec::new();
-            loop {
-                align.push(self.const_int()?);
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
-            }
-            self.expect(TokenKind::RParen)?;
-            for d in &mut arrays[group..] {
-                if d.dims.len() != align.len() {
-                    return Err(self.error(format!(
-                        "array `{}` has rank {} but align clause has {} entries",
-                        d.name,
-                        d.dims.len(),
-                        align.len()
-                    )));
-                }
-                d.align = align.clone();
-            }
+            let align = self.clause(&arrays[group..], "align", Self::const_int)?;
+            arrays[group..]
+                .iter_mut()
+                .for_each(|d| d.align = align.clone());
         }
         Ok(())
+    }
+
+    /// `"(" item ("," item)* ")"`: a `what` clause, which must have one
+    /// entry per dimension of every array of `group`.
+    fn clause<T>(
+        &mut self,
+        group: &[ArrayDecl],
+        what: &str,
+        item: impl FnMut(&mut Self) -> Parse<T>,
+    ) -> Parse<Vec<T>> {
+        self.expect(TokenKind::LParen)?;
+        let mut entries = Vec::new();
+        self.comma_list(&mut entries, item)?;
+        self.expect(TokenKind::RParen)?;
+        match group.iter().find(|d| d.rank() != entries.len()) {
+            Some(d) => Err(self.error(format!(
+                "array `{}` has rank {} but {what} clause has {} entries",
+                self.arena.name(d.name),
+                d.rank(),
+                entries.len()
+            ))),
+            None => Ok(entries),
+        }
+    }
+
+    /// `item ("," item)*`, pushed onto `out`.
+    fn comma_list<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        mut item: impl FnMut(&mut Self) -> Parse<T>,
+    ) -> Parse<()> {
+        loop {
+            out.push(item(self)?);
+            if !self.eat(TokenKind::Comma) {
+                return Ok(());
+            }
+        }
     }
 
     fn decl_dim(&mut self) -> Parse<DeclDim> {
@@ -421,7 +434,8 @@ impl<'s> Parser<'s> {
             let hi = self.expr()?;
             Ok(DeclDim { lo: first, hi })
         } else {
-            Ok(DeclDim::extent(first))
+            let lo = self.arena.push(ExprNode::Int(1));
+            Ok(DeclDim { lo, hi: first })
         }
     }
 
@@ -517,7 +531,7 @@ impl<'s> Parser<'s> {
         self.expect_end_of("if", TokenKind::EndIf, TokenKind::If)?;
         self.end_of_stmt()?;
         Ok(Stmt::If(IfStmt {
-            cond: cond.into(),
+            cond,
             then_body,
             else_body,
         }))
@@ -547,29 +561,35 @@ impl<'s> Parser<'s> {
         self.expect(TokenKind::Assign)?;
         let rhs = self.expr()?;
         self.end_of_stmt()?;
-        Ok(Stmt::Assign(Assign {
-            lhs,
-            rhs: rhs.into(),
-            line,
-        }))
+        Ok(Stmt::Assign(Assign { lhs, rhs, line }))
     }
 
     /// `name ["(" sub ("," sub)* ")"]`
-    fn array_ref(&mut self) -> Parse<ArrayRef> {
-        let mut r = ArrayRef::whole(self.expect_ident()?);
+    fn array_ref(&mut self) -> Parse<RefId> {
+        let array = self.expect_ident()?;
+        let mark = self.subs.len();
+        let r = self.subscripts();
+        let r = r.map(|()| self.arena.push_ref(array, &self.subs[mark..]));
+        self.subs.truncate(mark);
+        r
+    }
+
+    /// `["(" sub ("," sub)* ")"]`, pushed onto `self.subs`.
+    fn subscripts(&mut self) -> Parse<()> {
         if self.eat(TokenKind::LParen) {
             loop {
-                r.subs.push(self.subscript()?);
+                let s = self.subscript()?;
+                self.subs.push(s);
                 if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(TokenKind::RParen)?;
         }
-        Ok(r)
+        Ok(())
     }
 
-    /// `sub := [expr] [":" [expr] [":" const]]`, pushed onto `subs`.
+    /// `sub := [expr] [":" [expr] [":" const]]`.
     fn subscript(&mut self) -> Parse<Subscript> {
         let mut lo = None;
         if self.peek() != TokenKind::Colon {
@@ -611,7 +631,7 @@ impl<'s> Parser<'s> {
     }
 
     /// Full expression (comparisons allowed; the validator restricts where).
-    fn expr(&mut self) -> Parse<Expr> {
+    fn expr(&mut self) -> Parse<ExprId> {
         self.enter("expression")?;
         let r = self.expr_bp(0);
         self.depth -= 1;
@@ -623,7 +643,7 @@ impl<'s> Parser<'s> {
     /// to its right as its right operand — so `+ -` and `* /` associate to
     /// the left. A comparison (the loosest level) ends the expression: it
     /// takes one sum on each side and does not chain.
-    fn expr_bp(&mut self, min_prec: u8) -> Parse<Expr> {
+    fn expr_bp(&mut self, min_prec: u8) -> Parse<ExprId> {
         const COMPARE: u8 = 1;
         let mut lhs = self.unary_expr()?;
         loop {
@@ -645,7 +665,7 @@ impl<'s> Parser<'s> {
             }
             self.bump();
             let rhs = self.expr_bp(prec + 1)?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.arena.push(ExprNode::Bin(op, lhs, rhs));
             if prec == COMPARE {
                 return Ok(lhs);
             }
@@ -653,45 +673,46 @@ impl<'s> Parser<'s> {
     }
 
     /// Unary minus binds tighter than any binary operator.
-    fn unary_expr(&mut self) -> Parse<Expr> {
+    fn unary_expr(&mut self) -> Parse<ExprId> {
         // A chain of unary minuses recurses without passing through
         // `expr`, so it needs its own depth guard.
         if self.eat(TokenKind::Minus) {
             self.enter("expression")?;
-            let r = self.unary_expr().map(|e| Expr::Neg(Box::new(e)));
+            let r = self.unary_expr().map(|e| self.arena.push(ExprNode::Neg(e)));
             self.depth -= 1;
             return r;
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Parse<Expr> {
+    fn atom(&mut self) -> Parse<ExprId> {
         let tok = self.toks[self.pos];
-        match tok.kind {
+        let node = match tok.kind {
             TokenKind::Int => {
                 self.bump();
-                Ok(Expr::Int(tok.int_value()))
+                ExprNode::Int(tok.int_value())
             }
             TokenKind::Float => {
                 self.bump();
-                Ok(Expr::Num(tok.float_value()))
+                ExprNode::Num(tok.float_value())
             }
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             TokenKind::Sum => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
                 let r = self.array_ref()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(Expr::Sum(r))
+                ExprNode::Sum(r)
             }
-            TokenKind::Ident => Ok(Expr::Ref(self.array_ref()?)),
-            _ => Err(self.expected("expression")),
-        }
+            TokenKind::Ident => ExprNode::Ref(self.array_ref()?),
+            _ => return Err(self.expected("expression")),
+        };
+        Ok(self.arena.push(node))
     }
 }
 
@@ -762,7 +783,8 @@ mod tests {
             "program t\nparam n, m\nreal a(n,m), b(n,m) distribute (block, *)\nreal s\nend",
         )
         .unwrap();
-        assert_eq!(p.params, vec!["n", "m"]);
+        let params: Vec<&str> = p.params.iter().map(|&n| p.arena.name(n).as_str()).collect();
+        assert_eq!(params, ["n", "m"]);
         assert_eq!(p.arrays.len(), 3);
         assert_eq!(p.arrays[0].dist, vec![Dist::Block, Dist::Collapsed]);
         assert_eq!(p.arrays[1].dist, vec![Dist::Block, Dist::Collapsed]);
@@ -775,7 +797,7 @@ mod tests {
             parse_program("program t\nparam n\nreal g(0:n+1, 1:n) distribute (block, block)\nend")
                 .unwrap();
         let g = p.array("g").unwrap();
-        assert_eq!(g.dims[0].lo, Expr::Int(0));
+        assert_eq!(p.arena.expr(g.dims[0].lo), ExprNode::Int(0));
     }
 
     #[test]
@@ -786,7 +808,8 @@ mod tests {
         .unwrap();
         match &p.body[0] {
             Stmt::Assign(a) => {
-                assert!(matches!(a.lhs.subs[0], Subscript::Range { .. }));
+                let subs = p.arena.subs(p.arena.aref(a.lhs));
+                assert!(matches!(subs[0], Subscript::Range { .. }));
             }
             _ => panic!("expected assignment"),
         }
@@ -800,9 +823,10 @@ mod tests {
         .unwrap();
         match &p.body[0] {
             Stmt::Assign(a) => {
-                assert_eq!(a.lhs.subs[0], Subscript::full());
+                let subs = p.arena.subs(p.arena.aref(a.lhs));
+                assert_eq!(subs[0], Subscript::full());
                 assert!(
-                    matches!(a.lhs.subs[1], Subscript::Range { step: 2, .. }),
+                    matches!(subs[1], Subscript::Range { step: 2, .. }),
                     "expected stride-2 section"
                 );
             }
@@ -837,7 +861,7 @@ end
         )
         .unwrap();
         match &p.body[0] {
-            Stmt::Assign(a) => assert!(matches!(*a.rhs, Expr::Sum(_))),
+            Stmt::Assign(a) => assert!(matches!(p.arena.expr(a.rhs), ExprNode::Sum(_))),
             _ => panic!("expected assignment"),
         }
     }
@@ -923,18 +947,20 @@ end
             ("a * (b + c)", "Bin(Mul, a, Bin(Add, b, c))"),
             ("(a < b) + c", "Bin(Add, Bin(Lt, a, b), c)"),
         ] {
-            fn show(e: &Expr) -> String {
-                match e {
-                    Expr::Ref(r) => r.array.to_string(),
-                    Expr::Neg(a) => format!("Neg({})", show(a)),
-                    Expr::Bin(op, a, b) => format!("Bin({op:?}, {}, {})", show(a), show(b)),
+            fn show(arena: &Arena, e: ExprId) -> String {
+                match arena.expr(e) {
+                    ExprNode::Ref(r) => arena.name(arena.aref(r).array).to_string(),
+                    ExprNode::Neg(a) => format!("Neg({})", show(arena, a)),
+                    ExprNode::Bin(op, a, b) => {
+                        format!("Bin({op:?}, {}, {})", show(arena, a), show(arena, b))
+                    }
                     other => format!("{other:?}"),
                 }
             }
             let p =
                 parse_program(&format!("program t\nreal s, a, b, c, d\ns = {src}\nend")).unwrap();
             match &p.body[0] {
-                Stmt::Assign(a) => assert_eq!(show(&a.rhs), tree, "{src}"),
+                Stmt::Assign(a) => assert_eq!(show(&p.arena, a.rhs), tree, "{src}"),
                 _ => panic!("expected assignment"),
             }
         }
@@ -947,9 +973,9 @@ end
     fn precedence_mul_over_add() {
         let p = parse_program("program t\nreal s, q\ns = 1 + q * 2\nend").unwrap();
         match &p.body[0] {
-            Stmt::Assign(a) => match &*a.rhs {
-                Expr::Bin(BinOp::Add, _, rhs) => {
-                    assert!(matches!(**rhs, Expr::Bin(BinOp::Mul, _, _)));
+            Stmt::Assign(a) => match p.arena.expr(a.rhs) {
+                ExprNode::Bin(BinOp::Add, _, rhs) => {
+                    assert!(matches!(p.arena.expr(rhs), ExprNode::Bin(BinOp::Mul, _, _)));
                 }
                 other => panic!("unexpected tree {other:?}"),
             },

@@ -9,23 +9,29 @@ use crate::ast::*;
 
 /// Renders `prog` as source text that [`crate::parse_program`] accepts.
 pub fn pretty(prog: &Program) -> String {
+    let arena = &*prog.arena;
     let mut out = String::new();
     let _ = writeln!(out, "program {}", prog.name);
     if !prog.params.is_empty() {
-        let _ = writeln!(out, "param {}", prog.params.join(", "));
+        let params: Vec<&str> = prog
+            .params
+            .iter()
+            .map(|&p| arena.name(p).as_str())
+            .collect();
+        let _ = writeln!(out, "param {}", params.join(", "));
     }
     for a in &prog.arrays {
-        let mut line = format!("real {}", a.name);
+        let mut line = format!("real {}", arena.name(a.name));
         if !a.dims.is_empty() {
             line.push('(');
             for (i, d) in a.dims.iter().enumerate() {
                 if i > 0 {
                     line.push_str(", ");
                 }
-                if d.lo == Expr::Int(1) {
-                    line.push_str(&expr(&d.hi));
+                if arena.expr(d.lo) == ExprNode::Int(1) {
+                    line.push_str(&expr(arena, d.hi));
                 } else {
-                    let _ = write!(line, "{}:{}", expr(&d.lo), expr(&d.hi));
+                    let _ = write!(line, "{}:{}", expr(arena, d.lo), expr(arena, d.hi));
                 }
             }
             line.push(')');
@@ -56,40 +62,34 @@ pub fn pretty(prog: &Program) -> String {
         }
         let _ = writeln!(out, "{line}");
     }
-    stmts(&mut out, &prog.body, 0);
+    stmts(&mut out, arena, &prog.body, 0);
     out.push_str("end\n");
     out
 }
 
-fn stmts(out: &mut String, body: &[Stmt], indent: usize) {
+fn stmts(out: &mut String, arena: &Arena, body: &[Stmt], indent: usize) {
     let pad = "  ".repeat(indent);
     for s in body {
         match s {
             Stmt::Assign(a) => {
-                let _ = writeln!(out, "{pad}{} = {}", aref(&a.lhs), expr(&a.rhs));
+                let _ = writeln!(out, "{pad}{} = {}", aref(arena, a.lhs), expr(arena, a.rhs));
             }
             Stmt::Do(d) => {
+                let (var, lo, hi) = (arena.name(d.var), expr(arena, d.lo), expr(arena, d.hi));
                 if d.step == 1 {
-                    let _ = writeln!(out, "{pad}do {} = {}, {}", d.var, expr(&d.lo), expr(&d.hi));
+                    let _ = writeln!(out, "{pad}do {var} = {lo}, {hi}");
                 } else {
-                    let _ = writeln!(
-                        out,
-                        "{pad}do {} = {}, {}, {}",
-                        d.var,
-                        expr(&d.lo),
-                        expr(&d.hi),
-                        d.step
-                    );
+                    let _ = writeln!(out, "{pad}do {var} = {lo}, {hi}, {}", d.step);
                 }
-                stmts(out, &d.body, indent + 1);
+                stmts(out, arena, &d.body, indent + 1);
                 let _ = writeln!(out, "{pad}enddo");
             }
             Stmt::If(i) => {
-                let _ = writeln!(out, "{pad}if ({}) then", expr(&i.cond));
-                stmts(out, &i.then_body, indent + 1);
+                let _ = writeln!(out, "{pad}if ({}) then", expr(arena, i.cond));
+                stmts(out, arena, &i.then_body, indent + 1);
                 if !i.else_body.is_empty() {
                     let _ = writeln!(out, "{pad}else");
-                    stmts(out, &i.else_body, indent + 1);
+                    stmts(out, arena, &i.else_body, indent + 1);
                 }
                 let _ = writeln!(out, "{pad}endif");
             }
@@ -97,28 +97,30 @@ fn stmts(out: &mut String, body: &[Stmt], indent: usize) {
     }
 }
 
-/// Renders an array reference.
-pub fn aref(r: &ArrayRef) -> String {
-    if r.subs.is_empty() {
-        return r.array.to_string();
+/// Renders array reference `r` of `arena`.
+pub fn aref(arena: &Arena, r: RefId) -> String {
+    let r = arena.aref(r);
+    let name = arena.name(r.array);
+    if arena.subs(r).is_empty() {
+        return name.to_string();
     }
-    let subs: Vec<String> = r.subs.iter().map(sub).collect();
-    format!("{}({})", r.array, subs.join(", "))
+    let subs: Vec<String> = arena.subs(r).iter().map(|s| sub(arena, s)).collect();
+    format!("{name}({})", subs.join(", "))
 }
 
-fn sub(s: &Subscript) -> String {
-    match s {
-        Subscript::Index(e) => expr(e),
+fn sub(arena: &Arena, s: &Subscript) -> String {
+    match *s {
+        Subscript::Index(e) => expr(arena, e),
         Subscript::Range { lo, hi, step } => {
             let mut t = String::new();
             if let Some(e) = lo {
-                t.push_str(&expr(e));
+                t.push_str(&expr(arena, e));
             }
             t.push(':');
             if let Some(e) = hi {
-                t.push_str(&expr(e));
+                t.push_str(&expr(arena, e));
             }
-            if *step != 1 {
+            if step != 1 {
                 let _ = write!(t, ":{step}");
             }
             t
@@ -126,11 +128,12 @@ fn sub(s: &Subscript) -> String {
     }
 }
 
-/// Renders an expression with full parenthesization of nested operations.
-pub fn expr(e: &Expr) -> String {
-    match e {
-        Expr::Int(v) => v.to_string(),
-        Expr::Num(v) => {
+/// Renders expression `e` of `arena` with full parenthesization of nested
+/// operations.
+pub fn expr(arena: &Arena, e: ExprId) -> String {
+    match arena.expr(e) {
+        ExprNode::Int(v) => v.to_string(),
+        ExprNode::Num(v) => {
             // Always keep a decimal point so the value re-lexes as a float.
             let s = v.to_string();
             if s.contains('.') || s.contains('e') {
@@ -139,10 +142,10 @@ pub fn expr(e: &Expr) -> String {
                 format!("{s}.0")
             }
         }
-        Expr::Ref(r) => aref(r),
-        Expr::Sum(r) => format!("sum({})", aref(r)),
-        Expr::Neg(a) => format!("(-{})", expr(a)),
-        Expr::Bin(op, a, b) => {
+        ExprNode::Ref(r) => aref(arena, r),
+        ExprNode::Sum(r) => format!("sum({})", aref(arena, r)),
+        ExprNode::Neg(a) => format!("(-{})", expr(arena, a)),
+        ExprNode::Bin(op, a, b) => {
             let o = match op {
                 BinOp::Add => "+",
                 BinOp::Sub => "-",
@@ -155,7 +158,7 @@ pub fn expr(e: &Expr) -> String {
                 BinOp::Eq => "==",
                 BinOp::Ne => "/=",
             };
-            format!("({} {} {})", expr(a), o, expr(b))
+            format!("({} {} {})", expr(arena, a), o, expr(arena, b))
         }
     }
 }
@@ -211,7 +214,10 @@ end
 
     #[test]
     fn float_literals_keep_decimal_point() {
-        assert_eq!(expr(&Expr::Num(3.0)), "3.0");
-        assert_eq!(expr(&Expr::Num(0.5)), "0.5");
+        let mut arena = Arena::default();
+        for (v, text) in [(3.0, "3.0"), (0.5, "0.5")] {
+            let e = arena.push(ExprNode::Num(v));
+            assert_eq!(expr(&arena, e), text);
+        }
     }
 }

@@ -17,34 +17,43 @@
 //! direction from the read offsets, exactly as classical scalarizers do;
 //! statements it cannot prove safe are left in array form.
 
+use std::sync::Arc;
+
 use crate::ast::*;
 
 /// Scalarizes every array-section assignment it can prove safe, leaving
-/// the rest untouched. Returns the transformed program.
+/// the rest untouched. Returns the transformed program, whose arena is
+/// `prog`'s plus the nodes the rewrite made.
 pub fn scalarize(prog: &Program) -> Program {
     let mut counter = 0usize;
     let mut out = prog.clone();
-    out.body = scalarize_stmts(prog, &prog.body, &mut counter);
+    let arena = Arc::make_mut(&mut out.arena);
+    out.body = scalarize_stmts(prog, arena, &prog.body, &mut counter);
     out
 }
 
-fn scalarize_stmts(prog: &Program, stmts: &[Stmt], counter: &mut usize) -> Vec<Stmt> {
+fn scalarize_stmts(
+    prog: &Program,
+    arena: &mut Arena,
+    stmts: &[Stmt],
+    counter: &mut usize,
+) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
         match s {
-            Stmt::Assign(a) => match scalarize_assign(prog, a, counter) {
+            Stmt::Assign(a) => match scalarize_assign(prog, arena, a, counter) {
                 Some(replacement) => out.push(replacement),
                 None => out.push(s.clone()),
             },
             Stmt::Do(d) => {
                 let mut d2 = d.clone();
-                d2.body = scalarize_stmts(prog, &d.body, counter);
+                d2.body = scalarize_stmts(prog, arena, &d.body, counter);
                 out.push(Stmt::Do(d2));
             }
             Stmt::If(i) => {
                 let mut i2 = i.clone();
-                i2.then_body = scalarize_stmts(prog, &i.then_body, counter);
-                i2.else_body = scalarize_stmts(prog, &i.else_body, counter);
+                i2.then_body = scalarize_stmts(prog, arena, &i.then_body, counter);
+                i2.else_body = scalarize_stmts(prog, arena, &i.else_body, counter);
                 out.push(Stmt::If(i2));
             }
         }
@@ -53,59 +62,58 @@ fn scalarize_stmts(prog: &Program, stmts: &[Stmt], counter: &mut usize) -> Vec<S
 }
 
 /// The resolved triplet of one range dimension.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct Triplet {
-    lo: Expr,
-    hi: Expr,
+    lo: ExprId,
+    hi: ExprId,
     step: i64,
 }
 
-fn decl_bounds(prog: &Program, array: &str, dim: usize) -> Option<(Expr, Expr)> {
-    let d = prog.array(array)?;
-    let dd = d.dims.get(dim)?;
-    Some((dd.lo.clone(), dd.hi.clone()))
+fn decl(prog: &Program, array: NameId) -> Option<&ArrayDecl> {
+    prog.arrays.iter().find(|d| d.name == array)
 }
 
-fn triplet_of(prog: &Program, array: &str, dim: usize, s: &Subscript) -> Option<Triplet> {
+fn triplet_of(prog: &Program, array: NameId, dim: usize, s: Subscript) -> Option<Triplet> {
     match s {
         Subscript::Index(_) => None,
         Subscript::Range { lo, hi, step } => {
-            let (dlo, dhi) = decl_bounds(prog, array, dim)?;
+            let dd = decl(prog, array)?.dims.get(dim)?;
             Some(Triplet {
-                lo: lo.clone().unwrap_or(dlo),
-                hi: hi.clone().unwrap_or(dhi),
-                step: *step,
+                lo: lo.unwrap_or(dd.lo),
+                hi: hi.unwrap_or(dd.hi),
+                step,
             })
         }
     }
 }
 
-/// Builds `base + (var - lo)` — the element index of a co-iterated range.
-fn co_index(base: &Expr, var: &str, lo: &Expr) -> Expr {
-    Expr::Bin(
-        BinOp::Add,
-        Box::new(base.clone()),
-        Box::new(Expr::Bin(
-            BinOp::Sub,
-            Box::new(Expr::name(var)),
-            Box::new(lo.clone()),
-        )),
-    )
+/// The `(dimension, triplet)` of each range subscript of `r`.
+fn triplets(prog: &Program, arena: &Arena, r: ArrayRef) -> Vec<(usize, Triplet)> {
+    let subs = arena.subs(r).iter().enumerate();
+    subs.filter_map(|(d, &s)| triplet_of(prog, r.array, d, s).map(|t| (d, t)))
+        .collect()
 }
 
-fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<Stmt> {
+/// Builds `base + (var - lo)` — the element index of a co-iterated range.
+fn co_index(arena: &mut Arena, base: ExprId, var: NameId, lo: ExprId) -> ExprId {
+    let var = arena.push_ref(var, &[]);
+    let var = arena.push(ExprNode::Ref(var));
+    let offset = arena.push(ExprNode::Bin(BinOp::Sub, var, lo));
+    arena.push(ExprNode::Bin(BinOp::Add, base, offset))
+}
+
+fn scalarize_assign(
+    prog: &Program,
+    arena: &mut Arena,
+    a: &Assign,
+    counter: &mut usize,
+) -> Option<Stmt> {
     // Collect the lhs triplets (the iteration space).
-    let decl = prog.array(&a.lhs.array)?;
-    if a.lhs.subs.is_empty() || decl.rank() == 0 {
+    let lhs = arena.aref(a.lhs);
+    if arena.subs(lhs).is_empty() || decl(prog, lhs.array)?.rank() == 0 {
         return None;
     }
-    let lhs_trips: Vec<(usize, Triplet)> = a
-        .lhs
-        .subs
-        .iter()
-        .enumerate()
-        .filter_map(|(d, s)| triplet_of(prog, &a.lhs.array, d, s).map(|t| (d, t)))
-        .collect();
+    let lhs_trips = triplets(prog, arena, lhs);
     if lhs_trips.is_empty() {
         return None; // already elementwise
     }
@@ -115,25 +123,20 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
     // same-array read offsets to choose a safe loop direction.
     let mut same_array_deltas: Vec<Vec<i64>> = vec![Vec::new(); lhs_trips.len()];
     let mut scalarizable = true;
-    a.rhs.for_each_ref(&mut |r, in_sum| {
+    arena.for_each_ref(a.rhs, &mut |r, in_sum| {
         if in_sum || !scalarizable {
             return; // sum() arguments stay whole-section
         }
-        if r.subs.is_empty() {
+        if arena.subs(r).is_empty() {
             // Whole-array or scalar name: scalars are fine; whole arrays
             // would need rank checks — only allow rank 0 names here.
-            if prog.array(&r.array).map(|d| d.rank()) == Some(0) || prog.array(&r.array).is_none() {
+            if decl(prog, r.array).is_none_or(|d| d.rank() == 0) {
                 return;
             }
             scalarizable = false;
             return;
         }
-        let trips: Vec<(usize, Triplet)> = r
-            .subs
-            .iter()
-            .enumerate()
-            .filter_map(|(d, s)| triplet_of(prog, &r.array, d, s).map(|t| (d, t)))
-            .collect();
+        let trips = triplets(prog, arena, r);
         if trips.len() != lhs_trips.len() {
             scalarizable = false;
             return;
@@ -143,9 +146,9 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
                 scalarizable = false;
                 return;
             }
-            if r.array == a.lhs.array {
+            if r.array == lhs.array {
                 // Offset between read and write positions, when constant.
-                match const_diff(&rt.lo, &lt.lo) {
+                match const_diff(arena, rt.lo, lt.lo) {
                     Some(d) => same_array_deltas[k].push(d),
                     None => scalarizable = false,
                 }
@@ -173,79 +176,81 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
     }
 
     // Fresh loop variables.
-    let vars: Vec<Name> = (0..lhs_trips.len())
-        .map(|_| {
+    let param = |name: &str| prog.params.iter().any(|&p| *arena.name(p) == name);
+    let mut fresh = Vec::with_capacity(lhs_trips.len());
+    for _ in 0..lhs_trips.len() {
+        *counter += 1;
+        let mut name = format!("sc{counter}");
+        while prog.array(&name).is_some() || param(&name) {
             *counter += 1;
-            let mut name = format!("sc{counter}");
-            while prog.array(&name).is_some() || prog.params.iter().any(|p| *p == name) {
-                *counter += 1;
-                name = format!("sc{counter}");
-            }
-            name.into()
-        })
-        .collect();
+            name = format!("sc{counter}");
+        }
+        fresh.push(name);
+    }
+    let vars: Vec<NameId> = fresh.iter().map(|name| arena.intern(name)).collect();
 
     // Rewrite the statement body: each range becomes a co-iterated index.
-    let rewrite_ref = |r: &ArrayRef| -> ArrayRef {
+    let rewrite_ref = |arena: &mut Arena, r: ArrayRef| -> RefId {
         let mut ki = 0usize;
-        let subs = r
-            .subs
-            .iter()
+        let subs: Vec<Subscript> = arena
+            .subs(r)
+            .to_vec()
+            .into_iter()
             .enumerate()
-            .map(|(d, s)| match triplet_of(prog, &r.array, d, s) {
+            .map(|(d, s)| match triplet_of(prog, r.array, d, s) {
                 Some(t) => {
                     let k = ki;
                     ki += 1;
                     let (_, lt) = &lhs_trips[k];
-                    Subscript::Index(co_index(&t.lo, &vars[k], &lt.lo))
+                    Subscript::Index(co_index(arena, t.lo, vars[k], lt.lo))
                 }
-                None => s.clone(),
+                None => s,
             })
             .collect();
-        ArrayRef {
-            array: r.array.clone(),
-            subs,
-        }
+        arena.push_ref(r.array, &subs)
     };
 
-    fn rewrite_expr(e: &Expr, f: &dyn Fn(&ArrayRef) -> ArrayRef) -> Expr {
-        match e {
-            Expr::Int(_) | Expr::Num(_) => e.clone(),
-            Expr::Neg(a) => Expr::Neg(Box::new(rewrite_expr(a, f))),
-            Expr::Bin(op, a, b) => Expr::Bin(
-                *op,
-                Box::new(rewrite_expr(a, f)),
-                Box::new(rewrite_expr(b, f)),
-            ),
-            Expr::Sum(r) => Expr::Sum(r.clone()), // whole-section reduction
-            Expr::Ref(r) => {
-                if r.subs.is_empty() {
-                    Expr::Ref(r.clone())
-                } else {
-                    Expr::Ref(f(r))
-                }
+    fn rewrite_expr(
+        arena: &mut Arena,
+        e: ExprId,
+        f: &dyn Fn(&mut Arena, ArrayRef) -> RefId,
+    ) -> ExprId {
+        let node = match arena.expr(e) {
+            // Leaves, and whole-section reductions, stay as they are.
+            ExprNode::Int(_) | ExprNode::Num(_) | ExprNode::Sum(_) => return e,
+            ExprNode::Neg(a) => ExprNode::Neg(rewrite_expr(arena, a, f)),
+            ExprNode::Bin(op, a, b) => {
+                ExprNode::Bin(op, rewrite_expr(arena, a, f), rewrite_expr(arena, b, f))
             }
-        }
+            ExprNode::Ref(r) => {
+                let r = arena.aref(r);
+                if arena.subs(r).is_empty() {
+                    return e;
+                }
+                ExprNode::Ref(f(arena, r))
+            }
+        };
+        arena.push(node)
     }
 
-    let new_lhs = rewrite_ref(&a.lhs);
-    let new_rhs = rewrite_expr(&a.rhs, &rewrite_ref);
+    let new_lhs = rewrite_ref(arena, lhs);
+    let new_rhs = rewrite_expr(arena, a.rhs, &rewrite_ref);
 
     // Build the loop nest, innermost = last range dimension.
     let mut nest = Stmt::Assign(Assign {
         lhs: new_lhs,
-        rhs: new_rhs.into(),
+        rhs: new_rhs,
         line: a.line,
     });
     for k in (0..lhs_trips.len()).rev() {
-        let (_, t) = &lhs_trips[k];
+        let (_, t) = lhs_trips[k];
         let (lo, hi, step) = if directions[k] >= 0 {
-            (t.lo.clone(), t.hi.clone(), t.step)
+            (t.lo, t.hi, t.step)
         } else {
-            (t.hi.clone(), t.lo.clone(), -t.step)
+            (t.hi, t.lo, -t.step)
         };
         nest = Stmt::Do(DoLoop {
-            var: vars[k].clone(),
+            var: vars[k],
             lo,
             hi,
             step,
@@ -257,34 +262,32 @@ fn scalarize_assign(prog: &Program, a: &Assign, counter: &mut usize) -> Option<S
 
 /// Constant difference of two bound expressions, when syntactically
 /// decidable (integer literals and matching names).
-fn const_diff(a: &Expr, b: &Expr) -> Option<i64> {
-    fn split(e: &Expr) -> Option<(Name, i64)> {
-        match e {
-            Expr::Int(v) => Some((Name::default(), *v)),
-            Expr::Ref(r) if r.subs.is_empty() => Some((r.array.clone(), 0)),
-            Expr::Bin(BinOp::Add, x, y) => {
-                let (nx, kx) = split(x)?;
-                let (ny, ky) = split(y)?;
-                match (nx.is_empty(), ny.is_empty()) {
-                    (true, _) => Some((ny, kx + ky)),
-                    (_, true) => Some((nx, kx + ky)),
+fn const_diff(arena: &Arena, a: ExprId, b: ExprId) -> Option<i64> {
+    fn split(arena: &Arena, e: ExprId) -> Option<(Option<NameId>, i64)> {
+        match arena.expr(e) {
+            ExprNode::Int(v) => Some((None, v)),
+            ExprNode::Ref(r) if arena.subs(arena.aref(r)).is_empty() => {
+                Some((Some(arena.aref(r).array), 0))
+            }
+            ExprNode::Bin(BinOp::Add, x, y) => {
+                let (nx, kx) = split(arena, x)?;
+                let (ny, ky) = split(arena, y)?;
+                match (nx, ny) {
+                    (None, _) => Some((ny, kx + ky)),
+                    (_, None) => Some((nx, kx + ky)),
                     _ => None,
                 }
             }
-            Expr::Bin(BinOp::Sub, x, y) => {
-                let (nx, kx) = split(x)?;
-                let (ny, ky) = split(y)?;
-                if ny.is_empty() {
-                    Some((nx, kx - ky))
-                } else {
-                    None
-                }
+            ExprNode::Bin(BinOp::Sub, x, y) => {
+                let (nx, kx) = split(arena, x)?;
+                let (ny, ky) = split(arena, y)?;
+                ny.is_none().then_some((nx, kx - ky))
             }
             _ => None,
         }
     }
-    let (na, ka) = split(a)?;
-    let (nb, kb) = split(b)?;
+    let (na, ka) = split(arena, a)?;
+    let (nb, kb) = split(arena, b)?;
     (na == nb).then_some(ka - kb)
 }
 
@@ -293,35 +296,38 @@ fn const_diff(a: &Expr, b: &Expr) -> Option<i64> {
 /// recursively; returns the transformed program.
 pub fn fuse_loops(prog: &Program) -> Program {
     let mut out = prog.clone();
-    out.body = fuse_stmts(&prog.body);
+    let arena = Arc::make_mut(&mut out.arena);
+    out.body = fuse_stmts(arena, &prog.body);
     out
 }
 
-fn fuse_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
+fn fuse_stmts(arena: &mut Arena, stmts: &[Stmt]) -> Vec<Stmt> {
     let mut out: Vec<Stmt> = Vec::with_capacity(stmts.len());
     for s in stmts {
         let s = match s {
             Stmt::Do(d) => {
                 let mut d2 = d.clone();
-                d2.body = fuse_stmts(&d.body);
+                d2.body = fuse_stmts(arena, &d.body);
                 Stmt::Do(d2)
             }
             Stmt::If(i) => {
                 let mut i2 = i.clone();
-                i2.then_body = fuse_stmts(&i.then_body);
-                i2.else_body = fuse_stmts(&i.else_body);
+                i2.then_body = fuse_stmts(arena, &i.then_body);
+                i2.else_body = fuse_stmts(arena, &i.else_body);
                 Stmt::If(i2)
             }
             other => other.clone(),
         };
         if let (Some(Stmt::Do(prev)), Stmt::Do(cur)) = (out.last(), &s) {
-            if prev.lo == cur.lo
-                && prev.hi == cur.hi
+            let same = |x: &ExprId, y: &ExprId| In(arena, x) == In(arena, y);
+            if same(&prev.lo, &cur.lo)
+                && same(&prev.hi, &cur.hi)
                 && prev.step == cur.step
-                && arrays_disjoint(prev, cur)
+                && arrays_disjoint(arena, prev, cur)
             {
                 // Fuse: rename the second loop's variable to the first's.
-                let renamed = rename_var(&cur.body, &cur.var, &prev.var);
+                let (from, to) = (cur.var, prev.var);
+                let renamed = rename_var(arena, &cur.body, from, to);
                 if let Some(Stmt::Do(prev)) = out.last_mut() {
                     prev.body.extend(renamed);
                 }
@@ -333,84 +339,89 @@ fn fuse_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
     out
 }
 
-fn touched_arrays(body: &[Stmt], acc: &mut Vec<Name>) {
+fn touched_arrays(arena: &Arena, body: &[Stmt], acc: &mut Vec<NameId>) {
     for s in body {
         match s {
             Stmt::Assign(a) => {
-                acc.push(a.lhs.array.clone());
-                a.rhs.for_each_ref(&mut |r, _| acc.push(r.array.clone()));
+                acc.push(arena.aref(a.lhs).array);
+                arena.for_each_ref(a.rhs, &mut |r, _| acc.push(r.array));
             }
-            Stmt::Do(d) => touched_arrays(&d.body, acc),
+            Stmt::Do(d) => touched_arrays(arena, &d.body, acc),
             Stmt::If(i) => {
-                i.cond.for_each_ref(&mut |r, _| acc.push(r.array.clone()));
-                touched_arrays(&i.then_body, acc);
-                touched_arrays(&i.else_body, acc);
+                arena.for_each_ref(i.cond, &mut |r, _| acc.push(r.array));
+                touched_arrays(arena, &i.then_body, acc);
+                touched_arrays(arena, &i.else_body, acc);
             }
         }
     }
 }
 
-fn arrays_disjoint(a: &DoLoop, b: &DoLoop) -> bool {
+fn arrays_disjoint(arena: &Arena, a: &DoLoop, b: &DoLoop) -> bool {
     let mut ta = Vec::new();
     let mut tb = Vec::new();
-    touched_arrays(&a.body, &mut ta);
-    touched_arrays(&b.body, &mut tb);
+    touched_arrays(arena, &a.body, &mut ta);
+    touched_arrays(arena, &b.body, &mut tb);
     ta.iter().all(|x| !tb.contains(x))
 }
 
-fn rename_var(body: &[Stmt], from: &str, to: &str) -> Vec<Stmt> {
-    fn rex(e: &Expr, from: &str, to: &str) -> Expr {
-        match e {
-            Expr::Int(_) | Expr::Num(_) => e.clone(),
-            Expr::Neg(a) => Expr::Neg(Box::new(rex(a, from, to))),
-            Expr::Bin(op, a, b) => {
-                Expr::Bin(*op, Box::new(rex(a, from, to)), Box::new(rex(b, from, to)))
+/// `body` with every free occurrence of loop variable `from` renamed to
+/// `to`, as new nodes.
+fn rename_var(arena: &mut Arena, body: &[Stmt], from: NameId, to: NameId) -> Vec<Stmt> {
+    fn rex(arena: &mut Arena, e: ExprId, from: NameId, to: NameId) -> ExprId {
+        let node = match arena.expr(e) {
+            ExprNode::Int(_) | ExprNode::Num(_) => return e,
+            ExprNode::Neg(a) => ExprNode::Neg(rex(arena, a, from, to)),
+            ExprNode::Bin(op, a, b) => {
+                ExprNode::Bin(op, rex(arena, a, from, to), rex(arena, b, from, to))
             }
-            Expr::Sum(r) => Expr::Sum(rref(r, from, to)),
-            Expr::Ref(r) => {
-                if r.subs.is_empty() && r.array == from {
-                    Expr::name(to)
+            ExprNode::Sum(r) => ExprNode::Sum(rref(arena, r, from, to)),
+            ExprNode::Ref(r) => {
+                let whole = arena.subs(arena.aref(r)).is_empty();
+                if whole && arena.aref(r).array == from {
+                    ExprNode::Ref(arena.push_ref(to, &[]))
                 } else {
-                    Expr::Ref(rref(r, from, to))
+                    ExprNode::Ref(rref(arena, r, from, to))
                 }
             }
-        }
+        };
+        arena.push(node)
     }
-    fn rsub(s: &Subscript, from: &str, to: &str) -> Subscript {
-        match s {
-            Subscript::Index(e) => Subscript::Index(rex(e, from, to)),
-            Subscript::Range { lo, hi, step } => Subscript::Range {
-                lo: lo.as_ref().map(|e| rex(e, from, to)),
-                hi: hi.as_ref().map(|e| rex(e, from, to)),
-                step: *step,
-            },
-        }
-    }
-    fn rref(r: &ArrayRef, from: &str, to: &str) -> ArrayRef {
-        ArrayRef {
-            array: r.array.clone(),
-            subs: r.subs.iter().map(|s| rsub(s, from, to)).collect(),
-        }
+    fn rref(arena: &mut Arena, r: RefId, from: NameId, to: NameId) -> RefId {
+        let r = arena.aref(r);
+        let subs = arena.subs(r).to_vec();
+        let opt = |arena: &mut Arena, e: Option<ExprId>| e.map(|e| rex(arena, e, from, to));
+        let subs: Vec<Subscript> = subs
+            .into_iter()
+            .map(|s| match s {
+                Subscript::Index(e) => Subscript::Index(rex(arena, e, from, to)),
+                Subscript::Range { lo, hi, step } => Subscript::Range {
+                    lo: opt(arena, lo),
+                    hi: opt(arena, hi),
+                    step,
+                },
+            })
+            .collect();
+        arena.push_ref(r.array, &subs)
     }
     body.iter()
         .map(|s| match s {
             Stmt::Assign(a) => Stmt::Assign(Assign {
-                lhs: rref(&a.lhs, from, to),
-                rhs: rex(&a.rhs, from, to).into(),
+                lhs: rref(arena, a.lhs, from, to),
+                rhs: rex(arena, a.rhs, from, to),
                 line: a.line,
             }),
             Stmt::Do(d) if d.var != from => Stmt::Do(DoLoop {
-                var: d.var.clone(),
-                lo: rex(&d.lo, from, to),
-                hi: rex(&d.hi, from, to),
+                var: d.var,
+                lo: rex(arena, d.lo, from, to),
+                hi: rex(arena, d.hi, from, to),
                 step: d.step,
-                body: rename_var(&d.body, from, to),
+                body: rename_var(arena, &d.body, from, to),
             }),
             Stmt::Do(d) => Stmt::Do(d.clone()), // inner shadowing: stop
             Stmt::If(i) => Stmt::If(IfStmt {
-                cond: rex(&i.cond, from, to).into(),
-                then_body: rename_var(&i.then_body, from, to),
-                else_body: rename_var(&i.else_body, from, to),
+                cond: rex(arena, i.cond, from, to),
+                then_body: rename_var(arena, &i.then_body, from, to),
+                else_body: rename_var(arena, &i.else_body, from, to),
             }),
         })
         .collect()
@@ -435,7 +446,8 @@ mod tests {
                 assert_eq!(d.body.len(), 1);
                 match &d.body[0] {
                     Stmt::Assign(a) => {
-                        assert!(matches!(a.lhs.subs[0], Subscript::Index(_)));
+                        let subs = s.arena.subs(s.arena.aref(a.lhs));
+                        assert!(matches!(subs[0], Subscript::Index(_)));
                     }
                     _ => panic!("expected elementwise assign"),
                 }

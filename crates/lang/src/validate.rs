@@ -11,10 +11,8 @@
 //!   parameters,
 //! * `sum(...)` takes an array argument.
 //!
-//! A reference is resolved by [`Name`] identity first: the parser hands out
-//! one shared `Name` per identifier, so in a parsed tree a declared name is
-//! found by comparing pointers, and only a name no pointer matches — an
-//! undeclared one, or any name of a hand-built tree — is compared as text.
+//! A reference is resolved by [`NameId`]: an arena holds one id per
+//! distinct identifier, so a declared name is found by comparing integers.
 
 use std::collections::HashSet;
 
@@ -46,6 +44,7 @@ pub fn validate(prog: &Program) -> Result<(), LangError> {
 pub fn validate_at(prog: &Program, block_lines: &[u32]) -> Result<(), LangError> {
     let mut v = Validator {
         prog,
+        arena: &prog.arena,
         loop_vars: Vec::new(),
         block_lines: block_lines.iter(),
     };
@@ -55,46 +54,41 @@ pub fn validate_at(prog: &Program, block_lines: &[u32]) -> Result<(), LangError>
 
 struct Validator<'a> {
     prog: &'a Program,
-    loop_vars: Vec<&'a Name>,
+    arena: &'a Arena,
+    loop_vars: Vec<NameId>,
     /// Lines of the `do` / `if` statements not yet visited.
     block_lines: std::slice::Iter<'a, u32>,
 }
 
-/// Where `name` is among `names`: the very same allocation if there is
-/// one, else the first with equal text.
-fn find<'n>(names: impl Iterator<Item = &'n Name> + Clone, name: &Name) -> Option<usize> {
-    names
-        .clone()
-        .position(|n| std::ptr::eq(n.as_str(), name.as_str()))
-        .or_else(|| names.clone().position(|n| n == name))
-}
-
 impl<'a> Validator<'a> {
+    fn name(&self, id: NameId) -> &'a Name {
+        self.arena.name(id)
+    }
+
     fn check_decls(&self) -> Result<(), LangError> {
         let mut seen = HashSet::with_capacity(self.prog.params.len() + self.prog.arrays.len());
-        for p in &self.prog.params {
-            if !seen.insert(p.as_str()) {
-                return Err(LangError::general(format!(
-                    "duplicate declaration of `{p}`"
-                )));
+        let duplicate = |id| {
+            let message = format!("duplicate declaration of `{}`", self.name(id));
+            Err(LangError::general(message))
+        };
+        for &p in &self.prog.params {
+            if !seen.insert(p) {
+                return duplicate(p);
             }
         }
         for a in &self.prog.arrays {
-            if !seen.insert(a.name.as_str()) {
-                return Err(LangError::general(format!(
-                    "duplicate declaration of `{}`",
-                    a.name
-                )));
+            if !seen.insert(a.name) {
+                return duplicate(a.name);
             }
             if !a.dist.is_empty() && a.dist.len() != a.dims.len() {
                 return Err(LangError::general(format!(
                     "array `{}`: distribute clause arity mismatch",
-                    a.name
+                    self.name(a.name)
                 )));
             }
             for d in &a.dims {
-                self.check_size_expr(&d.lo)?;
-                self.check_size_expr(&d.hi)?;
+                self.check_size_expr(d.lo)?;
+                self.check_size_expr(d.hi)?;
             }
         }
         Ok(())
@@ -102,28 +96,29 @@ impl<'a> Validator<'a> {
 
     /// Bound expressions in declarations may reference only parameters and
     /// integer literals.
-    fn check_size_expr(&self, e: &Expr) -> Result<(), LangError> {
-        match e {
-            Expr::Int(_) => Ok(()),
-            Expr::Num(_) => Err(LangError::general(
+    fn check_size_expr(&self, e: ExprId) -> Result<(), LangError> {
+        match self.arena.expr(e) {
+            ExprNode::Int(_) => Ok(()),
+            ExprNode::Num(_) => Err(LangError::general(
                 "array bounds must be integer expressions",
             )),
-            Expr::Ref(r) => {
-                if r.subs.is_empty() && find(self.prog.params.iter(), &r.array).is_some() {
+            ExprNode::Ref(r) => {
+                let r = self.arena.aref(r);
+                if self.arena.subs(r).is_empty() && self.prog.params.contains(&r.array) {
                     Ok(())
                 } else {
                     Err(LangError::general(format!(
                         "array bound references `{}`, which is not a parameter",
-                        r.array
+                        self.name(r.array)
                     )))
                 }
             }
-            Expr::Bin(_, a, b) => {
+            ExprNode::Bin(_, a, b) => {
                 self.check_size_expr(a)?;
                 self.check_size_expr(b)
             }
-            Expr::Neg(a) => self.check_size_expr(a),
-            Expr::Sum(_) => Err(LangError::general("array bounds cannot contain sum()")),
+            ExprNode::Neg(a) => self.check_size_expr(a),
+            ExprNode::Sum(_) => Err(LangError::general("array bounds cannot contain sum()")),
         }
     }
 
@@ -133,21 +128,21 @@ impl<'a> Validator<'a> {
                 Stmt::Assign(a) => self.check_assign(a)?,
                 Stmt::Do(d) => {
                     let line = self.block_lines.next().copied().unwrap_or(0);
-                    if self.is_declared(&d.var) {
+                    if self.is_declared(d.var) {
                         return Err(LangError::general(format!(
                             "loop variable `{}` shadows a declared name",
-                            d.var
+                            self.name(d.var)
                         )));
                     }
-                    self.check_expr(&d.lo, line)?;
-                    self.check_expr(&d.hi, line)?;
-                    self.loop_vars.push(&d.var);
+                    self.check_expr(d.lo, line)?;
+                    self.check_expr(d.hi, line)?;
+                    self.loop_vars.push(d.var);
                     self.check_stmts(&d.body)?;
                     self.loop_vars.pop();
                 }
                 Stmt::If(i) => {
                     let line = self.block_lines.next().copied().unwrap_or(0);
-                    self.check_expr(&i.cond, line)?;
+                    self.check_expr(i.cond, line)?;
                     self.check_stmts(&i.then_body)?;
                     self.check_stmts(&i.else_body)?;
                 }
@@ -158,41 +153,35 @@ impl<'a> Validator<'a> {
 
     fn check_assign(&self, a: &Assign) -> Result<(), LangError> {
         // LHS must be an array or scalar.
-        let decl = self.array(&a.lhs.array).ok_or_else(|| {
+        let lhs = self.arena.aref(a.lhs);
+        let decl = self.array(lhs.array).ok_or_else(|| {
             LangError::at(
                 a.line,
-                format!("assignment to undeclared name `{}`", a.lhs.array),
+                format!("assignment to undeclared name `{}`", self.name(lhs.array)),
             )
         })?;
-        self.check_ref_against(decl, &a.lhs, a.line)?;
-        self.check_expr(&a.rhs, a.line)
+        self.check_ref_against(decl, lhs, a.line)?;
+        self.check_expr(a.rhs, a.line)
     }
 
-    fn check_ref_against(
-        &self,
-        decl: &ArrayDecl,
-        r: &ArrayRef,
-        line: u32,
-    ) -> Result<(), LangError> {
-        if !r.subs.is_empty() && r.subs.len() != decl.rank() {
+    fn check_ref_against(&self, decl: &ArrayDecl, r: ArrayRef, line: u32) -> Result<(), LangError> {
+        let subs = self.arena.subs(r);
+        if !subs.is_empty() && subs.len() != decl.rank() {
             return Err(LangError::at(
                 line,
                 format!(
                     "`{}` has rank {} but is referenced with {} subscripts",
-                    r.array,
+                    self.name(r.array),
                     decl.rank(),
-                    r.subs.len()
+                    subs.len()
                 ),
             ));
         }
-        for s in &r.subs {
-            match s {
+        for s in subs {
+            match *s {
                 Subscript::Index(e) => self.check_expr(e, line)?,
                 Subscript::Range { lo, hi, .. } => {
-                    if let Some(e) = lo {
-                        self.check_expr(e, line)?;
-                    }
-                    if let Some(e) = hi {
+                    for e in lo.into_iter().chain(hi) {
                         self.check_expr(e, line)?;
                     }
                 }
@@ -201,50 +190,53 @@ impl<'a> Validator<'a> {
         Ok(())
     }
 
-    fn array(&self, name: &Name) -> Option<&'a ArrayDecl> {
-        let arrays = &self.prog.arrays;
-        find(arrays.iter().map(|a| &a.name), name).map(|i| &arrays[i])
+    fn array(&self, name: NameId) -> Option<&'a ArrayDecl> {
+        self.prog.arrays.iter().find(|a| a.name == name)
     }
 
-    fn is_declared(&self, name: &Name) -> bool {
-        let loop_vars = self.loop_vars.iter().copied();
-        let arrays = self.prog.arrays.iter().map(|a| &a.name);
-        find(loop_vars.chain(&self.prog.params).chain(arrays), name).is_some()
+    fn is_declared(&self, name: NameId) -> bool {
+        self.loop_vars.contains(&name)
+            || self.prog.params.contains(&name)
+            || self.array(name).is_some()
     }
 
-    fn check_expr(&self, e: &Expr, line: u32) -> Result<(), LangError> {
-        match e {
-            Expr::Int(_) | Expr::Num(_) => Ok(()),
-            Expr::Neg(a) => self.check_expr(a, line),
-            Expr::Bin(_, a, b) => {
+    fn check_expr(&self, e: ExprId, line: u32) -> Result<(), LangError> {
+        match self.arena.expr(e) {
+            ExprNode::Int(_) | ExprNode::Num(_) => Ok(()),
+            ExprNode::Neg(a) => self.check_expr(a, line),
+            ExprNode::Bin(_, a, b) => {
                 self.check_expr(a, line)?;
                 self.check_expr(b, line)
             }
-            Expr::Sum(r) => {
-                let decl = self.array(&r.array).ok_or_else(|| {
-                    LangError::at(line, format!("sum() of undeclared array `{}`", r.array))
+            ExprNode::Sum(r) => {
+                let r = self.arena.aref(r);
+                let name = self.name(r.array);
+                let decl = self.array(r.array).ok_or_else(|| {
+                    LangError::at(line, format!("sum() of undeclared array `{name}`"))
                 })?;
                 if decl.rank() == 0 {
                     return Err(LangError::at(
                         line,
-                        format!("sum() argument `{}` is a scalar", r.array),
+                        format!("sum() argument `{name}` is a scalar"),
                     ));
                 }
                 self.check_ref_against(decl, r, line)
             }
-            Expr::Ref(r) => {
-                if r.subs.is_empty() {
-                    if self.is_declared(&r.array) {
+            ExprNode::Ref(r) => {
+                let r = self.arena.aref(r);
+                let name = self.name(r.array);
+                if self.arena.subs(r).is_empty() {
+                    if self.is_declared(r.array) {
                         Ok(())
                     } else {
                         Err(LangError::at(
                             line,
-                            format!("reference to undeclared name `{}`", r.array),
+                            format!("reference to undeclared name `{name}`"),
                         ))
                     }
                 } else {
-                    let decl = self.array(&r.array).ok_or_else(|| {
-                        LangError::at(line, format!("reference to undeclared array `{}`", r.array))
+                    let decl = self.array(r.array).ok_or_else(|| {
+                        LangError::at(line, format!("reference to undeclared array `{name}`"))
                     })?;
                     self.check_ref_against(decl, r, line)
                 }

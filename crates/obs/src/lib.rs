@@ -197,6 +197,9 @@ struct Inner {
     epoch: Instant,
     next_span_id: AtomicU64,
     state: Mutex<State>,
+    /// False for a [`Registry::without_spans`]: span closes feed the pass
+    /// table only.
+    keep_spans: bool,
 }
 
 /// A thread-safe collection point for counters, spans, and events.
@@ -217,11 +220,24 @@ impl Default for Registry {
 impl Registry {
     /// Creates an empty registry; its epoch (span time zero) is now.
     pub fn new() -> Self {
+        Registry::with_spans(true)
+    }
+
+    /// An empty registry that keeps counters, events and the pass table
+    /// but no raw span records: a span's close adds to its pass and is
+    /// neither kept nor counted as dropped. For a registry that lives as
+    /// long as a server, whose records nothing would read.
+    pub fn without_spans() -> Self {
+        Registry::with_spans(false)
+    }
+
+    fn with_spans(keep_spans: bool) -> Self {
         Registry {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
                 next_span_id: AtomicU64::new(0),
                 state: Mutex::new(State::default()),
+                keep_spans,
             }),
         }
     }
@@ -266,6 +282,7 @@ impl Registry {
                 slot.timed_calls += 1;
                 slot.timed_ns += dur_ns;
             }
+            Some(_) if !self.inner.keep_spans => {}
             Some(rec) if st.spans.len() < SPAN_CAP => st.spans.push(rec),
             Some(_) => st.dropped_spans += 1,
         }
@@ -274,7 +291,8 @@ impl Registry {
     /// Merges a snapshot taken from another registry into this one:
     /// counters and the per-pass aggregation add, events append, and raw
     /// spans are re-numbered into this registry's id space (preserving
-    /// their internal parent links) subject to the usual [`SPAN_CAP`].
+    /// their internal parent links) subject to the usual [`SPAN_CAP`] —
+    /// unless this registry keeps none.
     ///
     /// This is how the parallel drivers keep `--stats` output identical to
     /// a serial run: each work item records into a fresh registry, and the
@@ -300,6 +318,9 @@ impl Registry {
             slot.total_ns += p.total_ns;
         }
         st.events.extend(report.events.iter().cloned());
+        if !self.inner.keep_spans {
+            return;
+        }
         st.dropped_spans += report.dropped_spans;
         let room = SPAN_CAP.saturating_sub(st.spans.len());
         st.dropped_spans += report.spans.len().saturating_sub(room) as u64;
@@ -853,6 +874,28 @@ mod tests {
         assert_eq!(rep.dropped_spans, 5);
         let p = rep.passes().iter().find(|p| p.name == "many").unwrap();
         assert_eq!(p.calls, (SPAN_CAP + 5) as u64);
+    }
+
+    #[test]
+    fn a_registry_without_spans_times_passes_but_keeps_no_record() {
+        let reg = Registry::without_spans();
+        {
+            let _g = install(reg.clone());
+            for _ in 0..3 {
+                let _s = span("work");
+            }
+        }
+        let other = Registry::new();
+        {
+            let _g = install(other.clone());
+            let _s = span("absorbed");
+        }
+        reg.absorb(&other.snapshot());
+        let rep = reg.snapshot();
+        assert!(rep.spans.is_empty());
+        assert_eq!(rep.dropped_spans, 0);
+        let calls = |name| rep.passes().iter().find(|p| p.name == name).unwrap().calls;
+        assert_eq!((calls("work"), calls("absorbed")), (3, 1));
     }
 
     #[test]

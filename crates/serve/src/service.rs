@@ -17,7 +17,10 @@
 //!   total is a function of the *set* of requests that have completed,
 //!   whatever the worker count or completion order: a `stats` request
 //!   issued after a set of responses arrived counts exactly those requests
-//!   (and itself). A request still in flight may show part of its counts;
+//!   (and itself). A request still in flight may show part of its counts.
+//!   A shard keeps no raw span records ([`Registry::without_spans`]): it
+//!   lives as long as the server, and only the pass table of its spans is
+//!   ever read;
 //! * the server-side latency histograms (DESIGN.md §12).
 
 use std::borrow::Borrow;
@@ -255,7 +258,7 @@ impl Service {
             match shards.iter().find(|s| Arc::strong_count(s) == 1) {
                 Some(idle) => Arc::clone(idle),
                 None => {
-                    shards.push(Arc::default());
+                    shards.push(Arc::new(Registry::without_spans()));
                     Arc::clone(&shards[shards.len() - 1])
                 }
             }

@@ -11,17 +11,17 @@
 //! `GCOMM_BLESS=1 cargo test --test fingerprints` rewrites it like every
 //! other golden, but accepting a diff here is a key-format change.
 //!
-//! The second test is why it can: a parsed tree shares one `Name` per
-//! identifier and one `Arc<Expr>` between AST and IR, and none of that is
-//! visible — the same tree rebuilt from fresh allocations is `==`, prints
-//! and hashes the same, and lowers to the same IR.
+//! The second test is why it can: a tree is held in an index arena that
+//! the IR shares, and none of that is visible — the same tree rebuilt into
+//! a fresh arena in a different node order is `==`, prints and hashes the
+//! same, and lowers to the same IR.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gcomm::lang::{ArrayDecl, ArrayRef, Assign, DeclDim, DoLoop, Expr, IfStmt, Name};
-use gcomm::lang::{Program, Stmt, Subscript};
+use gcomm::lang::{Arena, ArrayDecl, Assign, DeclDim, DoLoop, ExprId, ExprNode, IfStmt, NameId};
+use gcomm::lang::{Program, RefId, Stmt, Subscript};
 use gcomm::query::{mix, Fingerprinter};
 
 #[path = "support/pinned_sources.rs"]
@@ -50,83 +50,115 @@ fn persisted_fingerprints_match_golden() {
     assert_eq!(golden, table, "persisted ast_fp / ir_fp moved");
 }
 
-/// `prog` as a hand-built tree: every name occurrence its own allocation,
-/// every expression node copied, nothing shared with `prog` or within the
-/// copy.
+/// `prog` rebuilt into a fresh arena in another node order: statements
+/// last to first, declarations after the body, a right operand before its
+/// left, and names in the order that meets them.
 fn rebuilt(prog: &Program) -> Program {
-    fn name(n: &Name) -> Name {
-        Name::from(n.as_str())
+    struct Copy<'a> {
+        from: &'a Arena,
+        to: Arena,
     }
-    fn aref(r: &ArrayRef) -> ArrayRef {
-        ArrayRef {
-            array: name(&r.array),
-            subs: r.subs.iter().map(sub).collect(),
+    impl Copy<'_> {
+        fn name(&mut self, n: NameId) -> NameId {
+            self.to.intern(self.from.name(n))
+        }
+        fn aref(&mut self, r: RefId) -> RefId {
+            let r = self.from.aref(r);
+            let subs: Vec<Subscript> = (self.from.subs(r).iter().rev())
+                .map(|&s| match s {
+                    Subscript::Index(e) => Subscript::Index(self.expr(e)),
+                    Subscript::Range { lo, hi, step } => {
+                        let hi = hi.map(|e| self.expr(e));
+                        let lo = lo.map(|e| self.expr(e));
+                        Subscript::Range { lo, hi, step }
+                    }
+                })
+                .collect();
+            let subs: Vec<Subscript> = subs.into_iter().rev().collect();
+            let array = self.name(r.array);
+            self.to.push_ref(array, &subs)
+        }
+        fn expr(&mut self, e: ExprId) -> ExprId {
+            let node = match self.from.expr(e) {
+                ExprNode::Ref(r) => ExprNode::Ref(self.aref(r)),
+                ExprNode::Sum(r) => ExprNode::Sum(self.aref(r)),
+                ExprNode::Neg(a) => ExprNode::Neg(self.expr(a)),
+                ExprNode::Bin(op, a, b) => {
+                    let b = self.expr(b);
+                    ExprNode::Bin(op, self.expr(a), b)
+                }
+                leaf => leaf,
+            };
+            self.to.push(node)
+        }
+        fn stmts(&mut self, body: &[Stmt]) -> Vec<Stmt> {
+            let mut out: Vec<Stmt> = (body.iter().rev())
+                .map(|s| match s {
+                    Stmt::Assign(a) => {
+                        let rhs = self.expr(a.rhs);
+                        Stmt::Assign(Assign {
+                            lhs: self.aref(a.lhs),
+                            rhs,
+                            line: a.line,
+                        })
+                    }
+                    Stmt::Do(d) => {
+                        let body = self.stmts(&d.body);
+                        let (hi, lo) = (self.expr(d.hi), self.expr(d.lo));
+                        Stmt::Do(DoLoop {
+                            var: self.name(d.var),
+                            lo,
+                            hi,
+                            step: d.step,
+                            body,
+                        })
+                    }
+                    Stmt::If(i) => {
+                        let else_body = self.stmts(&i.else_body);
+                        let then_body = self.stmts(&i.then_body);
+                        Stmt::If(IfStmt {
+                            cond: self.expr(i.cond),
+                            then_body,
+                            else_body,
+                        })
+                    }
+                })
+                .collect();
+            out.reverse();
+            out
         }
     }
-    fn sub(s: &Subscript) -> Subscript {
-        match s {
-            Subscript::Index(e) => Subscript::Index(expr(e)),
-            Subscript::Range { lo, hi, step } => Subscript::Range {
-                lo: lo.as_ref().map(expr),
-                hi: hi.as_ref().map(expr),
-                step: *step,
-            },
-        }
-    }
-    fn expr(e: &Expr) -> Expr {
-        match e {
-            Expr::Int(v) => Expr::Int(*v),
-            Expr::Num(v) => Expr::Num(*v),
-            Expr::Ref(r) => Expr::Ref(aref(r)),
-            Expr::Sum(r) => Expr::Sum(aref(r)),
-            Expr::Neg(a) => Expr::Neg(Box::new(expr(a))),
-            Expr::Bin(op, a, b) => Expr::Bin(*op, Box::new(expr(a)), Box::new(expr(b))),
-        }
-    }
-    fn stmts(body: &[Stmt]) -> Vec<Stmt> {
-        body.iter()
-            .map(|s| match s {
-                Stmt::Assign(a) => Stmt::Assign(Assign {
-                    lhs: aref(&a.lhs),
-                    rhs: Arc::new(expr(&a.rhs)),
-                    line: a.line,
-                }),
-                Stmt::Do(d) => Stmt::Do(DoLoop {
-                    var: name(&d.var),
-                    lo: expr(&d.lo),
-                    hi: expr(&d.hi),
-                    step: d.step,
-                    body: stmts(&d.body),
-                }),
-                Stmt::If(i) => Stmt::If(IfStmt {
-                    cond: Arc::new(expr(&i.cond)),
-                    then_body: stmts(&i.then_body),
-                    else_body: stmts(&i.else_body),
-                }),
-            })
-            .collect()
-    }
-    Program {
-        name: name(&prog.name),
-        params: prog.params.iter().map(name).collect(),
-        arrays: prog
-            .arrays
-            .iter()
-            .map(|a| ArrayDecl {
-                name: name(&a.name),
-                dims: a
-                    .dims
-                    .iter()
-                    .map(|d| DeclDim {
-                        lo: expr(&d.lo),
-                        hi: expr(&d.hi),
-                    })
-                    .collect(),
+    let mut c = Copy {
+        from: &prog.arena,
+        to: Arena::default(),
+    };
+    let body = c.stmts(&prog.body);
+    let arrays = (prog.arrays.iter())
+        .map(|a| {
+            let dims = (a.dims.iter())
+                .map(|d| {
+                    let hi = c.expr(d.hi);
+                    DeclDim {
+                        lo: c.expr(d.lo),
+                        hi,
+                    }
+                })
+                .collect();
+            ArrayDecl {
+                name: c.name(a.name),
+                dims,
                 dist: a.dist.clone(),
                 align: a.align.clone(),
-            })
-            .collect(),
-        body: stmts(&prog.body),
+            }
+        })
+        .collect();
+    let params = prog.params.iter().map(|&p| c.name(p)).collect();
+    Program {
+        name: prog.name.as_str().into(),
+        params,
+        arrays,
+        body,
+        arena: Arc::new(c.to),
     }
 }
 
@@ -135,6 +167,12 @@ fn sharing_is_invisible_to_eq_debug_hash_and_lowering() {
     for (label, src) in &pinned_sources() {
         let parsed = gcomm::parse_program(src).expect("pinned inputs parse");
         let by_hand = rebuilt(&parsed);
+        let layout = |p: &Program| format!("{:?}", p.arena);
+        assert_ne!(
+            layout(&by_hand),
+            layout(&parsed),
+            "{label}: same node order"
+        );
         assert_eq!(by_hand, parsed, "{label}: ==");
         assert_eq!(
             format!("{by_hand:?}"),
@@ -157,9 +195,6 @@ fn sharing_is_invisible_to_eq_debug_hash_and_lowering() {
             "{label}: ir_fp"
         );
     }
-    // Unequal text stays unequal whichever way it is held.
-    assert_ne!(Name::from("a"), Name::from("b"));
-    assert_eq!(Name::from("a"), Name::from(String::from("a")));
 }
 
 /// Folds `ast_fp` and `ir_fp` (0 when the tree does not lower) into

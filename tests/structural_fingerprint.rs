@@ -19,29 +19,13 @@ use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
 use gcomm::core::incr::split_routines;
-use gcomm::ir::IrProgram;
-use gcomm::lang::Expr;
+use gcomm::lang::{Arena, ExprNode, In};
 use gcomm::query::{fingerprint, mix, Fingerprinter};
 use proptest::hpf;
 
 /// The benchmark's pinned pools (`benchmark/src/inputs.rs`).
 const CORPUS_BASE: u64 = 0x6763_1996;
 const MODULE_BASE: u64 = 0xed17_1996;
-
-/// The pre-structural IR fingerprint text: `Debug` of every field, with
-/// the `HashMap` field rendered in node-id order.
-fn ir_debug(prog: &IrProgram) -> String {
-    let mut repr = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        prog.name, prog.params, prog.arrays, prog.loops, prog.stmts, prog.cfg
-    );
-    let mut conds: Vec<_> = prog.branch_conds.iter().collect();
-    conds.sort_by_key(|(node, _)| *node);
-    for (node, expr) in conds {
-        repr.push_str(&format!("|{node:?}={expr:?}"));
-    }
-    repr
-}
 
 /// Every routine text of the three pools, deduplicated (an edit leaves 63
 /// of a module's 64 routines byte-identical).
@@ -104,40 +88,39 @@ fn structural_fingerprints_partition_exactly_like_debug_text() {
         };
         asts.push(fp_and_debug(&ast));
         if let Ok(ir) = gcomm::ir::lower(&ast) {
-            irs.push((ir_debug(&ir), Fingerprinter::of(&ir)));
+            irs.push(fp_and_debug(&ir));
         }
     }
     assert_same_partition("ast", &asts);
     assert_same_partition("ir", &irs);
 }
 
+/// Branch conditions hash as the node-ordered map they were, so the order
+/// lowering meets them in must not reach the hash: an `if` in an `else`
+/// arm branches from a node made after the join a later `if` branches
+/// from, and the lowered list is still in node order.
 #[test]
 fn branch_cond_insertion_order_does_not_reach_the_hash() {
     let src = "program p\nparam n\nreal a(n), b(n) distribute (block)\nreal x\n\
-               if (x > 0) then\nb(2:n) = a(1:n-1)\nendif\n\
-               if (x < 1) then\nb(1:n-1) = a(2:n)\nelse\nb(1:n) = a(1:n)\nendif\nend\n";
+               if (x < 1) then\nb(1:n-1) = a(2:n)\nelse\n\
+               if (x > 2) then\nb(1:n) = a(1:n)\nendif\nendif\n\
+               if (x > 0) then\nb(2:n) = a(1:n-1)\nendif\nend\n";
     let ir = gcomm::ir::lower(&gcomm::parse_program(src).unwrap()).unwrap();
-    assert!(ir.branch_conds.len() >= 2, "two conditions lowered");
-    let mut conds: Vec<_> = ir.branch_conds.clone().into_iter().collect();
-    conds.sort_by_key(|(node, _)| *node);
-    for order in [conds.clone(), conds.into_iter().rev().collect()] {
-        // A fresh `HashMap` also draws a fresh `RandomState`.
-        let reordered = IrProgram {
-            branch_conds: order.into_iter().collect(),
-            ..ir.clone()
-        };
-        assert_eq!(Fingerprinter::of(&reordered), Fingerprinter::of(&ir));
-    }
+    let nodes: Vec<_> = ir.branch_conds.iter().map(|&(node, _)| node).collect();
+    assert_eq!(nodes.len(), 3, "three conditions lowered");
+    assert!(nodes.windows(2).all(|w| w[0] < w[1]), "{nodes:?}");
 }
 
 #[test]
 fn signed_zeros_hash_apart_as_their_debug_text_does() {
-    let (pos, neg) = (Expr::Num(0.0), Expr::Num(-0.0));
+    let mut arena = Arena::default();
+    let [pos, neg, a, b] = [0.0, -0.0, 1.5, 1.5].map(|v| arena.push(ExprNode::Num(v)));
+    let (pos, neg) = (In(&arena, &pos), In(&arena, &neg));
     assert_ne!(format!("{pos:?}"), format!("{neg:?}"));
     assert_ne!(Fingerprinter::of(&pos), Fingerprinter::of(&neg));
     assert_eq!(
-        Fingerprinter::of(&Expr::Num(1.5)),
-        Fingerprinter::of(&Expr::Num(1.5))
+        Fingerprinter::of(&In(&arena, &a)),
+        Fingerprinter::of(&In(&arena, &b))
     );
 }
 
