@@ -180,6 +180,18 @@ impl Arena {
         self.push(ExprNode::Ref(r))
     }
 
+    /// An arena with room for `n` of each part: a parse of `n` tokens
+    /// makes at most one expression, reference, subscript and name per
+    /// token.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Arena {
+            names: Vec::with_capacity(n),
+            exprs: Vec::with_capacity(n),
+            refs: Vec::with_capacity(n),
+            subs: Vec::with_capacity(n),
+        }
+    }
+
     /// Drops spare capacity: a parsed arena may live in a memo.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.names.shrink_to_fit();

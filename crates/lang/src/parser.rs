@@ -82,13 +82,14 @@ impl<'s> Parser<'s> {
     ///
     /// Returns [`LangError`] if lexing fails.
     pub fn new(src: &'s str) -> Result<Self, LangError> {
+        let toks = lex(src)?;
         Ok(Parser {
             src,
-            toks: lex(src)?,
+            arena: Arena::with_capacity(toks.len()),
+            toks,
             pos: 0,
             depth: 0,
             names: Names::default(),
-            arena: Arena::default(),
             subs: Vec::new(),
             block_lines: Vec::new(),
         })
