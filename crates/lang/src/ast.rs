@@ -134,18 +134,14 @@ impl Arena {
         &self.subs[r.first as usize..][..r.len as usize]
     }
 
-    /// The id of the name spelled `text`, if the table has it.
-    pub fn find(&self, text: &str) -> Option<NameId> {
-        let i = self.names.iter().position(|n| *n == text)?;
-        Some(NameId(i as u32))
-    }
-
     /// The id of the name spelled `text`, added to the table if new (a
     /// linear probe: for hand-built and transformed trees; the parser
     /// keeps an index of its own).
     pub fn intern(&mut self, text: &str) -> NameId {
-        self.find(text)
-            .unwrap_or_else(|| self.push_name(Name::from(text)))
+        match self.names.iter().position(|n| *n == text) {
+            Some(i) => NameId(i as u32),
+            None => self.push_name(Name::from(text)),
+        }
     }
 
     /// Adds a name the table does not have yet.
@@ -547,8 +543,7 @@ macro_rules! walk_struct {
 
 /// An `f64` that prints as itself and hashes its bit pattern: `0.0` and
 /// `-0.0` hash apart, as their `Debug` text differs.
-#[doc(hidden)]
-pub struct Bits(pub f64);
+pub(crate) struct Bits(pub(crate) f64);
 
 impl fmt::Debug for Bits {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

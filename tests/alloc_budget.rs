@@ -166,29 +166,30 @@ fn check(pool: &str, programs: &[(String, Strategy)], op_limit: f64, stage_limit
 #[test]
 fn corpus_op_stays_within_its_allocation_budget() {
     // `parse` is all of `parse_program` — lexing (one vector), the parser
-    // and `validate`: 85.7 a program, from 90.3 since a `real` line pushes
-    // its declarations where they stay and `validate` sizes its set once.
-    // `candidates` is one row per entry plus the pair table: 13.3, from
-    // 40.9 while a window was a `BTreeSet` and each analysis returned a
-    // `Vec`; `greedy` 18.9, from 29.9 with a B-tree per grouping and a
-    // copied row per entry. Limits sit 10 % above the readings (326.6 for
-    // the op; 365.8 before).
+    // and `validate`: 41.8 a program into an index arena sized from the
+    // token count, from 85.7 while every expression node was a `Box` and
+    // every reference's subscripts a `Vec`. `lower` 61.1. `candidates` is
+    // one row per entry plus the pair table: 13.3, from 40.9 while a window
+    // was a `BTreeSet` and each analysis returned a `Vec`; `greedy` 18.9,
+    // from 29.9 with a B-tree per grouping and a copied row per entry.
+    // Limits sit 10 % above the readings (282.7 for the op; 326.6 with the
+    // boxed tree).
     let limits = [
-        ("parse", 94.0),
-        ("lower", 75.0),
+        ("parse", 46.0),
+        ("lower", 67.0),
         ("AnalysisCtx", 95.0),
         ("candidates", 14.6),
         ("greedy", 20.8),
         ("lower_to_sim", 100.0),
     ];
-    check("corpus", &corpus_programs(), 360.0, &limits);
+    check("corpus", &corpus_programs(), 311.0, &limits);
 }
 
 #[test]
 fn kernels_op_stays_within_its_allocation_budget() {
-    // 770.5 measured (915.4 before the dense placement tables); the limit
-    // sits 10 % above.
-    check("kernels", &kernel_programs(), 848.0, &[]);
+    // 600.8 measured (770.5 with the boxed expression tree, 915.4 before
+    // the dense placement tables); the limit sits 10 % above.
+    check("kernels", &kernel_programs(), 661.0, &[]);
 }
 
 /// A served edit of the benchmark's first `edit` module (64 routines, 50
