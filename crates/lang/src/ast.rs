@@ -169,9 +169,8 @@ impl Arena {
         RefId(self.refs.len() as u32 - 1)
     }
 
-    /// Adds a bare reference to the name spelled `text`.
-    pub fn push_name_ref(&mut self, text: &str) -> ExprId {
-        let name = self.intern(text);
+    /// Adds a bare reference to `name`.
+    pub fn push_name_ref(&mut self, name: NameId) -> ExprId {
         let r = self.push_ref(name, &[]);
         self.push(ExprNode::Ref(r))
     }
@@ -713,7 +712,8 @@ mod tests {
     #[test]
     fn for_each_ref_visits_sum() {
         let mut arena = Arena::default();
-        let a = arena.push_name_ref("a");
+        let a = arena.intern("a");
+        let a = arena.push_name_ref(a);
         let b = arena.intern("b");
         let b = arena.push_ref(b, &[]);
         let b = arena.push(ExprNode::Sum(b));
@@ -751,10 +751,12 @@ mod tests {
         let mut a = Arena::default();
         assert_eq!(a.intern("n"), a.intern("n"));
         let one = a.push(ExprNode::Int(1));
-        let n = a.push_name_ref("n");
+        let n = a.intern("n");
+        let n = a.push_name_ref(n);
         let sum = a.push(ExprNode::Bin(BinOp::Add, one, n));
         let mut b = Arena::default();
-        let n2 = b.push_name_ref("n");
+        let n2 = b.intern("n");
+        let n2 = b.push_name_ref(n2);
         let one2 = b.push(ExprNode::Int(1));
         let sum2 = b.push(ExprNode::Bin(BinOp::Add, one2, n2));
         assert!(In(&a, &sum) == In(&b, &sum2));

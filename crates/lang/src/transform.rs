@@ -96,8 +96,7 @@ fn triplets(prog: &Program, arena: &Arena, r: ArrayRef) -> Vec<(usize, Triplet)>
 
 /// Builds `base + (var - lo)` — the element index of a co-iterated range.
 fn co_index(arena: &mut Arena, base: ExprId, var: NameId, lo: ExprId) -> ExprId {
-    let var = arena.push_ref(var, &[]);
-    let var = arena.push(ExprNode::Ref(var));
+    let var = arena.push_name_ref(var);
     let offset = arena.push(ExprNode::Bin(BinOp::Sub, var, lo));
     arena.push(ExprNode::Bin(BinOp::Add, base, offset))
 }
@@ -378,10 +377,9 @@ fn rename_var(arena: &mut Arena, body: &[Stmt], from: NameId, to: NameId) -> Vec
             ExprNode::Ref(r) => {
                 let whole = arena.subs(arena.aref(r)).is_empty();
                 if whole && arena.aref(r).array == from {
-                    ExprNode::Ref(arena.push_ref(to, &[]))
-                } else {
-                    ExprNode::Ref(rref(arena, r, from, to))
+                    return arena.push_name_ref(to);
                 }
+                ExprNode::Ref(rref(arena, r, from, to))
             }
         };
         arena.push(node)

@@ -44,6 +44,7 @@ fn build(arena: &mut Arena, ops: &[Op]) -> ExprId {
             Op::Int(v) => ExprNode::Int(v),
             Op::Num(v) => ExprNode::Num(v),
             Op::Name(name) => {
+                let name = arena.intern(name);
                 exprs.push(arena.push_name_ref(name));
                 continue;
             }
@@ -173,7 +174,7 @@ fn program() -> impl Strategy<Value = Program> {
                 stmts.push(Stmt::Do(DoLoop {
                     var: arena.intern("ii"),
                     lo,
-                    hi: arena.push_name_ref("n"),
+                    hi: build(&mut arena, &[Op::Name("n")]),
                     step: 1,
                     body: assigns(&mut arena, &loop_body),
                 }));
@@ -190,7 +191,7 @@ fn program() -> impl Strategy<Value = Program> {
             }
             let dim = |arena: &mut Arena| DeclDim {
                 lo: arena.push(ExprNode::Int(1)),
-                hi: arena.push_name_ref("n"),
+                hi: build(arena, &[Op::Name("n")]),
             };
             let mut arrays: Vec<ArrayDecl> = ARRAYS
                 .iter()
