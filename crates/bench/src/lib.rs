@@ -10,8 +10,7 @@
 //! * `ablation_greedy`, `ablation_threshold`, `ablation_subset` — A1–A3.
 
 use gcomm_core::{compile, lower_to_sim, CoreError, SimConfig, Strategy};
-use gcomm_machine::fault::FaultPlan;
-use gcomm_machine::{simulate, simulate_with_faults, NetworkModel, ProcGrid, SimReport, SimResult};
+use gcomm_machine::{simulate, NetworkModel, ProcGrid, SimResult};
 
 /// Timesteps simulated per run (everything scales linearly in this).
 pub const NSTEPS: i64 = 10;
@@ -106,67 +105,6 @@ pub fn runtime_row(src: &str, platform: Platform, n: i64) -> Result<RuntimeRow, 
         orig: simulate_kernel(src, Strategy::Original, platform, n)?,
         nored: simulate_kernel(src, Strategy::EarliestRE, platform, n)?,
         comb: simulate_kernel(src, Strategy::Global, platform, n)?,
-    })
-}
-
-/// Like [`simulate_kernel`], but executes under a fault plan and returns
-/// the full report with retry/backoff statistics.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the kernel fails to compile.
-pub fn simulate_kernel_with_faults(
-    src: &str,
-    strategy: Strategy,
-    platform: Platform,
-    n: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, CoreError> {
-    let c = compile(src, strategy)?;
-    let grid = ProcGrid::balanced(platform.nproc(), c.prog.grid_rank());
-    let cfg = SimConfig::uniform(&c, grid, n).with("nsteps", NSTEPS);
-    let prog = lower_to_sim(&c, &cfg);
-    Ok(simulate_with_faults(&prog, &platform.model(), plan))
-}
-
-/// One Figure-10-style row executed under a fault plan.
-#[derive(Debug, Clone)]
-pub struct FaultRow {
-    /// Problem size `n`.
-    pub n: i64,
-    /// Baseline simulation.
-    pub orig: SimReport,
-    /// Earliest + redundancy elimination.
-    pub nored: SimReport,
-    /// The paper's algorithm.
-    pub comb: SimReport,
-}
-
-impl FaultRow {
-    /// Total time of a strategy, normalized so `orig` is 1.0.
-    pub fn normalized(&self, r: &SimReport) -> f64 {
-        r.total_us() / self.orig.total_us().max(1e-12)
-    }
-}
-
-/// Runs all three strategies for one kernel/platform/size under a fault
-/// plan. Each strategy replays the same plan (same seed), so they face the
-/// same adversary.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the kernel fails to compile.
-pub fn fault_row(
-    src: &str,
-    platform: Platform,
-    n: i64,
-    plan: &FaultPlan,
-) -> Result<FaultRow, CoreError> {
-    Ok(FaultRow {
-        n,
-        orig: simulate_kernel_with_faults(src, Strategy::Original, platform, n, plan)?,
-        nored: simulate_kernel_with_faults(src, Strategy::EarliestRE, platform, n, plan)?,
-        comb: simulate_kernel_with_faults(src, Strategy::Global, platform, n, plan)?,
     })
 }
 

@@ -81,14 +81,9 @@ fn run_bin(exe: &str, args: &[&str]) -> String {
 
 #[test]
 fn figure_and_ablation_bins_match_their_goldens() {
-    let bins: [(&str, &str, &[&str]); 5] = [
+    let bins: [(&str, &str, &[&str]); 4] = [
         ("fig5.txt", env!("CARGO_BIN_EXE_fig5_network_profile"), &[]),
         ("fig10.txt", env!("CARGO_BIN_EXE_fig10_runtimes"), &[]),
-        (
-            "fig10_faults.txt",
-            env!("CARGO_BIN_EXE_fig10_runtimes"),
-            &["--faults", "seed=42,loss=0.01"],
-        ),
         (
             "ablation_greedy.txt",
             env!("CARGO_BIN_EXE_ablation_greedy"),

@@ -17,7 +17,7 @@
 //!   all-gather-style exchanges) to concrete schedules of point-to-point
 //!   [`gcomm_machine::SimStep`]s: ring, recursive doubling, binomial
 //!   (`p2p`, the legacy pricing) and Bine trees. The existing simulator
-//!   and fault model execute the step lists unchanged.
+//!   executes the step lists unchanged.
 //! * [`select`] — an algorithm selector that sweeps the
 //!   latency/bandwidth pareto frontier per (pattern, size, topology) as
 //!   in SCCL. `auto` picks the cheapest

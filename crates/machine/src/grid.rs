@@ -1,4 +1,4 @@
-//! Processor grids and block-distribution ownership arithmetic.
+//! Processor grids.
 
 /// A rectangular processor grid (the HPF processors arrangement / template
 /// shape onto which distributed dimensions map).
@@ -59,20 +59,6 @@ impl ProcGrid {
     pub fn rank(&self) -> usize {
         self.dims.len()
     }
-
-    /// Size of the local block of a BLOCK-distributed extent `n` on this
-    /// axis (ceiling division, as HPF prescribes).
-    pub fn block_size(&self, axis: usize, n: u64) -> u64 {
-        let p = self.dims[axis] as u64;
-        n.div_ceil(p)
-    }
-
-    /// Owner (grid coordinate along `axis`) of index `i` (0-based) of a
-    /// BLOCK-distributed extent `n`.
-    pub fn block_owner(&self, axis: usize, n: u64, i: u64) -> u32 {
-        let b = self.block_size(axis, n).max(1);
-        ((i / b) as u32).min(self.dims[axis] - 1)
-    }
 }
 
 #[cfg(test)]
@@ -86,23 +72,6 @@ mod tests {
         assert_eq!(ProcGrid::balanced(16, 2).dims, vec![4, 4]);
         assert_eq!(ProcGrid::balanced(7, 2).nproc(), 7);
         assert_eq!(ProcGrid::balanced(1, 1).dims, vec![1]);
-    }
-
-    #[test]
-    fn block_ownership() {
-        let g = ProcGrid::new(vec![4]);
-        // n = 10, block = 3: indices 0-2 → p0, 3-5 → p1, 6-8 → p2, 9 → p3.
-        assert_eq!(g.block_size(0, 10), 3);
-        assert_eq!(g.block_owner(0, 10, 0), 0);
-        assert_eq!(g.block_owner(0, 10, 5), 1);
-        assert_eq!(g.block_owner(0, 10, 9), 3);
-    }
-
-    #[test]
-    fn block_owner_clamps_to_grid() {
-        let g = ProcGrid::new(vec![3]);
-        // n = 3, block = 1; index 2 → p2.
-        assert_eq!(g.block_owner(0, 3, 2), 2);
     }
 
     #[test]

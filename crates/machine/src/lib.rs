@@ -5,27 +5,25 @@
 //! is available, so this crate provides the closest synthetic equivalent
 //! that exercises the same code path (see DESIGN.md):
 //!
-//! * [`grid`] — processor grids and block ownership arithmetic,
+//! * [`grid`] — processor grids,
 //! * [`net`] — parametric network models (startup + half-size bandwidth
 //!   curve, cache-limited `bcopy`) with presets calibrated to the paper's
 //!   Figure 5,
 //! * [`sim`] — a bulk-synchronous simulator executing a loop-structured
 //!   communication program and splitting time into compute and
 //!   communication, the quantities Figure 10 plots,
-//! * [`profile`] — the Figure-5 microbenchmark (bandwidth vs. buffer size),
-//! * [`fault`] — seeded fault injection (message loss, link degradation,
-//!   stragglers) and the retry policy the simulator recovers with.
+//! * [`profile`] — the Figure-5 microbenchmark (bandwidth vs. buffer size).
+//!
+//! The interconnect is reliable, as the paper's cost model (§3) assumes.
 
-pub mod fault;
 pub mod grid;
 pub mod net;
 pub mod profile;
 pub mod sim;
 
-pub use fault::{FaultPlan, FaultSpecError, RetryPolicy};
 pub use grid::ProcGrid;
 pub use net::NetworkModel;
 pub use sim::{
-    simulate, simulate_overlapped, simulate_with_faults, CommPhase, CommProgram, FaultStats, Msg,
-    MsgKind, OverlapResult, PhaseItem, SimReport, SimResult, SimStep,
+    simulate, simulate_overlapped, CommPhase, CommProgram, Msg, MsgKind, OverlapResult, PhaseItem,
+    SimResult, SimStep,
 };

@@ -90,7 +90,7 @@ impl NetworkModel {
     }
 
     /// `bcopy` bandwidth in MB/s for a buffer of `bytes`.
-    pub fn bcopy_bw_mb(&self, bytes: f64) -> f64 {
+    fn bcopy_bw_mb(&self, bytes: f64) -> f64 {
         if bytes <= self.cache_bytes as f64 {
             self.bcopy_cache_mb
         } else {
@@ -108,22 +108,6 @@ impl NetworkModel {
             return 0.0;
         }
         bytes / self.bcopy_bw_mb(bytes)
-    }
-
-    /// A copy of this model with network bandwidth scaled down to
-    /// `factor` of its peak — a transiently degraded link. The `bcopy`
-    /// bandwidths scale with it: packing buffers ride the same contended
-    /// memory system as the NIC during degradation, so a combined
-    /// message's copy cost must not stay at full speed while the wire
-    /// slows down. Startup cost and compute parameters are unchanged.
-    pub fn degraded(&self, factor: f64) -> NetworkModel {
-        let f = factor.clamp(1e-6, 1.0);
-        NetworkModel {
-            peak_bw_mb: self.peak_bw_mb * f,
-            bcopy_cache_mb: self.bcopy_cache_mb * f,
-            bcopy_mem_mb: self.bcopy_mem_mb * f,
-            ..self.clone()
-        }
     }
 
     /// Time to compute `flops` floating-point operations streaming
@@ -189,27 +173,6 @@ mod tests {
         let small = m.bcopy_bw_mb(16.0 * 1024.0);
         let large = m.bcopy_bw_mb(8.0 * 1024.0 * 1024.0);
         assert!(small > 2.0 * large, "cache cliff must be visible");
-    }
-
-    #[test]
-    fn degraded_scales_bcopy_bandwidth_too() {
-        // Regression: `degraded` used to scale only the link bandwidth,
-        // leaving combined-message pack/unpack copies running at full
-        // speed over a degraded fabric.
-        let m = NetworkModel::sp2();
-        let d = m.degraded(0.25);
-        assert!((d.peak_bw_mb - m.peak_bw_mb * 0.25).abs() < 1e-12);
-        assert!((d.bcopy_cache_mb - m.bcopy_cache_mb * 0.25).abs() < 1e-12);
-        assert!((d.bcopy_mem_mb - m.bcopy_mem_mb * 0.25).abs() < 1e-12);
-        // Pin the degraded bcopy time for a 16 KiB in-cache buffer:
-        // 16384 B / (320 MB/s * 0.25) = 16384 / 80 = 204.8 µs.
-        let t = d.bcopy_time_us(16.0 * 1024.0);
-        assert!((t - 204.8).abs() < 1e-9, "degraded bcopy_time_us = {t}");
-        // And a copy always takes 1/f longer on the degraded model.
-        for b in [512.0, 16384.0, 4.0e6] {
-            let ratio = d.bcopy_time_us(b) / m.bcopy_time_us(b);
-            assert!((ratio - 4.0).abs() < 1e-9);
-        }
     }
 
     #[test]

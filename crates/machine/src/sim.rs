@@ -9,7 +9,6 @@
 //! compute time, communication time, message counts, and volume — the
 //! quantities behind Figure 10's stacked bars.
 
-use crate::fault::{FaultPlan, Rng64};
 use crate::net::NetworkModel;
 
 /// What kind of communication a message performs.
@@ -155,16 +154,6 @@ impl SimResult {
     pub fn total_us(&self) -> f64 {
         self.compute_us + self.comm_us
     }
-
-    /// Fraction of time spent communicating.
-    pub fn comm_fraction(&self) -> f64 {
-        let t = self.total_us();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.comm_us / t
-        }
-    }
 }
 
 /// Executes `prog` on `net` and accumulates times.
@@ -211,15 +200,6 @@ impl OverlapResult {
     pub fn total_us(&self) -> f64 {
         self.total_us
     }
-
-    /// Fraction of the serial communication time hidden by overlap.
-    pub fn hidden_fraction(&self) -> f64 {
-        let serial = self.breakdown.total_us();
-        if self.breakdown.comm_us <= 0.0 {
-            return 0.0;
-        }
-        ((serial - self.total_us) / self.breakdown.comm_us).clamp(0.0, 1.0)
-    }
 }
 
 /// Time of one execution of a body with compute/comm overlapping inside it;
@@ -263,220 +243,6 @@ fn sim_items(items: &[PhaseItem], net: &NetworkModel, mult: u64, r: &mut SimResu
             }
         }
     }
-}
-
-/// Fault-recovery counters accumulated by [`simulate_with_faults`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultStats {
-    /// Message rounds retransmitted after a loss (beyond the first
-    /// attempt of each transfer).
-    pub retransmits: u64,
-    /// Retransmission timeouts that fired.
-    pub timeouts: u64,
-    /// Total time spent in backoff waits, µs.
-    pub backoff_us: f64,
-    /// Combined messages that degraded to per-section sends.
-    pub fallbacks: u64,
-    /// Transfers abandoned after exhausting the attempt budget.
-    pub giveups: u64,
-    /// Communication phases run over a degraded link.
-    pub degraded_phases: u64,
-    /// Communication phases stretched by a straggler processor.
-    pub straggled_phases: u64,
-}
-
-impl FaultStats {
-    /// True when no fault was injected and no recovery action ran.
-    pub fn is_clean(&self) -> bool {
-        self.retransmits == 0
-            && self.timeouts == 0
-            && self.fallbacks == 0
-            && self.giveups == 0
-            && self.degraded_phases == 0
-            && self.straggled_phases == 0
-    }
-}
-
-/// Result of a fault-injected simulation: the usual time/volume breakdown
-/// plus recovery statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SimReport {
-    /// Compute/communication breakdown (communication time includes
-    /// retransmissions, timeouts, backoff, and straggler stretch).
-    pub result: SimResult,
-    /// Fault-recovery counters.
-    pub faults: FaultStats,
-}
-
-impl SimReport {
-    /// Wraps a fault-free result.
-    pub fn clean(result: SimResult) -> Self {
-        SimReport {
-            result,
-            faults: FaultStats::default(),
-        }
-    }
-
-    /// Total wall-clock time, µs.
-    pub fn total_us(&self) -> f64 {
-        self.result.total_us()
-    }
-}
-
-/// Executes `prog` on `net` under a fault plan.
-///
-/// A [`FaultPlan::is_quiet`] plan takes the exact code path of
-/// [`simulate`], so the zero-fault report is bit-identical to the
-/// fault-free simulator. Otherwise loops are unrolled iteration by
-/// iteration and every phase and transmission draws from the plan's seeded
-/// RNG: phases may run over a degraded link or stretch behind a straggler,
-/// and each message attempt may be lost, triggering timeout, exponential
-/// backoff, retransmission, and (for combined messages) the per-section
-/// fallback — all per [`crate::fault::RetryPolicy`].
-pub fn simulate_with_faults(prog: &CommProgram, net: &NetworkModel, plan: &FaultPlan) -> SimReport {
-    if plan.is_quiet() {
-        return SimReport::clean(simulate(prog, net));
-    }
-    let _t = gcomm_obs::time("machine.simulate");
-    let mut rng = Rng64::new(plan.seed);
-    let mut rep = SimReport::default();
-    fault_items(&prog.items, net, plan, &mut rng, &mut rep);
-    gcomm_obs::count("machine.sim.runs", 1);
-    gcomm_obs::count("machine.sim.messages", rep.result.messages);
-    gcomm_obs::count("machine.sim.comm_us", rep.result.comm_us as u64);
-    gcomm_obs::count("machine.fault.retransmits", rep.faults.retransmits);
-    gcomm_obs::count("machine.fault.timeouts", rep.faults.timeouts);
-    gcomm_obs::count("machine.fault.fallbacks", rep.faults.fallbacks);
-    gcomm_obs::count("machine.fault.giveups", rep.faults.giveups);
-    gcomm_obs::count("machine.fault.degraded_phases", rep.faults.degraded_phases);
-    gcomm_obs::count(
-        "machine.fault.straggled_phases",
-        rep.faults.straggled_phases,
-    );
-    rep
-}
-
-fn fault_items(
-    items: &[PhaseItem],
-    net: &NetworkModel,
-    plan: &FaultPlan,
-    rng: &mut Rng64,
-    rep: &mut SimReport,
-) {
-    for item in items {
-        match item {
-            PhaseItem::Compute { flops, mem_bytes } => {
-                rep.result.compute_us += net.compute_time_us(*flops, *mem_bytes);
-            }
-            PhaseItem::Comm(phase) => fault_phase(phase, net, plan, rng, rep),
-            PhaseItem::Loop { trips, body } => {
-                // Unlike the closed-form path, every iteration is executed
-                // so each draws independent faults.
-                for _ in 0..*trips {
-                    fault_items(body, net, plan, rng, rep);
-                }
-            }
-        }
-    }
-}
-
-/// Runs one communication phase: draws phase-level conditions (link
-/// degradation, straggler), then sends each message under the retry policy.
-/// The straggler stretch applies to the whole phase — in the
-/// bulk-synchronous regime the barrier waits for the slowest processor.
-fn fault_phase(
-    phase: &CommPhase,
-    net: &NetworkModel,
-    plan: &FaultPlan,
-    rng: &mut Rng64,
-    rep: &mut SimReport,
-) {
-    let degraded = plan.degrade_prob > 0.0 && rng.next_f64() < plan.degrade_prob;
-    let straggled = plan.straggle_prob > 0.0 && rng.next_f64() < plan.straggle_prob;
-    let eff;
-    let net = if degraded {
-        rep.faults.degraded_phases += 1;
-        eff = net.degraded(plan.degrade_factor);
-        &eff
-    } else {
-        net
-    };
-    let slow = if straggled {
-        rep.faults.straggled_phases += 1;
-        plan.straggle_slowdown.max(1.0)
-    } else {
-        1.0
-    };
-    let mut phase_us = 0.0;
-    for m in &phase.msgs {
-        phase_us += send_with_retries(m, net, plan, rng, rep, true);
-    }
-    rep.result.comm_us += phase_us * slow;
-}
-
-/// Transmits one message under the retry policy and returns the elapsed
-/// time. Counts every attempt's traffic (bytes on the wire, not goodput).
-/// When `allow_fallback`, a combined message that keeps timing out is
-/// re-sent as individual per-section messages (which retry on their own
-/// but cannot fall back further).
-fn send_with_retries(
-    m: &Msg,
-    net: &NetworkModel,
-    plan: &FaultPlan,
-    rng: &mut Rng64,
-    rep: &mut SimReport,
-    allow_fallback: bool,
-) -> f64 {
-    let expected = m.time_us(net);
-    let timeout = plan.retry.timeout_us(net, expected);
-    let budget = plan.retry.max_attempts.max(1);
-    let mut elapsed = 0.0;
-    for attempt in 1..=budget {
-        rep.result.messages += m.rounds.max(1);
-        rep.result.bytes += m.bytes;
-        if attempt > 1 {
-            rep.faults.retransmits += m.rounds.max(1);
-        }
-        if rng.next_f64() >= plan.msg_loss {
-            return elapsed + expected;
-        }
-        rep.faults.timeouts += 1;
-        elapsed += timeout;
-        let backoff = plan.retry.backoff_us(timeout, attempt, rng);
-        rep.faults.backoff_us += backoff;
-        elapsed += backoff;
-        if allow_fallback
-            && plan.retry.fallback
-            && m.pieces > 1
-            && attempt >= plan.retry.fallback_after()
-        {
-            // Graceful degradation: give up on the combined transfer and
-            // send each packed section on its own.
-            rep.faults.fallbacks += 1;
-            let per_section = Msg {
-                bytes: m.bytes / m.pieces as f64,
-                rounds: m.rounds,
-                kind: m.kind,
-                pieces: 1,
-                // A lowered schedule degrades section by section: each
-                // retries the same route with 1/pieces of the traffic.
-                steps: m
-                    .steps
-                    .iter()
-                    .map(|s| SimStep {
-                        bytes: s.bytes / m.pieces as f64,
-                        ..s.clone()
-                    })
-                    .collect(),
-            };
-            for _ in 0..m.pieces {
-                elapsed += send_with_retries(&per_section, net, plan, rng, rep, false);
-            }
-            return elapsed;
-        }
-    }
-    rep.faults.giveups += 1;
-    elapsed
 }
 
 #[cfg(test)]
@@ -632,7 +398,6 @@ mod tests {
         // Compute dominates: comm fully hidden.
         assert!(lazy.total_us() < eager.total_us());
         assert!((lazy.total_us() - eager.compute_us).abs() < 1e-6);
-        assert!((lazy.hidden_fraction() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -655,118 +420,5 @@ mod tests {
         let lazy = simulate_overlapped(&prog, &net);
         assert!(lazy.total_us() >= eager.comm_us - 1e-9);
         assert!(lazy.total_us() <= eager.total_us() + 1e-9);
-    }
-
-    #[test]
-    fn comm_fraction_bounds() {
-        let r = SimResult {
-            compute_us: 75.0,
-            comm_us: 25.0,
-            messages: 1,
-            bytes: 1.0,
-        };
-        assert!((r.comm_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(SimResult::default().comm_fraction(), 0.0);
-    }
-
-    fn looped_prog(trips: u64) -> CommProgram {
-        CommProgram {
-            name: "f".into(),
-            items: vec![PhaseItem::Loop {
-                trips,
-                body: vec![
-                    PhaseItem::Compute {
-                        flops: 100.0,
-                        mem_bytes: 800.0,
-                    },
-                    PhaseItem::Comm(CommPhase {
-                        msgs: vec![p2p(2048.0)],
-                    }),
-                ],
-            }],
-        }
-    }
-
-    #[test]
-    fn quiet_plan_is_bit_identical_to_simulate() {
-        let net = NetworkModel::sp2();
-        let prog = looped_prog(10);
-        let rep = simulate_with_faults(&prog, &net, &FaultPlan::quiet());
-        let base = simulate(&prog, &net);
-        assert_eq!(rep.result, base);
-        assert!(rep.faults.is_clean());
-    }
-
-    #[test]
-    fn same_seed_same_report() {
-        let net = NetworkModel::sp2();
-        let prog = looped_prog(50);
-        let plan = FaultPlan::parse("seed=9,loss=0.2,degrade=0.3:0.5,straggle=0.2:4").unwrap();
-        let a = simulate_with_faults(&prog, &net, &plan);
-        let b = simulate_with_faults(&prog, &net, &plan);
-        assert_eq!(a, b);
-        assert!(!a.faults.is_clean(), "20% loss over 50 trips must fault");
-    }
-
-    #[test]
-    fn loss_costs_time_and_traffic() {
-        let net = NetworkModel::sp2();
-        let prog = looped_prog(100);
-        let clean = simulate(&prog, &net);
-        let faulty = simulate_with_faults(&prog, &net, &FaultPlan::with_loss(3, 0.1));
-        assert!(faulty.result.comm_us > clean.comm_us);
-        assert!(faulty.result.messages > clean.messages);
-        assert!(faulty.result.bytes > clean.bytes);
-        assert!(faulty.faults.retransmits > 0);
-        assert!(faulty.faults.timeouts > 0);
-        assert!(faulty.faults.backoff_us > 0.0);
-        // Compute side is untouched by message loss.
-        assert!((faulty.result.compute_us - clean.compute_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn combined_message_falls_back_to_sections() {
-        let net = NetworkModel::sp2();
-        let mut comb = p2p(8192.0);
-        comb.pieces = 4;
-        let prog = CommProgram {
-            name: "fb".into(),
-            items: vec![PhaseItem::Loop {
-                trips: 200,
-                body: vec![PhaseItem::Comm(CommPhase { msgs: vec![comb] })],
-            }],
-        };
-        let plan = FaultPlan::parse("seed=1,loss=0.5,retries=6").unwrap();
-        let rep = simulate_with_faults(&prog, &net, &plan);
-        assert!(rep.faults.fallbacks > 0, "50% loss must trigger fallback");
-        let mut no_fb = plan.clone();
-        no_fb.retry.fallback = false;
-        let rep2 = simulate_with_faults(&prog, &net, &no_fb);
-        assert_eq!(rep2.faults.fallbacks, 0);
-    }
-
-    #[test]
-    fn stragglers_stretch_phases() {
-        let net = NetworkModel::sp2();
-        let prog = looped_prog(100);
-        let plan = FaultPlan::parse("seed=5,straggle=1:3").unwrap();
-        let rep = simulate_with_faults(&prog, &net, &plan);
-        let clean = simulate(&prog, &net);
-        assert_eq!(rep.faults.straggled_phases, 100);
-        assert!((rep.result.comm_us - 3.0 * clean.comm_us).abs() < 1e-6);
-        // No messages were lost, so traffic is unchanged.
-        assert_eq!(rep.result.messages, clean.messages);
-    }
-
-    #[test]
-    fn degraded_link_slows_communication() {
-        let net = NetworkModel::sp2();
-        let prog = looped_prog(100);
-        let plan = FaultPlan::parse("seed=2,degrade=1:0.25").unwrap();
-        let rep = simulate_with_faults(&prog, &net, &plan);
-        let clean = simulate(&prog, &net);
-        assert_eq!(rep.faults.degraded_phases, 100);
-        assert!(rep.result.comm_us > clean.comm_us);
-        assert_eq!(rep.result.messages, clean.messages);
     }
 }

@@ -115,14 +115,10 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "search.pruned_bound",
     "search.pruned_dominance",
     "search.complete",
-    // machine: dynamic simulation volume and the fault/retry path.
+    // machine: dynamic simulation volume.
     "machine.sim.runs",
     "machine.sim.messages",
     "machine.sim.comm_us",
-    "machine.fault.retransmits",
-    "machine.fault.timeouts",
-    "machine.fault.fallbacks",
-    "machine.fault.giveups",
     // serve: the persistent compile service (DESIGN.md §12) — request
     // volume, load shedding, and the content-addressed compile cache.
     "serve.requests",
@@ -850,7 +846,7 @@ mod tests {
         assert!(json.starts_with("{\"schema\":\"gcomm-obs/v1\""));
         assert!(json.contains("\"lang.tokens\":7"));
         // Zero-filled canonical keys.
-        assert!(json.contains("\"machine.fault.retransmits\":0"));
+        assert!(json.contains("\"machine.sim.runs\":0"));
         assert!(json.contains("\"core.entries.candidates\":0"));
     }
 

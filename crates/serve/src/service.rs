@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use gcomm_core::incr::{self, IncrCompiler, RoutineArtifacts, RoutineOutcome};
 use gcomm_core::{lower_to_sim, CompiledRef, SimConfig};
 use gcomm_guard::BudgetSpec;
-use gcomm_machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
+use gcomm_machine::{simulate, NetworkModel, ProcGrid};
 use gcomm_obs::{Histogram, Registry, StatsReport};
 use gcomm_query::{fingerprint, ByteLru, Computed, Fingerprinter};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
@@ -662,8 +662,7 @@ fn sim_json(compiled: CompiledRef<'_>, sim: &SimSpec) -> String {
             .unwrap_or(gcomm_coll::CollChoice::Fixed(gcomm_coll::Algo::P2p));
         cfg = cfg.with_coll(gcomm_coll::CollConfig::new(topo, choice, net.clone()));
     }
-    let rep = simulate_with_faults(&lower_to_sim(compiled, &cfg), &net, &FaultPlan::quiet());
-    let r = rep.result;
+    let r = simulate(&lower_to_sim(compiled, &cfg), &net);
     format!(
         "{{\"profile\":{},\"p\":{p},\"n\":{},\"total_us\":{},\"compute_us\":{},\
          \"comm_us\":{},\"messages\":{},\"bytes\":{}}}",

@@ -1,7 +1,5 @@
 //! Seeded disk-fault injection for recovery property tests.
 //!
-//! The communication simulator replays network faults from a seeded plan
-//! (`machine::fault::FaultPlan`); this module is the disk-side analogue.
 //! A [`DiskFaultPlan`] deterministically mutates a real segment file the
 //! way crashes and dying media do:
 //!
@@ -14,9 +12,8 @@
 //! * [`DiskFault::ZeroRange`] — zero an aligned range, a page whose fsync
 //!   the drive acknowledged but never performed.
 //!
-//! The plan is pure std (this crate has no dependencies), so it re-rolls
-//! the same SplitMix64 generator as `machine::fault::Rng64` rather than
-//! importing it.
+//! The plan is pure std (this crate has no dependencies) and draws from a
+//! seeded SplitMix64 generator, so every damaged file is reproducible.
 
 use std::fs::{self, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
@@ -61,7 +58,7 @@ impl DiskFaultPlan {
         }
     }
 
-    /// SplitMix64 step (same constants as `machine::fault::Rng64`).
+    /// SplitMix64 step.
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

@@ -67,7 +67,7 @@ pub fn record_checksum(key: &[u8], value: &[u8]) -> u64 {
     eat(&(value.len() as u32).to_le_bytes());
     eat(key);
     eat(value);
-    // SplitMix64 finalizer (same constants as `machine::fault::Rng64`).
+    // SplitMix64 finalizer.
     let mut z = h;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -23,8 +23,6 @@
 //!   --coll <alg>                 collective algorithm: auto|ring|rdbl|bine|p2p
 //!                                (default: p2p; auto sweeps the pareto
 //!                                frontier per pattern and size, DESIGN.md §17)
-//!   --faults <spec>              inject faults into --sim runs, e.g.
-//!                                seed=42,loss=0.01,degrade=0.2:0.5,straggle=0.05:3
 //!   --entries                    list communication entries before placement
 //!   --stats                      print pass timings + counters to stderr
 //!   --stats-json <path>          write the full stats report as JSON
@@ -74,7 +72,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use gcomm::core::{commgen, compile_diagnostics_budgeted, lower_to_sim, SimConfig};
-use gcomm::machine::{simulate_with_faults, FaultPlan, NetworkModel, ProcGrid};
+use gcomm::machine::{simulate, NetworkModel, ProcGrid};
 use gcomm::serve::cli;
 use gcomm::serve::{Client, ServiceConfig};
 use gcomm::{Budget, BudgetSpec, Strategy};
@@ -88,7 +86,6 @@ struct Opts {
     sim: Option<i64>,
     machine: gcomm::coll::Topology,
     coll: gcomm::coll::CollChoice,
-    faults: FaultPlan,
     budget: BudgetSpec,
     entries: bool,
     stats: cli::StatsOpts,
@@ -98,7 +95,7 @@ struct Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: gcommc [--strategy orig|nored|partial|comb|optimal] [--counts] [--dot-cfg] [--dot-dom] \
-         [--verify] [--sim <n>] [--machine <topo>] [--coll <alg>] [--faults <spec>] \
+         [--verify] [--sim <n>] [--machine <topo>] [--coll <alg>] \
          [--budget <spec>] [--entries] [--stats] \
          [--stats-json <path>] <file | ->\n\
          \x20      gcommc serve [--addr <host:port>] [--jobs <n>] [--cache-bytes <size>] \
@@ -132,7 +129,6 @@ fn parse_args(mut args: Vec<String>) -> Opts {
         sim: None,
         machine: gcomm::coll::Topology::Flat,
         coll: gcomm::coll::CollChoice::Fixed(gcomm::coll::Algo::P2p),
-        faults: FaultPlan::quiet(),
         budget,
         entries: false,
         stats,
@@ -182,15 +178,6 @@ fn parse_args(mut args: Vec<String>) -> Opts {
                 }
                 None => bad_args("--coll expects auto|ring|rdbl|bine|p2p"),
             },
-            "--faults" => {
-                let Some(spec) = args.next() else {
-                    bad_args("--faults expects a spec, e.g. seed=42,loss=0.01")
-                };
-                o.faults = match FaultPlan::parse(&spec) {
-                    Ok(p) => p,
-                    Err(e) => bad_args(e),
-                };
-            }
             "--help" | "-h" => usage(),
             _ if a.starts_with("--") => bad_args(format_args!(
                 "unrecognized option '{a}' (run --help for the option list)"
@@ -554,8 +541,7 @@ fn compile_main(args: Vec<String>) -> ExitCode {
                     net.clone(),
                 ));
             }
-            let rep = simulate_with_faults(&lower_to_sim(&compiled, &cfg), &net, &opts.faults);
-            let r = rep.result;
+            let r = simulate(&lower_to_sim(&compiled, &cfg), &net);
             let topo_tag = cfg
                 .coll
                 .as_ref()
@@ -570,20 +556,6 @@ fn compile_main(args: Vec<String>) -> ExitCode {
                 r.messages,
                 r.bytes
             );
-            if !opts.faults.is_quiet() {
-                let f = rep.faults;
-                println!(
-                    "  faults: {} retransmitted rounds, {} timeouts, {:.0} us backoff, \
-                     {} fallbacks, {} giveups, {} degraded / {} straggled phases",
-                    f.retransmits,
-                    f.timeouts,
-                    f.backoff_us,
-                    f.fallbacks,
-                    f.giveups,
-                    f.degraded_phases,
-                    f.straggled_phases
-                );
-            }
         }
     }
 
@@ -617,15 +589,11 @@ fn compile_main(args: Vec<String>) -> ExitCode {
     }
 
     if stats_enabled && opts.sim.is_none() {
-        // Populate the machine stage even without --sim: one quiet
-        // small-size run on the default network (doesn't touch stdout).
+        // Populate the machine stage even without --sim: one small-size
+        // run on the default network (doesn't touch stdout).
         let rank = compiled.prog.grid_rank();
         let cfg = SimConfig::uniform(&compiled, ProcGrid::balanced(4, rank), 64).with("nsteps", 2);
-        let _ = simulate_with_faults(
-            &lower_to_sim(&compiled, &cfg),
-            &NetworkModel::sp2(),
-            &opts.faults,
-        );
+        let _ = simulate(&lower_to_sim(&compiled, &cfg), &NetworkModel::sp2());
     }
 
     ExitCode::SUCCESS

@@ -37,8 +37,7 @@ fn malformed_arguments_exit_two_with_a_message() {
     assert_usage_error(&["--stats-json"], "--stats-json expects a file path");
     assert_usage_error(&["--sim", "not-a-number", "x.hpf"], "--sim");
     assert_usage_error(&["--sim"], "--sim expects an integer");
-    assert_usage_error(&["--faults"], "--faults expects a spec");
-    assert_usage_error(&["--faults", "loss=banana", "x.hpf"], "fault spec");
+    assert_usage_error(&["--faults", "seed=1", "x.hpf"], "option '--faults'");
     assert_usage_error(&["--budget"], "--budget expects a spec");
     assert_usage_error(&["--budget", "steps=abc", "x.hpf"], "budget");
     assert_usage_error(&["--budget", "frobs=3", "x.hpf"], "budget");

@@ -1,11 +1,20 @@
-//! Drift guard for the module tree: every `pub mod NAME;` under
-//! `crates/*/src` must be reached through its path — some non-comment line
-//! under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src`
-//! mentions `NAME::` — so a module nothing calls cannot stay compiled,
-//! documented and tested by its own unit tests alone (`gcomm-machine::cost`
-//! did, for twenty PRs). A `pub use NAME::…` beside the declaration counts;
-//! a doc link (`//! [`NAME`]`) does not. No module is exempt today; one
-//! that must be goes in a list here, with its reason.
+//! Drift guards for dead public code.
+//!
+//! * Every `pub mod NAME;` under `crates/*/src` must be reached through its
+//!   path — some non-comment line under `crates/`, `src/`, `tests/`,
+//!   `examples/` or `benchmark/src` mentions `NAME::` — so a module nothing
+//!   calls cannot stay compiled, documented and tested by its own unit
+//!   tests alone (`gcomm-machine::cost` did, for twenty PRs). A
+//!   `pub use NAME::…` beside the declaration counts; a doc link
+//!   (`//! [`NAME`]`) does not.
+//! * Every `pub fn NAME` declared under `crates/machine/src` must be named
+//!   on a non-comment line of another file under the same roots: a
+//!   function only its own file's unit tests call is dead API (the
+//!   simulator carried `block_owner`, `comm_fraction` and a fault RNG's
+//!   `jitter` that way).
+//!
+//! Nothing is exempt today; an exemption goes in a list here, with its
+//! reason.
 
 use std::path::{Path, PathBuf};
 
@@ -34,36 +43,49 @@ fn mentions(line: &str, name: &str) -> bool {
         .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
 }
 
-#[test]
-fn every_public_module_is_reached_through_its_path() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// True when `line` holds `name` as a whole identifier.
+fn names(line: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(name)
+        .any(|(at, _)| !line[..at].ends_with(ident) && !line[at + name.len()..].starts_with(ident))
+}
+
+/// Every source file under [`ROOTS`] with its text.
+fn sources(root: &Path) -> Vec<(PathBuf, String)> {
     let mut files = Vec::new();
     for dir in ROOTS {
         walk(&root.join(dir), &mut files);
     }
-    let sources: Vec<(PathBuf, String)> = files
+    files
         .into_iter()
         .map(|file| {
             let text = std::fs::read_to_string(&file).expect("readable source");
             (file, text)
         })
-        .collect();
-    // Code lines only, with where they came from.
-    let code = || {
-        sources.iter().flat_map(|(file, text)| {
-            text.lines()
-                .map(str::trim)
-                .filter(|line| !line.starts_with("//"))
-                .map(move |line| (file, line))
-        })
-    };
+        .collect()
+}
+
+/// Code lines only (comment lines dropped), with where they came from.
+fn code(sources: &[(PathBuf, String)]) -> impl Iterator<Item = (&Path, &str)> {
+    sources.iter().flat_map(|(file, text)| {
+        text.lines()
+            .map(str::trim)
+            .filter(|line| !line.starts_with("//"))
+            .map(move |line| (file.as_path(), line))
+    })
+}
+
+#[test]
+fn every_public_module_is_reached_through_its_path() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = sources(root);
 
     let crates_src = |file: &Path| {
         let rel = file.strip_prefix(root.join("crates")).ok()?;
         (rel.components().nth(1)?.as_os_str() == "src").then(|| rel.display().to_string())
     };
     let mut dead = Vec::new();
-    for (file, line) in code() {
+    for (file, line) in code(&sources) {
         let Some(rel) = crates_src(file) else {
             continue;
         };
@@ -74,12 +96,47 @@ fn every_public_module_is_reached_through_its_path() {
             continue;
         };
         // (The declaration itself never reads `NAME::`.)
-        if !code().any(|(_, other)| mentions(other, name)) {
+        if !code(&sources).any(|(_, other)| mentions(other, name)) {
             dead.push(format!("{rel}: {name}"));
         }
     }
     assert!(
         dead.is_empty(),
         "public modules no code reaches by path: {dead:#?}"
+    );
+}
+
+/// `(function, reason)` pairs allowed to stay uncalled outside their file.
+const UNCALLED_MACHINE_FNS: [(&str, &str); 0] = [];
+
+#[test]
+fn every_public_machine_function_is_called_outside_its_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = sources(root);
+    let machine_src = root.join("crates/machine/src");
+
+    let mut dead = Vec::new();
+    for (file, line) in code(&sources) {
+        if !file.starts_with(&machine_src) {
+            continue;
+        }
+        let Some(rest) = line.strip_prefix("pub fn ") else {
+            continue;
+        };
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        if UNCALLED_MACHINE_FNS.iter().any(|(n, _)| *n == name) {
+            continue;
+        }
+        if !code(&sources).any(|(other, text)| other != file && names(text, &name)) {
+            let rel = file.strip_prefix(root).unwrap_or(file).display();
+            dead.push(format!("{rel}: {name}"));
+        }
+    }
+    assert!(
+        dead.is_empty(),
+        "public machine functions nothing outside their own file names: {dead:#?}"
     );
 }
