@@ -74,7 +74,8 @@ pub fn check_schedule(c: &Compiled) -> LegalityReport {
             if !g.pos.dominates(&before_use, &ctx.dt) {
                 rep.errors.push(format!(
                     "{strategy:?}: group at {:?} does not dominate use of {}",
-                    g.pos, e.label
+                    g.pos,
+                    e.label(&c.prog)
                 ));
             }
         }
@@ -95,7 +96,8 @@ pub fn check_schedule(c: &Compiled) -> LegalityReport {
                 if !cands.contains(&g.pos) {
                     rep.errors.push(format!(
                         "{}: placement {:?} outside candidate window [{ep:?} .. {lp:?}]",
-                        e.label, g.pos
+                        e.label(&c.prog),
+                        g.pos
                     ));
                 }
             }
@@ -110,7 +112,8 @@ pub fn check_schedule(c: &Compiled) -> LegalityReport {
                 if !ea.mapping.compatible(&eb.mapping) {
                     rep.errors.push(format!(
                         "{} and {} share a group but are mapping-incompatible",
-                        ea.label, eb.label
+                        ea.label(&c.prog),
+                        eb.label(&c.prog)
                     ));
                 }
             }
@@ -143,17 +146,17 @@ pub fn check_schedule(c: &Compiled) -> LegalityReport {
             if !group.pos.dominates(&before_use, &ctx.dt) {
                 rep.errors.push(format!(
                     "{strategy:?}: absorber of {} placed after the absorbed use",
-                    absorbed.label
+                    absorbed.label(&c.prog)
                 ));
             }
             let lvl = group.pos.level(&c.prog);
             let cover = ctx.asd_shared(c.schedule.entry(by), lvl);
             let need = ctx.asd_shared(absorbed, lvl);
-            if !need.subsumed_by(&cover, &ctx.sym) {
+            if !need.subsumed_by(cover, &ctx.sym) {
                 rep.errors.push(format!(
                     "{strategy:?}: data of {} not covered by {}",
-                    absorbed.label,
-                    c.schedule.entry(by).label
+                    absorbed.label(&c.prog),
+                    c.schedule.entry(by).label(&c.prog)
                 ));
             }
         }
@@ -176,7 +179,7 @@ pub fn check_schedule(c: &Compiled) -> LegalityReport {
         if placed + absorbed != 1 {
             rep.errors.push(format!(
                 "{strategy:?}: entry {} placed {placed}x, absorbed {absorbed}x",
-                e.label
+                e.label(&c.prog)
             ));
         }
     }

@@ -67,10 +67,16 @@ impl SimConfig {
 /// Lowers a compiled procedure — a `&Compiled`, or a [`CompiledRef`] over
 /// separately held parts — to a concrete communication program. Lowering
 /// needs the program and the widened sections, nothing else: neither this
-/// nor [`lower_to_sim_with`] builds dominators or SSA.
+/// nor [`lower_to_sim_with`] builds dominators or SSA. A `&Compiled`
+/// brings the sections its compile widened ([`Compiled::asds`](
+/// crate::Compiled::asds)); only the ones placement never asked about are
+/// widened here, into that same table.
 pub fn lower_to_sim<'a>(compiled: impl Into<CompiledRef<'a>>, cfg: &SimConfig) -> CommProgram {
     let compiled = compiled.into();
-    let ctx = SectionCtx::with_budget(compiled.prog, Budget::unlimited());
+    let ctx = match compiled.asds {
+        Some(asds) => SectionCtx::over(compiled.prog, asds),
+        None => SectionCtx::with_budget(compiled.prog, Budget::unlimited()),
+    };
     lower_to_sim_with(compiled, cfg, &ctx)
 }
 
@@ -87,29 +93,61 @@ pub fn lower_to_sim_with<'a>(
     let compiled = compiled.into();
     let prog = compiled.prog;
     let p_total = cfg.grid.nproc().max(1);
-    let (mid, trips) = loop_bindings(compiled, cfg);
-    let items = build_items(compiled, cfg, ctx, &mid, &trips, None, p_total);
+    let b = loop_bindings(compiled, cfg);
+    let items = build_items(compiled, cfg, ctx, &b, None, p_total);
     CommProgram {
         name: prog.name.clone(),
         items,
     }
 }
 
-/// Loop-variable midpoints and trip counts at the configured size (parents
-/// come first in `LoopId` order, so bindings resolve transitively). Shared
-/// between lowering and the branch-and-bound cost model so both evaluate
-/// sizes with bit-identical arithmetic.
-pub(crate) fn loop_bindings(
-    compiled: CompiledRef<'_>,
-    cfg: &SimConfig,
-) -> (HashMap<LoopId, i64>, HashMap<LoopId, u64>) {
+/// What a variable is bound to at the configured size, by dense id: each
+/// parameter's value (resolved from [`SimConfig::params`] once), each
+/// loop's midpoint and trip count. Shared between lowering and the
+/// branch-and-bound cost model so both evaluate sizes with bit-identical
+/// arithmetic.
+pub(crate) struct Bindings {
+    /// By `ParamId`; `None` for a parameter the configuration leaves
+    /// unbound.
+    params: Vec<Option<i64>>,
+    /// By `LoopId`.
+    mid: Vec<i64>,
+    /// By `LoopId`.
+    trips: Vec<u64>,
+}
+
+impl Bindings {
+    /// The value of `v`, if bound.
+    pub(crate) fn get(&self, v: Var) -> Option<i64> {
+        match v {
+            Var::Param(p) => self.params.get(p.0 as usize).copied().flatten(),
+            Var::Loop(l) => self.mid.get(l.0 as usize).copied(),
+        }
+    }
+
+    /// The trip count of loop `l`.
+    pub(crate) fn trips(&self, l: LoopId) -> u64 {
+        self.trips[l.0 as usize]
+    }
+}
+
+/// The [`Bindings`] of a configuration. Parents come first in `LoopId`
+/// order, so a loop's bounds see the midpoints of its enclosing loops and
+/// nothing of a later one.
+pub(crate) fn loop_bindings(compiled: CompiledRef<'_>, cfg: &SimConfig) -> Bindings {
     let prog = compiled.prog;
-    let mut mid: HashMap<LoopId, i64> = HashMap::new();
-    let mut trips: HashMap<LoopId, u64> = HashMap::new();
-    for (i, li) in prog.loops.iter().enumerate() {
-        let l = LoopId(i as u32);
+    let mut b = Bindings {
+        params: prog
+            .params
+            .iter()
+            .map(|name| cfg.params.get(name).copied())
+            .collect(),
+        mid: Vec::with_capacity(prog.loops.len()),
+        trips: Vec::with_capacity(prog.loops.len()),
+    };
+    for li in &prog.loops {
         let (lo, hi) = {
-            let bind = bind_exact(compiled, cfg, &mid);
+            let bind = |v| b.get(v);
             let lo = li.lo.eval(&bind).unwrap_or(1);
             let hi = li.hi.eval(&bind).unwrap_or(lo);
             (lo, hi)
@@ -119,18 +157,17 @@ pub(crate) fn loop_bindings(
         } else {
             ((lo - hi).max(-1) / -li.step + 1).max(0)
         };
-        trips.insert(l, t as u64);
-        mid.insert(l, (lo + hi) / 2);
+        b.trips.push(t as u64);
+        b.mid.push((lo + hi) / 2);
     }
-    (mid, trips)
+    b
 }
 
 fn build_items(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &SectionCtx<'_>,
-    mid: &HashMap<LoopId, i64>,
-    trips: &HashMap<LoopId, u64>,
+    b: &Bindings,
     context: Option<LoopId>,
     p_total: u64,
 ) -> Vec<PhaseItem> {
@@ -143,7 +180,7 @@ fn build_items(
         if prog.cfg.node(g.pos.node).enclosing == context {
             phase
                 .msgs
-                .push(group_msg(compiled, cfg, ctx, mid, g, p_total));
+                .push(group_msg(compiled, cfg, ctx, b, g, p_total));
         }
     }
     if !phase.msgs.is_empty() {
@@ -164,7 +201,7 @@ fn build_items(
             ..
         } = &info.kind
         {
-            let elems = access_count(compiled, cfg, mid, lhs) as f64;
+            let elems = access_count(b, lhs) as f64;
             let local = if prog.array(lhs.array).is_replicated() {
                 elems
             } else {
@@ -187,10 +224,10 @@ fn build_items(
             continue;
         }
         let l = LoopId(i as u32);
-        let body = build_items(compiled, cfg, ctx, mid, trips, Some(l), p_total);
+        let body = build_items(compiled, cfg, ctx, b, Some(l), p_total);
         if !body.is_empty() {
             items.push(PhaseItem::Loop {
-                trips: trips[&l],
+                trips: b.trips(l),
                 body,
             });
         }
@@ -199,13 +236,8 @@ fn build_items(
 }
 
 /// Concrete element count of an access at the configured size.
-fn access_count(
-    compiled: CompiledRef<'_>,
-    cfg: &SimConfig,
-    mid: &HashMap<LoopId, i64>,
-    acc: &AccessRef,
-) -> u64 {
-    let bind = bind_exact(compiled, cfg, mid);
+fn access_count(b: &Bindings, acc: &AccessRef) -> u64 {
+    let bind = |v| b.get(v);
     let mut total: u64 = 1;
     for s in &acc.subs {
         let c = match s {
@@ -226,39 +258,25 @@ fn access_count(
     total
 }
 
-fn bind_exact<'a>(
-    compiled: CompiledRef<'a>,
-    cfg: &'a SimConfig,
-    mid: &'a HashMap<LoopId, i64>,
-) -> impl Fn(Var) -> Option<i64> + 'a {
-    move |v| match v {
-        Var::Param(p) => {
-            let name = compiled.prog.params.get(p.0 as usize)?;
-            cfg.params.get(name).copied()
-        }
-        Var::Loop(l) => mid.get(&l).copied(),
-    }
-}
-
 fn group_msg(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &SectionCtx<'_>,
-    mid: &HashMap<LoopId, i64>,
+    b: &Bindings,
     g: &PlacedGroup,
     p_total: u64,
 ) -> Msg {
     let mut bytes = 0.0f64;
     for &eid in &g.entries {
         bytes += entry_msg_bytes(
-            compiled, cfg, ctx, mid, eid, &g.mapping, g.kind, g.pos, p_total,
+            compiled, cfg, ctx, b, eid, &g.mapping, g.kind, g.pos, p_total,
         );
     }
     let (rounds, kind, shape) = group_pattern(
         compiled,
         cfg,
         ctx,
-        mid,
+        b,
         g.entries[0],
         &g.mapping,
         g.kind,
@@ -330,7 +348,7 @@ pub(crate) fn entry_msg_bytes(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &SectionCtx<'_>,
-    mid: &HashMap<LoopId, i64>,
+    b: &Bindings,
     eid: crate::entry::EntryId,
     mapping: &Mapping,
     kind: CommKind,
@@ -339,15 +357,11 @@ pub(crate) fn entry_msg_bytes(
 ) -> f64 {
     let prog = compiled.prog;
     let level = pos.level(prog);
-    let bind = bind_exact(compiled, cfg, mid);
+    let bind = |v| b.get(v);
     let e = compiled.schedule.entry(eid);
-    let shared;
     let sect = match compiled.schedule.section_override(eid) {
         Some(s) => s,
-        None => {
-            shared = ctx.asd_shared(e, level);
-            &shared.section
-        }
+        None => &ctx.asd_shared(e, level).section,
     };
     let total = sect.count(&bind).unwrap_or(1).max(1) as f64;
     match (mapping, kind) {
@@ -392,7 +406,7 @@ pub(crate) fn group_pattern(
     compiled: CompiledRef<'_>,
     cfg: &SimConfig,
     ctx: &SectionCtx<'_>,
-    mid: &HashMap<LoopId, i64>,
+    b: &Bindings,
     head: crate::entry::EntryId,
     mapping: &Mapping,
     kind: CommKind,
@@ -401,7 +415,7 @@ pub(crate) fn group_pattern(
 ) -> (u64, MsgKind, PatternShape) {
     let prog = compiled.prog;
     let level = pos.level(prog);
-    let bind = bind_exact(compiled, cfg, mid);
+    let bind = |v| b.get(v);
     let log_p = (64 - (p_total.max(1) - 1).leading_zeros()) as u64;
     match kind {
         CommKind::Nnc => {

@@ -46,25 +46,20 @@ impl<'a> Generator<'a> {
             StmtKind::Cond { reads } => (None, reads),
         };
 
-        // Per-statement coalescing table for shift entries.
-        let mut pending: Vec<CommEntry> = Vec::new();
+        // This statement's entries are `out[first..]`: the coalescing table
+        // for its shift entries.
+        let first = self.out.len();
 
         for (idx, read) in reads.iter().enumerate() {
-            let arr = self.prog.array(read.access.array);
+            let array = read.access.array;
             if read.reduction {
                 // Each reduction is its own runtime call (partial results
                 // combined across processors).
-                pending.push(self.fresh(
-                    sid,
-                    vec![idx],
-                    read.access.array,
-                    Mapping::Reduction { op: ReduceOp::Sum },
-                    CommKind::Reduction,
-                    format!("sum {}", arr.name),
-                ));
+                let m = Mapping::Reduction { op: ReduceOp::Sum };
+                self.push(sid, idx, array, m, CommKind::Reduction);
                 continue;
             }
-            if arr.is_replicated() {
+            if self.prog.array(array).is_replicated() {
                 continue; // replicated data (scalars) is always local
             }
             let mapping = match lhs {
@@ -81,43 +76,35 @@ impl<'a> Generator<'a> {
                         let mut axis_off = vec![0i64; offsets.len()];
                         axis_off[k] = o;
                         let m = Mapping::Shift { offsets: axis_off };
-                        self.coalesce(&mut pending, sid, idx, read.access.array, m, &arr.name);
+                        self.coalesce(first, sid, idx, array, m);
                     }
                 }
                 // An axis-aligned shift is its own entry as classified.
                 m @ (Mapping::Shift { .. } | Mapping::Broadcast | Mapping::ToConstant) => {
-                    self.coalesce(&mut pending, sid, idx, read.access.array, m, &arr.name);
+                    self.coalesce(first, sid, idx, array, m);
                 }
                 Mapping::General(_) => {
                     let id = self.general_counter;
                     self.general_counter += 1;
-                    pending.push(self.fresh(
-                        sid,
-                        vec![idx],
-                        read.access.array,
-                        Mapping::General(id),
-                        CommKind::General,
-                        format!("{} general", arr.name),
-                    ));
+                    self.push(sid, idx, array, Mapping::General(id), CommKind::General);
                 }
                 Mapping::Reduction { .. } => unreachable!("reductions handled above"),
             }
         }
-        self.out.append(&mut pending);
     }
 
-    /// Adds `idx` to an existing same-pattern entry of this statement or
-    /// creates a new one (classic message coalescing).
+    /// Adds `idx` to an existing same-pattern entry of this statement (one
+    /// of `out[first..]`) or creates a new one (classic message
+    /// coalescing).
     fn coalesce(
         &mut self,
-        pending: &mut Vec<CommEntry>,
+        first: usize,
         sid: StmtId,
         idx: usize,
         array: ArrayId,
         mapping: Mapping,
-        name: &str,
     ) {
-        if let Some(e) = pending
+        if let Some(e) = self.out[first..]
             .iter_mut()
             .find(|e| e.array == array && e.mapping == mapping)
         {
@@ -131,29 +118,19 @@ impl<'a> Generator<'a> {
             Mapping::ToConstant => CommKind::Gather,
             _ => CommKind::General,
         };
-        let label = format!("{name} {mapping}");
-        let e = self.fresh(sid, vec![idx], array, mapping, kind, label);
-        pending.push(e);
+        self.push(sid, idx, array, mapping, kind);
     }
 
-    fn fresh(
-        &mut self,
-        stmt: StmtId,
-        reads: Vec<usize>,
-        array: ArrayId,
-        mapping: Mapping,
-        kind: CommKind,
-        label: String,
-    ) -> CommEntry {
-        CommEntry {
-            id: EntryId(u32::MAX), // assigned by the caller after collection
+    /// Appends a fresh entry serving read `idx` of `stmt`.
+    fn push(&mut self, stmt: StmtId, idx: usize, array: ArrayId, mapping: Mapping, kind: CommKind) {
+        self.out.push(CommEntry {
+            id: EntryId(u32::MAX), // assigned by `number` after generation
             stmt,
-            reads,
+            reads: vec![idx],
             array,
             mapping,
             kind,
-            label,
-        }
+        });
     }
 
     /// Classifies a read against the statement's left-hand side.
@@ -194,6 +171,24 @@ impl<'a> Generator<'a> {
     }
 }
 
+/// How many entries [`generate`] can make of `prog` at most: one per read,
+/// except that a diagonal shift splits into one per distributed axis, and
+/// none for a read of replicated data unless it is a reduction.
+pub(crate) fn max_entries(prog: &IrProgram) -> usize {
+    prog.stmts
+        .iter()
+        .flat_map(|s| s.kind.reads())
+        .map(|r| {
+            let arr = prog.array(r.access.array);
+            match (r.reduction, arr.is_replicated()) {
+                (true, _) => 1,
+                (false, true) => 0,
+                (false, false) => arr.distributed().count().max(1),
+            }
+        })
+        .sum()
+}
+
 /// Number of grid axes a shift moves along.
 fn shifted_axes(offsets: &[i64]) -> usize {
     offsets.iter().filter(|&&o| o != 0).count()
@@ -230,7 +225,7 @@ fn elem_offset(lhs: &SubscriptIr, read: &SubscriptIr) -> Option<i64> {
 /// (`redundancy::subsumption_classes`).
 pub fn number(mut entries: Vec<CommEntry>) -> Vec<CommEntry> {
     for (i, e) in entries.iter_mut().enumerate() {
-        debug_assert!(e.mapping != Mapping::Local, "local entry {}", e.label);
+        debug_assert!(e.mapping != Mapping::Local, "local entry {e:?}");
         e.id = EntryId(i as u32);
     }
     entries
@@ -327,7 +322,7 @@ end",
     fn coalescing_merges_same_pattern_reads() {
         // u(i+1,j) appears twice and p(i+1,j) once: two entries total
         // (u east, p east), with the u entry serving two reads.
-        let (_, e) = entries(
+        let (prog, e) = entries(
             "
 program t
 param n
@@ -340,7 +335,10 @@ enddo
 end",
         );
         assert_eq!(e.len(), 2);
-        let u_entry = e.iter().find(|x| x.label.starts_with("u ")).unwrap();
+        let u_entry = e
+            .iter()
+            .find(|x| x.label(&prog).to_string().starts_with("u "))
+            .unwrap();
         assert_eq!(u_entry.reads.len(), 2);
     }
 

@@ -2,8 +2,10 @@
 //! table of direction analyses — and, split out for the consumers that
 //! need nothing else, the section context (program + ASD cache).
 
+use std::borrow::Cow;
+use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use gcomm_dep::{widen::widen_access_within, DepResult, DepTest};
 use gcomm_guard::Budget;
@@ -13,10 +15,70 @@ use gcomm_ssa::{DefId, DefKind, DefWalk, SsaForm};
 
 use crate::entry::CommEntry;
 
+/// Memoized `(entry, level) → ASD`: the widened section of an entry at a
+/// placement level is a pure function of the program, so the pair scans
+/// (redundancy sweep, greedy grouping) and the cost model build each one
+/// exactly once (DESIGN.md §11) — and a compile hands its table on to the
+/// lowering of its schedule ([`crate::Compiled::asds`]). Dense, and sized
+/// once from the program: the slot of `(entry, level)` is `entry * levels
+/// + level`, for as many entries as `commgen` can make of the program.
+///
+/// The default table is empty: it holds nothing, and lowering a
+/// [`crate::Compiled`] that carries one widens into a fresh table.
+#[derive(Clone, Default)]
+pub struct AsdTable {
+    slots: Box<[OnceLock<Asd>]>,
+    /// Slots per entry: one per loop level of the program, plus level 0.
+    levels: usize,
+}
+
+impl AsdTable {
+    /// An empty table with a slot for every `(entry, level)` of `prog`.
+    fn for_program(prog: &IrProgram) -> Self {
+        let levels = prog
+            .loops
+            .iter()
+            .map(|l| l.level as usize)
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let entries = crate::commgen::max_entries(prog);
+        AsdTable {
+            slots: (0..entries * levels).map(|_| OnceLock::new()).collect(),
+            levels,
+        }
+    }
+
+    /// True when the table has no slots (the default).
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The slot of an entry at a placement level. No loop is deeper than
+    /// the program's deepest, so every level from there on widens nothing
+    /// and shares one slot.
+    fn slot(&self, e: &CommEntry, level: u32) -> &OnceLock<Asd> {
+        let at = e.id.0 as usize * self.levels + (level as usize).min(self.levels - 1);
+        // invariant: the table is sized for every entry `commgen` makes of
+        // the program it was built for.
+        self.slots.get(at).expect("an entry of the table's program")
+    }
+}
+
+impl fmt::Debug for AsdTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let built = self.slots.iter().filter(|s| s.get().is_some()).count();
+        f.debug_struct("AsdTable")
+            .field("slots", &self.slots.len())
+            .field("built", &built)
+            .finish()
+    }
+}
+
 /// What widening an entry's section needs, and all that lowering a placed
 /// schedule (`lower_to_sim`, the branch-and-bound cost model) needs of the
 /// analysis: the program, the symbolic comparison context, the budget and
-/// the `(entry, level) → ASD` cache. No dominators, no SSA.
+/// the `(entry, level) → ASD` table. No dominators, no SSA.
 #[derive(Debug)]
 pub struct SectionCtx<'a> {
     /// The program under analysis.
@@ -27,34 +89,40 @@ pub struct SectionCtx<'a> {
     /// when it exhausts, every phase degrades conservatively (DESIGN.md
     /// §10) instead of erroring.
     pub budget: Budget,
-    /// Memoized `(entry, level) → ASD`: the widened section of an entry at
-    /// a placement level is a pure function of the program, so the pair
-    /// scans (redundancy sweep, greedy grouping) and the cost model build
-    /// each one exactly once (DESIGN.md §11). Dense: the slot of
-    /// `(entry, level)` is `entry * asd_levels + level`, grown a row at a
-    /// time as entries are first asked about.
-    asd_cache: Mutex<Vec<Option<Arc<Asd>>>>,
-    /// Slots per entry in `asd_cache`: one per loop level of the program,
-    /// plus level 0.
-    asd_levels: usize,
+    /// The widened sections: this context's own, or a compile's that
+    /// lowering reads and fills.
+    asds: Cow<'a, AsdTable>,
 }
 
 impl<'a> SectionCtx<'a> {
-    /// An empty cache over `prog`; widenings charge against `budget`.
+    /// An empty table over `prog`; widenings charge against `budget`.
     pub fn with_budget(prog: &'a IrProgram, budget: Budget) -> Self {
         SectionCtx {
             prog,
             sym: SymCtx::default(),
             budget,
-            asd_cache: Mutex::new(Vec::new()),
-            asd_levels: prog
-                .loops
-                .iter()
-                .map(|l| l.level as usize)
-                .max()
-                .unwrap_or(0)
-                + 1,
+            asds: Cow::Owned(AsdTable::for_program(prog)),
         }
+    }
+
+    /// A context over `prog` that reads and fills the table a compile of
+    /// `prog` left (an empty one is replaced by a fresh table); widenings
+    /// are not budgeted.
+    pub(crate) fn over(prog: &'a IrProgram, asds: &'a AsdTable) -> Self {
+        if asds.is_empty() {
+            return Self::with_budget(prog, Budget::unlimited());
+        }
+        SectionCtx {
+            prog,
+            sym: SymCtx::default(),
+            budget: Budget::unlimited(),
+            asds: Cow::Borrowed(asds),
+        }
+    }
+
+    /// The table, for the compile to hand on with its schedule.
+    pub(crate) fn into_asds(self) -> AsdTable {
+        self.asds.into_owned()
     }
 
     /// The access of read `idx` of statement `s`.
@@ -66,57 +134,53 @@ impl<'a> SectionCtx<'a> {
     /// `level`: the union (bounding box per dimension, stride-aware) of its
     /// reads' accesses widened over all loops deeper than `level`.
     ///
-    /// Served from the per-compile cache (the widening runs once per
-    /// `(entry, level)`); callers that only need to *borrow* the section
-    /// should prefer [`asd_shared`](Self::asd_shared) to skip the clone.
+    /// Served from the table (the widening runs once per `(entry,
+    /// level)`); callers that only need to *borrow* the section should
+    /// prefer [`asd_shared`](Self::asd_shared) to skip the clone.
     pub fn section_at(&self, e: &CommEntry, level: u32) -> Section {
         self.asd_shared(e, level).section.clone()
     }
 
-    /// The cached ASD of an entry at a placement level.
+    /// The memoized ASD of an entry at a placement level.
     ///
-    /// The compute happens under the cache lock, so exactly one thread
-    /// builds (and budget-charges) each descriptor even when the parallel
-    /// optimal-search workers race on the same key — keeping charge and
-    /// counter totals identical between `--jobs 1` and `--jobs N`.
-    pub fn asd_shared(&self, e: &CommEntry, level: u32) -> Arc<Asd> {
-        // No loop is deeper than the program's deepest, so every level
-        // from there on widens nothing and shares one slot.
-        let row = e.id.0 as usize * self.asd_levels;
-        let slot = row + (level as usize).min(self.asd_levels - 1);
-        let mut cache = self.asd_cache.lock().unwrap();
-        if cache.len() <= slot {
-            cache.resize(row + self.asd_levels, None);
-        }
-        if let Some(hit) = &cache[slot] {
+    /// Exactly one thread builds (and budget-charges) each descriptor even
+    /// when the parallel optimal-search workers race on the same slot —
+    /// the others wait for it — keeping charge and counter totals
+    /// identical between `--jobs 1` and `--jobs N`.
+    pub fn asd_shared(&self, e: &CommEntry, level: u32) -> &Asd {
+        let slot = self.asds.slot(e, level);
+        if let Some(hit) = slot.get() {
             gcomm_obs::count("core.asd_cache_hits", 1);
-            return Arc::clone(hit);
+            return hit;
         }
-        let stmt_level = self.prog.stmt(e.stmt).level;
-        let mut acc: Option<Section> = None;
-        for &r in &e.reads {
-            let a = self.read_access(e.stmt, r);
-            let s = widen_access_within(self.prog, a, stmt_level, level, &self.budget);
-            acc = Some(match acc {
-                None => s,
-                Some(prev) => prev.union_bbox(&s, &self.sym).unwrap_or(prev),
-            });
+        let mut built = false;
+        let asd = slot.get_or_init(|| {
+            built = true;
+            let stmt_level = self.prog.stmt(e.stmt).level;
+            let mut acc: Option<Section> = None;
+            for &r in &e.reads {
+                let a = self.read_access(e.stmt, r);
+                let s = widen_access_within(self.prog, a, stmt_level, level, &self.budget);
+                acc = Some(match acc {
+                    None => s,
+                    Some(prev) => prev.union_bbox(&s, &self.sym).unwrap_or(prev),
+                });
+            }
+            Asd::new(e.array, acc.unwrap_or_default(), e.mapping.clone())
+        });
+        if !built {
+            // Another worker built it while this one waited.
+            gcomm_obs::count("core.asd_cache_hits", 1);
         }
-        let asd = Arc::new(Asd::new(
-            e.array,
-            acc.unwrap_or_default(),
-            e.mapping.clone(),
-        ));
-        cache[slot] = Some(Arc::clone(&asd));
         asd
     }
 
     /// ASD subsumption: true when `sub`'s communication at `level` is
     /// fully served by `sup`'s ([`Asd::subsumed_by_within`] over the
-    /// cached descriptors).
+    /// memoized descriptors).
     pub fn subsumed_within(&self, sub: &CommEntry, sup: &CommEntry, level: u32) -> bool {
         self.asd_shared(sub, level).subsumed_by_within(
-            &self.asd_shared(sup, level),
+            self.asd_shared(sup, level),
             &self.sym,
             &self.budget,
         )

@@ -192,7 +192,10 @@ enddo
 end",
         );
         let ctx = AnalysisCtx::new(&prog);
-        let e = entries.iter().find(|e| e.label.starts_with("a ")).unwrap();
+        let e = entries
+            .iter()
+            .find(|e| e.label(&prog).to_string().starts_with("a "))
+            .unwrap();
         let d = earliest_def_for_read(&ctx, e.stmt, e.reads[0]);
         assert!(ctx.ssa.def(d).kind.is_phi());
         // The φ sits at the join node, which strictly dominates the loop.
@@ -219,8 +222,14 @@ c(2:n) = a(1:n-1) + b(1:n-1)
 end",
         );
         let ctx = AnalysisCtx::new(&prog);
-        let ea = entries.iter().find(|e| e.label.starts_with("a ")).unwrap();
-        let eb = entries.iter().find(|e| e.label.starts_with("b ")).unwrap();
+        let ea = entries
+            .iter()
+            .find(|e| e.label(&prog).to_string().starts_with("a "))
+            .unwrap();
+        let eb = entries
+            .iter()
+            .find(|e| e.label(&prog).to_string().starts_with("b "))
+            .unwrap();
         assert_eq!(earliest_pos(&ctx, ea), Pos::after(&prog, StmtId(0)));
         assert_eq!(earliest_pos(&ctx, eb), Pos::after(&prog, StmtId(1)));
     }
@@ -300,7 +309,7 @@ end",
                 assert!(
                     ep.dominates(&lp, &ctx.dt),
                     "Earliest must dominate Latest for {}",
-                    e.label
+                    e.label(&prog)
                 );
             }
         }

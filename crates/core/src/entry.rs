@@ -1,6 +1,8 @@
 //! Communication entries: one per non-local reference pattern.
 
-use gcomm_ir::{ArrayId, StmtId};
+use std::fmt;
+
+use gcomm_ir::{ArrayId, IrProgram, StmtId};
 use gcomm_sections::Mapping;
 
 /// Identifier of a communication entry within one analysis.
@@ -41,13 +43,57 @@ pub struct CommEntry {
     pub mapping: Mapping,
     /// Classification.
     pub kind: CommKind,
-    /// Human-readable label, e.g. `p(+1,0)` or `sum g`.
-    pub label: String,
 }
 
 impl CommEntry {
     /// True if this entry is a reduction.
     pub fn is_reduction(&self) -> bool {
         self.kind == CommKind::Reduction
+    }
+
+    /// Human-readable label, e.g. `p shift(+1,0)` or `sum g`: `sum {array}` for
+    /// a reduction, `{array} general` for a general mapping, `{array}
+    /// {mapping}` otherwise. Formatted where it is written (reports and
+    /// diagnostics), never stored.
+    pub fn label<'a>(&'a self, prog: &'a IrProgram) -> impl fmt::Display + 'a {
+        Label { e: self, prog }
+    }
+}
+
+struct Label<'a> {
+    e: &'a CommEntry,
+    prog: &'a IrProgram,
+}
+
+impl Label<'_> {
+    fn write(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let name: &str = &self.prog.array(self.e.array).name;
+        match &self.e.mapping {
+            Mapping::Reduction { .. } => {
+                w.write_str("sum ")?;
+                w.write_str(name)
+            }
+            Mapping::General(_) => {
+                w.write_str(name)?;
+                w.write_str(" general")
+            }
+            m => {
+                w.write_str(name)?;
+                w.write_char(' ')?;
+                write!(w, "{m}")
+            }
+        }
+    }
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if f.width().is_none() {
+            return self.write(f);
+        }
+        // Padded like a `str` (`{:<20}`): format first, then pad.
+        let mut s = String::new();
+        self.write(&mut s)?;
+        f.pad(&s)
     }
 }

@@ -164,7 +164,10 @@ end",
         );
         let ctx = AnalysisCtx::new(&prog);
         // Entry for h read in statement 1 (shift along dim 2).
-        let e = entries.iter().find(|e| e.label.starts_with("h ")).unwrap();
+        let e = entries
+            .iter()
+            .find(|e| e.label(&prog).to_string().starts_with("h "))
+            .unwrap();
         assert_eq!(comm_level(&ctx, e), 1);
         assert_eq!(latest(&ctx, e), Pos::before(&prog, e.stmt));
     }

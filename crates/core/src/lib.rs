@@ -72,7 +72,7 @@ pub mod subset;
 
 pub use check::{check_schedule, LegalityReport};
 pub use codegen::{lower_to_sim, lower_to_sim_with, SimConfig};
-pub use ctx::{AnalysisCtx, SectionCtx};
+pub use ctx::{AnalysisCtx, AsdTable, SectionCtx};
 pub use entry::{CommEntry, CommKind, EntryId};
 pub use greedy::{CombinePolicy, GreedyOrder};
 pub use optimal::{exhaustive_placement, optimal_placement_jobs, OptimalResult};

@@ -42,13 +42,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gcomm_ir::{IrProgram, LoopId, Pos};
+use gcomm_ir::{IrProgram, Pos};
 use gcomm_machine::{simulate, MsgKind, NetworkModel, ProcGrid};
 
 use crate::candidates::candidates;
 use crate::codegen::{
     entry_msg_bytes, group_pattern, loop_bindings, lower_to_sim, lower_to_sim_with, lowered_msg,
-    SimConfig,
+    Bindings, SimConfig,
 };
 use crate::ctx::AnalysisCtx;
 use crate::earliest::earliest_pos;
@@ -209,6 +209,7 @@ fn base_scratch(compiled: &Compiled, space: &SearchSpace) -> Compiled {
             search: None,
         },
         stats: Default::default(),
+        asds: Default::default(),
     }
 }
 
@@ -249,11 +250,11 @@ fn pos_encode(pos: Pos) -> u64 {
 
 /// Product of enclosing-loop trip counts at a position — the factor the
 /// simulator multiplies a message placed there by.
-fn position_mult(prog: &IrProgram, trips: &HashMap<LoopId, u64>, pos: Pos) -> f64 {
+fn position_mult(prog: &IrProgram, b: &Bindings, pos: Pos) -> f64 {
     let mut m: u64 = 1;
     let mut enclosing = prog.cfg.node(pos.node).enclosing;
     while let Some(l) = enclosing {
-        m = m.saturating_mul(trips[&l]);
+        m = m.saturating_mul(b.trips(l));
         enclosing = prog.loops[l.0 as usize].parent;
     }
     m as f64
@@ -269,7 +270,7 @@ fn build_cost_model(
     let prog = &base.prog;
     let p_total = cfg.grid.nproc().max(1);
     let view = CompiledRef::from(base);
-    let (mid, trips) = loop_bindings(view, cfg);
+    let b = loop_bindings(view, cfg);
     let n = space.ids.len();
     let peak = net.peak_bw_mb.max(1e-9);
 
@@ -288,13 +289,13 @@ fn build_cost_model(
         let mut p_row = Vec::with_capacity(cands.len());
         let mut fmin = f64::INFINITY;
         for &pos in cands {
-            let b = entry_msg_bytes(view, cfg, ctx, &mid, id, &e.mapping, e.kind, pos, p_total);
-            let m = position_mult(prog, &trips, pos);
-            fmin = fmin.min(m * (b / peak));
-            b_row.push(b);
+            let bytes = entry_msg_bytes(view, cfg, ctx, &b, id, &e.mapping, e.kind, pos, p_total);
+            let m = position_mult(prog, &b, pos);
+            fmin = fmin.min(m * (bytes / peak));
+            b_row.push(bytes);
             m_row.push(m);
             r_row.push(group_pattern(
-                view, cfg, ctx, &mid, id, &e.mapping, e.kind, pos, p_total,
+                view, cfg, ctx, &b, id, &e.mapping, e.kind, pos, p_total,
             ));
             l_row.push(pos.level(prog));
             p_row.push(pos_encode(pos));
@@ -862,6 +863,7 @@ pub(crate) fn optimal_strategy(
         prog: ctx.prog.clone(),
         schedule: seed,
         stats: Default::default(),
+        asds: Default::default(),
     };
     let rank = scratch.prog.grid_rank();
     let cfg = SimConfig::uniform(&scratch, ProcGrid::balanced(8, rank), 64).with("nsteps", 4);

@@ -5,7 +5,7 @@ use std::fmt;
 use gcomm_ir::IrProgram;
 
 use crate::commgen;
-use crate::ctx::AnalysisCtx;
+use crate::ctx::{AnalysisCtx, AsdTable};
 use crate::greedy::CombinePolicy;
 use crate::schedule::Schedule;
 use crate::strategy::{self, Strategy};
@@ -102,7 +102,8 @@ impl From<gcomm_ir::LowerError> for CoreError {
 /// A compiled procedure: the lowered program plus its schedule.
 ///
 /// Equality compares the program and schedule only — `stats` carries wall
-/// times and is never part of a compiled artifact's identity.
+/// times and `asds` a memo, and neither is part of a compiled artifact's
+/// identity.
 #[derive(Debug, Clone)]
 pub struct Compiled {
     /// The lowered program.
@@ -111,6 +112,11 @@ pub struct Compiled {
     pub schedule: Schedule,
     /// Observability snapshot of this compile (empty when stats were off).
     pub stats: CompileStats,
+    /// The sections placement widened, by `(entry, level)` of this `prog`:
+    /// what [`lower_to_sim`](crate::lower_to_sim) reads instead of
+    /// widening them again. A `Compiled` put together by hand leaves it
+    /// empty (the default); lowering then widens into a table of its own.
+    pub asds: AsdTable,
 }
 
 /// A borrowed view of a compiled procedure: what lowering and simulation
@@ -123,6 +129,9 @@ pub struct CompiledRef<'a> {
     pub prog: &'a IrProgram,
     /// The placed communication schedule.
     pub schedule: &'a Schedule,
+    /// The compile's widened sections, when the caller kept them
+    /// ([`Compiled::asds`]).
+    pub asds: Option<&'a AsdTable>,
 }
 
 impl<'a> From<&'a Compiled> for CompiledRef<'a> {
@@ -130,6 +139,7 @@ impl<'a> From<&'a Compiled> for CompiledRef<'a> {
         CompiledRef {
             prog: &c.prog,
             schedule: &c.schedule,
+            asds: Some(&c.asds),
         }
     }
 }
@@ -219,7 +229,7 @@ fn compile_ast(
     budget: gcomm_guard::Budget,
 ) -> Result<Compiled, CoreError> {
     let prog = gcomm_ir::lower(ast)?;
-    let schedule = compile_program_budgeted(&prog, strategy, policy, budget);
+    let (schedule, asds) = place(&prog, strategy, policy, budget);
     let stats = gcomm_obs::current()
         .map(|r| r.snapshot())
         .unwrap_or_default();
@@ -227,6 +237,7 @@ fn compile_ast(
         prog,
         schedule,
         stats,
+        asds,
     })
 }
 
@@ -283,6 +294,16 @@ pub fn compile_program_budgeted(
     policy: &CombinePolicy,
     budget: gcomm_guard::Budget,
 ) -> Schedule {
+    place(prog, strategy, policy, budget).0
+}
+
+/// [`compile_program_budgeted`], keeping the sections it widened.
+fn place(
+    prog: &IrProgram,
+    strategy: Strategy,
+    policy: &CombinePolicy,
+    budget: gcomm_guard::Budget,
+) -> (Schedule, AsdTable) {
     let entries = {
         let _s = gcomm_obs::span("core.commgen");
         commgen::number(commgen::generate(prog))
@@ -290,7 +311,7 @@ pub fn compile_program_budgeted(
     let ctx = AnalysisCtx::with_budget(prog, budget);
     let schedule = strategy::run_with_policy(&ctx, entries, strategy, policy);
     record_entry_fates(&schedule);
-    schedule
+    (schedule, ctx.sections.into_asds())
 }
 
 /// Records the placement fate of every candidate entry: each entry is

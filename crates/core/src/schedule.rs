@@ -95,9 +95,23 @@ impl Schedule {
         &self.entries[id.0 as usize]
     }
 
-    /// A human-readable placement report.
+    /// A human-readable placement report, written into one buffer sized
+    /// up front.
     pub fn report(&self, prog: &IrProgram) -> String {
-        let mut out = String::new();
+        // A label is its array's name, a space and at most a rank-4 shift
+        // (`shift(+1,+0,+0,+0)`), plus a `, ` separator.
+        let label_len = |id: EntryId| prog.array(self.entry(id).array).name.len() + 24;
+        let groups: usize = self
+            .groups
+            .iter()
+            .map(|g| 48 + g.entries.iter().map(|&e| label_len(e)).sum::<usize>())
+            .sum();
+        let absorptions: usize = self
+            .absorptions
+            .iter()
+            .map(|a| 32 + label_len(a.absorbed) + label_len(a.by))
+            .sum();
+        let mut out = String::with_capacity(80 + groups + absorptions);
         let _ = writeln!(
             out,
             "{:?}: {} entries, {} messages, {} eliminated",
@@ -107,27 +121,26 @@ impl Schedule {
             self.eliminated()
         );
         for g in &self.groups {
-            let labels: Vec<&str> = g
-                .entries
-                .iter()
-                .map(|&e| self.entry(e).label.as_str())
-                .collect();
             let node = prog.cfg.node(g.pos.node);
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "  at {:?} slot {} (level {}): {{{}}}",
-                node.kind,
-                g.pos.slot,
-                node.level,
-                labels.join(", ")
+                "  at {:?} slot {} (level {}): {{",
+                node.kind, g.pos.slot, node.level
             );
+            for (i, &e) in g.entries.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "{}", self.entry(e).label(prog));
+            }
+            out.push_str("}\n");
         }
         for a in &self.absorptions {
             let _ = writeln!(
                 out,
                 "  eliminated: {} (covered by {})",
-                self.entry(a.absorbed).label,
-                self.entry(a.by).label
+                self.entry(a.absorbed).label(prog),
+                self.entry(a.by).label(prog)
             );
         }
         out

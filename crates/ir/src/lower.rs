@@ -125,12 +125,14 @@ pub fn lower(ast: &Program) -> Result<IrProgram, LowerError> {
     }
     let prog = Lowerer::new(ast)?.run()?;
     gcomm_obs::count("ir.cfg.nodes", prog.cfg.len() as u64);
-    gcomm_obs::count(
-        "ir.cfg.edges",
-        (0..prog.cfg.len())
-            .map(|i| prog.cfg.node(crate::cfg::NodeId(i as u32)).succs.len() as u64)
-            .sum(),
-    );
+    if gcomm_obs::enabled() {
+        gcomm_obs::count(
+            "ir.cfg.edges",
+            (0..prog.cfg.len())
+                .map(|i| prog.cfg.node(crate::cfg::NodeId(i as u32)).succs.len() as u64)
+                .sum(),
+        );
+    }
     gcomm_obs::count("ir.stmts", prog.stmts.len() as u64);
     Ok(prog)
 }

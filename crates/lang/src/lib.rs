@@ -66,7 +66,9 @@ pub fn parse_program(src: &str) -> Result<Program, LangError> {
     let prog = parser.parse_program().inspect_err(|_| {
         gcomm_obs::count("lang.parse_errors", 1);
     })?;
-    gcomm_obs::count("lang.stmts", prog.stmt_count() as u64);
+    if gcomm_obs::enabled() {
+        gcomm_obs::count("lang.stmts", prog.stmt_count() as u64);
+    }
     validate::validate_at(&prog, parser.block_lines())?;
     Ok(prog)
 }
@@ -89,7 +91,9 @@ pub fn parse_program_diagnostics(src: &str) -> Result<Program, Vec<LangError>> {
     };
     gcomm_obs::count("lang.tokens", parser.token_count() as u64);
     let (prog, mut errs) = parser.parse_program_recovering();
-    gcomm_obs::count("lang.stmts", prog.stmt_count() as u64);
+    if gcomm_obs::enabled() {
+        gcomm_obs::count("lang.stmts", prog.stmt_count() as u64);
+    }
     gcomm_obs::count("lang.parse_errors", errs.len() as u64);
     if errs.is_empty() {
         if let Err(e) = validate::validate_at(&prog, parser.block_lines()) {

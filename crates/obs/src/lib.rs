@@ -697,6 +697,13 @@ fn fmt_ns(ns: u64) -> String {
 /// string writer; `gcomm-serve` re-exports it as `json::escape`).
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    json_str_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal ([`json_str`] without a
+/// buffer of its own; `gcomm-serve` re-exports it as `json::escape_into`).
+pub fn json_str_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -712,7 +719,6 @@ pub fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -105,14 +105,22 @@ impl fmt::Display for Mapping {
         match self {
             Mapping::Local => write!(f, "local"),
             Mapping::Shift { offsets } => {
-                write!(f, "shift(")?;
+                f.write_str("shift(")?;
                 for (i, o) in offsets.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
-                    write!(f, "{o:+}")?;
+                    // Shifts between neighbours are the common case (every
+                    // offset `commgen` makes is a sign), and reports print
+                    // one per entry: skip the integer formatter for them.
+                    match o {
+                        -1 => f.write_str("-1")?,
+                        0 => f.write_str("+0")?,
+                        1 => f.write_str("+1")?,
+                        o => write!(f, "{o:+}")?,
+                    }
                 }
-                write!(f, ")")
+                f.write_str(")")
             }
             Mapping::Reduction { op } => write!(f, "reduce({op})"),
             Mapping::Broadcast => write!(f, "bcast"),

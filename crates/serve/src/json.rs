@@ -127,7 +127,7 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -144,7 +144,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&escape(k));
+                    escape_into(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -156,6 +156,8 @@ impl Json {
 
 /// Escapes a string as a JSON string literal.
 pub use gcomm_obs::json_str as escape;
+/// Appends a string to a buffer as a JSON string literal.
+pub use gcomm_obs::json_str_into as escape_into;
 
 struct Parser<'a> {
     text: &'a str,

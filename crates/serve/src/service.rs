@@ -37,7 +37,7 @@ use gcomm_obs::{Histogram, Registry, StatsReport};
 use gcomm_query::{fingerprint, ByteLru, Computed, Fingerprinter};
 use gcomm_store::{FsyncPolicy, Store, StoreConfig};
 
-use crate::json::escape;
+use crate::json::{escape, escape_into};
 use crate::protocol::{assemble, cache_key_material, CompileReq, SimSpec};
 
 /// Tuning knobs of a service instance.
@@ -595,30 +595,33 @@ impl RenderShape {
     }
 }
 
-/// Renders a successful routine in the given frame shape.
+/// Renders a successful routine in the given frame shape, into one
+/// buffer sized for the escaped report and the simulation object.
 fn render_ok(a: &RoutineArtifacts, req: &CompileReq, shape: RenderShape) -> String {
     let report = a.schedule.report(&a.prog);
-    let mut p = match shape {
-        RenderShape::Single => format!(
-            "\"ok\":true,\"strategy\":{},\"degraded\":{},\"report\":{}",
-            escape(req.strategy.name()),
-            a.degraded,
-            escape(&report)
-        ),
-        RenderShape::Fragment => format!(
-            "{{\"name\":{},\"ok\":true,\"degraded\":{},\"report\":{}",
-            escape(&a.prog.name),
-            a.degraded,
-            escape(&report)
-        ),
-    };
+    // Escaping adds a byte per report line; the rest is a few hundred.
+    let mut p = String::with_capacity(report.len() * 9 / 8 + a.prog.name.len() + 320);
+    match shape {
+        RenderShape::Single => {
+            p.push_str("\"ok\":true,\"strategy\":");
+            escape_into(&mut p, req.strategy.name());
+        }
+        RenderShape::Fragment => {
+            p.push_str("{\"name\":");
+            escape_into(&mut p, &a.prog.name);
+            p.push_str(",\"ok\":true");
+        }
+    }
+    let _ = write!(p, ",\"degraded\":{},\"report\":", a.degraded);
+    escape_into(&mut p, &report);
     if let Some(sim) = &req.sim {
         let compiled = CompiledRef {
             prog: &a.prog,
             schedule: &a.schedule,
+            asds: None,
         };
         p.push_str(",\"sim\":");
-        p.push_str(&sim_json(compiled, sim));
+        write_sim_json(&mut p, compiled, sim);
     }
     if shape == RenderShape::Fragment {
         p.push('}');
@@ -645,9 +648,9 @@ fn errors_json(errs: &[gcomm_core::CoreError]) -> String {
 }
 
 /// Runs the machine simulation of a compiled schedule on the requested
-/// profile and renders it as a JSON object. Deterministic: the simulator
-/// is an analytical cost model, not a measurement.
-fn sim_json(compiled: CompiledRef<'_>, sim: &SimSpec) -> String {
+/// profile and appends it to `out` as a JSON object. Deterministic: the
+/// simulator is an analytical cost model, not a measurement.
+fn write_sim_json(out: &mut String, compiled: CompiledRef<'_>, sim: &SimSpec) {
     let (p, net) = match sim.profile.as_str() {
         "sp2" => (25u32, NetworkModel::sp2()),
         _ => (8u32, NetworkModel::now_myrinet()),
@@ -663,28 +666,28 @@ fn sim_json(compiled: CompiledRef<'_>, sim: &SimSpec) -> String {
         cfg = cfg.with_coll(gcomm_coll::CollConfig::new(topo, choice, net.clone()));
     }
     let r = simulate(&lower_to_sim(compiled, &cfg), &net);
-    format!(
-        "{{\"profile\":{},\"p\":{p},\"n\":{},\"total_us\":{},\"compute_us\":{},\
-         \"comm_us\":{},\"messages\":{},\"bytes\":{}}}",
-        escape(&sim.profile),
-        sim.n,
-        fmt_f64(r.total_us()),
-        fmt_f64(r.compute_us),
-        fmt_f64(r.comm_us),
-        r.messages,
-        fmt_f64(r.bytes)
-    )
+    out.push_str("{\"profile\":");
+    escape_into(out, &sim.profile);
+    let _ = write!(out, ",\"p\":{p},\"n\":{},\"total_us\":", sim.n);
+    write_f64(out, r.total_us());
+    out.push_str(",\"compute_us\":");
+    write_f64(out, r.compute_us);
+    out.push_str(",\"comm_us\":");
+    write_f64(out, r.comm_us);
+    let _ = write!(out, ",\"messages\":{},\"bytes\":", r.messages);
+    write_f64(out, r.bytes);
+    out.push('}');
 }
 
-/// Formats a simulator quantity for JSON: finite shortest-roundtrip
-/// decimal (Rust's `Display` for `f64` never emits exponents or
-/// non-numeric tokens for finite values; the simulator only produces
-/// finite, non-negative times).
-fn fmt_f64(v: f64) -> String {
+/// Writes a simulator quantity as JSON: finite shortest-roundtrip decimal
+/// (Rust's `Display` for `f64` never emits exponents or non-numeric tokens
+/// for finite values; the simulator only produces finite, non-negative
+/// times).
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 

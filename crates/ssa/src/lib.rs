@@ -135,8 +135,10 @@ pub struct SsaForm {
     /// Per statement, where its reads start in `use_defs`; one past-the-end
     /// entry closes the last statement.
     read_base: Vec<u32>,
-    /// φ definitions by node (in creation order).
-    phis_by_node: Vec<Vec<DefId>>,
+    /// φ definitions by node, in creation order: those of node `n` are
+    /// `phis[phi_base[n]..phi_base[n + 1]]`.
+    phis: Vec<DefId>,
+    phi_base: Vec<u32>,
 }
 
 /// Placeholder for a φ argument or use not (yet) filled in.
@@ -191,9 +193,11 @@ impl SsaForm {
 
     /// φ definitions at a node.
     pub fn phis_at(&self, node: NodeId) -> &[DefId] {
-        self.phis_by_node
-            .get(node.0 as usize)
-            .map_or(&[], Vec::as_slice)
+        let n = node.0 as usize;
+        match (self.phi_base.get(n), self.phi_base.get(n + 1)) {
+            (Some(&lo), Some(&hi)) => &self.phis[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// The program position of a definition: ENTRY and φs sit at the top of
@@ -305,12 +309,20 @@ struct Builder<'a> {
     defs: Vec<DefInfo>,
     use_defs: Vec<DefId>,
     read_base: Vec<u32>,
-    phis_by_node: Vec<Vec<DefId>>,
-    entry_defs: Vec<DefId>,
-    /// Collected φ args: (phi def, pred node, incoming def).
-    phi_args: Vec<(DefId, NodeId, DefId)>,
-    stacks: Vec<Vec<DefId>>,
+    /// φ definitions by node, as in [`SsaForm`]; filled once every φ is
+    /// placed, before renaming.
+    phis: Vec<DefId>,
+    phi_base: Vec<u32>,
+    /// The renaming stacks of every array in one: each element is a
+    /// definition and the index of the element below it on its array's
+    /// stack ([`NO_TOP`] at the bottom).
+    rename: Vec<(DefId, u32)>,
+    /// Per array, the index in `rename` of its stack's top, or [`NO_TOP`].
+    top: Vec<u32>,
 }
+
+/// An empty renaming stack.
+const NO_TOP: u32 = u32::MAX;
 
 impl<'a> Builder<'a> {
     fn new(prog: &'a IrProgram, dt: &'a DomTree) -> Self {
@@ -327,10 +339,10 @@ impl<'a> Builder<'a> {
             defs: Vec::new(),
             use_defs: vec![UNREACHED; reads as usize],
             read_base,
-            phis_by_node: vec![Vec::new(); prog.cfg.len()],
-            entry_defs: Vec::new(),
-            phi_args: Vec::new(),
-            stacks: vec![Vec::new(); prog.arrays.len()],
+            phis: Vec::new(),
+            phi_base: Vec::new(),
+            rename: Vec::new(),
+            top: vec![NO_TOP; prog.arrays.len()],
         }
     }
 
@@ -356,28 +368,39 @@ impl<'a> Builder<'a> {
         let prog = self.prog;
         let nvars = prog.arrays.len();
 
-        // 1. ENTRY pseudo-defs.
+        // Every assignment as (array, statement order, node), grouped by
+        // array below: the def-node seeds of φ placement.
+        let mut seeds: Vec<(u32, u32, NodeId)> = prog
+            .stmts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, info)| Some((info.kind.def()?.array.0, i as u32, info.node)))
+            .collect();
+        seeds.sort_unstable();
+        self.defs.reserve(nvars + seeds.len());
+
+        // 1. ENTRY pseudo-defs: the one of array `v` is `DefId(v)`.
         for v in 0..nvars {
-            let var = ArrayId(v as u32);
-            let d = self.add_def(var, DefKind::Entry, prog.cfg.entry, None);
-            self.entry_defs.push(d);
+            self.add_def(ArrayId(v as u32), DefKind::Entry, prog.cfg.entry, None);
         }
 
         // 2. φ placement via iterated dominance frontiers. Every variable has
         // a def at ENTRY, so the def-node seed per variable is {entry} ∪
-        // {nodes with assignments to it}.
-        let mut def_nodes: Vec<Vec<NodeId>> = vec![vec![prog.cfg.entry]; nvars];
-        for info in &prog.stmts {
-            if let Some(lhs) = info.kind.def() {
-                let list = &mut def_nodes[lhs.array.0 as usize];
-                if !list.contains(&info.node) {
-                    list.push(info.node);
+        // {nodes with assignments to it}, in program order.
+        let mut has_phi: Vec<bool> = vec![false; prog.cfg.len()];
+        let mut work: Vec<NodeId> = Vec::new();
+        let mut rest = &seeds[..];
+        for v in 0..nvars {
+            let var = ArrayId(v as u32);
+            let n_v = rest.iter().take_while(|s| s.0 == var.0).count();
+            work.clear();
+            work.push(prog.cfg.entry);
+            for &(_, _, node) in &rest[..n_v] {
+                if !work.contains(&node) {
+                    work.push(node);
                 }
             }
-        }
-        let mut has_phi: Vec<bool> = vec![false; prog.cfg.len()];
-        for (v, mut work) in def_nodes.into_iter().enumerate() {
-            let var = ArrayId(v as u32);
+            rest = &rest[n_v..];
             has_phi.fill(false);
             while let Some(n) = work.pop() {
                 for &f in self.dt.frontier(n) {
@@ -396,52 +419,23 @@ impl<'a> Builder<'a> {
                             },
                             _ => DefKind::PhiMerge { args: Vec::new() },
                         };
-                        let d = self.add_def(var, kind, f, None);
-                        self.phis_by_node[f.0 as usize].push(d);
+                        self.add_def(var, kind, f, None);
                         work.push(f);
                     }
                 }
             }
         }
+        self.index_phis(nvars);
+        self.defs.reserve_exact(seeds.len());
 
-        // 3. Renaming over the dominator tree (iterative).
+        // 3. Renaming over the dominator tree (iterative), which also fills
+        // the φ argument lists in predecessor order.
+        self.rename.reserve(nvars + seeds.len());
         for v in 0..nvars {
-            self.stacks[v].push(self.entry_defs[v]);
+            self.push(ArrayId(v as u32), DefId(v as u32));
         }
         self.rename(prog.cfg.entry);
 
-        // 4. Fill φ argument lists in predecessor order.
-        for (phi, pred, incoming) in std::mem::take(&mut self.phi_args) {
-            let node = self.defs[phi.0 as usize].node;
-            let preds = &prog.cfg.node(node).preds;
-            let pred_idx = preds.iter().position(|&p| p == pred).unwrap_or(0);
-            match &mut self.defs[phi.0 as usize].kind {
-                DefKind::PhiEnter {
-                    in_loop,
-                    r_pre,
-                    r_post,
-                } => {
-                    // The preheader predecessor supplies r_pre; the backedge
-                    // (a node inside the loop) supplies r_post.
-                    let li = prog.loop_info(*in_loop);
-                    if pred == li.preheader {
-                        *r_pre = incoming;
-                    } else {
-                        *r_post = incoming;
-                    }
-                }
-                DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } => {
-                    if args.len() < preds.len() {
-                        args.resize(preds.len(), UNREACHED);
-                    }
-                    args[pred_idx] = incoming;
-                }
-                // A non-phi def can only land here through an internal
-                // bookkeeping bug; dropping the argument degrades the SSA
-                // form instead of aborting the compiler.
-                _ => {}
-            }
-        }
         // Drop unfilled placeholder args (unreachable predecessor edges).
         for d in &mut self.defs {
             if let DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } = &mut d.kind {
@@ -453,18 +447,95 @@ impl<'a> Builder<'a> {
             defs: self.defs,
             use_defs: self.use_defs,
             read_base: self.read_base,
-            phis_by_node: self.phis_by_node,
+            phis: self.phis,
+            phi_base: self.phi_base,
         }
+    }
+
+    /// Buckets the φ definitions (every definition from `first` on) by
+    /// node, keeping creation order within a node.
+    fn index_phis(&mut self, first: usize) {
+        let nodes = self.prog.cfg.len();
+        // `phi_base[n + 1]` counts node `n`'s φs, then prefix sums make it
+        // the end of its range; filling back to front walks each end down
+        // to the start.
+        let mut base = vec![0u32; nodes + 1];
+        for d in &self.defs[first..] {
+            base[d.node.0 as usize + 1] += 1;
+        }
+        for n in 0..nodes {
+            base[n + 1] += base[n];
+        }
+        let mut phis = vec![UNREACHED; self.defs.len() - first];
+        for (i, d) in self.defs.iter().enumerate().skip(first).rev() {
+            let end = &mut base[d.node.0 as usize + 1];
+            *end -= 1;
+            phis[*end as usize] = DefId(i as u32);
+        }
+        // Each end now sits at its node's start: shift to `phi_base` form.
+        base.copy_within(1.., 0);
+        base[nodes] = phis.len() as u32;
+        self.phis = phis;
+        self.phi_base = base;
+    }
+
+    fn push(&mut self, var: ArrayId, d: DefId) {
+        let top = &mut self.top[var.0 as usize];
+        self.rename.push((d, *top));
+        *top = (self.rename.len() - 1) as u32;
+    }
+
+    fn pop(&mut self, var: ArrayId) {
+        // Pushes and pops nest, so the last push is `var`'s top.
+        let Some((_, below)) = self.rename.pop() else {
+            return;
+        };
+        debug_assert_eq!(self.top[var.0 as usize] as usize, self.rename.len());
+        self.top[var.0 as usize] = below;
     }
 
     /// Current top-of-stack definition for `var`, falling back to the
     /// array's entry definition if the rename stack was over-popped (an
     /// internal inconsistency that must not abort compilation).
     fn top_def(&self, var: ArrayId) -> DefId {
-        self.stacks[var.0 as usize]
-            .last()
-            .copied()
-            .unwrap_or(self.entry_defs[var.0 as usize])
+        match self.top[var.0 as usize] {
+            NO_TOP => DefId(var.0),
+            i => self.rename[i as usize].0,
+        }
+    }
+
+    /// Sets the argument `incoming` of `phi` along the edge from `pred`.
+    fn fill_phi_arg(&mut self, phi: DefId, pred: NodeId, incoming: DefId) {
+        let prog = self.prog;
+        let node = self.defs[phi.0 as usize].node;
+        let preds = &prog.cfg.node(node).preds;
+        match &mut self.defs[phi.0 as usize].kind {
+            DefKind::PhiEnter {
+                in_loop,
+                r_pre,
+                r_post,
+            } => {
+                // The preheader predecessor supplies r_pre; the backedge
+                // (a node inside the loop) supplies r_post.
+                let li = prog.loop_info(*in_loop);
+                if pred == li.preheader {
+                    *r_pre = incoming;
+                } else {
+                    *r_post = incoming;
+                }
+            }
+            DefKind::PhiExit { args, .. } | DefKind::PhiMerge { args } => {
+                let pred_idx = preds.iter().position(|&p| p == pred).unwrap_or(0);
+                if args.len() < preds.len() {
+                    args.resize(preds.len(), UNREACHED);
+                }
+                args[pred_idx] = incoming;
+            }
+            // A non-phi def can only land here through an internal
+            // bookkeeping bug; dropping the argument degrades the SSA
+            // form instead of aborting the compiler.
+            _ => {}
+        }
     }
 
     fn rename(&mut self, root: NodeId) {
@@ -478,17 +549,16 @@ impl<'a> Builder<'a> {
         let mut stack = vec![Action::Visit(root)];
         while let Some(action) = stack.pop() {
             match action {
-                Action::Pop(var) => {
-                    self.stacks[var.0 as usize].pop();
-                }
+                Action::Pop(var) => self.pop(var),
                 Action::Visit(n) => {
                     // φ defs at the top of the node.
-                    for i in 0..self.phis_by_node[n.0 as usize].len() {
-                        let phi = self.phis_by_node[n.0 as usize][i];
+                    let (lo, hi) = (self.phi_base[n.0 as usize], self.phi_base[n.0 as usize + 1]);
+                    for i in lo as usize..hi as usize {
+                        let phi = self.phis[i];
                         let var = self.defs[phi.0 as usize].var;
                         let top = self.top_def(var);
                         self.defs[phi.0 as usize].dom_prev = Some(top);
-                        self.stacks[var.0 as usize].push(phi);
+                        self.push(var, phi);
                         stack.push(Action::Pop(var));
                     }
 
@@ -509,16 +579,21 @@ impl<'a> Builder<'a> {
                                 n,
                                 Some(prev),
                             );
-                            self.stacks[var.0 as usize].push(d);
+                            self.push(var, d);
                             stack.push(Action::Pop(var));
                         }
                     }
 
                     // Feed φ args of CFG successors.
                     for &succ in &prog.cfg.node(n).succs {
-                        for &phi in &self.phis_by_node[succ.0 as usize] {
+                        let (lo, hi) = (
+                            self.phi_base[succ.0 as usize],
+                            self.phi_base[succ.0 as usize + 1],
+                        );
+                        for i in lo as usize..hi as usize {
+                            let phi = self.phis[i];
                             let var = self.defs[phi.0 as usize].var;
-                            self.phi_args.push((phi, n, self.top_def(var)));
+                            self.fill_phi_arg(phi, n, self.top_def(var));
                         }
                     }
 

@@ -29,10 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let global = compile(src, Strategy::Global)?;
     println!("\n== combined groups ==");
     for g in &global.schedule.groups {
-        let members: Vec<&str> = g
+        let members: Vec<String> = g
             .entries
             .iter()
-            .map(|&e| global.schedule.entry(e).label.as_str())
+            .map(|&e| global.schedule.entry(e).label(&global.prog).to_string())
             .collect();
         println!("  {:?} {{{}}}", g.kind, members.join(", "));
     }

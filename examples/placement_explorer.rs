@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cands = candidates::candidates(&ctx, e, ep, lp);
         println!(
             "{:<14} use at {}  Earliest = {:?}@{}/{}  Latest = {:?}@{}/{}  |candidates| = {}",
-            e.label,
+            e.label(&prog),
             e.stmt,
             prog.cfg.node(ep.node).kind,
             ep.node,

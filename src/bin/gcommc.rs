@@ -509,7 +509,12 @@ fn compile_main(args: Vec<String>) -> ExitCode {
         let entries = commgen::number(commgen::generate(&compiled.prog));
         println!("{} communication entr(ies):", entries.len());
         for e in &entries {
-            println!("  {:<20} at {} (reads {:?})", e.label, e.stmt, e.reads);
+            println!(
+                "  {:<20} at {} (reads {:?})",
+                e.label(&compiled.prog),
+                e.stmt,
+                e.reads
+            );
         }
     }
 

@@ -43,7 +43,7 @@ fn chain_collapses_to_one_covering_message() {
         assert!(
             g.pos.dominates(&Pos::before(&c.prog, e.stmt), &ctx.dt),
             "placement must cover the chained use of {}",
-            e.label
+            e.label(&c.prog)
         );
     }
     assert!(verify(&c).ok());
@@ -70,7 +70,7 @@ fn chain_safe_without_subset_elimination() {
                 assert!(
                     g.pos.dominates(&Pos::before(&prog, e.stmt), &ctx.dt),
                     "ablation placement must cover {}",
-                    e.label
+                    e.label(&prog)
                 );
             }
         }
@@ -79,6 +79,7 @@ fn chain_safe_without_subset_elimination() {
         prog,
         schedule: sched,
         stats: Default::default(),
+        asds: Default::default(),
     };
     assert!(verify(&c).ok(), "{:?}", verify(&c).errors.first());
 }
@@ -113,7 +114,7 @@ end";
                     .any(|a| a.absorbed == e.id && g.entries.contains(&a.by)))
                 && g.pos.dominates(&Pos::before(&c.prog, e.stmt), &ctx.dt)
         });
-        assert!(covered, "{} uncovered: {}", e.label, c.report());
+        assert!(covered, "{} uncovered: {}", e.label(&c.prog), c.report());
     }
     assert!(verify(&c).ok());
 }

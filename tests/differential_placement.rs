@@ -81,6 +81,7 @@ fn check(name: &str, src: &str, n: i64) {
         prog: c.prog.clone(),
         schedule: opt.schedule,
         stats: Default::default(),
+        asds: Default::default(),
     };
     verify(name, "optimal", &opt_compiled, n);
 }

@@ -116,6 +116,7 @@ fn as_compiled(a: &RoutineArtifacts) -> Compiled {
         prog: (*a.prog).clone(),
         schedule: (*a.schedule).clone(),
         stats: Default::default(),
+        asds: Default::default(),
     }
 }
 

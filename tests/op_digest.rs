@@ -4,8 +4,9 @@
 //! `simulate`'s `total_us` and `messages`.
 //!
 //! Programs: the six paper kernels under `orig`, `nored`, `comb` and
-//! `partial`, and the 400 pinned corpus programs (`hpf::generate(0x6763_1996
-//! + i)`) under `comb`. Configurations: the SP2 model at P = 25, n = 64,
+//! `partial`, and the 400 pinned corpus programs
+//! (`hpf::generate(0x6763_1996 + i)`) under `comb`. Configurations: the
+//! SP2 model at P = 25, n = 64,
 //! nsteps = 10, priced flat and through one collective-backend
 //! configuration (a 5×5 torus, `auto`), so both arms of the message
 //! lowering are covered.

@@ -291,15 +291,20 @@ fn check(name: &str, src: &str, tally: &mut Tally) {
         // Every entry, read off the warm table, equals the reference.
         for e in &entries {
             let (lp, ep) = (latest(&ctx, e), earliest_pos(&ctx, e));
-            assert_eq!(lp, r.latest(e), "{what}: Latest of {}", e.label);
-            assert_eq!(ep, r.earliest_pos(e), "{what}: Earliest of {}", e.label);
+            assert_eq!(lp, r.latest(e), "{what}: Latest of {}", e.label(&prog));
+            assert_eq!(
+                ep,
+                r.earliest_pos(e),
+                "{what}: Earliest of {}",
+                e.label(&prog)
+            );
             if s == Strategy::Global {
                 let want = r.candidates(e, ep, lp);
                 assert_eq!(
                     candidates(&ctx, e, ep, lp),
                     want,
                     "{what}: window of {}",
-                    e.label
+                    e.label(&prog)
                 );
             }
         }

@@ -141,7 +141,7 @@ proptest! {
                     let e = c.schedule.entry(eid);
                     let before = Pos::before(&c.prog, e.stmt);
                     prop_assert!(g.pos.dominates(&before, &ctx.dt),
-                        "{strategy:?} violates dominance for {} on\n{src}", e.label);
+                        "{strategy:?} violates dominance for {} on\n{src}", e.label(&c.prog));
                 }
             }
         }

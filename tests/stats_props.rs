@@ -151,6 +151,7 @@ proptest! {
                 prog: (*art.prog).clone(),
                 schedule: (*art.schedule).clone(),
                 stats: Default::default(),
+                asds: Default::default(),
             };
             // `Compiled` equality covers program + schedule, not stats.
             prop_assert_eq!(
